@@ -13,7 +13,14 @@ from pathlib import Path
 
 from .audio_features import FrameConfig
 from .audio_io import decode_wav
-from .config import DEFAULT_HARMONIC_WINDOW, DEFAULT_TRAIN_FRACTION, DEFAULT_UPSAMPLE_RHO
+from .config import (
+    DEFAULT_FRAME_LENGTH,
+    DEFAULT_HARMONIC_WINDOW,
+    DEFAULT_HOP_LENGTH,
+    DEFAULT_TRAIN_FRACTION,
+    DEFAULT_UPSAMPLE_RHO,
+    ENSEMBLE_MEMBERS,
+)
 from .errors import ConfigError, DataError, EmoforgeError, ModelError
 from .ingest import build_dataset, load_manifest
 from .metrics import evaluate
@@ -38,27 +45,43 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 
-def _parse_hp(pairs: list[str]) -> dict:
-    """Parse repeated --hp key=value flags; values try int, float, then str."""
+def _parse_hp(pairs: list[str], model_kind: str) -> dict:
+    """Parse repeated --hp [member.]key=value flags; values try int, float,
+    then str.
+
+    An e1/e2 ensemble takes only member-scoped keys (``rf.n_trees=40``) and
+    gets {member: {key: value}}. A single model takes flat keys, or keys
+    scoped to its own kind, and gets {key: value}.
+    """
+    members = ENSEMBLE_MEMBERS.get(model_kind)
     out: dict = {}
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise ConfigError(f"--hp expects key=value, got {pair!r}")
+        scope, dot, name = key.rpartition(".")
+        if not sep or not name or (dot and not scope):
+            raise ConfigError(f"--hp expects [member.]key=value, got {pair!r}")
+        if members is not None and scope not in members:
+            raise ConfigError(
+                f"--hp {pair!r}: {model_kind} trains {', '.join(members)}; scope the key "
+                f"to one of them, e.g. --hp {members[0]}.{name}={value}"
+            )
+        if members is None and scope and scope != model_kind:
+            raise ConfigError(f"--hp {pair!r}: scope {scope!r} does not match model {model_kind}")
         for cast in (int, float):
             try:
-                out[key] = cast(value)
+                parsed = cast(value)
                 break
             except ValueError:
                 continue
         else:
-            out[key] = value
+            parsed = value
+        (out.setdefault(scope, {}) if members is not None else out)[name] = parsed
     return out
 
 
 def _add_frame_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--frame-length", type=int, default=2048)
-    parser.add_argument("--hop-length", type=int, default=512)
+    parser.add_argument("--frame-length", type=int, default=DEFAULT_FRAME_LENGTH)
+    parser.add_argument("--hop-length", type=int, default=DEFAULT_HOP_LENGTH)
     parser.add_argument("--l-harm", type=int, default=DEFAULT_HARMONIC_WINDOW)
 
 
@@ -163,7 +186,7 @@ def _cmd_train(args) -> int:
         train_fraction=args.train_fraction,
         upsample_train=not args.no_upsample,
         upsample_rho=args.rho,
-        hyperparams=_parse_hp(args.hp),
+        hyperparams=_parse_hp(args.hp, args.model),
         frame_config=FrameConfig(args.frame_length, args.hop_length),
         l_harm=args.l_harm,
     )

@@ -13,18 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .models.base import check_training_labels
+from .models.base import check_training_labels, sigmoid
 
 _GATES = ("f", "i", "o", "c")
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass
@@ -145,7 +136,7 @@ def _gates(params: LstmParams, h: np.ndarray, c: np.ndarray, x_t: np.ndarray):
     """One fused gate evaluation; returns (f, i, o, cand, c_t, tanh_c, h_t)."""
     hidden = params.hidden_size
     z = params._w_stack @ x_t + params._u_stack @ h + params._b_stack
-    gates = _sigmoid(z[: 3 * hidden])
+    gates = sigmoid(z[: 3 * hidden])
     f = gates[:hidden]
     i = gates[hidden : 2 * hidden]
     o = gates[2 * hidden :]

@@ -57,6 +57,16 @@ def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function, split by sign so exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shift-stabilized."""
     z = logits - logits.max(axis=1, keepdims=True)

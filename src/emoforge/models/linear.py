@@ -12,16 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .base import ProbabilisticClassifier, check_training_labels
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+from .base import ProbabilisticClassifier, check_training_labels, sigmoid
 
 
 def fit_logistic_link(scores: np.ndarray, targets: np.ndarray, ridge: float = 1e-6,
@@ -33,7 +24,7 @@ def fit_logistic_link(scores: np.ndarray, targets: np.ndarray, ridge: float = 1e
     a, b = 1.0, 0.0
     for _ in range(n_iter):
         z = a * scores + b
-        p = _sigmoid(z)
+        p = sigmoid(z)
         w = np.maximum(p * (1.0 - p), 1e-12)
         grad_a = float(np.dot(p - targets, scores)) + 2.0 * ridge * a
         grad_b = float(np.sum(p - targets)) + 2.0 * ridge * b
@@ -136,7 +127,7 @@ class LinearSVM(ProbabilisticClassifier):
         scores = self.decision_function(X)
         if self.link_ is None:
             raise ParameterError("probability link is not fitted")
-        s = _sigmoid(self.link_[:, 0] * scores + self.link_[:, 1])
+        s = sigmoid(self.link_[:, 0] * scores + self.link_[:, 1])
         total = s.sum(axis=1, keepdims=True)
         out = s / np.where(total > 0.0, total, 1.0)
         out[total[:, 0] <= 0.0] = 1.0 / s.shape[1]  # fully saturated underflow
@@ -206,7 +197,7 @@ class LogisticRegression(ProbabilisticClassifier):
 
         self.loss_history_ = []
         for _ in range(self.epochs):
-            p = _sigmoid(self.decision_function(X))
+            p = sigmoid(self.decision_function(X))
             err = p - targets  # (n, C)
             grad_w = err.T @ X / n + self.reg * self.coef_
             grad_b = err.mean(axis=0)
@@ -218,7 +209,7 @@ class LogisticRegression(ProbabilisticClassifier):
         return self
 
     def predict_proba(self, X):
-        s = _sigmoid(self.decision_function(X))
+        s = sigmoid(self.decision_function(X))
         total = s.sum(axis=1, keepdims=True)
         return s / total  # sigmoids are strictly positive
 

@@ -3,9 +3,14 @@
 Both tree flavors share one builder: classification trees split on Gini
 impurity and keep class distributions at the leaves, regression trees split
 on variance and keep means. Candidate thresholds are midpoints between
-consecutive distinct sorted feature values; equal-gain ties resolve to the
-lowest feature index, then the lowest threshold (features are scanned in
-ascending order and only strictly better splits replace the incumbent).
+consecutive distinct sorted feature values. A node scores every candidate
+feature in one pass (a stable argsort per column, cumulative class counts or
+target sums, a position x feature gain matrix). Equal-gain ties resolve to
+the lowest feature index, then the lowest threshold, and a split needs a
+strictly positive gain. Every sum runs in the order a one-column search
+would use, so trees match it bit for bit: class counts are summed along the
+last axis, and the regression parent variance is taken on a Fortran-ordered
+copy so that each column reduces over contiguous memory.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ from ..errors import ParameterError
 from .base import ProbabilisticClassifier, check_training_labels, one_hot
 
 _NO_FEATURE = -1
+# Upper bound on the elements of one (rows x columns x classes) block that the
+# split search gathers and scores at once; nodes with more candidate columns
+# are scored in column blocks, so a wide TFIDF matrix is never copied whole.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -57,65 +66,55 @@ def _gini(counts: np.ndarray, total: float) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-def _best_split_classification(
-    Xf: np.ndarray, y_hot: np.ndarray, min_samples_leaf: int
-) -> tuple[float, float]:
-    """Best (gain, threshold) for one feature column; gain <= 0 means none."""
-    order = np.argsort(Xf, kind="stable")
-    sv = Xf[order]
-    cum = np.cumsum(y_hot[order], axis=0)
-    n = sv.size
-    total = cum[-1]
-    # split after position i: left = first i+1 samples
-    valid = sv[:-1] < sv[1:]
-    sizes_left = np.arange(1, n)
-    sizes_right = n - sizes_left
-    if min_samples_leaf > 1:
-        valid &= (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
-    if not valid.any():
-        return 0.0, 0.0
-    left_counts = cum[:-1]
-    right_counts = total[np.newaxis, :] - left_counts
-    gini_left = 1.0 - np.sum((left_counts / sizes_left[:, None]) ** 2, axis=1)
-    gini_right = 1.0 - np.sum((right_counts / sizes_right[:, None]) ** 2, axis=1)
-    weighted = (sizes_left * gini_left + sizes_right * gini_right) / n
-    parent = _gini(total, float(n))
-    gains = np.where(valid, parent - weighted, -np.inf)
-    best = int(np.argmax(gains))  # first max: lowest threshold wins ties
-    if not np.isfinite(gains[best]) or gains[best] <= 0.0:
-        return 0.0, 0.0
-    return float(gains[best]), float(0.5 * (sv[best] + sv[best + 1]))
+def _best_splits(
+    X: np.ndarray, idx: np.ndarray, candidates: np.ndarray, yn: np.ndarray, task: str,
+    min_samples_leaf: int, parent: float,
+) -> tuple[float, float, int]:
+    """Best (gain, threshold, feature) over the ``candidates`` columns of the
+    node holding rows ``idx`` of X; gain 0.0 means no split.
 
-
-def _best_split_regression(
-    Xf: np.ndarray, y: np.ndarray, min_samples_leaf: int
-) -> tuple[float, float]:
-    order = np.argsort(Xf, kind="stable")
-    sv = Xf[order]
-    ys = y[order]
-    n = sv.size
-    cum = np.cumsum(ys)
-    cum2 = np.cumsum(ys**2)
-    valid = sv[:-1] < sv[1:]
-    sizes_left = np.arange(1, n)
+    ``yn`` is the node's one-hot labels (classification) or targets
+    (regression). ``parent`` is the node's Gini impurity; regression replaces
+    it by each column's variance in that column's sorted order.
+    """
+    n = idx.size
+    # split after sorted position i: the left child takes the first i+1 rows
+    sizes_left = np.arange(1, n)[:, None]
     sizes_right = n - sizes_left
-    if min_samples_leaf > 1:
-        valid &= (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
-    if not valid.any():
-        return 0.0, 0.0
-    sum_left = cum[:-1]
-    sum_right = cum[-1] - sum_left
-    sq_left = cum2[:-1]
-    sq_right = cum2[-1] - sq_left
-    var_left = sq_left / sizes_left - (sum_left / sizes_left) ** 2
-    var_right = sq_right / sizes_right - (sum_right / sizes_right) ** 2
-    weighted = (sizes_left * var_left + sizes_right * var_right) / n
-    parent = float(np.var(ys))
-    gains = np.where(valid, parent - weighted, -np.inf)
-    best = int(np.argmax(gains))
-    if not np.isfinite(gains[best]) or gains[best] <= 0.0:
-        return 0.0, 0.0
-    return float(gains[best]), float(0.5 * (sv[best] + sv[best + 1]))
+    size_ok = (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
+    width = max(1, _BLOCK_ELEMENTS // yn.size)  # yn.size is rows x classes
+    best = (0.0, 0.0, _NO_FEATURE)
+    for lo in range(0, candidates.size, width):
+        cols = candidates[lo : lo + width]
+        block = X[np.ix_(idx, cols)]
+        order = np.argsort(block, axis=0, kind="stable")
+        sv = np.take_along_axis(block, order, axis=0)
+        valid = (sv[:-1] < sv[1:]) & size_ok
+        ys = yn[order]
+        cum = np.cumsum(ys, axis=0)
+        if task == "classification":
+            left = cum[:-1]  # rows x columns x classes
+            right = cum[-1] - left
+            impurity_left = 1.0 - np.sum((left / sizes_left[..., None]) ** 2, axis=2)
+            impurity_right = 1.0 - np.sum((right / sizes_right[..., None]) ** 2, axis=2)
+        else:
+            cum2 = np.cumsum(ys**2, axis=0)
+            sum_left, sq_left = cum[:-1], cum2[:-1]
+            sum_right, sq_right = cum[-1] - sum_left, cum2[-1] - sq_left
+            impurity_left = sq_left / sizes_left - (sum_left / sizes_left) ** 2
+            impurity_right = sq_right / sizes_right - (sum_right / sizes_right) ** 2
+            parent = np.var(np.asfortranarray(ys), axis=0)  # == np.var(ys[:, j]) bit for bit
+        weighted = (sizes_left * impurity_left + sizes_right * impurity_right) / n
+        gains = np.where(valid, parent - weighted, -np.inf)
+        rows = np.argmax(gains, axis=0)  # first max: lowest threshold wins ties
+        col_gains = gains[rows, np.arange(cols.size)]
+        col_gains = np.where(np.isfinite(col_gains) & (col_gains > 0.0), col_gains, 0.0)
+        col = int(np.argmax(col_gains))  # first max: lowest feature wins ties
+        if col_gains[col] > best[0]:
+            r = rows[col]
+            threshold = 0.5 * (sv[r, col] + sv[r + 1, col])
+            best = (float(col_gains[col]), float(threshold), int(cols[col]))
+    return best
 
 
 def grow_tree(
@@ -184,20 +183,16 @@ def grow_tree(
             and depth < depth_cap
             and impurity > 0.0
         )
-        best_gain, best_thr, best_feat = 0.0, 0.0, _NO_FEATURE
+        best_feat = _NO_FEATURE
         if splittable:
             if max_features is not None and max_features < n_features:
                 candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
             else:
                 candidates = np.arange(n_features)
-            for f in candidates:
-                col = X[idx, f]
-                if task == "classification":
-                    gain, thr = _best_split_classification(col, y_hot[idx], min_samples_leaf)
-                else:
-                    gain, thr = _best_split_regression(col, y[idx], min_samples_leaf)
-                if gain > best_gain:
-                    best_gain, best_thr, best_feat = gain, thr, int(f)
+            yn = y_hot[idx] if task == "classification" else y[idx]
+            best_gain, best_thr, best_feat = _best_splits(
+                X, idx, candidates, yn, task, min_samples_leaf, impurity
+            )
 
         if best_feat == _NO_FEATURE:
             feature.append(_NO_FEATURE)

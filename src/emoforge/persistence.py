@@ -9,6 +9,7 @@ with sorted keys, so identical state always produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,20 @@ def save_container(path: str | Path, header: dict, arrays: dict[str, np.ndarray]
     Path(path).write_bytes(payload)
 
 
+def _array_spec(path, entry) -> tuple[str, np.dtype, list[int]]:
+    """Validate one array-manifest entry as (name, dtype, shape)."""
+    if not isinstance(entry, dict) or not {"name", "dtype", "shape"} <= entry.keys():
+        raise DataError(f"{path}: array entry {entry!r} needs name, dtype and shape")
+    name, code, shape = entry["name"], entry["dtype"], entry["shape"]
+    if not isinstance(name, str):
+        raise DataError(f"{path}: array name {name!r} is not a string")
+    if not isinstance(code, str) or code not in _DTYPES:
+        raise DataError(f"{path}: array {name!r} has unknown dtype {code!r}")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise DataError(f"{path}: array {name!r} shape {shape!r} is not a list of sizes")
+    return name, np.dtype(_DTYPES[code]), shape
+
+
 def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     data = Path(path).read_bytes()
     if not data.startswith(MAGIC):
@@ -60,6 +75,8 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         entries = json.loads(manifest_line)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: corrupt container header") from exc
+    if not isinstance(header, dict) or not isinstance(entries, list):
+        raise DataError(f"{path}: corrupt container header")
     if header.get("format_version") != FORMAT_VERSION:
         raise ModelError(
             f"{path}: format version {header.get('format_version')} unsupported"
@@ -67,13 +84,12 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     pos = 0
     for entry in entries:
-        dtype = np.dtype(_DTYPES[entry["dtype"]])
-        count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-        nbytes = count * dtype.itemsize
+        name, dtype, shape = _array_spec(path, entry)
+        nbytes = math.prod(shape) * dtype.itemsize
         chunk = blob[pos : pos + nbytes]
         if len(chunk) != nbytes:
-            raise DataError(f"{path}: truncated array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(entry["shape"]).copy()
+            raise DataError(f"{path}: truncated array {name!r}")
+        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
         pos += nbytes
     if pos != len(blob):
         raise DataError(f"{path}: trailing bytes after arrays")

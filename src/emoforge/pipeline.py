@@ -298,6 +298,11 @@ def train_bundle(
 
     if kind in ENSEMBLE_MEMBERS:
         member_kinds = ENSEMBLE_MEMBERS[kind]
+        flat = sorted(set(hyperparams) - set(_MODEL_CLASSES))
+        if flat:
+            raise ConfigError(
+                f"{kind} hyperparameters are keyed by member kind {member_kinds}, got {flat}"
+            )
         members = []
         for i, member_kind in enumerate(member_kinds):
             member_hp = dict(hyperparams.get(member_kind, {}))

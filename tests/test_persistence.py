@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emoforge.errors import DataError, ModelError
-from emoforge.persistence import load_container, save_container
+from emoforge.persistence import MAGIC, load_container, save_container
 
 
 def test_container_roundtrip(tmp_path):
@@ -60,5 +60,13 @@ def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "model.emf"
     save_container(path, {}, {"x": np.arange(4, dtype=np.float64)})
     path.write_bytes(path.read_bytes() + b"extra")
+    with pytest.raises(DataError):
+        load_container(path)
+
+
+@pytest.mark.parametrize("lines", [b"[1]\n[]\n", b'{"format_version": 1}\n{"x": 1}\n'])
+def test_container_rejects_non_object_header_or_non_list_manifest(tmp_path, lines):
+    path = tmp_path / "model.emf"
+    path.write_bytes(MAGIC + lines)
     with pytest.raises(DataError):
         load_container(path)

@@ -146,6 +146,13 @@ def test_unknown_hyperparameter_rejected():
                      hyperparams={"trees": 10})
 
 
+def test_ensemble_rejects_flat_hyperparameters():
+    X, y = toy_matrix()
+    with pytest.raises(ConfigError, match="keyed by member kind"):
+        train_bundle("e1", X, y, setting="audio_only", class_mode="six", seed=0,
+                     hyperparams={"n_trees": 3, "rf": {"max_depth": 2}})
+
+
 # --- feature importance
 
 

@@ -3,6 +3,9 @@ import pytest
 
 from emoforge.errors import DegenerateLabelError, ParameterError
 from emoforge.models import DecisionTreeClassifier, GradientBoosting, RandomForest
+from emoforge.models import tree as tree_module
+from emoforge.models.base import one_hot
+from emoforge.models.tree import grow_tree
 from emoforge.persistence import save_container
 
 
@@ -173,3 +176,192 @@ def test_boosting_rows_sum_to_one():
     proba = model.predict_proba(X)
     assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
     assert (proba >= 0).all() and (proba <= 1).all()
+
+
+# --- oracle: the one-column-at-a-time split search the node-wide search replaced
+
+
+def _gini(counts, total):
+    if total <= 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.dot(p, p))
+
+
+def _best_split_classification(
+    Xf: np.ndarray, y_hot: np.ndarray, min_samples_leaf: int
+) -> tuple[float, float]:
+    """Best (gain, threshold) for one feature column; gain <= 0 means none."""
+    order = np.argsort(Xf, kind="stable")
+    sv = Xf[order]
+    cum = np.cumsum(y_hot[order], axis=0)
+    n = sv.size
+    total = cum[-1]
+    # split after position i: left = first i+1 samples
+    valid = sv[:-1] < sv[1:]
+    sizes_left = np.arange(1, n)
+    sizes_right = n - sizes_left
+    if min_samples_leaf > 1:
+        valid &= (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
+    if not valid.any():
+        return 0.0, 0.0
+    left_counts = cum[:-1]
+    right_counts = total[np.newaxis, :] - left_counts
+    gini_left = 1.0 - np.sum((left_counts / sizes_left[:, None]) ** 2, axis=1)
+    gini_right = 1.0 - np.sum((right_counts / sizes_right[:, None]) ** 2, axis=1)
+    weighted = (sizes_left * gini_left + sizes_right * gini_right) / n
+    parent = _gini(total, float(n))
+    gains = np.where(valid, parent - weighted, -np.inf)
+    best = int(np.argmax(gains))  # first max: lowest threshold wins ties
+    if not np.isfinite(gains[best]) or gains[best] <= 0.0:
+        return 0.0, 0.0
+    return float(gains[best]), float(0.5 * (sv[best] + sv[best + 1]))
+
+
+def _best_split_regression(
+    Xf: np.ndarray, y: np.ndarray, min_samples_leaf: int
+) -> tuple[float, float]:
+    order = np.argsort(Xf, kind="stable")
+    sv = Xf[order]
+    ys = y[order]
+    n = sv.size
+    cum = np.cumsum(ys)
+    cum2 = np.cumsum(ys**2)
+    valid = sv[:-1] < sv[1:]
+    sizes_left = np.arange(1, n)
+    sizes_right = n - sizes_left
+    if min_samples_leaf > 1:
+        valid &= (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
+    if not valid.any():
+        return 0.0, 0.0
+    sum_left = cum[:-1]
+    sum_right = cum[-1] - sum_left
+    sq_left = cum2[:-1]
+    sq_right = cum2[-1] - sq_left
+    var_left = sq_left / sizes_left - (sum_left / sizes_left) ** 2
+    var_right = sq_right / sizes_right - (sum_right / sizes_right) ** 2
+    weighted = (sizes_left * var_left + sizes_right * var_right) / n
+    parent = float(np.var(ys))
+    gains = np.where(valid, parent - weighted, -np.inf)
+    best = int(np.argmax(gains))
+    if not np.isfinite(gains[best]) or gains[best] <= 0.0:
+        return 0.0, 0.0
+    return float(gains[best]), float(0.5 * (sv[best] + sv[best + 1]))
+
+
+def reference_grow_tree(X, y, task, n_classes=0, max_depth=None, min_samples_leaf=1,
+                        max_features=None, rng=None):
+    """grow_tree as it was with a per-feature loop over the functions above."""
+    X = np.asarray(X, dtype=np.float64)
+    n_samples, n_features = X.shape
+    depth_cap = np.inf if max_depth is None else max_depth
+    y_hot = one_hot(y, n_classes) if task == "classification" else None
+    feature, threshold, left, right, value = [], [], [], [], []
+    importances = np.zeros(n_features)
+
+    def node_value(idx):
+        if task == "classification":
+            counts = y_hot[idx].sum(axis=0)
+            return counts / counts.sum()
+        return np.array([y[idx].mean()])
+
+    def node_impurity(idx):
+        if task == "classification":
+            return _gini(y_hot[idx].sum(axis=0), float(idx.size))
+        return float(np.var(y[idx]))
+
+    stack = [(np.arange(n_samples), 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_left = stack.pop()
+        node_id = len(feature)
+        if parent >= 0:
+            (left if is_left else right)[parent] = node_id
+        splittable = (
+            idx.size >= 2 * min_samples_leaf
+            and depth < depth_cap
+            and node_impurity(idx) > 0.0
+        )
+        best_gain, best_thr, best_feat = 0.0, 0.0, -1
+        if splittable:
+            if max_features is not None and max_features < n_features:
+                candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
+            else:
+                candidates = np.arange(n_features)
+            for f in candidates:
+                col = X[idx, f]
+                if task == "classification":
+                    gain, thr = _best_split_classification(col, y_hot[idx], min_samples_leaf)
+                else:
+                    gain, thr = _best_split_regression(col, y[idx], min_samples_leaf)
+                if gain > best_gain:
+                    best_gain, best_thr, best_feat = gain, thr, int(f)
+        left.append(-1)
+        right.append(-1)
+        value.append(node_value(idx))
+        if best_feat == -1:
+            feature.append(-1)
+            threshold.append(0.0)
+            continue
+        importances[best_feat] += (idx.size / n_samples) * best_gain
+        feature.append(best_feat)
+        threshold.append(best_thr)
+        mask = X[idx, best_feat] <= best_thr
+        stack.append((idx[~mask], depth + 1, node_id, False))
+        stack.append((idx[mask], depth + 1, node_id, True))
+    return tree_module.TreeNodes(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.vstack(value),
+        importances=importances,
+    )
+
+
+def oracle_problem(seed, task, n=90, d=7):
+    """Random matrix with tied values, a constant column, a last column equal
+    to the first (equal gains across features) and duplicated (bootstrap) rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    X[:, 1] = rng.integers(0, 4, size=n)
+    X[:, 2] = 3.0
+    X[:, 3] = np.round(X[:, 3], 1)
+    X[:, -1] = X[:, 0]
+    if task == "classification":
+        y = (X[:, 0] + 0.5 * X[:, 1] + rng.normal(0, 0.7, size=n) > 1.0).astype(int)
+        y += (X[:, 4] > 0.8).astype(int)
+    else:
+        y = np.sin(X[:, 0]) + 0.3 * X[:, 1] + rng.normal(0, 0.2, size=n)
+    sample = rng.integers(0, n, size=n)
+    return X[sample], y[sample]
+
+
+def assert_same_tree(a, b):
+    for name in ("feature", "threshold", "left", "right", "value", "importances"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+@pytest.mark.parametrize("max_features", [None, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grow_tree_matches_per_feature_oracle(task, min_samples_leaf, max_features, seed):
+    X, y = oracle_problem(seed, task)
+    kwargs = dict(task=task, n_classes=3, max_depth=None if seed % 2 else 4,
+                  min_samples_leaf=min_samples_leaf, max_features=max_features)
+    new = grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+    old = reference_grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+    assert new.n_nodes > 1
+    assert_same_tree(new, old)
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_grow_tree_column_blocks_match_oracle(task, monkeypatch):
+    # root blocks of 2 (classification) or 6 (regression) of the 9 columns,
+    # so the last column, equal to the first, sits in a later block
+    X, y = oracle_problem(5, task, n=60, d=9)
+    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", 60 * 3 * 2)
+    new = grow_tree(X, y, task=task, n_classes=3)
+    old = reference_grow_tree(X, y, task=task, n_classes=3)
+    assert_same_tree(new, old)
