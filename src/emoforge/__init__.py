@@ -25,7 +25,6 @@ from .audio_features import (
     spectrogram,
 )
 from .audio_io import AudioClip, decode_wav, encode_wav
-from .ensemble import SoftVotingEnsemble, ensemble_predict, ensemble_predict_proba
 from .ingest import (
     Dataset,
     EmotionLabel,

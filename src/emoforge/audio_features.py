@@ -235,7 +235,14 @@ def autocorr_pitch(
 
 
 def median_filter_1d(x: np.ndarray, l: int) -> np.ndarray:
-    """Sliding median with window length l and edge-clamped windows.
+    """Sliding median of a 1-D signal; see _median_filter_time."""
+    x = np.asarray(x, dtype=np.float64)
+    return _median_filter_time(x.reshape(1, -1), l).reshape(x.shape)
+
+
+def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
+    """Median-filter every row of a (rows, time) matrix along time, with
+    window length l and edge-clamped windows.
 
     Odd l takes the window [n-k, n+k] with k = (l-1)/2; even l uses one extra
     element on the right and the mean-of-middle-two rule. Windows shrink at
@@ -245,45 +252,14 @@ def median_filter_1d(x: np.ndarray, l: int) -> np.ndarray:
         raise ParameterError("window length must be >= 1")
     if l > _MAX_MEDIAN_WINDOW:
         raise ParameterError(f"window length above {_MAX_MEDIAN_WINDOW}")
-    x = np.asarray(x, dtype=np.float64)
-    if l == 1 or x.size <= 1:
-        return x.copy()
-    left = (l - 1) // 2
-    right = l // 2  # inclusive extent to the right
-    n = x.size
-    out = np.empty(n, dtype=np.float64)
-    interior_start = left
-    interior_stop = n - right  # exclusive
-    if interior_stop > interior_start and l <= n:
-        windows = np.lib.stride_tricks.sliding_window_view(x, l)
-        out[interior_start:interior_stop] = np.median(windows, axis=1)
-    else:
-        interior_start, interior_stop = 0, 0
-    for i in range(0, interior_start):
-        out[i] = np.median(x[max(0, i - left) : min(n, i + right + 1)])
-    for i in range(max(interior_stop, interior_start), n):
-        out[i] = np.median(x[max(0, i - left) : min(n, i + right + 1)])
-    return out
-
-
-def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
-    """Median-filter every row of a (freq, time) matrix along time.
-
-    Same semantics as median_filter_1d applied per row, vectorized across
-    rows.
-    """
-    if l < 1:
-        raise ParameterError("window length must be >= 1")
-    if l > _MAX_MEDIAN_WINDOW:
-        raise ParameterError(f"window length above {_MAX_MEDIAN_WINDOW}")
     n = magnitudes.shape[1]
     if l == 1 or n <= 1:
         return magnitudes.copy()
     left = (l - 1) // 2
-    right = l // 2
+    right = l // 2  # inclusive extent to the right
     out = np.empty_like(magnitudes)
     interior_start = left
-    interior_stop = n - right
+    interior_stop = n - right  # exclusive
     if interior_stop > interior_start and l <= n:
         windows = np.lib.stride_tricks.sliding_window_view(magnitudes, l, axis=1)
         out[:, interior_start:interior_stop] = np.median(windows, axis=2)

@@ -26,19 +26,17 @@ from .ingest import build_dataset, load_manifest
 from .metrics import evaluate
 from .pipeline import (
     ExperimentConfig,
-    audio_feature_matrix,
+    documents,
     feature_importance,
     feature_names,
-    fused_matrix,
-    frame_sequences,
+    featurize,
     labels_to_indices,
     load_bundle,
     predict_example,
     run_experiment,
-    text_feature_matrix,
 )
 from .synth import generate_corpus
-from .text_features import fit_vocabulary, normalize_text
+from .text_features import fit_vocabulary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,14 +153,8 @@ def _cmd_extract(args) -> int:
     entries = load_manifest(args.manifest)
     dataset = build_dataset(entries, class_mode)
 
-    vocab = None
-    blocks = []
-    if args.setting in ("audio_only", "audio_text"):
-        blocks.append(audio_feature_matrix(dataset, frame_config, args.l_harm))
-    if args.setting in ("text_only", "audio_text"):
-        vocab = fit_vocabulary([normalize_text(ex.transcript or "") for ex in dataset.examples])
-        blocks.append(text_feature_matrix(dataset, vocab))
-    matrix = blocks[0] if len(blocks) == 1 else fused_matrix(blocks[0], blocks[1], vocab)
+    vocab = None if args.setting == "audio_only" else fit_vocabulary(documents(dataset))
+    matrix = featurize(dataset, args.setting, "vector", frame_config, args.l_harm, vocab)
 
     names = feature_names(args.setting, vocab)
     lines = [",".join([*names, "source_id", "label"])]
@@ -202,16 +194,8 @@ def _cmd_evaluate(args) -> int:
     entries = load_manifest(args.manifest)
     dataset = build_dataset(entries, bundle.class_mode)
 
-    if bundle.setting == "audio_only" and bundle.input_mode == "frames":
-        X = frame_sequences(dataset, bundle.frame_config, bundle.l_harm)
-    else:
-        blocks = []
-        if bundle.setting in ("audio_only", "audio_text"):
-            blocks.append(audio_feature_matrix(dataset, bundle.frame_config, bundle.l_harm))
-        if bundle.setting in ("text_only", "audio_text"):
-            blocks.append(text_feature_matrix(dataset, bundle.vocab))
-        X = blocks[0] if len(blocks) == 1 else fused_matrix(blocks[0], blocks[1], bundle.vocab)
-
+    X = featurize(dataset, bundle.setting, bundle.input_mode, bundle.frame_config,
+                  bundle.l_harm, bundle.vocab)
     truth = labels_to_indices(dataset)
     predictions = bundle.predict(X)
     report = evaluate(predictions, truth, len(dataset.classes), bundle.class_names)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .models.base import check_training_labels, sigmoid
+from .models.base import ProbabilisticClassifier, check_training_labels, sigmoid
 
 _GATES = ("f", "i", "o", "c")
 
@@ -274,7 +274,7 @@ def _clip_gradients(grads: LstmParams, threshold: float) -> None:
             a *= scale
 
 
-class LstmClassifier:
+class LstmClassifier(ProbabilisticClassifier):
     """Sequence classifier around the cell, with the models-module interface
     for matrix inputs (each row treated as a one-step sequence) and list
     inputs of per-frame matrices."""
@@ -398,42 +398,21 @@ class LstmClassifier:
         sequences = self._as_sequences(X)
         return np.vstack([lstm_forward(self.params_, s) for s in sequences])
 
-    def predict(self, X) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        meta = {
-            "hidden_size": self.hidden_size,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "dropout_rate": self.dropout_rate,
-            "clip_threshold": self.clip_threshold,
-            "patience": self.patience,
-            "validation_fraction": self.validation_fraction,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-        }
+    def _arrays(self) -> dict[str, np.ndarray]:
         p = self.params_
         arrays = {"w_out": p.w_out, "b_out": p.b_out}
         for g in _GATES:
             arrays[f"w_{g}"] = p.w[g]
             arrays[f"u_{g}"] = p.u[g]
             arrays[f"b_{g}"] = p.b[g]
-        return meta, arrays
+        return arrays
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "LstmClassifier":
-        model = cls(**{k: meta[k] for k in (
-            "hidden_size", "epochs", "learning_rate", "batch_size", "dropout_rate",
-            "clip_threshold", "patience", "validation_fraction", "seed", "n_classes",
-        )})
-        model.params_ = LstmParams(
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self.params_ = LstmParams(
             w={g: arrays[f"w_{g}"] for g in _GATES},
             u={g: arrays[f"u_{g}"] for g in _GATES},
             b={g: arrays[f"b_{g}"] for g in _GATES},
             w_out=arrays["w_out"],
             b_out=arrays["b_out"],
-            dropout_rate=meta["dropout_rate"],
+            dropout_rate=self.dropout_rate,
         )
-        return model

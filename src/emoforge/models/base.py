@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -28,6 +29,23 @@ class ProbabilisticClassifier(ABC):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return predict_from_proba(self.predict_proba(X))
+
+    @classmethod
+    def state_keys(cls) -> tuple[str, ...]:
+        """Constructor parameters; each is kept as an attribute of the same
+        name, so they double as the keys of the state meta."""
+        return tuple(inspect.signature(cls).parameters)
+
+    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """(meta, arrays): the constructor arguments and the fitted arrays
+        that the subclass's ``_arrays`` names."""
+        return {key: getattr(self, key) for key in self.state_keys()}, self._arrays()
+
+    @classmethod
+    def from_state(cls, meta: dict, arrays: dict[str, np.ndarray]):
+        model = cls(**meta)
+        model._set_arrays(arrays)
+        return model
 
 
 def predict_from_proba(proba: np.ndarray) -> np.ndarray:

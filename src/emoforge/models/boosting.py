@@ -85,24 +85,10 @@ class GradientBoosting(ProbabilisticClassifier):
         flat = [t for round_trees in self.trees_ for t in round_trees]
         return np.sum([t.importances for t in flat], axis=0)
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        meta = {
-            "n_rounds": self.n_rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-        }
-        flat = [t for round_trees in self.trees_ for t in round_trees]
-        return meta, pack_trees(flat)
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return pack_trees([t for round_trees in self.trees_ for t in round_trees])
 
-    @classmethod
-    def from_state(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "GradientBoosting":
-        model = cls(**{k: meta[k] for k in (
-            "n_rounds", "learning_rate", "max_depth", "min_samples_leaf", "seed", "n_classes",
-        )})
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         flat = unpack_trees(arrays)
-        c = model.n_classes
-        model.trees_ = [flat[i : i + c] for i in range(0, len(flat), c)]
-        return model
+        c = self.n_classes
+        self.trees_ = [flat[i : i + c] for i in range(0, len(flat), c)]

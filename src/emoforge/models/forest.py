@@ -94,23 +94,8 @@ class RandomForest(ProbabilisticClassifier):
             raise ParameterError("forest is not fitted")
         return np.sum([t.importances for t in self.trees_], axis=0)
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        meta = {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "seed": self.seed,
-            "bootstrap": self.bootstrap,
-            "max_features": self.max_features,
-            "n_classes": self.n_classes,
-        }
-        return meta, pack_trees(self.trees_)
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return pack_trees(self.trees_)
 
-    @classmethod
-    def from_state(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "RandomForest":
-        model = cls(**{k: meta[k] for k in (
-            "n_trees", "max_depth", "min_samples_leaf", "seed", "bootstrap",
-            "max_features", "n_classes",
-        )})
-        model.trees_ = unpack_trees(arrays)
-        return model
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self.trees_ = unpack_trees(arrays)

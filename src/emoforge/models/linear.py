@@ -133,23 +133,13 @@ class LinearSVM(ProbabilisticClassifier):
         out[total[:, 0] <= 0.0] = 1.0 / s.shape[1]  # fully saturated underflow
         return out
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        meta = {
-            "reg": self.reg,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-        }
-        return meta, {"coef": self.coef_, "intercept": self.intercept_, "link": self.link_}
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {"coef": self.coef_, "intercept": self.intercept_, "link": self.link_}
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "LinearSVM":
-        model = cls(reg=meta["reg"], epochs=meta["epochs"], seed=meta["seed"],
-                    n_classes=meta["n_classes"])
-        model.coef_ = arrays["coef"]
-        model.intercept_ = arrays["intercept"]
-        model.link_ = arrays["link"]
-        return model
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self.coef_ = arrays["coef"]
+        self.intercept_ = arrays["intercept"]
+        self.link_ = arrays["link"]
 
 
 class LogisticRegression(ProbabilisticClassifier):
@@ -213,21 +203,9 @@ class LogisticRegression(ProbabilisticClassifier):
         total = s.sum(axis=1, keepdims=True)
         return s / total  # sigmoids are strictly positive
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        meta = {
-            "reg": self.reg,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-        }
-        return meta, {"coef": self.coef_, "intercept": self.intercept_}
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {"coef": self.coef_, "intercept": self.intercept_}
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "LogisticRegression":
-        model = cls(reg=meta["reg"], epochs=meta["epochs"],
-                    learning_rate=meta["learning_rate"], seed=meta["seed"],
-                    n_classes=meta["n_classes"])
-        model.coef_ = arrays["coef"]
-        model.intercept_ = arrays["intercept"]
-        return model
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self.coef_ = arrays["coef"]
+        self.intercept_ = arrays["intercept"]

@@ -160,36 +160,14 @@ class MlpClassifier(ProbabilisticClassifier):
         parts = [g.ravel() for g in grads_w] + [g.ravel() for g in grads_b]
         return np.concatenate(parts)
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        meta = {
-            "hidden_sizes": list(self.hidden_sizes),
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "momentum": self.momentum,
-            "activation": self.activation,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-        }
+    def _arrays(self) -> dict[str, np.ndarray]:
         arrays = {}
         for i, (w, b) in enumerate(zip(self.weights_, self.biases_)):
             arrays[f"w{i}"] = w
             arrays[f"b{i}"] = b
-        return meta, arrays
+        return arrays
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "MlpClassifier":
-        model = cls(
-            hidden_sizes=tuple(meta["hidden_sizes"]),
-            epochs=meta["epochs"],
-            learning_rate=meta["learning_rate"],
-            batch_size=meta["batch_size"],
-            momentum=meta["momentum"],
-            activation=meta["activation"],
-            seed=meta["seed"],
-            n_classes=meta["n_classes"],
-        )
-        n_layers = len(meta["hidden_sizes"]) + 1
-        model.weights_ = [arrays[f"w{i}"] for i in range(n_layers)]
-        model.biases_ = [arrays[f"b{i}"] for i in range(n_layers)]
-        return model
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        n_layers = len(self.hidden_sizes) + 1
+        self.weights_ = [arrays[f"w{i}"] for i in range(n_layers)]
+        self.biases_ = [arrays[f"b{i}"] for i in range(n_layers)]

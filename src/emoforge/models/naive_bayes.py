@@ -60,13 +60,9 @@ class MultinomialNaiveBayes(ProbabilisticClassifier):
         e = np.exp(scores)
         return e / e.sum(axis=1, keepdims=True)
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        meta = {"alpha": self.alpha, "n_classes": self.n_classes}
-        return meta, {"log_prior": self.log_prior_, "log_prob": self.log_prob_}
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {"log_prior": self.log_prior_, "log_prob": self.log_prob_}
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "MultinomialNaiveBayes":
-        model = cls(alpha=meta["alpha"], n_classes=meta["n_classes"])
-        model.log_prior_ = arrays["log_prior"]
-        model.log_prob_ = arrays["log_prob"]
-        return model
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self.log_prior_ = arrays["log_prior"]
+        self.log_prob_ = arrays["log_prob"]

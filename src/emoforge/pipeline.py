@@ -34,9 +34,10 @@ from .config import (
     SEED_OFFSET_UPSAMPLE,
     model_defaults,
 )
-from .errors import ConfigError, ModelError, ParameterError, UnsupportedModelError
+from .errors import ConfigError, DataError, ModelError, ParameterError, UnsupportedModelError
 from .ingest import (
     Dataset,
+    Example,
     build_dataset,
     classes_for_mode,
     load_manifest,
@@ -61,7 +62,7 @@ from .text_features import (
     normalize_text,
     save_vocabulary,
     tfidf_matrix,
-    tfidf_transform,
+    tfidf_transform,  # unused here; kept as a lookup point for the benchmark's tracer
 )
 
 SETTINGS = ("audio_only", "text_only", "audio_text")
@@ -125,8 +126,9 @@ class ColumnScaler:
         self.center_: np.ndarray | None = None
         self.scale_: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray) -> "ColumnScaler":
-        block = X[:, : self.block]
+    def fit(self, X) -> "ColumnScaler":
+        """Fit on a matrix, or on a list of per-frame matrices stacked."""
+        block = (np.vstack(X) if isinstance(X, list) else X)[:, : self.block]
         if self.kind == "standard":
             self.center_ = block.mean(axis=0)
             scale = block.std(axis=0)
@@ -136,7 +138,9 @@ class ColumnScaler:
         self.scale_ = np.where(scale > 0, scale, 1.0)
         return self
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
+    def transform(self, X):
+        if isinstance(X, list):
+            return [self.transform(s) for s in X]
         if self.center_ is None:
             raise ParameterError("scaler is not fitted")
         out = np.array(X, dtype=np.float64, copy=True)
@@ -146,12 +150,6 @@ class ColumnScaler:
             # this scaling (event-count models) need the bounds to hold
             out[:, : self.block] = np.clip(out[:, : self.block], 0.0, 1.0)
         return out
-
-    def fit_sequences(self, sequences: list[np.ndarray]) -> "ColumnScaler":
-        return self.fit(np.vstack(sequences))
-
-    def transform_sequences(self, sequences: list[np.ndarray]) -> list[np.ndarray]:
-        return [self.transform(s) for s in sequences]
 
     def state(self) -> tuple[dict, dict[str, np.ndarray]]:
         return {"kind": self.kind, "block": self.block}, {
@@ -175,10 +173,7 @@ class _Member:
 
     def predict_proba(self, X):
         if self.scaler is not None:
-            if isinstance(X, list):
-                X = self.scaler.transform_sequences(X)
-            else:
-                X = self.scaler.transform(X)
+            X = self.scaler.transform(X)
         return self.classifier.predict_proba(X)
 
 
@@ -246,7 +241,7 @@ def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):
     return _MODEL_CLASSES[kind](n_classes=n_classes, **params)
 
 
-def _scaler_for(kind: str, feature_dim: int, audio_block: int, sequences: bool) -> Optional[ColumnScaler]:
+def _scaler_for(kind: str, feature_dim: int, audio_block: int) -> Optional[ColumnScaler]:
     if kind == "lstm":
         return ColumnScaler("standard", feature_dim)
     if kind in _STANDARDIZED_KINDS and audio_block > 0:
@@ -257,16 +252,10 @@ def _scaler_for(kind: str, feature_dim: int, audio_block: int, sequences: bool) 
 
 
 def _fit_member(kind, X, y, hyperparams, seed, n_classes, audio_block) -> _Member:
-    sequences = isinstance(X, list)
-    feature_dim = X[0].shape[-1] if sequences else X.shape[1]
-    scaler = _scaler_for(kind, feature_dim, audio_block, sequences)
+    feature_dim = X[0].shape[-1] if isinstance(X, list) else X.shape[1]
+    scaler = _scaler_for(kind, feature_dim, audio_block)
     if scaler is not None:
-        if sequences:
-            scaler.fit_sequences(X)
-            X = scaler.transform_sequences(X)
-        else:
-            scaler.fit(X)
-            X = scaler.transform(X)
+        X = scaler.fit(X).transform(X)
     clf = make_classifier(kind, hyperparams, seed, n_classes)
     clf.fit(X, y)
     return _Member(kind=kind, classifier=clf, scaler=scaler)
@@ -381,30 +370,63 @@ def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
     save_container(path, header, arrays)
 
 
+_HEADER_KEYS = {
+    "model_kind": str, "setting": str, "class_mode": str, "seed": int, "feature_dim": int,
+    "hyperparameters": dict, "combination": str, "members": list, "vocab": (dict, type(None)),
+    "frame_length": int, "hop_length": int, "l_harm": int, "input_mode": str,
+}
+_MEMBER_KEYS = {"kind": str, "meta": dict, "scaler": (dict, type(None))}
+_VOCAB_KEYS = {"terms": list, "dfs": list, "n_documents": int}
+
+
+def _require(path, where: str, obj, keys: dict) -> None:
+    """Raise DataError unless ``obj`` is an object holding every key of
+    ``keys`` with a value of that key's type."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: {where} is not an object")
+    for key, expected in keys.items():
+        if key not in obj or not isinstance(obj[key], expected):
+            raise DataError(f"{path}: {where} key {key!r} is missing or mistyped")
+
+
+def _under(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The arrays named ``prefix...``, keyed by the rest of their name."""
+    return {name[len(prefix):]: arr for name, arr in arrays.items() if name.startswith(prefix)}
+
+
 def load_bundle(path: str | Path) -> ModelBundle:
+    """Rebuild a bundle from a container; a malformed header raises DataError
+    and an unknown member kind ModelError."""
     header, arrays = load_container(path)
+    _require(path, "header", header, _HEADER_KEYS)
+    if not header["members"]:
+        raise DataError(f"{path}: header lists no members")
+    if header["setting"] not in SETTINGS:
+        raise DataError(f"{path}: header names unknown setting {header['setting']!r}")
     members = []
     for i, mm in enumerate(header["members"]):
-        prefix = f"m{i}/"
-        model_arrays = {
-            name[len(prefix):]: arr
-            for name, arr in arrays.items()
-            if name.startswith(prefix) and not name.startswith(f"{prefix}scaler/")
-        }
-        cls = _MODEL_CLASSES[mm["kind"]]
-        clf = cls.from_state(mm["meta"], model_arrays)
-        scaler = None
-        if mm["scaler"] is not None:
-            scaler_arrays = {
-                name[len(f"{prefix}scaler/"):]: arr
-                for name, arr in arrays.items()
-                if name.startswith(f"{prefix}scaler/")
-            }
-            scaler = ColumnScaler.from_state(mm["scaler"], scaler_arrays)
+        where = f"member {i}"
+        _require(path, where, mm, _MEMBER_KEYS)
+        cls = _MODEL_CLASSES.get(mm["kind"])
+        if cls is None:
+            raise ModelError(f"{path}: {where} has unknown model kind {mm['kind']!r}")
+        if set(mm["meta"]) != set(cls.state_keys()):
+            raise DataError(
+                f"{path}: {where} meta keys {sorted(mm['meta'])} are not the {mm['kind']} "
+                f"parameters {sorted(cls.state_keys())}"
+            )
+        try:
+            clf = cls.from_state(mm["meta"], _under(arrays, f"m{i}/"))
+            scaler = None
+            if mm["scaler"] is not None:
+                scaler = ColumnScaler.from_state(mm["scaler"], _under(arrays, f"m{i}/scaler/"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: {where} state is unusable ({exc!r})") from exc
         members.append(_Member(kind=mm["kind"], classifier=clf, scaler=scaler))
 
     vocab = None
     if header["vocab"] is not None:
+        _require(path, "vocab", header["vocab"], _VOCAB_KEYS)
         vocab = Vocabulary(
             terms=tuple(header["vocab"]["terms"]),
             document_frequencies=tuple(header["vocab"]["dfs"]),
@@ -429,18 +451,18 @@ def load_bundle(path: str | Path) -> ModelBundle:
 # --- feature assembly --------------------------------------------------------
 
 
-def _unique_clips(dataset: Dataset) -> list[AudioClip]:
-    """Distinct clip objects in first-appearance order; upsampling duplicates
-    examples by reference, so identity dedups exactly those."""
-    seen: set[int] = set()
-    unique: list[AudioClip] = []
+def _per_clip(dataset: Dataset, job, threads: int | None) -> list:
+    """``job(clip)`` for every example, run once per distinct clip object in
+    first-appearance order; upsampling duplicates examples by reference, so
+    identity dedups exactly those."""
+    unique: dict[int, AudioClip] = {}
     for ex in dataset.examples:
         if ex.audio is None:
             raise ParameterError(f"example {ex.source_id!r} carries no audio")
-        if id(ex.audio) not in seen:
-            seen.add(id(ex.audio))
-            unique.append(ex.audio)
-    return unique
+        unique.setdefault(id(ex.audio), ex.audio)
+    rows = _parallel_map(job, list(unique.values()), thread_count(threads))
+    cache = dict(zip(unique, rows))
+    return [cache[id(ex.audio)] for ex in dataset.examples]
 
 
 def audio_feature_matrix(
@@ -450,14 +472,11 @@ def audio_feature_matrix(
     threads: int | None = None,
 ) -> np.ndarray:
     """Eight-feature rows for every example, computed once per distinct clip."""
-    unique = _unique_clips(dataset)
 
     def job(clip: AudioClip) -> np.ndarray:
         return extract_audio_features(clip, frame_config, l_harm).to_array()
 
-    rows = _parallel_map(job, unique, thread_count(threads))
-    cache = {id(clip): row for clip, row in zip(unique, rows)}
-    return np.vstack([cache[id(ex.audio)] for ex in dataset.examples])
+    return np.vstack(_per_clip(dataset, job, threads))
 
 
 def frame_sequences(
@@ -466,19 +485,19 @@ def frame_sequences(
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
     threads: int | None = None,
 ) -> list[np.ndarray]:
-    unique = _unique_clips(dataset)
-
     def job(clip: AudioClip) -> np.ndarray:
         return extract_frame_sequence(clip, frame_config, l_harm).vectors
 
-    rows = _parallel_map(job, unique, thread_count(threads))
-    cache = {id(clip): row for clip, row in zip(unique, rows)}
-    return [cache[id(ex.audio)] for ex in dataset.examples]
+    return _per_clip(dataset, job, threads)
+
+
+def documents(dataset: Dataset) -> list[list[str]]:
+    """Normalized transcript tokens, one list per example."""
+    return [normalize_text(ex.transcript or "") for ex in dataset.examples]
 
 
 def text_feature_matrix(dataset: Dataset, vocab: Vocabulary) -> np.ndarray:
-    docs = [normalize_text(ex.transcript or "") for ex in dataset.examples]
-    return tfidf_matrix(docs, vocab)
+    return tfidf_matrix(documents(dataset), vocab)
 
 
 def fused_matrix(audio: np.ndarray, text: np.ndarray, vocab: Vocabulary) -> np.ndarray:
@@ -489,6 +508,32 @@ def fused_matrix(audio: np.ndarray, text: np.ndarray, vocab: Vocabulary) -> np.n
     if audio.shape[0] != text.shape[0]:
         raise ParameterError("audio and text blocks must pair row-for-row")
     return np.hstack([audio, text])
+
+
+def featurize(
+    dataset: Dataset,
+    setting: str,
+    input_mode: str,
+    frame_config: FrameConfig,
+    l_harm: int,
+    vocab: Optional[Vocabulary],
+    threads: int | None = None,
+):
+    """Model input for every example of ``dataset``: per-frame sequences for
+    an audio_only model in "frames" mode, otherwise one row per example with
+    the audio block first and the TFIDF block over ``vocab`` after it.
+
+    Training, evaluation, prediction and feature dumps all call this, so a
+    bundle sees at serving time exactly the features it was trained on.
+    """
+    if setting == "audio_only" and input_mode == "frames":
+        return frame_sequences(dataset, frame_config, l_harm, threads)
+    blocks = []
+    if setting in ("audio_only", "audio_text"):
+        blocks.append(audio_feature_matrix(dataset, frame_config, l_harm, threads))
+    if setting in ("text_only", "audio_text"):
+        blocks.append(text_feature_matrix(dataset, vocab))
+    return blocks[0] if len(blocks) == 1 else fused_matrix(*blocks, vocab)
 
 
 def feature_names(setting: str, vocab: Optional[Vocabulary]) -> list[str]:
@@ -564,43 +609,10 @@ class ExperimentConfig:
         classes_for_mode(self.class_mode)
         if self.model_kind == "lstm":
             mode = self.hyperparams.get("input_mode", model_defaults("lstm")["input_mode"])
+            if mode not in ("frames", "clip"):
+                raise ConfigError(f"lstm input_mode must be 'frames' or 'clip', got {mode!r}")
             if mode == "frames" and self.setting != "audio_only":
                 raise ConfigError("frame-sequence input requires the audio_only setting")
-
-
-def _assemble_features(config: ExperimentConfig, train: Dataset, test: Dataset):
-    """Build (train_X, test_X, vocab, input_mode) for the configured setting."""
-    input_mode = "vector"
-    vocab = None
-    if config.model_kind == "lstm":
-        input_mode = config.hyperparams.get("input_mode", model_defaults("lstm")["input_mode"])
-
-    if config.setting == "audio_only" and input_mode == "frames":
-        return (
-            frame_sequences(train, config.frame_config, config.l_harm, config.threads),
-            frame_sequences(test, config.frame_config, config.l_harm, config.threads),
-            None,
-            input_mode,
-        )
-
-    if config.setting in ("audio_only", "audio_text"):
-        train_audio = audio_feature_matrix(train, config.frame_config, config.l_harm, config.threads)
-        test_audio = audio_feature_matrix(test, config.frame_config, config.l_harm, config.threads)
-    if config.setting in ("text_only", "audio_text"):
-        vocab = fit_vocabulary([normalize_text(ex.transcript or "") for ex in train.examples])
-        train_text = text_feature_matrix(train, vocab)
-        test_text = text_feature_matrix(test, vocab)
-
-    if config.setting == "audio_only":
-        return train_audio, test_audio, None, input_mode
-    if config.setting == "text_only":
-        return train_text, test_text, vocab, input_mode
-    return (
-        fused_matrix(train_audio, train_text, vocab),
-        fused_matrix(test_audio, test_text, vocab),
-        vocab,
-        input_mode,
-    )
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path]]:
@@ -619,7 +631,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path
             train_ds, config.seed + SEED_OFFSET_UPSAMPLE, config.upsample_rho
         )
 
-    train_X, test_X, vocab, input_mode = _assemble_features(config, train_ds, test_ds)
+    input_mode = "vector"
+    if config.model_kind == "lstm":
+        input_mode = config.hyperparams.get("input_mode", model_defaults("lstm")["input_mode"])
+    vocab = None if config.setting == "audio_only" else fit_vocabulary(documents(train_ds))
+    train_X, test_X = (
+        featurize(ds, config.setting, input_mode, config.frame_config, config.l_harm, vocab,
+                  config.threads)
+        for ds in (train_ds, test_ds)
+    )
     train_y = labels_to_indices(train_ds)
     test_y = labels_to_indices(test_ds)
 
@@ -722,25 +742,17 @@ def predict_example(
     text: Optional[str] = None,
 ) -> tuple[str, dict[str, float]]:
     """Predict one example from raw inputs using the bundle's own protocol."""
-    needs_audio = bundle.setting in ("audio_only", "audio_text")
-    needs_text = bundle.setting in ("text_only", "audio_text")
-    if needs_audio and clip is None:
+    if bundle.setting != "text_only" and clip is None:
         raise ConfigError(f"setting {bundle.setting!r} requires audio input")
-    if needs_text and text is None:
+    if bundle.setting != "audio_only" and text is None:
         raise ConfigError(f"setting {bundle.setting!r} requires text input")
 
-    if bundle.setting == "audio_only" and bundle.input_mode == "frames":
-        X = [extract_frame_sequence(clip, bundle.frame_config, bundle.l_harm).vectors]
-    else:
-        parts = []
-        if needs_audio:
-            parts.append(
-                extract_audio_features(clip, bundle.frame_config, bundle.l_harm).to_array()
-            )
-        if needs_text:
-            parts.append(tfidf_transform(normalize_text(text), bundle.vocab))
-        X = np.concatenate(parts)[np.newaxis, :]
-
+    # the placeholder label satisfies Dataset and is never read
+    example = Example(label=classes_for_mode(bundle.class_mode)[0], audio=clip, transcript=text)
+    X = featurize(
+        Dataset([example], class_mode=bundle.class_mode), bundle.setting, bundle.input_mode,
+        bundle.frame_config, bundle.l_harm, bundle.vocab,
+    )
     proba = bundle.predict_proba(X)[0]
     names = bundle.class_names
     predicted = names[int(np.argmax(proba))]

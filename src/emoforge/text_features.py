@@ -117,13 +117,16 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or not lines[0].startswith("N="):
         raise DataError(f"{path}: missing N= header")
-    n_documents = int(lines[0][2:])
     terms: list[str] = []
     dfs: list[int] = []
-    for ln in lines[1:]:
-        term, _, df = ln.partition("\t")
-        if not _:
-            raise DataError(f"{path}: malformed vocabulary line {ln!r}")
-        terms.append(term)
-        dfs.append(int(df))
+    try:
+        n_documents = int(lines[0][2:])
+        for ln in lines[1:]:
+            term, tab, df = ln.partition("\t")
+            if not tab:
+                raise DataError(f"{path}: malformed vocabulary line {ln!r}")
+            terms.append(term)
+            dfs.append(int(df))
+    except ValueError as exc:
+        raise DataError(f"{path}: non-integer document count or frequency ({exc})") from exc
     return Vocabulary(terms=tuple(terms), document_frequencies=tuple(dfs), n_documents=n_documents)

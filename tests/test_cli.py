@@ -7,7 +7,10 @@ import pytest
 from emoforge.cli import _parse_hp, main
 from emoforge.errors import ConfigError
 from emoforge.persistence import MAGIC
-from emoforge.pipeline import load_bundle
+from emoforge.audio_features import FrameConfig
+from emoforge.ingest import build_dataset, load_manifest
+from emoforge.pipeline import documents, featurize, load_bundle
+from emoforge.text_features import fit_vocabulary
 
 from conftest import write_manifest
 
@@ -112,6 +115,24 @@ def test_extract_features_csv(tmp_path):
     float(first[0])  # numeric columns parse
 
 
+@pytest.mark.parametrize("setting", ["audio_only", "text_only", "audio_text"])
+def test_extract_features_rows_equal_featurize(trained_model, tmp_path, setting):
+    manifest, _ = trained_model
+    out_csv = tmp_path / "features.csv"
+    code = main([
+        "extract-features", "--manifest", str(manifest), "--out", str(out_csv),
+        "--setting", setting,
+    ])
+    assert code == 0
+    dataset = build_dataset(load_manifest(manifest))
+    vocab = None if setting == "audio_only" else fit_vocabulary(documents(dataset))
+    X = featurize(dataset, setting, "vector", FrameConfig(), 31, vocab)
+    rows = out_csv.read_text().splitlines()[1:]
+    assert len(rows) == len(X)
+    for line, row, ex in zip(rows, X, dataset.examples):
+        assert line == ",".join([*(f"{v:.9g}" for v in row), ex.source_id, ex.label.value])
+
+
 def test_config_error_exit_code(tmp_path):
     # predict without the audio the model's setting requires
     corpus = tmp_path / "c"
@@ -196,6 +217,17 @@ def test_train_rejects_unapplied_hp(trained_model, tmp_path, capsys, model, hp):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_rejects_unknown_lstm_input_mode(trained_model, tmp_path, capsys):
+    manifest, _ = trained_model
+    code = main([
+        "train", "--manifest", str(manifest), "--model", "lstm", "--setting", "audio_only",
+        "--out", str(tmp_path / "run"), "--hp", "input_mode=bogus",
+    ])
+    assert code == 2
+    assert "input_mode" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_applies_member_scoped_hp(trained_model, tmp_path):
     manifest, _ = trained_model
     out = tmp_path / "run"
@@ -255,3 +287,37 @@ def test_evaluate_rejects_malformed_array_manifest(trained_model, tmp_path, caps
     ])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def _edit_header(model: Path, edit) -> bytes:
+    head, rest = model.read_bytes()[len(MAGIC):].split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    return MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + rest
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda h: h.pop("members"), 3),
+    (lambda h: h.pop("vocab"), 3),
+    (lambda h: h.update(members=[]), 3),
+    (lambda h: h.update(members={"kind": "rf"}), 3),
+    (lambda h: h.update(l_harm="31"), 3),
+    (lambda h: h.update(setting="video_only"), 3),
+    (lambda h: h.update(vocab={"terms": ["a"]}), 3),
+    (lambda h: h["members"][0].pop("meta"), 3),
+    (lambda h: h["members"][0]["meta"].pop("n_trees"), 3),
+    (lambda h: h["members"][0]["meta"].update(colour="red"), 3),
+    (lambda h: h["members"][0]["meta"].update(n_trees="six"), 3),
+    (lambda h: h["members"][0].update(kind="bogus"), 2),
+], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
+        "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
+        "meta-extra-key", "meta-mistyped-value", "unknown-kind"])
+def test_predict_rejects_malformed_header(trained_model, tmp_path, capsys, edit, expected):
+    manifest, out = trained_model
+    model = tmp_path / "model.emf"
+    model.write_bytes(_edit_header(out / "model.emf", edit))
+    wav = json.loads(manifest.read_text().splitlines()[0])["audio"]
+    code = main(["predict", "--model", str(model), "--wav", str(manifest.parent / wav)])
+    assert code == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -5,13 +5,17 @@ import pytest
 
 from emoforge.audio_features import AUDIO_FEATURE_NAMES
 from emoforge.errors import ConfigError, ModelError, UnsupportedModelError
+from emoforge.ingest import build_dataset, load_manifest
 from emoforge.models import LogisticRegression, RandomForest
 from emoforge.pipeline import (
     ColumnScaler,
     ExperimentConfig,
+    ModelBundle,
+    _Member,
     feature_importance,
     feature_names,
     fuse,
+    featurize,
     fused_matrix,
     load_bundle,
     predict_example,
@@ -151,6 +155,69 @@ def test_ensemble_rejects_flat_hyperparameters():
     with pytest.raises(ConfigError, match="keyed by member kind"):
         train_bundle("e1", X, y, setting="audio_only", class_mode="six", seed=0,
                      hyperparams={"n_trees": 3, "rf": {"max_depth": 2}})
+
+
+# --- soft vote
+
+
+class FixedProba:
+    def __init__(self, proba):
+        self.proba = np.asarray(proba, dtype=np.float64)
+
+    def predict_proba(self, X):
+        return np.tile(self.proba, (len(X), 1))
+
+
+def soft_vote(members, feature_dim=1):
+    return ModelBundle(
+        kind="e1", setting="audio_only", class_mode="six", seed=0, feature_dim=feature_dim,
+        members=[_Member(kind="rf", classifier=m) for m in members],
+        combination="soft_vote", hyperparams={},
+    )
+
+
+def test_soft_vote_two_opposed_members_tie_break_to_lowest_index():
+    bundle = soft_vote([FixedProba([1.0, 0.0]), FixedProba([0.0, 1.0])], feature_dim=2)
+    X = np.zeros((3, 2))
+    assert np.allclose(bundle.predict_proba(X), 0.5)
+    assert np.array_equal(bundle.predict(X), [0, 0, 0])
+
+
+def test_soft_vote_identical_members_equal_any_member():
+    member = FixedProba([0.2, 0.5, 0.3])
+    proba = soft_vote([member, member, member]).predict_proba(np.zeros((4, 1)))
+    assert np.allclose(proba, member.predict_proba(np.zeros((4, 1))))
+
+
+def test_soft_vote_three_member_mean_hand_computed():
+    rows = [[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.1, 0.8, 0.1]]
+    proba = soft_vote([FixedProba(r) for r in rows]).predict_proba(np.zeros((1, 1)))[0]
+    expected = (np.array(rows[0]) + np.array(rows[1]) + np.array(rows[2])) / 3
+    assert np.allclose(proba, expected, atol=1e-12)
+
+
+def test_soft_vote_argmax_invariant_under_common_rescaling():
+    rng = np.random.default_rng(0)
+    base = [rng.dirichlet(np.ones(4), size=6) for _ in range(3)]
+
+    class Scaled:
+        def __init__(self, rows, k):
+            self.rows, self.k = rows, k
+
+        def predict_proba(self, X):
+            return self.k * self.rows
+
+    for k in (0.5, 2.0, 10.0):
+        plain = soft_vote([Scaled(r, 1.0) for r in base]).predict(np.zeros((6, 1)))
+        scaled = soft_vote([Scaled(r, k) for r in base]).predict(np.zeros((6, 1)))
+        assert np.array_equal(plain, scaled)
+
+
+def test_soft_vote_bundle_interface():
+    bundle = soft_vote([FixedProba([0.7, 0.3]), FixedProba([0.4, 0.6])], feature_dim=3)
+    X = np.zeros((2, 3))
+    assert np.allclose(bundle.predict_proba(X), [[0.55, 0.45], [0.55, 0.45]])
+    assert np.array_equal(bundle.predict(X), [0, 0])
 
 
 # --- feature importance
@@ -294,6 +361,29 @@ def test_predict_example_roundtrip(tmp_path, synth_corpus):
     assert abs(sum(probabilities.values()) - 1.0) < 1e-9
     with pytest.raises(ConfigError):
         predict_example(bundle, clip=None)
+
+
+@pytest.mark.parametrize("setting, kind, hp", [
+    ("audio_only", "rf", {"n_trees": 6, "max_depth": 5}),
+    ("text_only", "rf", {"n_trees": 6, "max_depth": 5}),
+    ("audio_text", "xgb", {"n_rounds": 3}),
+    ("audio_only", "lstm", {"epochs": 2, "hidden_size": 4, "input_mode": "frames"}),
+])
+def test_predict_example_matches_batch_featurize(tmp_path, synth_corpus, setting, kind, hp):
+    config = ExperimentConfig(
+        manifest=synth_corpus, setting=setting, model_kind=kind, seed=3,
+        out_dir=tmp_path / "run", hyperparams=hp,
+    )
+    _, artifacts = run_experiment(config)
+    bundle = load_bundle(artifacts["model"])
+    dataset = build_dataset(load_manifest(synth_corpus)[:8], bundle.class_mode)
+    X = featurize(dataset, bundle.setting, bundle.input_mode, bundle.frame_config,
+                  bundle.l_harm, bundle.vocab)
+    assert isinstance(X, list) == (kind == "lstm")
+    batch = bundle.predict_proba(X)
+    for ex, row in zip(dataset.examples, batch):
+        _, probabilities = predict_example(bundle, clip=ex.audio, text=ex.transcript)
+        assert np.array_equal(np.array(list(probabilities.values())), row)
 
 
 def test_thread_count_env_cap(monkeypatch):

@@ -107,6 +107,15 @@ def test_vocabulary_serialization_roundtrip(tmp_path):
     assert loaded == vocab
 
 
+@pytest.mark.parametrize("text", ["N=abc\nhello\t1\n", "N=3\nhello\tx\n"],
+                         ids=["count", "frequency"])
+def test_load_vocabulary_non_integer_is_data_error(tmp_path, text):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError):
+        load_vocabulary(path)
+
+
 def test_vocabulary_invariant_validation():
     with pytest.raises(ParameterError):
         Vocabulary(terms=("a",), document_frequencies=(0,), n_documents=1)
