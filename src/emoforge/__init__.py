@@ -40,7 +40,6 @@ from .ingest import (
 from .lstm import LstmClassifier, LstmParams, LstmState, lstm_forward, lstm_step
 from .metrics import EvalReport, confusion_matrix, evaluate
 from .models import (
-    DecisionTreeClassifier,
     GradientBoosting,
     LinearSVM,
     LogisticRegression,

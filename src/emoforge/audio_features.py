@@ -93,13 +93,6 @@ class AudioFeatureVector:
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in AUDIO_FEATURE_NAMES], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "AudioFeatureVector":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (len(AUDIO_FEATURE_NAMES),):
-            raise ParameterError(f"expected {len(AUDIO_FEATURE_NAMES)} entries")
-        return cls(**{name: float(v) for name, v in zip(AUDIO_FEATURE_NAMES, values)})
-
 
 @dataclass(frozen=True)
 class Spectrogram:
@@ -324,19 +317,22 @@ def central_moments(clip: AudioClip) -> tuple[float, float]:
     return float(clip.samples.mean()), float(clip.samples.std())
 
 
+def _analyze_clip(clip: AudioClip, config: FrameConfig | None, l_harm: int):
+    """The per-frame work shared by the clip summary and the frame sequence,
+    run once: (frames, pitch peaks, harmonic_feature(...), rmse(...))."""
+    config = config or FrameConfig()
+    frames = frame_signal(clip.samples, config)
+    peaks = np.array([autocorr_pitch(frame, clip.sample_rate)[0] for frame in frames])
+    return frames, peaks, harmonic_feature(clip, config, l_harm), rmse(clip, config)
+
+
 def extract_audio_features(
     clip: AudioClip,
     config: FrameConfig | None = None,
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
 ) -> AudioFeatureVector:
     """Assemble the eight-feature summary for one clip."""
-    config = config or FrameConfig()
-    frames = frame_signal(clip.samples, config)
-    peaks = np.array(
-        [autocorr_pitch(frame, clip.sample_rate)[0] for frame in frames]
-    )
-    harmonic_mean, _ = harmonic_feature(clip, config, l_harm)
-    rmse_mean, rmse_std, _ = rmse(clip, config)
+    _, peaks, (harmonic_mean, _), (rmse_mean, rmse_std, _) = _analyze_clip(clip, config, l_harm)
     amp_mean, amp_std = central_moments(clip)
     return AudioFeatureVector(
         autocorr_peak_mean=float(peaks.mean()),
@@ -357,13 +353,9 @@ def extract_frame_sequence(
 ) -> FrameFeatureSequence:
     """Per-frame 6-vectors: pitch peak, RMSE, harmonic mean of the frame,
     pause indicator (frame RMSE below 0.4x clip energy), amplitude mean/std."""
-    config = config or FrameConfig()
-    frames = frame_signal(clip.samples, config)
-    peaks = np.array(
-        [autocorr_pitch(frame, clip.sample_rate)[0] for frame in frames]
+    frames, peaks, (_, harmonic_per_frame), (_, _, rmse_per_frame) = _analyze_clip(
+        clip, config, l_harm
     )
-    _, harmonic_per_frame = harmonic_feature(clip, config, l_harm)
-    _, _, rmse_per_frame = rmse(clip, config)
     pause_flags = (rmse_per_frame < 0.4 * clip_energy(clip)).astype(np.float64)
     vectors = np.column_stack(
         [

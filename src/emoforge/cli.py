@@ -20,16 +20,18 @@ from .config import (
     DEFAULT_TRAIN_FRACTION,
     DEFAULT_UPSAMPLE_RHO,
     ENSEMBLE_MEMBERS,
+    MODEL_KINDS,
 )
 from .errors import ConfigError, DataError, EmoforgeError, ModelError
 from .ingest import build_dataset, load_manifest
 from .metrics import evaluate
 from .pipeline import (
+    SETTINGS,
     ExperimentConfig,
     documents,
-    feature_importance,
     feature_names,
     featurize,
+    importance_csv,
     labels_to_indices,
     load_bundle,
     predict_example,
@@ -41,6 +43,8 @@ from .text_features import fit_vocabulary
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+
+_CLASS_MODES = {6: "six", 4: "four"}
 
 
 def _parse_hp(pairs: list[str], model_kind: str) -> dict:
@@ -100,16 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-features", help="dump feature vectors to CSV")
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--setting", required=True, choices=("audio_only", "text_only", "audio_text"))
-    p.add_argument("--classes", type=int, choices=(6, 4), default=6)
+    p.add_argument("--setting", required=True, choices=SETTINGS)
+    p.add_argument("--classes", type=int, choices=tuple(_CLASS_MODES), default=6)
     _add_frame_args(p)
 
     p = sub.add_parser("train", help="train a model and write artifacts")
     p.add_argument("--manifest", required=True, type=Path)
-    p.add_argument("--model", required=True,
-                   choices=("rf", "xgb", "svm", "mnb", "lr", "mlp", "lstm", "e1", "e2"))
-    p.add_argument("--setting", required=True, choices=("audio_only", "text_only", "audio_text"))
-    p.add_argument("--classes", type=int, choices=(6, 4), default=6)
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
+    p.add_argument("--setting", required=True, choices=SETTINGS)
+    p.add_argument("--classes", type=int, choices=tuple(_CLASS_MODES), default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION)
@@ -148,10 +151,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    class_mode = "six" if args.classes == 6 else "four"
     frame_config = FrameConfig(args.frame_length, args.hop_length)
     entries = load_manifest(args.manifest)
-    dataset = build_dataset(entries, class_mode)
+    dataset = build_dataset(entries, _CLASS_MODES[args.classes])
 
     vocab = None if args.setting == "audio_only" else fit_vocabulary(documents(dataset))
     matrix = featurize(dataset, args.setting, "vector", frame_config, args.l_harm, vocab)
@@ -172,7 +174,7 @@ def _cmd_train(args) -> int:
         manifest=args.manifest,
         setting=args.setting,
         model_kind=args.model,
-        class_mode="six" if args.classes == 6 else "four",
+        class_mode=_CLASS_MODES[args.classes],
         seed=args.seed,
         out_dir=args.out,
         train_fraction=args.train_fraction,
@@ -222,11 +224,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_importance(args) -> int:
-    bundle = load_bundle(args.model)
-    ranked = feature_importance(bundle, feature_names(bundle.setting, bundle.vocab))
-    print("rank,feature,importance")
-    for rank, (name, value) in enumerate(ranked, 1):
-        print(f"{rank},{name},{value:.9g}")
+    print(importance_csv(load_bundle(args.model)), end="")
     return EXIT_OK
 
 

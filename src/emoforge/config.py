@@ -71,11 +71,5 @@ ENSEMBLE_MEMBERS: dict[str, tuple[str, ...]] = {
     "e2": ("rf", "xgb", "mlp", "mnb", "lr"),
 }
 
-
-def model_defaults(kind: str) -> dict:
-    """Return a copy of the default hyperparameters for ``kind``."""
-    from .errors import ConfigError
-
-    if kind not in MODEL_DEFAULTS:
-        raise ConfigError(f"unknown model kind: {kind!r}")
-    return dict(MODEL_DEFAULTS[kind])
+#: Every model kind a run can name: the single models, then the ensembles.
+MODEL_KINDS = (*MODEL_DEFAULTS, *ENSEMBLE_MEMBERS)

@@ -96,12 +96,11 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class Example:
-    """One labeled example: raw (clip, transcript) or an extracted vector."""
+    """One labeled example: a decoded clip and/or a transcript."""
 
     label: EmotionLabel
     audio: Optional[AudioClip] = None
     transcript: Optional[str] = None
-    features: Optional[np.ndarray] = None
     source_id: str = ""
 
 
@@ -125,12 +124,6 @@ class Dataset:
     @property
     def classes(self) -> tuple[EmotionLabel, ...]:
         return classes_for_mode(self.class_mode)
-
-    def class_counts(self) -> dict[EmotionLabel, int]:
-        return class_histogram(self)
-
-    def labels(self) -> list[EmotionLabel]:
-        return [ex.label for ex in self.examples]
 
 
 def load_manifest(path: str | Path) -> list[ManifestEntry]:

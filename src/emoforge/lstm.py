@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .models.base import ProbabilisticClassifier, check_training_labels, sigmoid
+from .models.base import ProbabilisticClassifier, check_training_labels, sigmoid, softmax
 
 _GATES = ("f", "i", "o", "c")
 
@@ -171,11 +171,6 @@ def _forward_cached(params: LstmParams, xs: np.ndarray):
     return LstmState(h=h, c=c), caches
 
 
-def _softmax_vec(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def lstm_forward(
     params: LstmParams,
     sequence: np.ndarray,
@@ -198,7 +193,7 @@ def lstm_forward(
         keep = 1.0 - params.dropout_rate
         mask = (rng.random(h.size) < keep).astype(np.float64) / keep
         h = h * mask
-    return _softmax_vec(params.w_out @ h + params.b_out)
+    return softmax((params.w_out @ h + params.b_out)[np.newaxis])[0]
 
 
 def _zero_grads(params: LstmParams) -> LstmParams:
@@ -223,7 +218,7 @@ def _backward(
     ``grads``; returns the example loss."""
     state, caches = _forward_cached(params, xs)
     h = state.h if dropout_mask is None else state.h * dropout_mask
-    probs = _softmax_vec(params.w_out @ h + params.b_out)
+    probs = softmax((params.w_out @ h + params.b_out)[np.newaxis])[0]
     loss = -float(np.log(max(probs[label], 1e-300)))
 
     dlogits = probs.copy()

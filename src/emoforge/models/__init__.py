@@ -1,22 +1,19 @@
 """Classifier implementations with a shared probabilistic interface."""
 
-from .base import ProbabilisticClassifier, predict_from_proba, softmax
+from .base import ProbabilisticClassifier, softmax
 from .boosting import GradientBoosting
 from .forest import RandomForest
 from .linear import LinearSVM, LogisticRegression
 from .mlp import MlpClassifier
 from .naive_bayes import MultinomialNaiveBayes
-from .tree import DecisionTreeClassifier
 
 __all__ = [
     "ProbabilisticClassifier",
-    "DecisionTreeClassifier",
     "RandomForest",
     "GradientBoosting",
     "LinearSVM",
     "LogisticRegression",
     "MultinomialNaiveBayes",
     "MlpClassifier",
-    "predict_from_proba",
     "softmax",
 ]

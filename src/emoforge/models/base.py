@@ -28,7 +28,7 @@ class ProbabilisticClassifier(ABC):
         ...
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict_from_proba(self.predict_proba(X))
+        return np.argmax(self.predict_proba(X), axis=1)
 
     @classmethod
     def state_keys(cls) -> tuple[str, ...]:
@@ -46,11 +46,6 @@ class ProbabilisticClassifier(ABC):
         model = cls(**meta)
         model._set_arrays(arrays)
         return model
-
-
-def predict_from_proba(proba: np.ndarray) -> np.ndarray:
-    """Argmax per row; np.argmax keeps the first maximum, i.e. lowest index."""
-    return np.argmax(proba, axis=1)
 
 
 def check_training_labels(y: np.ndarray, n_classes: int | None) -> int:

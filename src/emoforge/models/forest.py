@@ -19,8 +19,8 @@ class RandomForest(ProbabilisticClassifier):
     coincides with the hard majority when leaves are pure). Tree t draws all
     of its randomness from a generator seeded with seed + t, so fitting is
     reproducible and could run tree-parallel without changing the result.
-    ``bootstrap=False`` with ``max_features=None`` reduces the forest to a
-    single deterministic tree per member.
+    ``n_trees=1, bootstrap=False, max_features=None`` grows one plain CART
+    tree on all rows and features.
     """
 
     def __init__(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError, ParameterError
-from .base import ProbabilisticClassifier, check_training_labels
+from .base import ProbabilisticClassifier, check_training_labels, softmax
 
 # Finite stand-in for log(0): keeps zero-probability events at posterior 0
 # without letting -inf * 0 produce NaN in the score matmul.
@@ -55,10 +55,7 @@ class MultinomialNaiveBayes(ProbabilisticClassifier):
         X = np.asarray(X, dtype=np.float64)
         if (X < 0).any():
             raise DataError("multinomial NB requires non-negative features")
-        scores = X @ self.log_prob_.T + self.log_prior_
-        scores -= scores.max(axis=1, keepdims=True)
-        e = np.exp(scores)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(X @ self.log_prob_.T + self.log_prior_)
 
     def _arrays(self) -> dict[str, np.ndarray]:
         return {"log_prior": self.log_prior_, "log_prob": self.log_prob_}

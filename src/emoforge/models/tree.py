@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from .base import ProbabilisticClassifier, check_training_labels, one_hot
+from .base import one_hot
 
 _NO_FEATURE = -1
 # Upper bound on the elements of one (rows x columns x classes) block that the
@@ -253,36 +253,3 @@ def unpack_trees(arrays: dict[str, np.ndarray]) -> list[TreeNodes]:
             )
         )
     return trees
-
-
-class DecisionTreeClassifier(ProbabilisticClassifier):
-    """Single Gini tree; building block for the forest and a model on its own."""
-
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        min_samples_leaf: int = 1,
-        n_classes: int | None = None,
-    ):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.n_classes = n_classes
-        self.tree_: TreeNodes | None = None
-
-    def fit(self, X, y):
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = check_training_labels(y, self.n_classes)
-        self.tree_ = grow_tree(
-            X,
-            y,
-            task="classification",
-            n_classes=self.n_classes,
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-        )
-        return self
-
-    def predict_proba(self, X):
-        if self.tree_ is None:
-            raise ParameterError("tree is not fitted")
-        return self.tree_.apply(X)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional
 
@@ -29,10 +31,11 @@ from .config import (
     DEFAULT_TRAIN_FRACTION,
     DEFAULT_UPSAMPLE_RHO,
     ENSEMBLE_MEMBERS,
+    MODEL_DEFAULTS,
+    MODEL_KINDS,
     SEED_OFFSET_MODEL,
     SEED_OFFSET_SPLIT,
     SEED_OFFSET_UPSAMPLE,
-    model_defaults,
 )
 from .errors import ConfigError, DataError, ModelError, ParameterError, UnsupportedModelError
 from .ingest import (
@@ -92,13 +95,6 @@ def thread_count(requested: int | None = None) -> int:
         except ValueError as exc:
             raise ConfigError(f"EMOFORGE_THREADS must be an integer, got {cap!r}") from exc
     return max(1, count)
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def fuse(audio_vec: np.ndarray, text_vec: np.ndarray) -> np.ndarray:
@@ -171,6 +167,11 @@ class _Member:
     classifier: object
     scaler: Optional[ColumnScaler] = None
 
+    def fit(self, X, y) -> None:
+        if self.scaler is not None:
+            X = self.scaler.fit(X).transform(X)
+        self.classifier.fit(X, y)
+
     def predict_proba(self, X):
         if self.scaler is not None:
             X = self.scaler.transform(X)
@@ -180,7 +181,8 @@ class _Member:
 @dataclass
 class ModelBundle:
     """A trained model plus everything needed to reuse it: preprocessing
-    stats, vocabulary, framing, and provenance."""
+    stats, vocabulary, framing, and provenance. A single model is a
+    one-member vote."""
 
     kind: str
     setting: str
@@ -188,12 +190,15 @@ class ModelBundle:
     seed: int
     feature_dim: int
     members: list[_Member]
-    combination: str  # "single" or "soft_vote"
     hyperparams: dict
     vocab: Optional[Vocabulary] = None
     frame_config: FrameConfig = field(default_factory=FrameConfig)
     l_harm: int = DEFAULT_HARMONIC_WINDOW
-    input_mode: str = "vector"  # "vector" or "frames" (lstm only)
+    input_mode: str = "vector"  # "vector", or for lstm "frames" or "clip"
+
+    @property
+    def combination(self) -> str:
+        return "soft_vote" if self.kind in ENSEMBLE_MEMBERS else "single"
 
     @property
     def class_names(self) -> list[str]:
@@ -207,26 +212,38 @@ class ModelBundle:
             )
 
     def predict_proba(self, X) -> np.ndarray:
+        """Mean of the members' probabilities (exact for one member)."""
         self._check_dim(X)
-        if self.combination == "single":
-            return self.members[0].predict_proba(X)
-        total = None
-        for member in self.members:
-            proba = member.predict_proba(X)
-            total = proba.copy() if total is None else total + proba
-        return total / len(self.members)
+        return sum(member.predict_proba(X) for member in self.members) / len(self.members)
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
+def _hp_type_ok(value, default) -> bool:
+    """Whether an override fits its default's type: int for int, int or
+    float for float, str for str; hidden sizes also take comma-separated
+    ints or a sequence of ints."""
+    if isinstance(default, tuple):
+        return isinstance(value, Integral) or (
+            isinstance(value, str) and re.fullmatch(r"\d+(,\d+)*", value) is not None
+        ) or (isinstance(value, (tuple, list)) and all(isinstance(v, Integral) for v in value))
+    return isinstance(value, {int: Integral, float: Real, str: str}[type(default)])
+
+
 def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):
     if kind not in _MODEL_CLASSES:
         raise ConfigError(f"unknown model kind {kind!r}")
-    params = model_defaults(kind)
+    params = dict(MODEL_DEFAULTS[kind])
     unknown = set(hyperparams) - set(params)
     if unknown:
         raise ConfigError(f"unknown hyperparameters for {kind}: {sorted(unknown)}")
+    for key, value in hyperparams.items():
+        if not _hp_type_ok(value, params[key]):
+            raise ConfigError(
+                f"{kind} hyperparameter {key}={value!r} does not fit the type of its "
+                f"default {params[key]!r}"
+            )
     params.update(hyperparams)
     params.pop("input_mode", None)  # consumed by the pipeline, not the model
     if kind not in _SEEDLESS_KINDS:
@@ -251,16 +268,6 @@ def _scaler_for(kind: str, feature_dim: int, audio_block: int) -> Optional[Colum
     return None
 
 
-def _fit_member(kind, X, y, hyperparams, seed, n_classes, audio_block) -> _Member:
-    feature_dim = X[0].shape[-1] if isinstance(X, list) else X.shape[1]
-    scaler = _scaler_for(kind, feature_dim, audio_block)
-    if scaler is not None:
-        X = scaler.fit(X).transform(X)
-    clf = make_classifier(kind, hyperparams, seed, n_classes)
-    clf.fit(X, y)
-    return _Member(kind=kind, classifier=clf, scaler=scaler)
-
-
 def train_bundle(
     kind: str,
     X,
@@ -273,44 +280,43 @@ def train_bundle(
     frame_config: FrameConfig | None = None,
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
     audio_block: int | None = None,
-    input_mode: str = "vector",
 ) -> ModelBundle:
-    """Fit one model kind (or an e1/e2 ensemble) into a reusable bundle."""
+    """Fit the members of ``kind`` (a single kind is its own one member) into
+    a reusable bundle; member i is seeded ``seed + SEED_OFFSET_MODEL + i``.
+    A single kind takes flat hyperparameters, an ensemble a table keyed by
+    member kind. The bundle's input_mode records what ``X`` is."""
     hyperparams = dict(hyperparams or {})
     frame_config = frame_config or FrameConfig()
     if setting not in SETTINGS:
         raise ConfigError(f"unknown setting {setting!r}")
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
     if audio_block is None:
         audio_block = 0 if setting == "text_only" else len(AUDIO_FEATURE_NAMES)
     n_classes = len(classes_for_mode(class_mode))
     y = np.asarray(y, dtype=np.int64)
 
-    if kind in ENSEMBLE_MEMBERS:
-        member_kinds = ENSEMBLE_MEMBERS[kind]
-        flat = sorted(set(hyperparams) - set(_MODEL_CLASSES))
-        if flat:
-            raise ConfigError(
-                f"{kind} hyperparameters are keyed by member kind {member_kinds}, got {flat}"
-            )
-        members = []
-        for i, member_kind in enumerate(member_kinds):
-            member_hp = dict(hyperparams.get(member_kind, {}))
-            members.append(
-                _fit_member(
-                    member_kind, X, y, member_hp,
-                    seed + SEED_OFFSET_MODEL + i, n_classes, audio_block,
-                )
-            )
-        combination = "soft_vote"
-    elif kind in _MODEL_CLASSES:
-        members = [
-            _fit_member(kind, X, y, hyperparams, seed + SEED_OFFSET_MODEL, n_classes, audio_block)
-        ]
-        combination = "single"
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-
+    member_kinds = ENSEMBLE_MEMBERS.get(kind, (kind,))
+    table = hyperparams if kind in ENSEMBLE_MEMBERS else {kind: hyperparams}
+    flat = sorted(set(table) - set(_MODEL_CLASSES))
+    if flat:
+        raise ConfigError(
+            f"{kind} hyperparameters are keyed by member kind {member_kinds}, got {flat}"
+        )
     feature_dim = X[0].shape[-1] if isinstance(X, list) else X.shape[1]
+    members = []  # all configured, and their overrides checked, before any fit
+    for i, member_kind in enumerate(member_kinds):
+        member_hp = table.get(member_kind, {})
+        clf = make_classifier(member_kind, member_hp, seed + SEED_OFFSET_MODEL + i, n_classes)
+        scaler = _scaler_for(member_kind, feature_dim, audio_block)
+        members.append(_Member(member_kind, clf, scaler))
+    for member in members:
+        member.fit(X, y)
+
+    if isinstance(X, list):
+        input_mode = "frames"
+    else:
+        input_mode = "clip" if kind == "lstm" else "vector"
     return ModelBundle(
         kind=kind,
         setting=setting,
@@ -318,13 +324,29 @@ def train_bundle(
         seed=seed,
         feature_dim=feature_dim,
         members=members,
-        combination=combination,
         hyperparams=hyperparams,
         vocab=vocab,
         frame_config=frame_config,
         l_harm=l_harm,
         input_mode=input_mode,
     )
+
+
+def _requested_input_mode(kind: str, hyperparams: dict) -> str:
+    """The input a run of ``kind`` trains on: the lstm's ``input_mode``
+    hyperparameter, else "vector"."""
+    default = MODEL_DEFAULTS["lstm"]["input_mode"]
+    return hyperparams.get("input_mode", default) if kind == "lstm" else "vector"
+
+
+def _input_mode_problem(kind: str, setting: str, input_mode: str) -> Optional[str]:
+    """Why ``input_mode`` does not suit a ``kind`` model in ``setting``, or None."""
+    allowed = ("frames", "clip") if kind == "lstm" else ("vector",)
+    if input_mode not in allowed:
+        return f"{kind} input_mode must be one of {allowed}, got {input_mode!r}"
+    if input_mode == "frames" and setting != "audio_only":
+        return "frame-sequence input requires the audio_only setting"
+    return None
 
 
 # --- bundle persistence -----------------------------------------------------
@@ -395,10 +417,13 @@ def _under(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    """Rebuild a bundle from a container; a malformed header raises DataError
-    and an unknown member kind ModelError."""
+    """Rebuild a bundle from a container; a malformed or self-contradicting
+    header raises DataError and an unknown model or member kind ModelError."""
     header, arrays = load_container(path)
     _require(path, "header", header, _HEADER_KEYS)
+    kind = header["model_kind"]
+    if kind not in MODEL_KINDS:
+        raise ModelError(f"{path}: header names unknown model kind {kind!r}")
     if not header["members"]:
         raise DataError(f"{path}: header lists no members")
     if header["setting"] not in SETTINGS:
@@ -423,6 +448,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: {where} state is unusable ({exc!r})") from exc
         members.append(_Member(kind=mm["kind"], classifier=clf, scaler=scaler))
+    member_kinds = [m.kind for m in members]
+    if member_kinds != list(ENSEMBLE_MEMBERS.get(kind, (kind,))):
+        raise DataError(f"{path}: members {member_kinds} are not those of a {kind} model")
 
     vocab = None
     if header["vocab"] is not None:
@@ -432,26 +460,31 @@ def load_bundle(path: str | Path) -> ModelBundle:
             document_frequencies=tuple(header["vocab"]["dfs"]),
             n_documents=header["vocab"]["n_documents"],
         )
-    return ModelBundle(
-        kind=header["model_kind"],
+    bundle = ModelBundle(
+        kind=kind,
         setting=header["setting"],
         class_mode=header["class_mode"],
         seed=header["seed"],
         feature_dim=header["feature_dim"],
         members=members,
-        combination=header["combination"],
         hyperparams=header["hyperparameters"],
         vocab=vocab,
         frame_config=FrameConfig(header["frame_length"], header["hop_length"]),
         l_harm=header["l_harm"],
         input_mode=header["input_mode"],
     )
+    if header["combination"] != bundle.combination:
+        raise DataError(f"{path}: combination {header['combination']!r} does not fit {kind}")
+    problem = _input_mode_problem(kind, bundle.setting, bundle.input_mode)
+    if problem is not None:
+        raise DataError(f"{path}: {problem}")
+    return bundle
 
 
 # --- feature assembly --------------------------------------------------------
 
 
-def _per_clip(dataset: Dataset, job, threads: int | None) -> list:
+def _per_clip(dataset: Dataset, job) -> list:
     """``job(clip)`` for every example, run once per distinct clip object in
     first-appearance order; upsampling duplicates examples by reference, so
     identity dedups exactly those."""
@@ -460,7 +493,12 @@ def _per_clip(dataset: Dataset, job, threads: int | None) -> list:
         if ex.audio is None:
             raise ParameterError(f"example {ex.source_id!r} carries no audio")
         unique.setdefault(id(ex.audio), ex.audio)
-    rows = _parallel_map(job, list(unique.values()), thread_count(threads))
+    clips, workers = list(unique.values()), thread_count()
+    if workers <= 1 or len(clips) <= 1:
+        rows = [job(clip) for clip in clips]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(job, clips))
     cache = dict(zip(unique, rows))
     return [cache[id(ex.audio)] for ex in dataset.examples]
 
@@ -469,26 +507,24 @@ def audio_feature_matrix(
     dataset: Dataset,
     frame_config: FrameConfig,
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Eight-feature rows for every example, computed once per distinct clip."""
 
     def job(clip: AudioClip) -> np.ndarray:
         return extract_audio_features(clip, frame_config, l_harm).to_array()
 
-    return np.vstack(_per_clip(dataset, job, threads))
+    return np.vstack(_per_clip(dataset, job))
 
 
 def frame_sequences(
     dataset: Dataset,
     frame_config: FrameConfig,
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
-    threads: int | None = None,
 ) -> list[np.ndarray]:
     def job(clip: AudioClip) -> np.ndarray:
         return extract_frame_sequence(clip, frame_config, l_harm).vectors
 
-    return _per_clip(dataset, job, threads)
+    return _per_clip(dataset, job)
 
 
 def documents(dataset: Dataset) -> list[list[str]]:
@@ -517,7 +553,6 @@ def featurize(
     frame_config: FrameConfig,
     l_harm: int,
     vocab: Optional[Vocabulary],
-    threads: int | None = None,
 ):
     """Model input for every example of ``dataset``: per-frame sequences for
     an audio_only model in "frames" mode, otherwise one row per example with
@@ -527,10 +562,10 @@ def featurize(
     bundle sees at serving time exactly the features it was trained on.
     """
     if setting == "audio_only" and input_mode == "frames":
-        return frame_sequences(dataset, frame_config, l_harm, threads)
+        return frame_sequences(dataset, frame_config, l_harm)
     blocks = []
     if setting in ("audio_only", "audio_text"):
-        blocks.append(audio_feature_matrix(dataset, frame_config, l_harm, threads))
+        blocks.append(audio_feature_matrix(dataset, frame_config, l_harm))
     if setting in ("text_only", "audio_text"):
         blocks.append(text_feature_matrix(dataset, vocab))
     return blocks[0] if len(blocks) == 1 else fused_matrix(*blocks, vocab)
@@ -579,6 +614,15 @@ def feature_importance(model, names: list[str]) -> list[tuple[str, float]]:
     return [(names[i], float(normalized[i])) for i in order]
 
 
+def importance_csv(bundle: ModelBundle) -> str:
+    """``feature_importance`` of a single-model bundle as rank,feature,importance
+    CSV text."""
+    ranked = feature_importance(bundle, feature_names(bundle.setting, bundle.vocab))
+    lines = ["rank,feature,importance"]
+    lines.extend(f"{rank},{name},{value:.9g}" for rank, (name, value) in enumerate(ranked, 1))
+    return "\n".join(lines) + "\n"
+
+
 # --- experiment runner --------------------------------------------------------
 
 
@@ -596,7 +640,6 @@ class ExperimentConfig:
     hyperparams: dict = field(default_factory=dict)
     frame_config: FrameConfig = field(default_factory=FrameConfig)
     l_harm: int = DEFAULT_HARMONIC_WINDOW
-    threads: Optional[int] = None
 
     def __post_init__(self):
         self.manifest = Path(self.manifest)
@@ -604,15 +647,14 @@ class ExperimentConfig:
             self.out_dir = Path(self.out_dir)
         if self.setting not in SETTINGS:
             raise ConfigError(f"setting must be one of {SETTINGS}, got {self.setting!r}")
-        if self.model_kind not in set(_MODEL_CLASSES) | set(ENSEMBLE_MEMBERS):
+        if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model_kind!r}")
         classes_for_mode(self.class_mode)
-        if self.model_kind == "lstm":
-            mode = self.hyperparams.get("input_mode", model_defaults("lstm")["input_mode"])
-            if mode not in ("frames", "clip"):
-                raise ConfigError(f"lstm input_mode must be 'frames' or 'clip', got {mode!r}")
-            if mode == "frames" and self.setting != "audio_only":
-                raise ConfigError("frame-sequence input requires the audio_only setting")
+        problem = _input_mode_problem(
+            self.model_kind, self.setting, _requested_input_mode(self.model_kind, self.hyperparams)
+        )
+        if problem is not None:
+            raise ConfigError(problem)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path]]:
@@ -631,13 +673,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path
             train_ds, config.seed + SEED_OFFSET_UPSAMPLE, config.upsample_rho
         )
 
-    input_mode = "vector"
-    if config.model_kind == "lstm":
-        input_mode = config.hyperparams.get("input_mode", model_defaults("lstm")["input_mode"])
+    input_mode = _requested_input_mode(config.model_kind, config.hyperparams)
     vocab = None if config.setting == "audio_only" else fit_vocabulary(documents(train_ds))
     train_X, test_X = (
-        featurize(ds, config.setting, input_mode, config.frame_config, config.l_harm, vocab,
-                  config.threads)
+        featurize(ds, config.setting, input_mode, config.frame_config, config.l_harm, vocab)
         for ds in (train_ds, test_ds)
     )
     train_y = labels_to_indices(train_ds)
@@ -654,7 +693,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path
         vocab=vocab,
         frame_config=config.frame_config,
         l_harm=config.l_harm,
-        input_mode=input_mode,
     )
 
     predictions = bundle.predict(test_X)
@@ -666,26 +704,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path
     if config.out_dir is not None:
         artifacts = write_artifacts(config, bundle, report, len(train_ds), len(test_ds))
     return report, artifacts
-
-
-def report_payload(
-    config: ExperimentConfig, report: EvalReport, train_size: int, test_size: int,
-    feature_dim: int,
-) -> dict:
-    payload = {
-        "model_kind": config.model_kind,
-        "setting": config.setting,
-        "class_mode": config.class_mode,
-        "seed": config.seed,
-        "train_fraction": config.train_fraction,
-        "upsample_train": config.upsample_train,
-        "upsample_rho": config.upsample_rho,
-        "train_size": train_size,
-        "test_size": test_size,
-        "feature_dim": feature_dim,
-    }
-    payload.update(report.to_dict())
-    return payload
 
 
 def write_artifacts(
@@ -704,7 +722,19 @@ def write_artifacts(
     artifacts["model"] = model_path
 
     report_path = out / "report.json"
-    payload = report_payload(config, report, train_size, test_size, bundle.feature_dim)
+    payload = {
+        "model_kind": config.model_kind,
+        "setting": config.setting,
+        "class_mode": config.class_mode,
+        "seed": config.seed,
+        "train_fraction": config.train_fraction,
+        "upsample_train": config.upsample_train,
+        "upsample_rho": config.upsample_rho,
+        "train_size": train_size,
+        "test_size": test_size,
+        "feature_dim": bundle.feature_dim,
+        **report.to_dict(),
+    }
     report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     artifacts["report"] = report_path
 
@@ -716,13 +746,8 @@ def write_artifacts(
     artifacts["confusion_matrix"] = cm_path
 
     if bundle.kind in _TREE_KINDS:
-        ranked = feature_importance(bundle, feature_names(bundle.setting, bundle.vocab))
         imp_path = out / "importances.csv"
-        imp_lines = ["rank,feature,importance"]
-        imp_lines.extend(
-            f"{rank},{name},{value:.9g}" for rank, (name, value) in enumerate(ranked, 1)
-        )
-        imp_path.write_text("\n".join(imp_lines) + "\n", encoding="utf-8")
+        imp_path.write_text(importance_csv(bundle), encoding="utf-8")
         artifacts["importances"] = imp_path
 
     if bundle.vocab is not None:

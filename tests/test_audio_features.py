@@ -331,6 +331,23 @@ def test_frame_sequence_silence_zero():
     assert np.all(seq.vectors == 0.0)
 
 
+@pytest.mark.parametrize("seconds, l_harm", [(0.05, 31), (0.6, 31), (2.0, 4)])
+def test_frame_sequence_reduces_to_clip_summary(seconds, l_harm):
+    """Both summaries come from one per-frame pass: the sequence's pitch and
+    RMSE columns reduce exactly to the 8-vector's means and spreads."""
+    rng = np.random.default_rng(8)
+    n = int(SR * seconds)
+    samples = 0.5 * np.sin(2 * np.pi * 180 * np.arange(n) / SR) * rng.uniform(0, 1, n)
+    clip = clip_of(samples)
+    vec = dict(zip(AUDIO_FEATURE_NAMES, extract_audio_features(clip, l_harm=l_harm).to_array()))
+    seq = extract_frame_sequence(clip, l_harm=l_harm).vectors
+    assert seq[:, 0].mean() == vec["autocorr_peak_mean"]
+    assert seq[:, 0].std() == vec["autocorr_peak_std"]
+    assert seq[:, 1].mean() == vec["rmse_mean"]
+    assert seq[:, 1].std() == vec["rmse_std"]
+    assert np.allclose(seq[:, 2].mean(), vec["harmonic_mean"], rtol=1e-12, atol=0.0)
+
+
 def test_frame_config_validation():
     with pytest.raises(ParameterError):
         FrameConfig(frame_length=0)

@@ -31,6 +31,19 @@ def trained_model(tmp_path_factory):
     return manifest, out
 
 
+@pytest.fixture(scope="module")
+def e2_model(trained_model):
+    manifest, out = trained_model
+    out = out.parent / "e2"
+    code = main([
+        "train", "--manifest", str(manifest), "--model", "e2", "--setting", "audio_text",
+        "--seed", "1", "--out", str(out), "--hp", "rf.n_trees=3", "--hp", "xgb.n_rounds=2",
+        "--hp", "mlp.epochs=3", "--hp", "lr.epochs=5",
+    ])
+    assert code == 0
+    return out
+
+
 def test_synth_corpus_layout(tmp_path):
     corpus = tmp_path / "c"
     assert main(["synth-corpus", "--out", str(corpus), "--seed", "0", "--per-class", "2"]) == 0
@@ -228,6 +241,41 @@ def test_train_rejects_unknown_lstm_input_mode(trained_model, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("model, pair", [
+    ("rf", "n_trees=abc"),
+    ("rf", "n_trees=2.5"),
+    ("rf", "max_depth=None"),
+    ("mlp", "batch_size=abc"),
+    ("mlp", "hidden_sizes=abc"),
+    ("e1", "xgb.learning_rate=fast"),
+    ("svm", "reg=x"),
+])
+def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, model, pair):
+    manifest, _ = trained_model
+    code = main([
+        "train", "--manifest", str(manifest), "--model", model, "--setting", "audio_only",
+        "--out", str(tmp_path / "run"), "--hp", pair,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    key = pair.partition("=")[0].rpartition(".")[2]
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_keeps_int_override_of_float_default(trained_model, tmp_path):
+    manifest, _ = trained_model
+    out = tmp_path / "run"
+    code = main([
+        "train", "--manifest", str(manifest), "--model", "xgb", "--setting", "audio_only",
+        "--out", str(out), "--hp", "learning_rate=1", "--hp", "n_rounds=2",
+    ])
+    assert code == 0
+    bundle = load_bundle(out / "model.emf")
+    assert bundle.hyperparams["learning_rate"] == 1
+    assert type(bundle.members[0].classifier.learning_rate) is int
+
+
 def test_train_applies_member_scoped_hp(trained_model, tmp_path):
     manifest, _ = trained_model
     out = tmp_path / "run"
@@ -296,28 +344,43 @@ def _edit_header(model: Path, edit) -> bytes:
     return MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + rest
 
 
-@pytest.mark.parametrize("edit, expected", [
-    (lambda h: h.pop("members"), 3),
-    (lambda h: h.pop("vocab"), 3),
-    (lambda h: h.update(members=[]), 3),
-    (lambda h: h.update(members={"kind": "rf"}), 3),
-    (lambda h: h.update(l_harm="31"), 3),
-    (lambda h: h.update(setting="video_only"), 3),
-    (lambda h: h.update(vocab={"terms": ["a"]}), 3),
-    (lambda h: h["members"][0].pop("meta"), 3),
-    (lambda h: h["members"][0]["meta"].pop("n_trees"), 3),
-    (lambda h: h["members"][0]["meta"].update(colour="red"), 3),
-    (lambda h: h["members"][0]["meta"].update(n_trees="six"), 3),
-    (lambda h: h["members"][0].update(kind="bogus"), 2),
+@pytest.mark.parametrize("edit, expected, model", [
+    (lambda h: h.pop("members"), 3, "rf"),
+    (lambda h: h.pop("vocab"), 3, "rf"),
+    (lambda h: h.update(members=[]), 3, "rf"),
+    (lambda h: h.update(members={"kind": "rf"}), 3, "rf"),
+    (lambda h: h.update(l_harm="31"), 3, "rf"),
+    (lambda h: h.update(setting="video_only"), 3, "rf"),
+    (lambda h: h.update(vocab={"terms": ["a"]}), 3, "rf"),
+    (lambda h: h["members"][0].pop("meta"), 3, "rf"),
+    (lambda h: h["members"][0]["meta"].pop("n_trees"), 3, "rf"),
+    (lambda h: h["members"][0]["meta"].update(colour="red"), 3, "rf"),
+    (lambda h: h["members"][0]["meta"].update(n_trees="six"), 3, "rf"),
+    (lambda h: h["members"][0].update(kind="bogus"), 2, "rf"),
+    (lambda h: h.update(combination="single"), 3, "e2"),
+    (lambda h: h.update(input_mode="sideways"), 3, "e2"),
+    (lambda h: h.update(model_kind="bogus"), 2, "e2"),
+    (lambda h: h["members"].pop(), 3, "e2"),
+    (lambda h: h.update(combination="soft_vote"), 3, "rf"),
+    (lambda h: h.update(model_kind="e1"), 3, "rf"),
+    (lambda h: h.update(model_kind="lstm"), 3, "rf"),
+    (lambda h: h.update(input_mode="frames"), 3, "rf"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
-        "meta-extra-key", "meta-mistyped-value", "unknown-kind"])
-def test_predict_rejects_malformed_header(trained_model, tmp_path, capsys, edit, expected):
+        "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
+        "e2-input-mode-sideways", "e2-model-kind-bogus", "e2-members-truncated",
+        "rf-combination-soft-vote", "rf-model-kind-e1", "rf-model-kind-lstm",
+        "rf-input-mode-frames"])
+def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
+                                          expected, model):
     manifest, out = trained_model
-    model = tmp_path / "model.emf"
-    model.write_bytes(_edit_header(out / "model.emf", edit))
-    wav = json.loads(manifest.read_text().splitlines()[0])["audio"]
-    code = main(["predict", "--model", str(model), "--wav", str(manifest.parent / wav)])
+    if model == "e2":
+        out = request.getfixturevalue("e2_model")
+    path = tmp_path / "model.emf"
+    path.write_bytes(_edit_header(out / "model.emf", edit))
+    wav = json.loads(manifest.read_text().splitlines()[0])
+    code = main(["predict", "--model", str(path), "--wav", str(manifest.parent / wav["audio"]),
+                 "--text", wav["text"]])
     assert code == expected
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

@@ -135,6 +135,19 @@ def test_bundle_roundtrip_ensemble(tmp_path):
     assert np.array_equal(loaded.predict_proba(X), bundle.predict_proba(X))
 
 
+@pytest.mark.parametrize("kind", ["rf", "mlp", "lstm"])
+def test_single_model_bundle_is_a_one_member_vote(kind):
+    X, y = toy_matrix(seed=3)
+    hp = {"rf": {"n_trees": 3, "max_depth": 3}, "mlp": {"epochs": 5, "hidden_sizes": (4,)},
+          "lstm": {"epochs": 2, "hidden_size": 3}}[kind]
+    bundle = train_bundle(kind, X, y, setting="audio_only", class_mode="six", seed=4,
+                          hyperparams=hp, audio_block=X.shape[1])
+    assert [m.kind for m in bundle.members] == [kind] and bundle.combination == "single"
+    assert np.array_equal(bundle.predict_proba(X), bundle.members[0].predict_proba(X))
+    # an lstm bundle records the input it was trained on
+    assert bundle.input_mode == ("clip" if kind == "lstm" else "vector")
+
+
 def test_bundle_dimension_mismatch(tmp_path):
     X, y = toy_matrix()
     bundle = train_bundle("mnb", X, y, setting="audio_only", class_mode="six", seed=0,
@@ -172,7 +185,7 @@ def soft_vote(members, feature_dim=1):
     return ModelBundle(
         kind="e1", setting="audio_only", class_mode="six", seed=0, feature_dim=feature_dim,
         members=[_Member(kind="rf", classifier=m) for m in members],
-        combination="soft_vote", hyperparams={},
+        hyperparams={},
     )
 
 

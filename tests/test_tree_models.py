@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emoforge.errors import DegenerateLabelError, ParameterError
-from emoforge.models import DecisionTreeClassifier, GradientBoosting, RandomForest
+from emoforge.models import GradientBoosting, RandomForest
 from emoforge.models import tree as tree_module
 from emoforge.models.base import one_hot
 from emoforge.models.tree import grow_tree
@@ -33,18 +33,22 @@ def serialized_bytes(model, tmp_path, name):
     return path.read_bytes()
 
 
-# --- single decision tree
+# --- single decision tree: a one-tree forest on all rows and features
+
+
+def plain_tree(**kwargs):
+    return RandomForest(n_trees=1, bootstrap=False, max_features=None, **kwargs)
 
 
 def test_tree_separates_xor():
     X, y = make_xor()
-    tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
+    tree = plain_tree(max_depth=4).fit(X, y)
     assert (tree.predict(X) == y).mean() >= 0.95
 
 
 def test_tree_leaf_distributions_are_stochastic():
     X, y = make_3class_blobs()
-    tree = DecisionTreeClassifier(max_depth=3).fit(X, y)
+    tree = plain_tree(max_depth=3).fit(X, y)
     proba = tree.predict_proba(X)
     assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
     assert (proba >= 0).all() and (proba <= 1).all()
@@ -53,7 +57,7 @@ def test_tree_leaf_distributions_are_stochastic():
 def test_tree_single_class_raises():
     X = np.zeros((5, 2))
     with pytest.raises(DegenerateLabelError):
-        DecisionTreeClassifier().fit(X, np.zeros(5, dtype=int))
+        plain_tree().fit(X, np.zeros(5, dtype=int))
 
 
 # --- random forest
@@ -80,15 +84,6 @@ def test_forest_seed_determinism_byte_equal(tmp_path):
     assert serialized_bytes(a, tmp_path, "a.emf") == serialized_bytes(b, tmp_path, "b.emf")
     c = RandomForest(n_trees=10, seed=8).fit(X, y)
     assert serialized_bytes(a, tmp_path, "a2.emf") != serialized_bytes(c, tmp_path, "c.emf")
-
-
-def test_forest_single_tree_full_features_matches_plain_tree():
-    X, y = make_3class_blobs()
-    forest = RandomForest(
-        n_trees=1, max_depth=5, seed=0, bootstrap=False, max_features=None
-    ).fit(X, y)
-    tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
-    assert np.array_equal(forest.predict(X), tree.predict(X))
 
 
 def test_forest_rows_sum_to_one():
