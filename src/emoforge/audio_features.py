@@ -49,6 +49,7 @@ FRAME_FEATURE_NAMES = (
 )
 
 _MAX_MEDIAN_WINDOW = 1 << 16
+_BLOCK_ROWS = 64  # frequency rows per np.partition call in the median filter
 
 
 @dataclass(frozen=True)
@@ -233,13 +234,29 @@ def median_filter_1d(x: np.ndarray, l: int) -> np.ndarray:
     return _median_filter_time(x.reshape(1, -1), l).reshape(x.shape)
 
 
+def _window_median(windows: np.ndarray) -> np.ndarray:
+    """Median along the last axis by selection: the middle rank for an odd
+    length, the np.mean of the two middle ranks for an even one. On NaN-free
+    input this is np.median's own rule, so the bits match."""
+    m = windows.shape[-1]
+    k = (m - 1) // 2
+    if m % 2:
+        return np.partition(windows, k, axis=-1)[..., k]
+    return np.partition(windows, (k, k + 1), axis=-1)[..., k : k + 2].mean(axis=-1)
+
+
 def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
     """Median-filter every row of a (rows, time) matrix along time, with
     window length l and edge-clamped windows.
 
     Odd l takes the window [n-k, n+k] with k = (l-1)/2; even l uses one extra
     element on the right and the mean-of-middle-two rule. Windows shrink at
-    the boundaries instead of padding.
+    the boundaries instead of padding. A window holding NaN gives NaN, as
+    np.median does.
+
+    The output has the input's memory order. Spectrogram magnitudes are
+    Fortran-ordered (a transposed rfft), and harmonic_feature's means sum in
+    memory order, so a C-ordered output would change harmonic_mean's bits.
     """
     if l < 1:
         raise ParameterError("window length must be >= 1")
@@ -250,18 +267,24 @@ def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
         return magnitudes.copy()
     left = (l - 1) // 2
     right = l // 2  # inclusive extent to the right
+    data = np.ascontiguousarray(magnitudes)  # each window a contiguous run
     out = np.empty_like(magnitudes)
-    interior_start = left
-    interior_stop = n - right  # exclusive
-    if interior_stop > interior_start and l <= n:
-        windows = np.lib.stride_tricks.sliding_window_view(magnitudes, l, axis=1)
-        out[:, interior_start:interior_stop] = np.median(windows, axis=2)
-    else:
-        interior_start, interior_stop = 0, 0
-    for i in range(0, interior_start):
-        out[:, i] = np.median(magnitudes[:, max(0, i - left) : min(n, i + right + 1)], axis=1)
-    for i in range(max(interior_stop, interior_start), n):
-        out[:, i] = np.median(magnitudes[:, max(0, i - left) : min(n, i + right + 1)], axis=1)
+    interior = range(left, n - right) if l <= n else range(0)
+    if interior:
+        # blocks of rows bound the window copy np.partition makes
+        for lo in range(0, data.shape[0], _BLOCK_ROWS):
+            block = data[lo : lo + _BLOCK_ROWS]
+            windows = np.lib.stride_tricks.sliding_window_view(block, l, axis=1)
+            out[lo : lo + _BLOCK_ROWS, interior.start : interior.stop] = _window_median(windows)
+    for i in range(n):
+        if i not in interior:
+            out[:, i] = _window_median(data[:, max(0, i - left) : min(n, i + right + 1)])
+    nan = np.isnan(data)
+    if nan.any():
+        seen = np.concatenate([np.zeros((data.shape[0], 1)), np.cumsum(nan, axis=1)], axis=1)
+        cols = np.arange(n)
+        in_window = seen[:, np.minimum(n, cols + right + 1)] - seen[:, np.maximum(0, cols - left)]
+        out[in_window > 0] = np.nan
     return out
 
 

@@ -67,9 +67,10 @@ def _read_chunks(data: bytes):
 def decode_wav(path: str | Path) -> AudioClip:
     """Decode a WAV file into a normalized mono AudioClip.
 
-    Raises AudioFormatError for a malformed container, UnsupportedAudioError
-    for encodings outside PCM 8/16/24-bit int and 32-bit float (1-2 channels),
-    and EmptyAudioError when the data chunk holds no frames.
+    Raises AudioFormatError for a malformed container or a NaN or infinite
+    float sample, UnsupportedAudioError for encodings outside PCM
+    8/16/24-bit int and 32-bit float (1-2 channels), and EmptyAudioError
+    when the data chunk holds no frames.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -118,6 +119,8 @@ def decode_wav(path: str | Path) -> AudioClip:
     elif audio_format == _FORMAT_IEEE_FLOAT and bits == 32:
         usable = len(pcm) - (len(pcm) % 4)
         samples = np.frombuffer(pcm[:usable], dtype="<f4").astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise AudioFormatError(f"{path}: float samples must be finite")
         samples = np.clip(samples, -1.0, 1.0)
     else:
         raise UnsupportedAudioError(

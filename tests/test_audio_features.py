@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from emoforge import audio_features
 from emoforge.audio_features import (
     AUDIO_FEATURE_NAMES,
     FrameConfig,
+    _median_filter_time,
     autocorr_pitch,
     center_clip,
     central_moments,
@@ -108,6 +110,68 @@ def test_median_filter_idempotent_on_monotone_interior():
         left, right = (l - 1) // 2, l // 2
         assert np.array_equal(twice[left : 30 - right], once[left : 30 - right])
         assert np.array_equal(once[left : 30 - right], x[left : 30 - right])
+
+
+def _reference_median_filter_time(magnitudes, l):
+    """The np.median body the selection filter replaced, kept as its oracle."""
+    n = magnitudes.shape[1]
+    if l == 1 or n <= 1:
+        return magnitudes.copy()
+    left = (l - 1) // 2
+    right = l // 2
+    out = np.empty_like(magnitudes)
+    interior_start = left
+    interior_stop = n - right
+    if interior_stop > interior_start and l <= n:
+        windows = np.lib.stride_tricks.sliding_window_view(magnitudes, l, axis=1)
+        out[:, interior_start:interior_stop] = np.median(windows, axis=2)
+    else:
+        interior_start, interior_stop = 0, 0
+    for i in range(0, interior_start):
+        out[:, i] = np.median(magnitudes[:, max(0, i - left) : min(n, i + right + 1)], axis=1)
+    for i in range(max(interior_stop, interior_start), n):
+        out[:, i] = np.median(magnitudes[:, max(0, i - left) : min(n, i + right + 1)], axis=1)
+    return out
+
+
+def _assert_same_filter_output(got, want):
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
+def test_median_filter_2d_matches_np_median_body():
+    rng = np.random.default_rng(5)
+    for case in range(300):
+        rows = int(rng.choice([1, 3, 63, 64, 65, int(rng.integers(100, 200))]))
+        n = int(rng.choice([0, 1, 2, int(rng.integers(3, 90))]))
+        l = int(rng.choice([1, 2, n + 1, n + 2, rng.integers(1, 40), 2 * rng.integers(1, 20)]))
+        if case % 2:
+            x = rng.integers(0, 4, (rows, n)).astype(np.float64)  # many ties
+        else:
+            x = rng.uniform(0.0, 10.0, (rows, n))
+        if case % 5 == 0 and x.size:
+            x[rng.integers(rows), rng.integers(n)] = np.nan
+        for order in ("C", "F"):
+            data = np.asarray(x, order=order)
+            want = _reference_median_filter_time(data, l)
+            _assert_same_filter_output(_median_filter_time(data, l), want)
+
+
+def test_harmonic_feature_matches_np_median_body(monkeypatch):
+    # 4.5 s at 16 kHz is 137 frames of 1025 bins: interior and edge columns,
+    # Fortran-ordered magnitudes, the default l = 31
+    rng = np.random.default_rng(9)
+    t = np.arange(72_000) / 16_000
+    samples = 0.4 * np.sin(2 * np.pi * 180.0 * t) + 0.1 * rng.standard_normal(t.size)
+    clip = clip_of(np.clip(samples, -1.0, 1.0), sr=16_000)
+    config = FrameConfig()
+    assert spectrogram(clip, config).magnitudes.flags.f_contiguous
+    got_mean, got_frames = harmonic_feature(clip, config)
+    monkeypatch.setattr(audio_features, "_median_filter_time", _reference_median_filter_time)
+    want_mean, want_frames = harmonic_feature(clip, config)
+    assert got_mean == want_mean
+    assert np.array_equal(got_frames, want_frames)
 
 
 def test_median_filter_bad_window():

@@ -2,9 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emoforge.audio_features import extract_audio_features
 from emoforge.audio_io import decode_wav, encode_wav
-from emoforge.errors import AudioFormatError, EmptyAudioError, UnsupportedAudioError
+from emoforge.errors import AudioFormatError, DataError, EmptyAudioError, UnsupportedAudioError
 
 
 def _raw_wav(fmt_code, channels, sample_rate, bits, payload):
@@ -103,3 +106,58 @@ def test_float_wav_is_clipped(tmp_path):
     path.write_bytes(_raw_wav(3, 1, 8000, 32, payload))
     clip = decode_wav(path)
     assert np.array_equal(clip.samples, [1.0, -1.0, 0.25])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_float_wav_rejects_non_finite_samples(tmp_path, bad):
+    path = tmp_path / "bad.wav"
+    payload = np.array([0.5, bad, 0.25], dtype="<f4").tobytes()
+    path.write_bytes(_raw_wav(3, 1, 8000, 32, payload))
+    with pytest.raises(AudioFormatError, match="bad.wav"):
+        decode_wav(path)
+
+
+# --- mutated and truncated WAV bytes
+
+_SOURCE = 0.6 * np.sin(np.linspace(0.0, 60.0, 600))
+_BASE_WAVS = {
+    "pcm8": _raw_wav(1, 1, 8000, 8, (np.round(_SOURCE * 127) + 128).astype(np.uint8).tobytes()),
+    "pcm16": _raw_wav(1, 1, 8000, 16, np.round(_SOURCE * 32767).astype("<i2").tobytes()),
+    "pcm24": _raw_wav(
+        1, 1, 8000, 24,
+        b"".join(int(v).to_bytes(3, "little", signed=True) for v in np.round(_SOURCE * 8388607)),
+    ),
+    "float32": _raw_wav(3, 1, 8000, 32, _SOURCE.astype("<f4").tobytes()),
+}
+
+
+@st.composite
+def _mutated_wav(draw):
+    data = bytearray(_BASE_WAVS[draw(st.sampled_from(sorted(_BASE_WAVS)))])
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            # half the byte edits land in the 44-byte header, where one byte decides the most
+            pos = draw(st.one_of(st.integers(0, 43), st.integers(0, len(data) - 1)))
+            data[pos] = draw(st.integers(0, 255))
+        else:
+            # an aligned float32 word: drawn floats favour NaN, infinities and extremes
+            pos = 4 * draw(st.integers(0, len(data) // 4 - 1))
+            data[pos : pos + 4] = struct.pack("<f", draw(st.floats(width=32)))
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))) :]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "clip.wav"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=_mutated_wav())
+def test_mutated_wav_raises_only_data_errors(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    try:
+        extract_audio_features(decode_wav(fuzz_path))
+    except DataError:
+        pass

@@ -1,9 +1,12 @@
 import json
 import re
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from emoforge.audio_io import encode_wav
 from emoforge.cli import _parse_hp, main
 from emoforge.errors import ConfigError
 from emoforge.persistence import MAGIC
@@ -301,6 +304,20 @@ def test_train_single_model_accepts_own_scope(trained_model, tmp_path):
     ])
     assert code == 0
     assert len(load_bundle(out / "model.emf").members[0].classifier.trees_) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_predict_rejects_non_finite_float_wav(trained_model, tmp_path, capsys, bad):
+    _, out = trained_model
+    wav = tmp_path / "bad.wav"
+    encode_wav(wav, np.zeros(4000), 16000, bits=32, float_format=True)
+    data = bytearray(wav.read_bytes())
+    data[-4:] = struct.pack("<f", bad)
+    wav.write_bytes(bytes(data))
+    code = main(["predict", "--model", str(out / "model.emf"), "--wav", str(wav)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.wav" in err and "Traceback" not in err
 
 
 # --- malformed model containers
