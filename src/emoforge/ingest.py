@@ -108,7 +108,6 @@ class Example:
 class Dataset:
     examples: list[Example]
     class_mode: str = "six"
-    seed: int = 0
 
     def __post_init__(self):
         admissible = set(classes_for_mode(self.class_mode))
@@ -167,7 +166,6 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
 def build_dataset(
     entries: list[ManifestEntry],
     class_mode: str = "six",
-    seed: int = 0,
     decode_audio: bool = True,
 ) -> Dataset:
     """Decode entries into a Dataset, dropping entries whose label maps to None."""
@@ -185,7 +183,7 @@ def build_dataset(
                 source_id=entry.audio_path.stem,
             )
         )
-    return Dataset(examples=examples, class_mode=class_mode, seed=seed)
+    return Dataset(examples=examples, class_mode=class_mode)
 
 
 def class_histogram(dataset: Dataset) -> dict[EmotionLabel, int]:
@@ -217,8 +215,8 @@ def split(
     train = [dataset.examples[i] for i in order[:n_train]]
     test = [dataset.examples[i] for i in order[n_train:]]
     return (
-        Dataset(train, class_mode=dataset.class_mode, seed=seed),
-        Dataset(test, class_mode=dataset.class_mode, seed=seed),
+        Dataset(train, class_mode=dataset.class_mode),
+        Dataset(test, class_mode=dataset.class_mode),
     )
 
 
@@ -285,8 +283,4 @@ def upsample(
         picks = rng.integers(0, len(pool), size=deficit)
         extra.extend(dataset.examples[pool[p]] for p in picks)
 
-    return Dataset(
-        examples=list(dataset.examples) + extra,
-        class_mode=dataset.class_mode,
-        seed=seed,
-    )
+    return Dataset(examples=list(dataset.examples) + extra, class_mode=dataset.class_mode)

@@ -52,7 +52,7 @@ class LstmParams:
         for g in _GATES:
             if self.w[g].shape != (h, d) or self.u[g].shape != (h, h) or self.b[g].shape != (h,):
                 raise ParameterError("gate parameter shapes do not chain")
-        if self.w_out.shape[1] != h or self.b_out.shape != (self.w_out.shape[0],):
+        if self.w_out.shape[1:] != (h,) or self.b_out.shape != self.w_out.shape[:1]:
             raise ParameterError("projection shape does not chain")
         self._restack()
 

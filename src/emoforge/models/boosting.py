@@ -46,9 +46,9 @@ class GradientBoosting(ProbabilisticClassifier):
         targets = one_hot(y, self.n_classes)
         logits = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
         self.trees_ = []
-        self.train_loss_history_ = [log_loss(softmax(logits), y)]
+        proba = softmax(logits)  # each round's probabilities serve its loss and the next residuals
+        self.train_loss_history_ = [log_loss(proba, y)]
         for _ in range(self.n_rounds):
-            proba = softmax(logits)
             round_trees = []
             for c in range(self.n_classes):
                 residual = targets[:, c] - proba[:, c]
@@ -62,7 +62,8 @@ class GradientBoosting(ProbabilisticClassifier):
                 round_trees.append(tree)
                 logits[:, c] += self.learning_rate * tree.apply(X)[:, 0]
             self.trees_.append(round_trees)
-            self.train_loss_history_.append(log_loss(softmax(logits), y))
+            proba = softmax(logits)
+            self.train_loss_history_.append(log_loss(proba, y))
         return self
 
     def decision_function(self, X) -> np.ndarray:
@@ -89,6 +90,6 @@ class GradientBoosting(ProbabilisticClassifier):
         return pack_trees([t for round_trees in self.trees_ for t in round_trees])
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        flat = unpack_trees(arrays)
+        flat = unpack_trees(arrays, 1)
         c = self.n_classes
         self.trees_ = [flat[i : i + c] for i in range(0, len(flat), c)]

@@ -98,4 +98,4 @@ class RandomForest(ProbabilisticClassifier):
         return pack_trees(self.trees_)
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.trees_ = unpack_trees(arrays)
+        self.trees_ = unpack_trees(arrays, self.n_classes)

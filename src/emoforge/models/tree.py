@@ -59,13 +59,6 @@ class TreeNodes:
         return self.value[idx]
 
 
-def _gini(counts: np.ndarray, total: float) -> float:
-    if total <= 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.dot(p, p))
-
-
 def _best_splits(
     X: np.ndarray, idx: np.ndarray, candidates: np.ndarray, yn: np.ndarray, task: str,
     min_samples_leaf: int, parent: float,
@@ -134,92 +127,57 @@ def grow_tree(
     n_samples, n_features = X.shape
     depth_cap = np.inf if max_depth is None else max_depth
     if task == "classification":
-        y = np.asarray(y, dtype=np.int64)
-        y_hot = one_hot(y, n_classes)
-        value_dim = n_classes
+        targets = one_hot(np.asarray(y, dtype=np.int64), n_classes)
     elif task == "regression":
-        y = np.asarray(y, dtype=np.float64)
-        y_hot = None
-        value_dim = 1
+        targets = np.asarray(y, dtype=np.float64)
     else:
         raise ParameterError(f"unknown tree task {task!r}")
     if max_features is not None and rng is None:
         raise ParameterError("feature subsampling requires an rng")
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[np.ndarray] = []
+    feature, threshold, left, right, value = [], [], [], [], []
     importances = np.zeros(n_features, dtype=np.float64)
 
-    def node_value(idx: np.ndarray) -> np.ndarray:
-        if task == "classification":
-            counts = y_hot[idx].sum(axis=0)
-            return counts / counts.sum()
-        return np.array([y[idx].mean()])
-
-    def node_impurity(idx: np.ndarray) -> float:
-        if task == "classification":
-            return _gini(y_hot[idx].sum(axis=0), float(idx.size))
-        return float(np.var(y[idx]))
-
-    # stack of (sample indices, depth, parent node id, is_left_child)
-    stack: list[tuple[np.ndarray, int, int, bool]] = [
-        (np.arange(n_samples), 0, -1, False)
-    ]
+    stack = [(np.arange(n_samples), 0, -1, False)]  # (rows, depth, parent id, is left child)
     while stack:
         idx, depth, parent, is_left = stack.pop()
         node_id = len(feature)
         if parent >= 0:
-            if is_left:
-                left[parent] = node_id
-            else:
-                right[parent] = node_id
+            (left if is_left else right)[parent] = node_id
 
-        impurity = node_impurity(idx)
-        splittable = (
-            idx.size >= 2 * min_samples_leaf
-            and depth < depth_cap
-            and impurity > 0.0
-        )
-        best_feat = _NO_FEATURE
-        if splittable:
+        yn = targets[idx]  # the node's one-hot rows or residuals, gathered once
+        mean = np.atleast_1d(yn.mean(axis=0))  # class distribution or target mean
+        if task == "classification":
+            impurity = 1.0 - float(np.dot(mean, mean))  # Gini
+        else:
+            impurity = float(np.var(yn))
+        best_gain, best_thr, best_feat = 0.0, 0.0, _NO_FEATURE
+        if idx.size >= 2 * min_samples_leaf and depth < depth_cap and impurity > 0.0:
             if max_features is not None and max_features < n_features:
                 candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
             else:
                 candidates = np.arange(n_features)
-            yn = y_hot[idx] if task == "classification" else y[idx]
             best_gain, best_thr, best_feat = _best_splits(
                 X, idx, candidates, yn, task, min_samples_leaf, impurity
             )
 
-        if best_feat == _NO_FEATURE:
-            feature.append(_NO_FEATURE)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(node_value(idx))
-            continue
-
-        importances[best_feat] += (idx.size / n_samples) * best_gain
         feature.append(best_feat)
         threshold.append(best_thr)
         left.append(-1)
         right.append(-1)
-        value.append(node_value(idx))
+        value.append(mean)
+        if best_feat == _NO_FEATURE:
+            continue
+        importances[best_feat] += (idx.size / n_samples) * best_gain
         mask = X[idx, best_feat] <= best_thr
         # push right first so the left child is processed (and numbered) next
         stack.append((idx[~mask], depth + 1, node_id, False))
         stack.append((idx[mask], depth + 1, node_id, True))
 
     return TreeNodes(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.vstack(value),
-        importances=importances,
+        np.asarray(feature, dtype=np.int64), np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+        np.vstack(value), importances,
     )
 
 
@@ -237,19 +195,34 @@ def pack_trees(trees: list[TreeNodes]) -> dict[str, np.ndarray]:
     }
 
 
-def unpack_trees(arrays: dict[str, np.ndarray]) -> list[TreeNodes]:
-    offsets = arrays["offsets"]
-    trees = []
-    for i in range(offsets.size - 1):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        trees.append(
-            TreeNodes(
-                feature=arrays["feature"][lo:hi],
-                threshold=arrays["threshold"][lo:hi],
-                left=arrays["left"][lo:hi],
-                right=arrays["right"][lo:hi],
-                value=arrays["value"][lo:hi],
-                importances=arrays["importances"][i],
-            )
-        )
-    return trees
+def unpack_trees(arrays: dict[str, np.ndarray], width: int) -> list[TreeNodes]:
+    """Split packed arrays into trees; raise ValueError unless each is a tree
+    that ``TreeNodes.apply`` walks to an end.
+
+    Tree t holds nodes ``offsets[t]:offsets[t + 1]`` (at least one), each
+    with a ``width``-entry value, and counts its child indices from its own
+    first node. A leaf has feature -1 and children -1/-1. Any other node
+    splits on a column of ``importances`` and has both children inside its
+    own tree after itself, so every step of a walk moves forward and every
+    walk ends at a leaf."""
+    offsets, feature, left, right = (arrays[k] for k in ("offsets", "feature", "left", "right"))
+    threshold, value, importances = arrays["threshold"], arrays["value"], arrays["importances"]
+    if any(a.ndim != 1 or a.dtype.kind != "i" for a in (offsets, feature, left, right)):
+        raise ValueError("tree offsets, features and children must be 1-D integer arrays")
+    n, sizes = feature.size, np.diff(offsets)
+    if (offsets[:1].tolist() != [0] or offsets[-1] != n or (sizes < 1).any()
+            or not threshold.shape == left.shape == right.shape == (n,)
+            or value.shape != (n, width) or importances.shape[:-1] != sizes.shape):
+        raise ValueError("tree arrays disagree with their offsets")
+    local = np.arange(n) - np.repeat(offsets[:-1], sizes)
+    size = np.repeat(sizes, sizes)
+    inner = (feature >= 0) & (feature < importances.shape[-1])
+    inner &= (local < left) & (left < size) & (local < right) & (right < size)
+    leaf = (feature == _NO_FEATURE) & (left == -1) & (right == -1)
+    if not (inner | leaf).all():
+        raise ValueError("a tree node has a feature or child out of range")
+    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    return [
+        TreeNodes(feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi], value[lo:hi], imp)
+        for (lo, hi), imp in zip(bounds, importances)
+    ]

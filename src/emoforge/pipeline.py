@@ -395,7 +395,7 @@ def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
 _HEADER_KEYS = {
     "model_kind": str, "setting": str, "class_mode": str, "seed": int, "feature_dim": int,
     "hyperparameters": dict, "combination": str, "members": list, "vocab": (dict, type(None)),
-    "frame_length": int, "hop_length": int, "l_harm": int, "input_mode": str,
+    "frame_length": int, "hop_length": int, "l_harm": int, "input_mode": str, "class_names": list,
 }
 _MEMBER_KEYS = {"kind": str, "meta": dict, "scaler": (dict, type(None))}
 _VOCAB_KEYS = {"terms": list, "dfs": list, "n_documents": int}
@@ -418,16 +418,41 @@ def _under(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
 
 def load_bundle(path: str | Path) -> ModelBundle:
     """Rebuild a bundle from a container; a malformed or self-contradicting
-    header raises DataError and an unknown model or member kind ModelError."""
+    header raises DataError and an unknown model or member kind ModelError.
+
+    Every member must have the bundle's class count. Each member that is not
+    a tree model must also map a batch of ``feature_dim`` columns to one
+    probability per class, checked on zero rows (one for the lstm, which
+    takes no empty batch); tree arrays are checked as they are unpacked.
+    """
     header, arrays = load_container(path)
     _require(path, "header", header, _HEADER_KEYS)
-    kind = header["model_kind"]
+    kind, setting, feature_dim = header["model_kind"], header["setting"], header["feature_dim"]
     if kind not in MODEL_KINDS:
         raise ModelError(f"{path}: header names unknown model kind {kind!r}")
     if not header["members"]:
         raise DataError(f"{path}: header lists no members")
-    if header["setting"] not in SETTINGS:
-        raise DataError(f"{path}: header names unknown setting {header['setting']!r}")
+    if setting not in SETTINGS:
+        raise DataError(f"{path}: header names unknown setting {setting!r}")
+    try:
+        class_names = [label.value for label in classes_for_mode(header["class_mode"])]
+        vocab = None
+        if header["vocab"] is not None:
+            _require(path, "vocab", header["vocab"], _VOCAB_KEYS)
+            terms, dfs = header["vocab"]["terms"], header["vocab"]["dfs"]
+            if not all(type(t) is str for t in terms) or not all(type(d) is int for d in dfs):
+                raise DataError(f"{path}: vocab terms must be strings and dfs integers")
+            vocab = Vocabulary(tuple(terms), tuple(dfs), header["vocab"]["n_documents"])
+    except ParameterError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    if header["class_names"] != class_names:
+        raise DataError(f"{path}: class names do not match class mode {header['class_mode']!r}")
+    if (vocab is None) != (setting == "audio_only"):
+        need = "needs a" if vocab is None else "takes no"
+        raise DataError(f"{path}: setting {setting!r} {need} vocabulary")
+    if not 0 <= feature_dim <= max((a.size for a in arrays.values()), default=0):
+        # every model keeps an array with a cell per input column; this bounds the probe below
+        raise DataError(f"{path}: feature_dim {feature_dim} is larger than any array")
     members = []
     for i, mm in enumerate(header["members"]):
         where = f"member {i}"
@@ -440,32 +465,33 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 f"{path}: {where} meta keys {sorted(mm['meta'])} are not the {mm['kind']} "
                 f"parameters {sorted(cls.state_keys())}"
             )
+        n_classes = mm["meta"]["n_classes"]
+        if type(n_classes) is not int or n_classes != len(class_names):
+            raise DataError(f"{path}: {where} has {n_classes!r} classes, not {len(class_names)}")
         try:
-            clf = cls.from_state(mm["meta"], _under(arrays, f"m{i}/"))
-            scaler = None
+            member = _Member(mm["kind"], cls.from_state(mm["meta"], _under(arrays, f"m{i}/")))
             if mm["scaler"] is not None:
                 scaler = ColumnScaler.from_state(mm["scaler"], _under(arrays, f"m{i}/scaler/"))
+                member.scaler, block = scaler, scaler.block
+                if {scaler.center_.shape, scaler.scale_.shape} != {(block,)} or block > feature_dim:
+                    raise ValueError(f"scaler arrays do not fit {block} of {feature_dim} columns")
+            if mm["kind"] not in _TREE_KINDS:
+                rows = int(mm["kind"] == "lstm")
+                if member.predict_proba(np.zeros((rows, feature_dim))).shape != (rows, n_classes):
+                    raise ValueError("arrays do not map feature_dim columns to the classes")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: {where} state is unusable ({exc!r})") from exc
-        members.append(_Member(kind=mm["kind"], classifier=clf, scaler=scaler))
+        members.append(member)
     member_kinds = [m.kind for m in members]
     if member_kinds != list(ENSEMBLE_MEMBERS.get(kind, (kind,))):
         raise DataError(f"{path}: members {member_kinds} are not those of a {kind} model")
 
-    vocab = None
-    if header["vocab"] is not None:
-        _require(path, "vocab", header["vocab"], _VOCAB_KEYS)
-        vocab = Vocabulary(
-            terms=tuple(header["vocab"]["terms"]),
-            document_frequencies=tuple(header["vocab"]["dfs"]),
-            n_documents=header["vocab"]["n_documents"],
-        )
     bundle = ModelBundle(
         kind=kind,
-        setting=header["setting"],
+        setting=setting,
         class_mode=header["class_mode"],
         seed=header["seed"],
-        feature_dim=header["feature_dim"],
+        feature_dim=feature_dim,
         members=members,
         hyperparams=header["hyperparameters"],
         vocab=vocab,
@@ -661,10 +687,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path
     entries = load_manifest(config.manifest)
     if entries and all(e.split_hint is not None for e in entries):
         train_entries, test_entries = split_by_hint(entries)
-        train_ds = build_dataset(train_entries, config.class_mode, config.seed)
-        test_ds = build_dataset(test_entries, config.class_mode, config.seed)
+        train_ds = build_dataset(train_entries, config.class_mode)
+        test_ds = build_dataset(test_entries, config.class_mode)
     else:
-        dataset = build_dataset(entries, config.class_mode, config.seed)
+        dataset = build_dataset(entries, config.class_mode)
         train_ds, test_ds = split(
             dataset, config.train_fraction, config.seed + SEED_OFFSET_SPLIT
         )

@@ -43,9 +43,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def index(self, term: str) -> int | None:
-        return self._index_map().get(term)
-
     def _index_map(self) -> dict[str, int]:
         cached = getattr(self, "_cached_index", None)
         if cached is None:

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import re
+import signal
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emoforge.audio_io import encode_wav
 from emoforge.cli import _parse_hp, main
@@ -323,11 +329,21 @@ def test_predict_rejects_non_finite_float_wav(trained_model, tmp_path, capsys, b
 # --- malformed model containers
 
 
-def _corrupt_first_entry(model: Path, edit) -> bytes:
+def _split_model(model: Path) -> tuple[dict, list, bytearray]:
+    """A container as its (header, array manifest, array bytes)."""
     head, manifest_line, blob = model.read_bytes()[len(MAGIC):].split(b"\n", 2)
-    entries = json.loads(manifest_line)
+    return json.loads(head), json.loads(manifest_line), bytearray(blob)
+
+
+def _join_model(header: dict, entries: list, blob: bytes) -> bytes:
+    return (MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n"
+            + json.dumps(entries).encode() + b"\n" + bytes(blob))
+
+
+def _corrupt_first_entry(model: Path, edit) -> bytes:
+    header, entries, blob = _split_model(model)
     edit(entries[0])
-    return MAGIC + head + b"\n" + json.dumps(entries).encode() + b"\n" + blob
+    return _join_model(header, entries, blob)
 
 
 @pytest.mark.parametrize("edit", [
@@ -355,10 +371,9 @@ def test_evaluate_rejects_malformed_array_manifest(trained_model, tmp_path, caps
 
 
 def _edit_header(model: Path, edit) -> bytes:
-    head, rest = model.read_bytes()[len(MAGIC):].split(b"\n", 1)
-    header = json.loads(head)
+    header, entries, blob = _split_model(model)
     edit(header)
-    return MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + rest
+    return _join_model(header, entries, blob)
 
 
 @pytest.mark.parametrize("edit, expected, model", [
@@ -382,12 +397,18 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h.update(model_kind="e1"), 3, "rf"),
     (lambda h: h.update(model_kind="lstm"), 3, "rf"),
     (lambda h: h.update(input_mode="frames"), 3, "rf"),
+    (lambda h: h["vocab"]["dfs"].__setitem__(0, "1"), 3, "e2"),
+    (lambda h: h.update(vocab=None), 3, "e2"),
+    (lambda h: h["members"][2]["scaler"].update(block=2), 3, "e2"),
+    (lambda h: h["members"][0]["meta"].update(n_classes=4), 3, "e2"),
+    (lambda h: h["class_names"].reverse(), 3, "e2"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
         "e2-input-mode-sideways", "e2-model-kind-bogus", "e2-members-truncated",
         "rf-combination-soft-vote", "rf-model-kind-e1", "rf-model-kind-lstm",
-        "rf-input-mode-frames"])
+        "rf-input-mode-frames", "e2-vocab-df-str", "e2-vocab-null", "e2-scaler-block-short",
+        "e2-member-n-classes", "e2-class-names-edited"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model
@@ -401,3 +422,133 @@ def test_predict_rejects_malformed_header(request, trained_model, tmp_path, caps
     assert code == expected
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _array_at(entries: list, name: str) -> tuple[dict, int]:
+    """The manifest entry of array ``name`` and the offset of its bytes."""
+    offset = 0
+    for entry in entries:
+        if entry["name"] == name:
+            return entry, offset
+        offset += 8 * math.prod(entry["shape"])
+    raise KeyError(name)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Fail instead of hanging: raise TimeoutError after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _predict_code(model: Path, manifest: Path) -> tuple[int, str]:
+    """(exit code, stderr) of ``emoforge predict`` on the manifest's first row."""
+    row = json.loads(manifest.read_text().splitlines()[0])
+    err = io.StringIO()
+    with _time_limit(10), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["predict", "--model", str(model), "--wav", str(manifest.parent / row["audio"]),
+                     "--text", row["text"]])
+    return code, err.getvalue()
+
+
+def _f8_left(entries, blob):
+    _array_at(entries, "m0/left")[0]["dtype"] = "f8"
+
+
+def _root_left_is_itself(entries, blob):
+    _, offset = _array_at(entries, "m0/left")
+    blob[offset : offset + 8] = struct.pack("<q", 0)
+
+
+@pytest.mark.parametrize("edit", [_f8_left, _root_left_is_itself], ids=["f8-left", "self-child"])
+def test_predict_rejects_unwalkable_trees(trained_model, e2_model, tmp_path, edit):
+    manifest, _ = trained_model
+    header, entries, blob = _split_model(e2_model / "model.emf")
+    edit(entries, blob)
+    path = tmp_path / "model.emf"
+    path.write_bytes(_join_model(header, entries, blob))
+    code, err = _predict_code(path, manifest)
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def lstm_model(trained_model):
+    manifest, out = trained_model
+    out = out.parent / "lstm"
+    code = main([
+        "train", "--manifest", str(manifest), "--model", "lstm", "--setting", "audio_only",
+        "--seed", "1", "--out", str(out), "--hp", "input_mode=frames", "--hp", "hidden_size=3",
+        "--hp", "epochs=2",
+    ])
+    assert code == 0
+    return out
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.sampled_from([0.5, 2.0, "", "x", [], {}]),
+)
+
+
+def _shapes(size: int) -> list[list[int]]:
+    """Shapes of ``size`` elements: flat, with a unit axis, or split in two."""
+    pairs = [[d, size // d] for d in range(2, min(size, 64)) if size % d == 0]
+    return [[size], [1, size], [size, 1], *pairs] + ([[]] if size == 1 else [])
+
+
+def _edit_model(data, header: dict, entries: list, blob: bytearray) -> None:
+    """Draw one to three edits and apply them in place: a header value
+    replaced or deleted, an array's dtype flipped between f8 and i8, an array
+    reshaped, or a tree child index rewritten."""
+    children = [e["name"] for e in entries if e["name"].endswith(("/left", "/right"))]
+    edits = ["header", "dtype", "reshape"] + (["child"] if children else [])
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        edit = data.draw(st.sampled_from(edits), label="edit")
+        if edit == "header":
+            parent, key, node = None, None, header
+            while isinstance(node, (dict, list)) and node and (
+                    key is None or data.draw(st.booleans(), label="descend")):
+                keys = sorted(node) if isinstance(node, dict) else range(len(node))
+                parent, key = node, data.draw(st.sampled_from(keys), label="key")
+                node = node[key]
+            if data.draw(st.booleans(), label="delete"):
+                del parent[key]
+            else:
+                parent[key] = data.draw(_JSON_VALUES, label="value")
+        elif edit == "dtype":
+            entry = data.draw(st.sampled_from(entries), label="array")
+            entry["dtype"] = {"f8": "i8", "i8": "f8"}[entry["dtype"]]
+        elif edit == "reshape":
+            entry = data.draw(st.sampled_from(entries), label="array")
+            entry["shape"] = data.draw(st.sampled_from(_shapes(math.prod(entry["shape"]))),
+                                       label="shape")
+        else:
+            entry, offset = _array_at(entries, data.draw(st.sampled_from(children), label="array"))
+            size = math.prod(entry["shape"])
+            if size:
+                at = offset + 8 * data.draw(st.integers(0, size - 1), label="node")
+                blob[at : at + 8] = struct.pack("<q", data.draw(st.integers(-2, 40), label="child"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_edited_model_file_exits_cleanly(trained_model, e2_model, lstm_model, tmp_path, data):
+    manifest, _ = trained_model
+    source = data.draw(st.sampled_from([e2_model, lstm_model]), label="model")
+    header, entries, blob = _split_model(source / "model.emf")
+    _edit_model(data, header, entries, blob)
+    path = tmp_path / "edited.emf"
+    path.write_bytes(_join_model(header, entries, blob))
+    code, err = _predict_code(path, manifest)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

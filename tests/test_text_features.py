@@ -69,7 +69,7 @@ def test_tfidf_oov_only_doc_is_zero():
 def test_tfidf_term_in_every_document_is_zero():
     vocab = fit_vocabulary([["the", "a"], ["the", "b"], ["the", "c"]])
     vec = tfidf_transform(["the"] * 50, vocab)
-    assert vec[vocab.index("the")] == 0.0
+    assert vec[vocab.terms.index("the")] == 0.0
 
 
 def test_tfidf_linear_in_term_frequency():
@@ -89,7 +89,7 @@ def test_tfidf_nonnegative_and_zero_iff():
     idf = vocab.idf()
     for i, doc in enumerate(corpus):
         for term in set(doc):
-            j = vocab.index(term)
+            j = vocab.terms.index(term)
             if vocab.document_frequencies[j] < vocab.n_documents:
                 assert matrix[i, j] > 0
             else:
