@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .base import ProbabilisticClassifier, check_training_labels, log_loss, one_hot, softmax
-from .tree import TreeNodes, grow_tree, pack_trees, unpack_trees
+from .tree import TreeNodes, grow_tree, leaf_values, pack_trees, sum_leaf_values, unpack_trees
 
 
 class GradientBoosting(ProbabilisticClassifier):
@@ -36,7 +36,8 @@ class GradientBoosting(ProbabilisticClassifier):
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
         self.n_classes = n_classes
-        self.trees_: list[list[TreeNodes]] = []  # [round][class]
+        self.packed_: dict[str, np.ndarray] | None = None  # the trees, as pack_trees writes them
+        self.trees_: list[list[TreeNodes]] = []  # [round][class] views into packed_
         self.train_loss_history_: list[float] = []
 
     def fit(self, X, y):
@@ -45,11 +46,10 @@ class GradientBoosting(ProbabilisticClassifier):
         self.n_classes = check_training_labels(y, self.n_classes)
         targets = one_hot(y, self.n_classes)
         logits = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
-        self.trees_ = []
+        trees = []
         proba = softmax(logits)  # each round's probabilities serve its loss and the next residuals
         self.train_loss_history_ = [log_loss(proba, y)]
         for _ in range(self.n_rounds):
-            round_trees = []
             for c in range(self.n_classes):
                 residual = targets[:, c] - proba[:, c]
                 tree = grow_tree(
@@ -59,20 +59,17 @@ class GradientBoosting(ProbabilisticClassifier):
                     max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
                 )
-                round_trees.append(tree)
-                logits[:, c] += self.learning_rate * tree.apply(X)[:, 0]
-            self.trees_.append(round_trees)
+                trees.append(tree)
+                logits[:, c] += self.learning_rate * leaf_values(pack_trees([tree]), X)[:, 0, 0]
             proba = softmax(logits)
             self.train_loss_history_.append(log_loss(proba, y))
+        self._set_arrays(pack_trees(trees))
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        logits = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
-        for round_trees in self.trees_:
-            for c, tree in enumerate(round_trees):
-                logits[:, c] += self.learning_rate * tree.apply(X)[:, 0]
-        return logits
+        if self.packed_ is None:  # no rounds yet: the uniform prior
+            return np.zeros((np.shape(X)[0], self.n_classes), dtype=np.float64)
+        return sum_leaf_values(self.packed_, X, self.n_classes, self.learning_rate)
 
     def predict_proba(self, X):
         if self.n_classes is None:
@@ -83,13 +80,15 @@ class GradientBoosting(ProbabilisticClassifier):
     def feature_importances_(self) -> np.ndarray:
         if not self.trees_:
             raise ParameterError("model is not fitted")
-        flat = [t for round_trees in self.trees_ for t in round_trees]
-        return np.sum([t.importances for t in flat], axis=0)
+        return np.sum(self.packed_["importances"], axis=0)
 
     def _arrays(self) -> dict[str, np.ndarray]:
-        return pack_trees([t for round_trees in self.trees_ for t in round_trees])
+        return self.packed_
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         flat = unpack_trees(arrays, 1)
         c = self.n_classes
+        if len(flat) % c:
+            raise ValueError(f"{len(flat)} trees do not fill rounds of {c} classes")
+        self.packed_ = arrays
         self.trees_ = [flat[i : i + c] for i in range(0, len(flat), c)]

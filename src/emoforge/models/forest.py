@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .base import ProbabilisticClassifier, check_training_labels
-from .tree import TreeNodes, grow_tree, pack_trees, unpack_trees
+from .tree import TreeNodes, grow_tree, pack_trees, sum_leaf_values, unpack_trees
 
 
 class RandomForest(ProbabilisticClassifier):
@@ -42,7 +42,8 @@ class RandomForest(ProbabilisticClassifier):
         self.bootstrap = bootstrap
         self.max_features = max_features
         self.n_classes = n_classes
-        self.trees_: list[TreeNodes] = []
+        self.packed_: dict[str, np.ndarray] | None = None  # the trees, as pack_trees writes them
+        self.trees_: list[TreeNodes] = []  # per-tree views into packed_
 
     def _resolve_max_features(self, n_features: int) -> int | None:
         if self.max_features == "sqrt":
@@ -57,7 +58,7 @@ class RandomForest(ProbabilisticClassifier):
         self.n_classes = check_training_labels(y, self.n_classes)
         n = X.shape[0]
         max_features = self._resolve_max_features(X.shape[1])
-        self.trees_ = []
+        trees = []
         for t in range(self.n_trees):
             rng = np.random.default_rng(self.seed + t)
             if self.bootstrap:
@@ -65,7 +66,7 @@ class RandomForest(ProbabilisticClassifier):
                 Xs, ys = X[sample], y[sample]
             else:
                 Xs, ys = X, y
-            self.trees_.append(
+            trees.append(
                 grow_tree(
                     Xs,
                     ys,
@@ -77,25 +78,25 @@ class RandomForest(ProbabilisticClassifier):
                     rng=rng,
                 )
             )
+        self._set_arrays(pack_trees(trees))
         return self
 
     def predict_proba(self, X):
-        if not self.trees_:
+        if self.packed_ is None:
             raise ParameterError("forest is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        total = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
-        for tree in self.trees_:
-            total += tree.apply(X)
-        return total / len(self.trees_)
+        return sum_leaf_values(self.packed_, X, 1, 1.0) / len(self.trees_)
 
     @property
     def feature_importances_(self) -> np.ndarray:
-        if not self.trees_:
+        if self.packed_ is None:
             raise ParameterError("forest is not fitted")
-        return np.sum([t.importances for t in self.trees_], axis=0)
+        return np.sum(self.packed_["importances"], axis=0)
 
     def _arrays(self) -> dict[str, np.ndarray]:
-        return pack_trees(self.trees_)
+        return self.packed_
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.trees_ = unpack_trees(arrays, self.n_classes)
+        trees = unpack_trees(arrays, self.n_classes)
+        if not trees:
+            raise ValueError("a forest needs at least one tree")
+        self.packed_, self.trees_ = arrays, trees

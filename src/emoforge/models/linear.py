@@ -47,6 +47,16 @@ def fit_logistic_link(scores: np.ndarray, targets: np.ndarray, ridge: float = 1e
     return a, b
 
 
+def normalize_sigmoids(s: np.ndarray) -> np.ndarray:
+    """Scale each row of per-class sigmoids to sum to one; a row whose
+    sigmoids all underflow to zero (every logit below about -745) becomes
+    uniform."""
+    total = s.sum(axis=1, keepdims=True)
+    out = s / np.where(total > 0.0, total, 1.0)
+    out[total[:, 0] <= 0.0] = 1.0 / s.shape[1]
+    return out
+
+
 class LinearSVM(ProbabilisticClassifier):
     """L2-regularized hinge loss, one binary machine per class, trained by
     seeded stochastic subgradient descent with a 1/(reg*(t0+t)) step size."""
@@ -127,11 +137,7 @@ class LinearSVM(ProbabilisticClassifier):
         scores = self.decision_function(X)
         if self.link_ is None:
             raise ParameterError("probability link is not fitted")
-        s = sigmoid(self.link_[:, 0] * scores + self.link_[:, 1])
-        total = s.sum(axis=1, keepdims=True)
-        out = s / np.where(total > 0.0, total, 1.0)
-        out[total[:, 0] <= 0.0] = 1.0 / s.shape[1]  # fully saturated underflow
-        return out
+        return normalize_sigmoids(sigmoid(self.link_[:, 0] * scores + self.link_[:, 1]))
 
     def _arrays(self) -> dict[str, np.ndarray]:
         return {"coef": self.coef_, "intercept": self.intercept_, "link": self.link_}
@@ -199,9 +205,7 @@ class LogisticRegression(ProbabilisticClassifier):
         return self
 
     def predict_proba(self, X):
-        s = sigmoid(self.decision_function(X))
-        total = s.sum(axis=1, keepdims=True)
-        return s / total  # sigmoids are strictly positive
+        return normalize_sigmoids(sigmoid(self.decision_function(X)))
 
     def _arrays(self) -> dict[str, np.ndarray]:
         return {"coef": self.coef_, "intercept": self.intercept_}

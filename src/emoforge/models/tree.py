@@ -11,6 +11,19 @@ strictly positive gain. Every sum runs in the order a one-column search
 would use, so trees match it bit for bit: class counts are summed along the
 last axis, and the regression parent variance is taken on a Fortran-ordered
 copy so that each column reduces over contiguous memory.
+
+A model keeps its trees once, in the packed arrays that ``pack_trees``
+writes to a model file, and ``leaf_values`` is the one traversal of them:
+it holds a (rows x trees) matrix of node indices and moves every entry one
+level per pass, to the left child where the row's value is <= the
+threshold and to the right child otherwise (NaN included), so the loop runs
+once per level instead of once per tree and level. It relies on the
+invariant that ``unpack_trees`` checks on every set of arrays a model
+takes: each split node's children lie inside its own tree after itself, so
+every walk moves forward and ends at a leaf. ``sum_leaf_values`` adds the
+leaf values up over the trees with ``np.cumsum``, which adds strictly in
+tree order (``np.sum`` may add pairwise), and adds that sum to zeros: it
+therefore rounds exactly like a loop of ``total += value`` from zero.
 """
 
 from __future__ import annotations
@@ -26,12 +39,15 @@ _NO_FEATURE = -1
 # Upper bound on the elements of one (rows x columns x classes) block that the
 # split search gathers and scores at once; nodes with more candidate columns
 # are scored in column blocks, so a wide TFIDF matrix is never copied whole.
+# The traversal likewise walks rows in blocks of at most this many
+# (row, tree, value) leaf entries.
 _BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
 class TreeNodes:
-    """Flat tree storage; feature == -1 marks a leaf."""
+    """One tree's flat node arrays (in a fitted model, views into its packed
+    arrays); feature == -1 marks a leaf."""
 
     feature: np.ndarray  # (n_nodes,) int64
     threshold: np.ndarray  # (n_nodes,) float64
@@ -43,20 +59,6 @@ class TreeNodes:
     @property
     def n_nodes(self) -> int:
         return int(self.feature.size)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Route every row to its leaf value, shape (N, value_dim)."""
-        X = np.asarray(X, dtype=np.float64)
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feats = self.feature[idx]
-            active = feats != _NO_FEATURE
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            go_left = X[rows, feats[rows]] <= self.threshold[idx[rows]]
-            idx[rows] = np.where(go_left, self.left[idx[rows]], self.right[idx[rows]])
-        return self.value[idx]
 
 
 def _best_splits(
@@ -196,8 +198,8 @@ def pack_trees(trees: list[TreeNodes]) -> dict[str, np.ndarray]:
 
 
 def unpack_trees(arrays: dict[str, np.ndarray], width: int) -> list[TreeNodes]:
-    """Split packed arrays into trees; raise ValueError unless each is a tree
-    that ``TreeNodes.apply`` walks to an end.
+    """Split packed arrays into per-tree views; raise ValueError unless each
+    is a tree that ``leaf_values`` walks to an end.
 
     Tree t holds nodes ``offsets[t]:offsets[t + 1]`` (at least one), each
     with a ``width``-entry value, and counts its child indices from its own
@@ -226,3 +228,43 @@ def unpack_trees(arrays: dict[str, np.ndarray], width: int) -> list[TreeNodes]:
         TreeNodes(feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi], value[lo:hi], imp)
         for (lo, hi), imp in zip(bounds, importances)
     ]
+
+
+def leaf_values(arrays: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
+    """The value of the leaf that each packed tree routes each row of X to,
+    shape (rows, trees, value_dim). ``arrays`` must have passed
+    ``unpack_trees``."""
+    offsets, feature, threshold = arrays["offsets"], arrays["feature"], arrays["threshold"]
+    left, right = arrays["left"], arrays["right"]
+    roots = offsets[:-1]
+    node = np.repeat(roots[None, :], X.shape[0], axis=0)  # (rows, trees) global node ids
+    rows = np.arange(X.shape[0])[:, None]
+    while True:
+        feat = feature[node]
+        split = feat != _NO_FEATURE
+        if not split.any():
+            return arrays["value"][node]
+        # a leaf's feature -1 reads the last column; the result is discarded
+        go_left = X[rows, feat] <= threshold[node]
+        child = np.where(go_left, left[node], right[node])  # counted from the tree's root
+        node = np.where(split, roots + child, node)
+
+
+def sum_leaf_values(
+    arrays: dict[str, np.ndarray], X: np.ndarray, n_groups: int, scale: float
+) -> np.ndarray:
+    """Per row of X, the sum over rounds of ``scale`` x the leaf value of each
+    group's tree, shape (rows, n_groups x value_dim); tree t is the tree of
+    group t % n_groups in round t // n_groups. No trees sum to zero."""
+    X = np.asarray(X, dtype=np.float64)
+    n_trees, width = arrays["offsets"].size - 1, arrays["value"].shape[1]
+    total = np.zeros((X.shape[0], n_groups * width), dtype=np.float64)
+    if n_trees == 0:
+        return total
+    step = max(1, _BLOCK_ELEMENTS // (n_trees * width))
+    for lo in range(0, X.shape[0], step):
+        leaves = scale * leaf_values(arrays, X[lo : lo + step])
+        rounds = leaves.reshape(leaves.shape[0], -1, n_groups * width)
+        # adding to the zeros makes a -0.0 sum +0.0, as a loop starting at zero would
+        total[lo : lo + step] += np.cumsum(rounds, axis=1)[:, -1]
+    return total

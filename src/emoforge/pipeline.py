@@ -479,7 +479,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 rows = int(mm["kind"] == "lstm")
                 if member.predict_proba(np.zeros((rows, feature_dim))).shape != (rows, n_classes):
                     raise ValueError("arrays do not map feature_dim columns to the classes")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise DataError(f"{path}: {where} state is unusable ({exc!r})") from exc
         members.append(member)
     member_kinds = [m.kind for m in members]

@@ -272,6 +272,20 @@ def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, model, pair)
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("model, pair", [("rf", "n_trees=0"), ("e2", "xgb.learning_rate=2.0")])
+def test_train_rejects_out_of_range_hp(trained_model, tmp_path, capsys, model, pair):
+    # the constructor's ParameterError is a configuration error here, unlike
+    # the same check failing on a member's state in a model file (exit 3)
+    manifest, _ = trained_model
+    code = main([
+        "train", "--manifest", str(manifest), "--model", model, "--setting", "audio_only",
+        "--out", str(tmp_path / "run"), "--hp", pair,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_train_keeps_int_override_of_float_default(trained_model, tmp_path):
     manifest, _ = trained_model
     out = tmp_path / "run"
@@ -402,13 +416,16 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h["members"][2]["scaler"].update(block=2), 3, "e2"),
     (lambda h: h["members"][0]["meta"].update(n_classes=4), 3, "e2"),
     (lambda h: h["class_names"].reverse(), 3, "e2"),
+    (lambda h: h["members"][0]["meta"].update(n_trees=0), 3, "rf"),
+    (lambda h: h["members"][2]["scaler"].update(kind="robust"), 3, "e2"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
         "e2-input-mode-sideways", "e2-model-kind-bogus", "e2-members-truncated",
         "rf-combination-soft-vote", "rf-model-kind-e1", "rf-model-kind-lstm",
         "rf-input-mode-frames", "e2-vocab-df-str", "e2-vocab-null", "e2-scaler-block-short",
-        "e2-member-n-classes", "e2-class-names-edited"])
+        "e2-member-n-classes", "e2-class-names-edited", "rf-n-trees-zero",
+        "e2-scaler-kind-unknown"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model
@@ -492,6 +509,18 @@ def lstm_model(trained_model):
     ])
     assert code == 0
     return out
+
+
+def test_predict_rejects_lstm_gates_that_do_not_chain(trained_model, lstm_model, tmp_path):
+    manifest, _ = trained_model
+    header, entries, blob = _split_model(lstm_model / "model.emf")
+    entry, _ = _array_at(entries, "m0/w_i")
+    entry["shape"] = [1, math.prod(entry["shape"])]
+    path = tmp_path / "model.emf"
+    path.write_bytes(_join_model(header, entries, blob))
+    code, err = _predict_code(path, manifest)
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 _JSON_VALUES = st.one_of(

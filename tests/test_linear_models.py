@@ -3,6 +3,7 @@ import pytest
 
 from emoforge.errors import DegenerateLabelError, ParameterError
 from emoforge.models import LinearSVM, LogisticRegression
+from emoforge.models.base import sigmoid
 from emoforge.persistence import save_container
 
 
@@ -137,3 +138,19 @@ def test_lr_deterministic(tmp_path):
     a = LogisticRegression(epochs=40, seed=3).fit(Xtr, ytr)
     b = LogisticRegression(epochs=40, seed=3).fit(Xtr, ytr)
     assert _bytes(a, tmp_path, "a") == _bytes(b, tmp_path, "b")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cls", [LogisticRegression, LinearSVM])
+def test_saturated_logits_give_uniform_rows(cls):
+    Xtr, ytr, _, _ = separable_blobs(seed=6)
+    model = cls(epochs=5).fit(Xtr, ytr)
+    if cls is LinearSVM:
+        model.link_ = np.tile([1.0, 0.0], (3, 1))
+    model.coef_ = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    model.intercept_ = np.full(3, -2400.0)
+    # row 0: every logit below -745, so every sigmoid underflows to 0
+    proba = model.predict_proba(np.array([[0.0, 0.0], [790.0, 0.0]]))
+    assert np.array_equal(proba[0], np.full(3, 1.0 / 3.0))
+    s = sigmoid(np.array([790.0, 1580.0, 2370.0]) - 2400.0)  # only the last is above -745
+    assert np.array_equal(proba[1], s / s.sum())

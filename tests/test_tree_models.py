@@ -7,6 +7,7 @@ from emoforge.models import tree as tree_module
 from emoforge.models.base import one_hot
 from emoforge.models.tree import grow_tree
 from emoforge.persistence import save_container
+from emoforge.pipeline import load_bundle, save_bundle, train_bundle
 
 
 def make_xor(n_rep=50, seed=0, jitter=0.05):
@@ -360,3 +361,154 @@ def test_grow_tree_column_blocks_match_oracle(task, monkeypatch):
     new = grow_tree(X, y, task=task, n_classes=3)
     old = reference_grow_tree(X, y, task=task, n_classes=3)
     assert_same_tree(new, old)
+
+
+# --- oracle: the per-tree walk that the one traversal of the packed arrays replaced
+
+
+def reference_apply(tree, X):
+    """Route every row of X to its leaf value in one tree, shape (N, value_dim)."""
+    X = np.asarray(X, dtype=np.float64)
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feats = tree.feature[idx]
+        active = feats != -1
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        go_left = X[rows, feats[rows]] <= tree.threshold[idx[rows]]
+        idx[rows] = np.where(go_left, tree.left[idx[rows]], tree.right[idx[rows]])
+    return tree.value[idx]
+
+
+def reference_forest_proba(forest, X):
+    X = np.asarray(X, dtype=np.float64)
+    total = np.zeros((X.shape[0], forest.n_classes), dtype=np.float64)
+    for tree in forest.trees_:
+        total += reference_apply(tree, X)
+    return total / len(forest.trees_)
+
+
+def reference_decision_function(model, X):
+    X = np.asarray(X, dtype=np.float64)
+    logits = np.zeros((X.shape[0], model.n_classes), dtype=np.float64)
+    for round_trees in model.trees_:
+        for c, tree in enumerate(round_trees):
+            logits[:, c] += model.learning_rate * reference_apply(tree, X)[:, 0]
+    return logits
+
+
+def fitted_tree_models(**kwargs):
+    X, y = oracle_problem(7, "classification")
+    rf = RandomForest(n_trees=12, seed=3, **kwargs).fit(X, y)
+    xgb = GradientBoosting(n_rounds=8, seed=3, **kwargs).fit(X, y)
+    return X, rf, xgb
+
+
+def all_trees(model):
+    return model.trees_ if isinstance(model, RandomForest) else sum(model.trees_, [])
+
+
+def walk_rows(X, *models):
+    """X, then X's first row once per split node with that node's feature set
+    exactly to its threshold, then copies of X with NaN in some columns."""
+    rows = [X]
+    for tree in (t for model in models for t in all_trees(model)):
+        for feature, threshold in zip(tree.feature, tree.threshold):
+            if feature >= 0:
+                row = X[:1].copy()
+                row[0, feature] = threshold
+                rows.append(row)
+    with_nan = X[:20].copy()
+    with_nan[:10, 0] = np.nan
+    with_nan[10:, ::2] = np.nan
+    return np.vstack(rows + [with_nan])
+
+
+def assert_walks_match_oracle(X, *models):
+    for model in models:
+        if isinstance(model, RandomForest):
+            got, want = model.predict_proba(X), reference_forest_proba(model, X)
+        else:
+            got, want = model.decision_function(X), reference_decision_function(model, X)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"max_depth": None}, {"min_samples_leaf": 46}],
+                         ids=["default-depth", "deep", "single-leaf"])
+def test_traversal_matches_per_tree_oracle(kwargs):
+    X, rf, xgb = fitted_tree_models(**kwargs)
+    sizes = [t.n_nodes for t in all_trees(rf) + all_trees(xgb)]
+    if "min_samples_leaf" in kwargs:  # more than half the 90 rows: no split is allowed
+        assert max(sizes) == 1
+    else:
+        assert max(sizes) > 7
+    assert_walks_match_oracle(walk_rows(X, rf, xgb), rf, xgb)
+    assert_walks_match_oracle(X[:1], rf, xgb)
+    assert_walks_match_oracle(X[:0], rf, xgb)
+
+
+def test_traversal_on_threshold_goes_left_and_nan_goes_right():
+    X, y = make_xor()
+    tree = plain_tree(max_depth=1).fit(X, y).trees_[0]
+    rows = np.zeros((3, 2))
+    rows[:, tree.feature[0]] = [tree.threshold[0], np.nextafter(tree.threshold[0], np.inf), np.nan]
+    expected = tree.value[[tree.left[0], tree.right[0], tree.right[0]]]
+    assert np.array_equal(tree_module.leaf_values(tree_module.pack_trees([tree]), rows)[:, 0],
+                          expected)
+
+
+def test_traversal_row_blocks_match_oracle(monkeypatch):
+    X, rf, xgb = fitted_tree_models()
+    rows = walk_rows(X, rf, xgb)
+    # blocks of 5 rows for the forest (12 trees x 3 classes) and 7 for boosting (24 trees)
+    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", 12 * 3 * 5)
+    assert_walks_match_oracle(rows, rf, xgb)
+
+
+def test_leaf_sums_add_in_tree_order():
+    # one group of one-value trees whose leaves span 16 decades: a pairwise
+    # sum (np.sum along a contiguous axis) rounds differently from the loop
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 3))
+    trees = [grow_tree(X, rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, size=40),
+                       task="regression", max_depth=2) for _ in range(30)]
+    want = np.zeros((40, 1))
+    for tree in trees:
+        want += 0.3 * reference_apply(tree, X)
+    got = tree_module.sum_leaf_values(tree_module.pack_trees(trees), X, 1, 0.3)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["rf", "xgb"])
+def test_traversal_after_bundle_roundtrip_matches_oracle(tmp_path, kind):
+    X, y = oracle_problem(7, "classification")
+    hp = {"rf": {"n_trees": 12}, "xgb": {"n_rounds": 8}}[kind]
+    bundle = train_bundle(kind, X, y, setting="audio_only", class_mode="six", seed=3,
+                          hyperparams=hp, audio_block=X.shape[1])
+    save_bundle(tmp_path / "model.emf", bundle)
+    fitted = bundle.members[0].classifier
+    loaded = load_bundle(tmp_path / "model.emf").members[0].classifier
+    for name, array in fitted.state()[1].items():
+        assert np.array_equal(loaded.state()[1][name], array)
+        assert loaded.state()[1][name].dtype == array.dtype
+    assert_walks_match_oracle(walk_rows(X, fitted), fitted, loaded)
+
+
+def first_trees(arrays, k):
+    """The packed arrays of the first k trees."""
+    end = arrays["offsets"][k]
+    nodes = {name: arrays[name][:end] for name in ("feature", "threshold", "left", "right", "value")}
+    return {"offsets": arrays["offsets"][: k + 1], "importances": arrays["importances"][:k], **nodes}
+
+
+def test_tree_models_reject_arrays_without_whole_rounds():
+    _, rf, xgb = fitted_tree_models()  # 3 classes
+    meta, arrays = rf.state()
+    with pytest.raises(ValueError):
+        RandomForest.from_state(meta, first_trees(arrays, 0))
+    meta, arrays = xgb.state()
+    with pytest.raises(ValueError):
+        GradientBoosting.from_state(meta, first_trees(arrays, 5))
+    assert len(GradientBoosting.from_state(meta, first_trees(arrays, 6)).trees_) == 2
