@@ -1,8 +1,10 @@
 """RIFF/WAVE decoding and encoding.
 
 Supports the uncompressed subset needed here: PCM integer at 8/16/24 bit,
-IEEE float at 32 bit, mono or stereo. Decoded samples are normalized to
-[-1, 1]; stereo is downmixed by channel mean. Spec: RIFF chunks as in
+IEEE float at 32 bit, mono or stereo, in a plain fmt chunk or in a
+WAVE_FORMAT_EXTENSIBLE (0xFFFE) one whose subformat GUID names PCM or IEEE
+float. Decoded samples are normalized to [-1, 1]; stereo is downmixed by
+channel mean. Spec: RIFF chunks as in
 http://soundfile.sapp.org/doc/WaveFormat/ with the fmt/data chunk walk
 generalized (extra chunks are skipped, odd chunks are padded).
 """
@@ -19,6 +21,10 @@ from .errors import AudioFormatError, EmptyAudioError, ParameterError, Unsupport
 
 _FORMAT_PCM = 1
 _FORMAT_IEEE_FLOAT = 3
+_FORMAT_EXTENSIBLE = 0xFFFE
+# an extensible fmt chunk's subformat GUID is a 32-bit format code followed
+# by these 12 bytes (KSDATAFORMAT_SUBTYPE_PCM is {00000001-0000-0010-8000-00AA00389B71})
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("0000 1000 8000 00aa00389b71")
 
 
 @dataclass(frozen=True)
@@ -64,13 +70,26 @@ def _read_chunks(data: bytes):
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
 
+def _subformat(path: Path, fmt_chunk: bytes) -> int:
+    """The plain format code that an extensible fmt chunk's GUID names."""
+    if len(fmt_chunk) < 40:
+        raise AudioFormatError(f"{path}: extensible fmt chunk too short")
+    guid = fmt_chunk[24:40]
+    (code,) = struct.unpack_from("<I", guid)
+    if guid[4:] != _SUBFORMAT_GUID_TAIL or code not in (_FORMAT_PCM, _FORMAT_IEEE_FLOAT):
+        raise UnsupportedAudioError(f"{path}: extensible subformat {guid.hex()} unsupported")
+    return code
+
+
 def decode_wav(path: str | Path) -> AudioClip:
     """Decode a WAV file into a normalized mono AudioClip.
 
-    Raises AudioFormatError for a malformed container or a NaN or infinite
-    float sample, UnsupportedAudioError for encodings outside PCM
-    8/16/24-bit int and 32-bit float (1-2 channels), and EmptyAudioError
-    when the data chunk holds no frames.
+    A WAVE_FORMAT_EXTENSIBLE file decodes exactly like the plain format its
+    subformat GUID names. Raises AudioFormatError for a malformed container
+    (an extensible fmt chunk shorter than 40 bytes among them) or a NaN or
+    infinite float sample, UnsupportedAudioError for encodings outside PCM
+    8/16/24-bit int and 32-bit float (1-2 channels) or any other subformat,
+    and EmptyAudioError when the data chunk holds no frames.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -84,6 +103,8 @@ def decode_wav(path: str | Path) -> AudioClip:
             if len(payload) < 16:
                 raise AudioFormatError(f"{path}: fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", payload, 0)
+            if fmt[0] == _FORMAT_EXTENSIBLE:
+                fmt = (_subformat(path, payload), *fmt[1:])
         elif cid == b"data":
             pcm = payload
             if fmt is not None:

@@ -1,9 +1,29 @@
-"""Minimal LSTM classifier trained by backpropagation through time.
+"""Minimal LSTM classifier trained by minibatched backpropagation through
+time.
 
 One recurrent cell with logistic-sigmoid input/forget/output gates and tanh
-candidate and output nonlinearities, a softmax projection of the final
-hidden state, inverted dropout on that state during training, gradient-norm
-clipping, and early stopping on a held-out validation slice.
+candidate and output nonlinearities (Hochreiter & Schmidhuber 1997), a
+softmax projection of the final hidden state, inverted dropout on that state
+during training, gradient-norm clipping, and early stopping on a held-out
+validation slice.
+
+Every pass runs a whole batch of sequences through the cell as one
+(batch, hidden) state. The batch is sorted by length (descending, stable)
+and packed time-major, so the sequences still running at step t are a
+prefix of the batch: step t advances only that active prefix, no work is
+spent on padding, and each sequence ends on its own last state. Training,
+validation accuracy and ``predict_proba`` use this one forward pass; a
+single sequence is a batch of one. The backward pass (BPTT, Werbos 1990)
+walks the steps in reverse over the same prefixes and forms the weight
+gradients from the packed rows, dW = sum_t dZ_t^T X_t and
+dU = sum_t dZ_t^T H_{t-1}, as single matmuls.
+
+``fit`` draws a batch's dropout masks before its forward pass, one
+``rng.random(hidden)`` row per sequence in epoch order, which is the random
+stream of the earlier per-sequence trainer. Models are not byte-identical
+to that trainer's: a matmul over a block of rows does not round like one
+matrix-vector product per row, so gradients differ in the last few bits
+(tests/test_lstm.py pins them to a per-sequence oracle).
 """
 
 from __future__ import annotations
@@ -132,18 +152,18 @@ class LstmParams:
             raise ParameterError("parameter vector size mismatch")
 
 
-def _gates(params: LstmParams, h: np.ndarray, c: np.ndarray, x_t: np.ndarray):
-    """One fused gate evaluation; returns (f, i, o, cand, c_t, tanh_c, h_t)."""
+def _gates(params: LstmParams, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One fused gate evaluation for one state or a (rows, hidden) block of
+    states; returns (acts, c_t, tanh_c, h_t), where ``acts`` holds the
+    forget, input and output gates and the candidate side by side."""
     hidden = params.hidden_size
-    z = params._w_stack @ x_t + params._u_stack @ h + params._b_stack
-    gates = sigmoid(z[: 3 * hidden])
-    f = gates[:hidden]
-    i = gates[hidden : 2 * hidden]
-    o = gates[2 * hidden :]
-    cand = np.tanh(z[3 * hidden :])
+    acts = x @ params._w_stack.T + h @ params._u_stack.T + params._b_stack
+    acts[..., : 3 * hidden] = sigmoid(acts[..., : 3 * hidden])
+    np.tanh(acts[..., 3 * hidden :], out=acts[..., 3 * hidden :])
+    f, i, o, cand = (acts[..., k * hidden : (k + 1) * hidden] for k in range(4))
     c_t = f * c + i * cand
     tanh_c = np.tanh(c_t)
-    return f, i, o, cand, c_t, tanh_c, o * tanh_c
+    return acts, c_t, tanh_c, o * tanh_c
 
 
 def lstm_step(params: LstmParams, state: LstmState, x_t: np.ndarray) -> LstmState:
@@ -156,19 +176,73 @@ def lstm_step(params: LstmParams, state: LstmState, x_t: np.ndarray) -> LstmStat
         )
     if state.h.shape != (params.hidden_size,):
         raise ParameterError("state size does not match parameters")
-    _, _, _, _, c_t, _, h_t = _gates(params, state.h, state.c, x_t)
+    _, c_t, _, h_t = _gates(params, x_t, state.h, state.c)
     return LstmState(h=h_t, c=c_t)
 
 
-def _forward_cached(params: LstmParams, xs: np.ndarray):
-    h = np.zeros(params.hidden_size)
-    c = np.zeros(params.hidden_size)
-    caches = []
-    for x_t in xs:
-        f, i, o, cand, c_t, tanh_c, h_t = _gates(params, h, c, x_t)
-        caches.append((x_t, h, c, f, i, o, cand, tanh_c))
+@dataclass
+class _Tape:
+    """What the backward pass reads of a forward pass, one row per
+    (sequence, step) in packed order: step t fills rows bounds[t]:bounds[t+1],
+    one per sequence still running, in length-sorted order."""
+
+    order: np.ndarray  # batch position of each length-sorted sequence
+    bounds: list[int]
+    xs: np.ndarray  # (rows, input) inputs
+    h_prev: np.ndarray  # (rows, hidden) state each step starts from
+    c_prev: np.ndarray  # (rows, hidden)
+    acts: np.ndarray  # (rows, 4*hidden) gates and candidate
+    tanh_c: np.ndarray  # (rows, hidden)
+
+
+def _pack(sequences: list[np.ndarray]) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """(order, bounds, xs): the sequences sorted by length (descending,
+    stable) and packed time-major, step t's inputs in rows
+    bounds[t]:bounds[t+1] of xs."""
+    if not sequences:
+        raise DataError("cannot run an LSTM on an empty batch")
+    lengths = np.array([s.shape[0] for s in sequences], dtype=np.int64)
+    if lengths.min() == 0:
+        raise DataError("cannot run an LSTM on an empty sequence")
+    order = np.argsort(-lengths, kind="stable")
+    padded = np.zeros((int(lengths.max()), len(sequences), sequences[0].shape[1]))
+    for row, j in enumerate(order):
+        padded[: lengths[j], row] = sequences[j]
+    running = lengths[order] > np.arange(padded.shape[0])[:, np.newaxis]
+    bounds = [0, *np.cumsum(running.sum(axis=1)).tolist()]
+    return order, bounds, padded[running]
+
+
+def _forward_cached(
+    params: LstmParams, sequences: list[np.ndarray], cache: bool = False
+) -> tuple[np.ndarray, _Tape | None]:
+    """Final hidden states (batch, hidden) in input order and, with
+    ``cache``, the tape for ``_bptt``. Step t advances only the sequences
+    still running, which are a prefix of the length-sorted batch."""
+    order, bounds, xs = _pack(sequences)
+    hidden = params.hidden_size
+    h = np.zeros((len(sequences), hidden))
+    c = np.zeros_like(h)
+    last = np.empty_like(h)
+    tape = None
+    if cache:
+        rows = xs.shape[0]
+        tape = _Tape(order, bounds, xs, np.empty((rows, hidden)), np.empty((rows, hidden)),
+                     np.empty((rows, 4 * hidden)), np.empty((rows, hidden)))
+    active = [*np.diff(bounds).tolist(), 0]  # sequences running at each step
+    for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        h, c = h[: hi - lo], c[: hi - lo]
+        acts, c_t, tanh_c, h_t = _gates(params, xs[lo:hi], h, c)
+        if tape is not None:
+            tape.h_prev[lo:hi] = h
+            tape.c_prev[lo:hi] = c
+            tape.acts[lo:hi] = acts
+            tape.tanh_c[lo:hi] = tanh_c
         h, c = h_t, c_t
-    return LstmState(h=h, c=c), caches
+        last[active[t + 1] : active[t]] = h[active[t + 1] :]  # sequences that end at t
+    final = np.empty_like(last)
+    final[order] = last
+    return final, tape
 
 
 def lstm_forward(
@@ -183,17 +257,17 @@ def lstm_forward(
     at inference the pass is deterministic.
     """
     xs = np.atleast_2d(np.asarray(sequence, dtype=np.float64))
-    if xs.shape[0] == 0:
-        raise DataError("cannot run an LSTM on an empty sequence")
-    state, _ = _forward_cached(params, xs)
-    h = state.h
+    h, _ = _forward_cached(params, [xs])
     if training and params.dropout_rate > 0.0:
         if rng is None:
             raise ParameterError("training-mode forward pass needs an rng for dropout")
         keep = 1.0 - params.dropout_rate
-        mask = (rng.random(h.size) < keep).astype(np.float64) / keep
-        h = h * mask
-    return softmax((params.w_out @ h + params.b_out)[np.newaxis])[0]
+        h = h * ((rng.random(h.shape) < keep) / keep)
+    return _class_probs(params, h)[0]
+
+
+def _class_probs(params: LstmParams, h: np.ndarray) -> np.ndarray:
+    return softmax(h @ params.w_out.T + params.b_out)
 
 
 def _zero_grads(params: LstmParams) -> LstmParams:
@@ -207,53 +281,67 @@ def _zero_grads(params: LstmParams) -> LstmParams:
     )
 
 
-def _backward(
+def _bptt(
     params: LstmParams,
-    xs: np.ndarray,
-    label: int,
-    grads: LstmParams,
-    dropout_mask: np.ndarray | None = None,
-) -> float:
-    """Accumulate cross-entropy BPTT gradients for one sequence into
-    ``grads``; returns the example loss."""
-    state, caches = _forward_cached(params, xs)
-    h = state.h if dropout_mask is None else state.h * dropout_mask
-    probs = softmax((params.w_out @ h + params.b_out)[np.newaxis])[0]
-    loss = -float(np.log(max(probs[label], 1e-300)))
+    sequences: list[np.ndarray],
+    labels: np.ndarray,
+    dropout_masks: np.ndarray | None = None,
+) -> tuple[float, LstmParams]:
+    """Summed cross-entropy loss of a batch and its BPTT gradients, with an
+    optional (batch, hidden) dropout mask on the final hidden states."""
+    h_last, tape = _forward_cached(params, sequences, cache=True)
+    h = h_last if dropout_masks is None else h_last * dropout_masks
+    probs = _class_probs(params, h)
+    picked = np.arange(len(sequences)), np.asarray(labels, dtype=np.int64)
+    loss = -float(np.sum(np.log(np.maximum(probs[picked], 1e-300))))
 
-    dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    grads.w_out += np.outer(dlogits, h)
-    grads.b_out += dlogits
-    dh = params.w_out.T @ dlogits
-    if dropout_mask is not None:
-        dh = dh * dropout_mask
-    dc_next = np.zeros_like(dh)
+    grads = _zero_grads(params)
+    dlogits = probs
+    dlogits[picked] -= 1.0
+    grads.w_out[...] = dlogits.T @ h
+    grads.b_out[...] = dlogits.sum(axis=0)
+    dh_last = dlogits @ params.w_out
+    if dropout_masks is not None:
+        dh_last *= dropout_masks
+    dh_last = dh_last[tape.order]
 
-    dz = np.empty(4 * params.hidden_size)
+    # dz starts as the factors of the gate gradients that do not depend on
+    # (dh, dc), for every row at once: dz_f = dc*c_prev*f(1-f),
+    # dz_i = dc*cand*i(1-i), dz_o = dh*tanh_c*o(1-o), dz_cand = dc*i(1-cand^2);
+    # and dc gains dh*o(1-tanh_c^2). The sweep turns it into dz step by step.
     hidden = params.hidden_size
-    for x_t, h_prev, c_prev, f, i, o, cand, tanh_c in reversed(caches):
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        dz[:hidden] = dc * c_prev * f * (1.0 - f)
-        dz[hidden : 2 * hidden] = dc * cand * i * (1.0 - i)
-        dz[2 * hidden : 3 * hidden] = do * o * (1.0 - o)
-        dz[3 * hidden :] = dc * i * (1.0 - cand**2)
-        grads._w_stack += np.outer(dz, x_t)
-        grads._u_stack += np.outer(dz, h_prev)
-        grads._b_stack += dz
-        dh = params._u_stack.T @ dz
-        dc_next = dc * f
-    return loss
+    acts = tape.acts
+    f, i, o, cand = (acts[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    dz = 1.0 - acts
+    dz[:, : 3 * hidden] *= acts[:, : 3 * hidden]
+    dz[:, :hidden] *= tape.c_prev
+    dz[:, hidden : 2 * hidden] *= cand
+    dz[:, 2 * hidden : 3 * hidden] *= tape.tanh_c
+    dz[:, 3 * hidden :] *= (1.0 + cand) * i
+    dc_from_dh = o * (1.0 - tape.tanh_c**2)
+
+    dh = dc = np.empty((0, hidden))
+    bounds = tape.bounds
+    for lo, hi in zip(reversed(bounds[:-1]), reversed(bounds[1:])):
+        n, carried = hi - lo, dh.shape[0]
+        if n > carried:  # sequences whose last step this is join the sweep
+            dh = np.concatenate((dh, dh_last[carried:n]))
+            dc = np.concatenate((dc, np.zeros((n - carried, hidden))))
+        dc = dc + dh * dc_from_dh[lo:hi]
+        dz[lo:hi] *= np.concatenate((dc, dc, dh, dc), axis=1)
+        dh = dz[lo:hi] @ params._u_stack
+        dc = dc * f[lo:hi]
+    grads._w_stack[...] = dz.T @ tape.xs
+    grads._u_stack[...] = dz.T @ tape.h_prev
+    grads._b_stack[...] = dz.sum(axis=0)
+    return loss, grads
 
 
 def sequence_gradients(
     params: LstmParams, xs: np.ndarray, label: int
 ) -> tuple[float, LstmParams]:
     """Loss and gradient structure for one (sequence, label) pair."""
-    grads = _zero_grads(params)
-    loss = _backward(params, np.atleast_2d(np.asarray(xs, dtype=np.float64)), label, grads)
-    return loss, grads
+    return _bptt(params, [np.atleast_2d(np.asarray(xs, dtype=np.float64))], np.array([label]))
 
 
 def _grad_arrays(grads: LstmParams) -> tuple[np.ndarray, ...]:
@@ -289,6 +377,10 @@ class LstmClassifier(ProbabilisticClassifier):
     ):
         if epochs < 1:
             raise ParameterError("epochs must be >= 1")
+        if hidden_size < 1:
+            raise ParameterError("hidden_size must be >= 1")
+        if batch_size < 1:
+            raise ParameterError("batch_size must be >= 1")
         if not 0.0 <= dropout_rate < 1.0:
             raise ParameterError("dropout_rate must lie in [0, 1)")
         self.hidden_size = hidden_size
@@ -312,8 +404,8 @@ class LstmClassifier(ProbabilisticClassifier):
         return [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in X]
 
     def _accuracy(self, sequences: list[np.ndarray], y: np.ndarray) -> float:
-        preds = [int(np.argmax(lstm_forward(self.params_, s))) for s in sequences]
-        return float(np.mean(np.asarray(preds) == y))
+        h, _ = _forward_cached(self.params_, sequences)
+        return float(np.mean(np.argmax(_class_probs(self.params_, h), axis=1) == y))
 
     def fit(self, X, y):
         sequences = self._as_sequences(X)
@@ -353,14 +445,12 @@ class LstmClassifier(ProbabilisticClassifier):
             epoch_loss = 0.0
             for start in range(0, n_train, batch):
                 idx = epoch_order[start : start + batch]
-                grads = _zero_grads(self.params_)
-                for j in idx:  # fixed order keeps the reduction deterministic
-                    mask = None
-                    if self.dropout_rate > 0.0:
-                        mask = (rng.random(self.hidden_size) < keep).astype(np.float64) / keep
-                    epoch_loss += _backward(
-                        self.params_, train_seqs[j], int(train_y[j]), grads, mask
-                    )
+                masks = None
+                if self.dropout_rate > 0.0:
+                    # one rng.random(hidden) row per sequence, in epoch order
+                    masks = (rng.random((idx.size, self.hidden_size)) < keep) / keep
+                loss, grads = _bptt(self.params_, [train_seqs[j] for j in idx], train_y[idx], masks)
+                epoch_loss += loss
                 scale = 1.0 / idx.size
                 for arr in _grad_arrays(grads):
                     arr *= scale
@@ -390,8 +480,8 @@ class LstmClassifier(ProbabilisticClassifier):
     def predict_proba(self, X) -> np.ndarray:
         if self.params_ is None:
             raise ParameterError("model is not fitted")
-        sequences = self._as_sequences(X)
-        return np.vstack([lstm_forward(self.params_, s) for s in sequences])
+        h, _ = _forward_cached(self.params_, self._as_sequences(X))
+        return _class_probs(self.params_, h)
 
     def _arrays(self) -> dict[str, np.ndarray]:
         p = self.params_

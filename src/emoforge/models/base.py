@@ -71,13 +71,11 @@ def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, split by sign so exp never overflows."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Elementwise logistic function, split by sign so exp never overflows:
+    1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, both from e = e^-|z|."""
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -44,7 +44,11 @@ class MlpClassifier(ProbabilisticClassifier):
             raise ParameterError("hidden_sizes must be non-empty")
         if epochs < 1:
             raise ParameterError("epochs must be >= 1")
+        if batch_size < 1:
+            raise ParameterError("batch_size must be >= 1")
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
+        if min(self.hidden_sizes) < 1:
+            raise ParameterError("every hidden size must be >= 1")
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.batch_size = batch_size

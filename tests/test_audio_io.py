@@ -21,6 +21,22 @@ def _raw_wav(fmt_code, channels, sample_rate, bits, payload):
     return header + payload
 
 
+_GUID_TAIL = bytes.fromhex("0000 1000 8000 00aa00389b71")
+
+
+def _as_extensible(plain: bytes, guid: bytes | None = None, fmt_size: int = 40) -> bytes:
+    """``plain`` (a ``_raw_wav``/``encode_wav`` file) with its fmt chunk
+    rewritten as WAVE_FORMAT_EXTENSIBLE, cut to ``fmt_size`` bytes."""
+    code, channels, rate, byte_rate, block, bits = struct.unpack_from("<HHIIHH", plain, 20)
+    if guid is None:
+        guid = struct.pack("<I", code) + _GUID_TAIL
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, byte_rate, block, bits,
+                      22, bits, 0x4) + guid
+    fmt = fmt[:fmt_size] + b"\0" * (fmt_size & 1)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", fmt_size) + fmt + plain[36:]
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def test_16bit_constant_scaling(tmp_path):
     path = tmp_path / "const.wav"
     payload = struct.pack("<100h", *([16384] * 100))
@@ -117,6 +133,39 @@ def test_float_wav_rejects_non_finite_samples(tmp_path, bad):
         decode_wav(path)
 
 
+@pytest.mark.parametrize("bits, float_format", [(16, False), (24, False), (32, True)],
+                         ids=["pcm16", "pcm24", "float32"])
+def test_extensible_decodes_like_plain_format(tmp_path, bits, float_format):
+    rng = np.random.default_rng(bits)
+    plain = tmp_path / "plain.wav"
+    encode_wav(plain, rng.uniform(-1, 1, size=301), 16000, bits=bits, float_format=float_format)
+    extensible = tmp_path / "extensible.wav"
+    extensible.write_bytes(_as_extensible(plain.read_bytes()))
+    expected, clip = decode_wav(plain), decode_wav(extensible)
+    assert clip.sample_rate == expected.sample_rate == 16000
+    assert np.array_equal(clip.samples, expected.samples)
+
+
+@pytest.mark.parametrize("guid", [
+    struct.pack("<I", 2) + _GUID_TAIL,  # ADPCM
+    struct.pack("<I", 1) + _GUID_TAIL[:-1] + b"\x72",  # PCM code, foreign tail
+    bytes(16),
+], ids=["adpcm", "foreign-tail", "zeros"])
+def test_extensible_other_subformat_unsupported(tmp_path, guid):
+    path = tmp_path / "other.wav"
+    path.write_bytes(_as_extensible(_BASE_WAVS["pcm16"], guid=guid))
+    with pytest.raises(UnsupportedAudioError):
+        decode_wav(path)
+
+
+@pytest.mark.parametrize("fmt_size", [16, 18, 24, 39])
+def test_extensible_short_fmt_chunk_is_format_error(tmp_path, fmt_size):
+    path = tmp_path / "short.wav"
+    path.write_bytes(_as_extensible(_BASE_WAVS["pcm16"], fmt_size=fmt_size))
+    with pytest.raises(AudioFormatError, match="extensible"):
+        decode_wav(path)
+
+
 # --- mutated and truncated WAV bytes
 
 _SOURCE = 0.6 * np.sin(np.linspace(0.0, 60.0, 600))
@@ -129,6 +178,7 @@ _BASE_WAVS = {
     ),
     "float32": _raw_wav(3, 1, 8000, 32, _SOURCE.astype("<f4").tobytes()),
 }
+_BASE_WAVS["extensible16"] = _as_extensible(_BASE_WAVS["pcm16"])
 
 
 @st.composite

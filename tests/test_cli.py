@@ -272,7 +272,11 @@ def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, model, pair)
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("model, pair", [("rf", "n_trees=0"), ("e2", "xgb.learning_rate=2.0")])
+@pytest.mark.parametrize("model, pair", [
+    ("rf", "n_trees=0"), ("e2", "xgb.learning_rate=2.0"),
+    ("lstm", "batch_size=0"), ("lstm", "batch_size=-1"), ("lstm", "hidden_size=0"),
+    ("mlp", "batch_size=-1"), ("mlp", "hidden_sizes=0"), ("e1", "mlp.hidden_sizes=8,0"),
+])
 def test_train_rejects_out_of_range_hp(trained_model, tmp_path, capsys, model, pair):
     # the constructor's ParameterError is a configuration error here, unlike
     # the same check failing on a member's state in a model file (exit 3)
@@ -418,6 +422,10 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h["class_names"].reverse(), 3, "e2"),
     (lambda h: h["members"][0]["meta"].update(n_trees=0), 3, "rf"),
     (lambda h: h["members"][2]["scaler"].update(kind="robust"), 3, "e2"),
+    (lambda h: h["members"][2]["meta"].update(batch_size=-1), 3, "e2"),
+    (lambda h: h["members"][2]["meta"].update(hidden_sizes=[0]), 3, "e2"),
+    (lambda h: h["members"][0]["meta"].update(batch_size=0), 3, "lstm"),
+    (lambda h: h["members"][0]["meta"].update(hidden_size=0), 3, "lstm"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -425,12 +433,13 @@ def _edit_header(model: Path, edit) -> bytes:
         "rf-combination-soft-vote", "rf-model-kind-e1", "rf-model-kind-lstm",
         "rf-input-mode-frames", "e2-vocab-df-str", "e2-vocab-null", "e2-scaler-block-short",
         "e2-member-n-classes", "e2-class-names-edited", "rf-n-trees-zero",
-        "e2-scaler-kind-unknown"])
+        "e2-scaler-kind-unknown", "e2-mlp-batch-size-negative", "e2-mlp-hidden-size-zero",
+        "lstm-batch-size-zero", "lstm-hidden-size-zero"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model
-    if model == "e2":
-        out = request.getfixturevalue("e2_model")
+    if model != "rf":
+        out = request.getfixturevalue(f"{model}_model")
     path = tmp_path / "model.emf"
     path.write_bytes(_edit_header(out / "model.emf", edit))
     wav = json.loads(manifest.read_text().splitlines()[0])

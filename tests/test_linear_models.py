@@ -154,3 +154,28 @@ def test_saturated_logits_give_uniform_rows(cls):
     assert np.array_equal(proba[0], np.full(3, 1.0 / 3.0))
     s = sigmoid(np.array([790.0, 1580.0, 2370.0]) - 2400.0)  # only the last is above -745
     assert np.array_equal(proba[1], s / s.sum())
+
+
+def _split_sigmoid(z):
+    """The logistic function as two masked halves, exp(-z) above zero and
+    exp(z) below: the reference that ``sigmoid`` must match bit for bit."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_bits_match_split_reference(dtype):
+    rng = np.random.default_rng(8)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 709.8, -709.8,
+               745.2, -745.2, 1e308, -1e308]
+    for scale in (1e-300, 1e-8, 1.0, 30.0, 800.0, 1e5):
+        with np.errstate(over="ignore"):  # float32 holds +-1e308 as +-inf
+            z = np.concatenate((rng.normal(size=2002) * scale, special)).astype(dtype)
+        for block in (z, z.reshape(-1, 7)[:, 1:5]):  # contiguous and strided
+            assert sigmoid(block).dtype == dtype
+            assert sigmoid(block).tobytes() == _split_sigmoid(block).tobytes()

@@ -8,10 +8,17 @@ from emoforge.lstm import (
     LstmClassifier,
     LstmParams,
     LstmState,
+    _bptt,
+    _grad_arrays,
+    _zero_grads,
     lstm_forward,
     lstm_step,
     sequence_gradients,
 )
+from emoforge.models.base import sigmoid, softmax
+
+# an overflow or a 0/0 in the batched kernel fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def zero_params(input_size=2, hidden=3, classes=2, dropout=0.0):
@@ -34,6 +41,108 @@ def cumsum_task(seed, n=100, tmax=8):
         seqs.append(xs)
         labels.append(int(xs.sum() > 0))
     return seqs, np.asarray(labels)
+
+
+def random_params(rng, input_size, hidden, classes, dropout=0.0):
+    params = LstmParams.init(input_size, hidden, classes, rng, dropout_rate=dropout)
+    params.set_vector(rng.uniform(-1, 1, size=params.to_vector().size))
+    return params
+
+
+# --- per-sequence oracle: the trainer's kernel before minibatching, one
+# sequence and one matrix-vector product per step
+
+
+def oracle_forward(params, xs):
+    """Final hidden state of one sequence and each step's cache."""
+    hidden = params.hidden_size
+    h = np.zeros(hidden)
+    c = np.zeros(hidden)
+    caches = []
+    for x_t in xs:
+        z = params._w_stack @ x_t + params._u_stack @ h + params._b_stack
+        gates = sigmoid(z[: 3 * hidden])
+        f, i, o = gates[:hidden], gates[hidden : 2 * hidden], gates[2 * hidden :]
+        cand = np.tanh(z[3 * hidden :])
+        c_t = f * c + i * cand
+        tanh_c = np.tanh(c_t)
+        caches.append((x_t, h, c, f, i, o, cand, tanh_c))
+        h, c = o * tanh_c, c_t
+    return h, caches
+
+
+def oracle_proba(params, xs):
+    h, _ = oracle_forward(params, xs)
+    return softmax((params.w_out @ h + params.b_out)[np.newaxis])[0]
+
+
+def oracle_backward(params, xs, label, grads, dropout_mask=None):
+    """Accumulate one sequence's cross-entropy BPTT gradients into grads;
+    returns its loss."""
+    h, caches = oracle_forward(params, xs)
+    if dropout_mask is not None:
+        h = h * dropout_mask
+    probs = softmax((params.w_out @ h + params.b_out)[np.newaxis])[0]
+    loss = -float(np.log(max(probs[label], 1e-300)))
+
+    dlogits = probs.copy()
+    dlogits[label] -= 1.0
+    grads.w_out += np.outer(dlogits, h)
+    grads.b_out += dlogits
+    dh = params.w_out.T @ dlogits
+    if dropout_mask is not None:
+        dh = dh * dropout_mask
+    dc_next = np.zeros_like(dh)
+    hidden = params.hidden_size
+    dz = np.empty(4 * hidden)
+    for x_t, h_prev, c_prev, f, i, o, cand, tanh_c in reversed(caches):
+        do = dh * tanh_c
+        dc = dc_next + dh * o * (1.0 - tanh_c**2)
+        dz[:hidden] = dc * c_prev * f * (1.0 - f)
+        dz[hidden : 2 * hidden] = dc * cand * i * (1.0 - i)
+        dz[2 * hidden : 3 * hidden] = do * o * (1.0 - o)
+        dz[3 * hidden :] = dc * i * (1.0 - cand**2)
+        grads._w_stack += np.outer(dz, x_t)
+        grads._u_stack += np.outer(dz, h_prev)
+        grads._b_stack += dz
+        dh = params._u_stack.T @ dz
+        dc_next = dc * f
+    return loss
+
+
+def oracle_fit_losses(model, sequences, y):
+    """``loss_history_`` of ``LstmClassifier.fit`` re-run on the oracle: one
+    sequence at a time, each drawing its own dropout mask in batch order.
+    Needs ``patience >= epochs`` (validation never stops it early)."""
+    rng = np.random.default_rng(model.seed)
+    params = LstmParams.init(sequences[0].shape[1], model.hidden_size, int(y.max()) + 1, rng,
+                             dropout_rate=model.dropout_rate)
+    n = len(sequences)
+    n_val = min(max(1, int(round(model.validation_fraction * n))), n - 1)
+    train_idx = rng.permutation(n)[n_val:]
+    keep = 1.0 - model.dropout_rate
+    batch = min(model.batch_size, train_idx.size)
+    history = []
+    for _ in range(model.epochs):
+        epoch_order = train_idx[rng.permutation(train_idx.size)]
+        epoch_loss = 0.0
+        for start in range(0, epoch_order.size, batch):
+            idx = epoch_order[start : start + batch]
+            grads = _zero_grads(params)
+            for j in idx:
+                mask = (rng.random(model.hidden_size) < keep).astype(np.float64) / keep
+                epoch_loss += oracle_backward(params, sequences[j], int(y[j]), grads, mask)
+            arrays = _grad_arrays(grads)
+            for a in arrays:
+                a /= idx.size
+            norm = np.sqrt(sum(float(np.sum(a**2)) for a in arrays))
+            if norm > model.clip_threshold:
+                for a in arrays:
+                    a *= model.clip_threshold / norm
+            for target, grad in zip(_grad_arrays(params), arrays):
+                target -= model.learning_rate * grad
+        history.append(epoch_loss / train_idx.size)
+    return history
 
 
 # --- single step
@@ -183,6 +292,76 @@ def test_bptt_matches_finite_differences(seed):
         fd[i] = (loss_up - loss_down) / (2 * eps)
     rel = np.abs(analytic - fd) / np.maximum(np.abs(analytic) + np.abs(fd), 1e-8)
     assert rel.max() < 1e-4
+
+
+# --- the batched kernel against the per-sequence oracle
+
+
+@pytest.mark.parametrize("lengths", [
+    [3, 9, 1, 5, 5, 2, 9, 7, 1, 4, 6, 8, 2],  # ragged, with ties
+    [7],  # a batch of one
+    [6, 6, 6, 6, 6],  # all lengths equal
+    [1, 1, 2, 1],  # mostly single steps
+    [int(n) for n in np.random.default_rng(5).integers(1, 10, size=16)],
+], ids=["ragged", "one", "equal", "short", "random"])
+@pytest.mark.parametrize("dropout", [False, True], ids=["no-mask", "mask"])
+def test_batched_bptt_matches_per_sequence_oracle(lengths, dropout):
+    rng = np.random.default_rng(len(lengths) + 100 * dropout)
+    params = random_params(rng, 3, 5, 4)
+    sequences = [rng.normal(size=(n, 3)) for n in lengths]
+    labels = rng.integers(0, 4, size=len(lengths))
+    masks = (rng.random((len(lengths), 5)) < 0.6) / 0.6 if dropout else None
+
+    loss, grads = _bptt(params, sequences, labels, masks)
+    oracle = _zero_grads(params)
+    oracle_loss = sum(
+        oracle_backward(params, xs, int(label), oracle, None if masks is None else masks[k])
+        for k, (xs, label) in enumerate(zip(sequences, labels))
+    )
+    assert abs(loss - oracle_loss) <= 1e-12 * abs(oracle_loss)
+    for got, want in zip(_grad_arrays(grads), _grad_arrays(oracle)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_batched_predict_proba_matches_per_sequence_oracle():
+    rng = np.random.default_rng(41)
+    model = LstmClassifier(hidden_size=6)
+    model.params_ = random_params(rng, 2, 6, 3)
+    sequences = [rng.normal(size=(int(n), 2)) for n in rng.integers(1, 10, size=25)]
+    proba = model.predict_proba(sequences)
+    expected = np.vstack([oracle_proba(model.params_, xs) for xs in sequences])
+    assert proba.shape == (25, 3)
+    assert np.abs(proba - expected).max() <= 1e-12
+    # each row is the sequence's own batch of one, up to rounding
+    for xs, row in zip(sequences, proba):
+        assert np.abs(lstm_forward(model.params_, xs) - row).max() <= 1e-12
+
+
+def test_dropout_fit_replays_the_per_sequence_trainer():
+    seqs, labels = cumsum_task(17, n=45, tmax=9)
+    model = LstmClassifier(
+        hidden_size=5, epochs=4, learning_rate=0.3, batch_size=8, dropout_rate=0.4,
+        patience=10, seed=3,
+    ).fit(seqs, labels)
+    expected = oracle_fit_losses(model, seqs, labels)
+    assert len(model.loss_history_) == len(expected) == 4
+    assert np.allclose(model.loss_history_, expected, rtol=1e-10, atol=0.0)
+
+
+def test_batch_inputs_are_checked():
+    params = zero_params()
+    with pytest.raises(DataError):
+        _bptt(params, [], np.array([], dtype=np.int64))
+    with pytest.raises(DataError):
+        LstmClassifier(hidden_size=3).fit([np.zeros((2, 2)), np.zeros((0, 2))], [0, 1])
+
+
+@pytest.mark.parametrize("key", ["hidden_size", "batch_size"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_constructor_rejects_sizes_below_one(key, value):
+    with pytest.raises(ParameterError):
+        LstmClassifier(**{key: value})
 
 
 # --- training

@@ -116,3 +116,10 @@ def test_constructor_validation():
         MlpClassifier(hidden_sizes=())
     with pytest.raises(ParameterError):
         MlpClassifier(epochs=0)
+    with pytest.raises(ParameterError):
+        MlpClassifier(hidden_sizes=(0,))
+    with pytest.raises(ParameterError):
+        MlpClassifier(hidden_sizes=(4, -1))
+    for batch_size in (0, -1):
+        with pytest.raises(ParameterError):
+            MlpClassifier(batch_size=batch_size)
