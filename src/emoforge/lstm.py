@@ -7,6 +7,14 @@ softmax projection of the final hidden state, inverted dropout on that state
 during training, gradient-norm clipping, and early stopping on a held-out
 validation slice.
 
+The parameters are five arrays (``LstmParams``): the four gates stacked in
+``_GATES`` order (forget, input, output, candidate) as W (4*hidden, input),
+U (4*hidden, hidden) and b (4*hidden,), plus the projection w_out and b_out.
+A step costs two matmuls over the stacks, and the backward pass returns its
+gradients in the same five arrays, so clipping and the SGD update walk one
+tuple. Model files keep one array per gate (``w_f`` ... ``b_c``): saving
+slices the stacks, and loading checks each slice's shape before stacking.
+
 Every pass runs a whole batch of sequences through the cell as one
 (batch, hidden) state. The batch is sorted by length (descending, stable)
 and packed time-major, so the sequences still running at step t are a
@@ -19,10 +27,10 @@ gradients from the packed rows, dW = sum_t dZ_t^T X_t and
 dU = sum_t dZ_t^T H_{t-1}, as single matmuls.
 
 ``fit`` draws a batch's dropout masks before its forward pass, one
-``rng.random(hidden)`` row per sequence in epoch order, which is the random
-stream of the earlier per-sequence trainer. Models are not byte-identical
-to that trainer's: a matmul over a block of rows does not round like one
-matrix-vector product per row, so gradients differ in the last few bits
+``rng.random(hidden)`` row per sequence in epoch order; the forward pass
+itself has no training mode. Models are not byte-identical to the earlier
+per-sequence trainer's: a matmul over a block of rows does not round like
+one matrix-vector product per row, so gradients differ in the last few bits
 (tests/test_lstm.py pins them to a per-sequence oracle).
 """
 
@@ -50,53 +58,42 @@ class LstmState:
 
 @dataclass
 class LstmParams:
-    """Gate weights W (hidden x input), recurrences U (hidden x hidden),
-    biases b, plus the class projection.
-
-    Internally the four gates live in stacked (4*hidden, ...) matrices so a
-    step costs two matmuls instead of eight; the per-gate dict entries are
-    views into the stacks, so in-place edits stay coherent.
+    """The five parameter arrays of the cell and its class projection, all
+    float64: gate weights W (4*hidden, input), recurrences U (4*hidden,
+    hidden), biases b (4*hidden,), projection w_out (classes, hidden) and
+    b_out (classes,). Rows k*hidden:(k+1)*hidden of W, U and b belong to
+    gate ``_GATES[k]``. Gradients come back in the same layout.
     """
 
-    w: dict[str, np.ndarray]
-    u: dict[str, np.ndarray]
-    b: dict[str, np.ndarray]
-    w_out: np.ndarray  # (classes, hidden)
-    b_out: np.ndarray  # (classes,)
-    dropout_rate: float = 0.0
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ParameterError("dropout_rate must lie in [0, 1)")
-        h, d = self.w["f"].shape
-        for g in _GATES:
-            if self.w[g].shape != (h, d) or self.u[g].shape != (h, h) or self.b[g].shape != (h,):
-                raise ParameterError("gate parameter shapes do not chain")
-        if self.w_out.shape[1:] != (h,) or self.b_out.shape != self.w_out.shape[:1]:
-            raise ParameterError("projection shape does not chain")
-        self._restack()
-
-    def _restack(self) -> None:
-        h = self.w["f"].shape[0]
-        self._w_stack = np.vstack([np.asarray(self.w[g], dtype=np.float64) for g in _GATES])
-        self._u_stack = np.vstack([np.asarray(self.u[g], dtype=np.float64) for g in _GATES])
-        self._b_stack = np.concatenate(
-            [np.asarray(self.b[g], dtype=np.float64) for g in _GATES]
+        self.W, self.U, self.b, self.w_out, self.b_out = (
+            np.asarray(a, dtype=np.float64) for a in self.arrays()
         )
-        self.w_out = np.asarray(self.w_out, dtype=np.float64)
-        self.b_out = np.asarray(self.b_out, dtype=np.float64)
-        for i, g in enumerate(_GATES):
-            self.w[g] = self._w_stack[i * h : (i + 1) * h]
-            self.u[g] = self._u_stack[i * h : (i + 1) * h]
-            self.b[g] = self._b_stack[i * h : (i + 1) * h]
+        if self.W.ndim != 2 or self.U.ndim != 2 or self.w_out.ndim != 2:
+            raise ParameterError("W, U and w_out must be matrices")
+        h, d = self.hidden_size, self.input_size
+        if self.W.shape != (4 * h, d) or self.U.shape != (4 * h, h) or self.b.shape != (4 * h,):
+            raise ParameterError("gate parameter shapes do not chain")
+        if self.w_out.shape[1] != h or self.b_out.shape != self.w_out.shape[:1]:
+            raise ParameterError("projection shape does not chain")
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """(W, U, b, w_out, b_out), the order of ``to_vector``."""
+        return self.W, self.U, self.b, self.w_out, self.b_out
 
     @property
     def hidden_size(self) -> int:
-        return self.w["f"].shape[0]
+        return self.U.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.w["f"].shape[1]
+        return self.W.shape[1]
 
     @property
     def n_classes(self) -> int:
@@ -104,48 +101,26 @@ class LstmParams:
 
     @classmethod
     def init(
-        cls,
-        input_size: int,
-        hidden_size: int,
-        n_classes: int,
-        rng: np.random.Generator,
-        dropout_rate: float = 0.0,
+        cls, input_size: int, hidden_size: int, n_classes: int, rng: np.random.Generator
     ) -> "LstmParams":
         wb = 1.0 / np.sqrt(input_size)
         ub = 1.0 / np.sqrt(hidden_size)
-        w = {g: rng.uniform(-wb, wb, size=(hidden_size, input_size)) for g in _GATES}
-        u = {g: rng.uniform(-ub, ub, size=(hidden_size, hidden_size)) for g in _GATES}
-        b = {g: np.zeros(hidden_size) for g in _GATES}
+        W = rng.uniform(-wb, wb, size=(4 * hidden_size, input_size))
+        U = rng.uniform(-ub, ub, size=(4 * hidden_size, hidden_size))
         # zero projection: untrained nets predict uniform and training is
         # equivariant under class relabeling
-        return cls(w=w, u=u, b=b, w_out=np.zeros((n_classes, hidden_size)),
-                   b_out=np.zeros(n_classes), dropout_rate=dropout_rate)
+        return cls(W, U, np.zeros(4 * hidden_size), np.zeros((n_classes, hidden_size)),
+                   np.zeros(n_classes))
 
     def copy(self) -> "LstmParams":
-        return LstmParams(
-            w={g: self.w[g].copy() for g in _GATES},
-            u={g: self.u[g].copy() for g in _GATES},
-            b={g: self.b[g].copy() for g in _GATES},
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-            dropout_rate=self.dropout_rate,
-        )
+        return LstmParams(*(a.copy() for a in self.arrays()))
 
     def to_vector(self) -> np.ndarray:
-        parts = [self.w[g].ravel() for g in _GATES]
-        parts += [self.u[g].ravel() for g in _GATES]
-        parts += [self.b[g].ravel() for g in _GATES]
-        parts += [self.w_out.ravel(), self.b_out.ravel()]
-        return np.concatenate(parts)
+        return np.concatenate([a.ravel() for a in self.arrays()])
 
     def set_vector(self, vec: np.ndarray) -> None:
         pos = 0
-        for group in (self.w, self.u, self.b):
-            for g in _GATES:
-                arr = group[g]
-                arr[...] = vec[pos : pos + arr.size].reshape(arr.shape)
-                pos += arr.size
-        for arr in (self.w_out, self.b_out):
+        for arr in self.arrays():
             arr[...] = vec[pos : pos + arr.size].reshape(arr.shape)
             pos += arr.size
         if pos != vec.size:
@@ -157,7 +132,7 @@ def _gates(params: LstmParams, x: np.ndarray, h: np.ndarray, c: np.ndarray):
     states; returns (acts, c_t, tanh_c, h_t), where ``acts`` holds the
     forget, input and output gates and the candidate side by side."""
     hidden = params.hidden_size
-    acts = x @ params._w_stack.T + h @ params._u_stack.T + params._b_stack
+    acts = x @ params.W.T + h @ params.U.T + params.b
     acts[..., : 3 * hidden] = sigmoid(acts[..., : 3 * hidden])
     np.tanh(acts[..., 3 * hidden :], out=acts[..., 3 * hidden :])
     f, i, o, cand = (acts[..., k * hidden : (k + 1) * hidden] for k in range(4))
@@ -245,40 +220,14 @@ def _forward_cached(
     return final, tape
 
 
-def lstm_forward(
-    params: LstmParams,
-    sequence: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Class probabilities for one sequence, shape (timesteps, input_size).
-
-    During training an inverted-dropout mask scales the final hidden state;
-    at inference the pass is deterministic.
-    """
-    xs = np.atleast_2d(np.asarray(sequence, dtype=np.float64))
-    h, _ = _forward_cached(params, [xs])
-    if training and params.dropout_rate > 0.0:
-        if rng is None:
-            raise ParameterError("training-mode forward pass needs an rng for dropout")
-        keep = 1.0 - params.dropout_rate
-        h = h * ((rng.random(h.shape) < keep) / keep)
+def lstm_forward(params: LstmParams, sequence: np.ndarray) -> np.ndarray:
+    """Class probabilities for one sequence, shape (timesteps, input_size)."""
+    h, _ = _forward_cached(params, [np.atleast_2d(np.asarray(sequence, dtype=np.float64))])
     return _class_probs(params, h)[0]
 
 
 def _class_probs(params: LstmParams, h: np.ndarray) -> np.ndarray:
     return softmax(h @ params.w_out.T + params.b_out)
-
-
-def _zero_grads(params: LstmParams) -> LstmParams:
-    return LstmParams(
-        w={g: np.zeros_like(params.w[g]) for g in _GATES},
-        u={g: np.zeros_like(params.u[g]) for g in _GATES},
-        b={g: np.zeros_like(params.b[g]) for g in _GATES},
-        w_out=np.zeros_like(params.w_out),
-        b_out=np.zeros_like(params.b_out),
-        dropout_rate=0.0,
-    )
 
 
 def _bptt(
@@ -295,11 +244,8 @@ def _bptt(
     picked = np.arange(len(sequences)), np.asarray(labels, dtype=np.int64)
     loss = -float(np.sum(np.log(np.maximum(probs[picked], 1e-300))))
 
-    grads = _zero_grads(params)
     dlogits = probs
     dlogits[picked] -= 1.0
-    grads.w_out[...] = dlogits.T @ h
-    grads.b_out[...] = dlogits.sum(axis=0)
     dh_last = dlogits @ params.w_out
     if dropout_masks is not None:
         dh_last *= dropout_masks
@@ -329,12 +275,10 @@ def _bptt(
             dc = np.concatenate((dc, np.zeros((n - carried, hidden))))
         dc = dc + dh * dc_from_dh[lo:hi]
         dz[lo:hi] *= np.concatenate((dc, dc, dh, dc), axis=1)
-        dh = dz[lo:hi] @ params._u_stack
+        dh = dz[lo:hi] @ params.U
         dc = dc * f[lo:hi]
-    grads._w_stack[...] = dz.T @ tape.xs
-    grads._u_stack[...] = dz.T @ tape.h_prev
-    grads._b_stack[...] = dz.sum(axis=0)
-    return loss, grads
+    return loss, LstmParams(dz.T @ tape.xs, dz.T @ tape.h_prev, dz.sum(axis=0), dlogits.T @ h,
+                            dlogits.sum(axis=0))
 
 
 def sequence_gradients(
@@ -344,14 +288,10 @@ def sequence_gradients(
     return _bptt(params, [np.atleast_2d(np.asarray(xs, dtype=np.float64))], np.array([label]))
 
 
-def _grad_arrays(grads: LstmParams) -> tuple[np.ndarray, ...]:
-    return (grads._w_stack, grads._u_stack, grads._b_stack, grads.w_out, grads.b_out)
-
-
 def _clip_gradients(grads: LstmParams, threshold: float) -> None:
-    arrays = _grad_arrays(grads)
+    arrays = grads.arrays()
     norm = np.sqrt(sum(float(np.sum(a**2)) for a in arrays))
-    if norm > threshold > 0:
+    if norm > threshold:
         scale = threshold / norm
         for a in arrays:
             a *= scale
@@ -383,6 +323,10 @@ class LstmClassifier(ProbabilisticClassifier):
             raise ParameterError("batch_size must be >= 1")
         if not 0.0 <= dropout_rate < 1.0:
             raise ParameterError("dropout_rate must lie in [0, 1)")
+        if not learning_rate > 0:
+            raise ParameterError("learning_rate must be > 0")
+        if not clip_threshold > 0:
+            raise ParameterError("clip_threshold must be > 0")
         self.hidden_size = hidden_size
         self.epochs = epochs
         self.learning_rate = learning_rate
@@ -419,7 +363,6 @@ class LstmClassifier(ProbabilisticClassifier):
             hidden_size=self.hidden_size,
             n_classes=self.n_classes,
             rng=rng,
-            dropout_rate=self.dropout_rate,
         )
 
         n = len(sequences)
@@ -452,10 +395,10 @@ class LstmClassifier(ProbabilisticClassifier):
                 loss, grads = _bptt(self.params_, [train_seqs[j] for j in idx], train_y[idx], masks)
                 epoch_loss += loss
                 scale = 1.0 / idx.size
-                for arr in _grad_arrays(grads):
+                for arr in grads.arrays():
                     arr *= scale
                 _clip_gradients(grads, self.clip_threshold)
-                for target, grad in zip(_grad_arrays(self.params_), _grad_arrays(grads)):
+                for target, grad in zip(self.params_.arrays(), grads.arrays()):
                     target -= self.learning_rate * grad
 
             self.loss_history_.append(epoch_loss / n_train)
@@ -485,19 +428,30 @@ class LstmClassifier(ProbabilisticClassifier):
 
     def _arrays(self) -> dict[str, np.ndarray]:
         p = self.params_
+        h = p.hidden_size
         arrays = {"w_out": p.w_out, "b_out": p.b_out}
-        for g in _GATES:
-            arrays[f"w_{g}"] = p.w[g]
-            arrays[f"u_{g}"] = p.u[g]
-            arrays[f"b_{g}"] = p.b[g]
+        for k, g in enumerate(_GATES):
+            rows = slice(k * h, (k + 1) * h)
+            arrays[f"w_{g}"] = p.W[rows]
+            arrays[f"u_{g}"] = p.U[rows]
+            arrays[f"b_{g}"] = p.b[rows]
         return arrays
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        # each gate is checked before stacking: w_f with h+1 rows over w_i
+        # with h-1 would stack into a valid-looking W
+        h = self.hidden_size
+        inputs = arrays["w_f"].shape[1:]
+        for g in _GATES:
+            for name, shape in ((f"w_{g}", (h, *inputs)), (f"u_{g}", (h, h)), (f"b_{g}", (h,))):
+                if arrays[name].shape != shape:
+                    raise ValueError(
+                        f"{name} has shape {arrays[name].shape}, not {shape} of hidden_size {h}"
+                    )
         self.params_ = LstmParams(
-            w={g: arrays[f"w_{g}"] for g in _GATES},
-            u={g: arrays[f"u_{g}"] for g in _GATES},
-            b={g: arrays[f"b_{g}"] for g in _GATES},
-            w_out=arrays["w_out"],
-            b_out=arrays["b_out"],
-            dropout_rate=self.dropout_rate,
+            np.vstack([arrays[f"w_{g}"] for g in _GATES]),
+            np.vstack([arrays[f"u_{g}"] for g in _GATES]),
+            np.concatenate([arrays[f"b_{g}"] for g in _GATES]),
+            arrays["w_out"],
+            arrays["b_out"],
         )

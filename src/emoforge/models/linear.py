@@ -167,6 +167,8 @@ class LogisticRegression(ProbabilisticClassifier):
             raise ParameterError("reg must be >= 0")
         if epochs < 1:
             raise ParameterError("epochs must be >= 1")
+        if not learning_rate > 0:
+            raise ParameterError("learning_rate must be > 0")
         self.reg = reg
         self.epochs = epochs
         self.learning_rate = learning_rate

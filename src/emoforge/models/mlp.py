@@ -46,6 +46,8 @@ class MlpClassifier(ProbabilisticClassifier):
             raise ParameterError("epochs must be >= 1")
         if batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
+        if not learning_rate > 0:
+            raise ParameterError("learning_rate must be > 0")
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         if min(self.hidden_sizes) < 1:
             raise ParameterError("every hidden size must be >= 1")
@@ -175,3 +177,6 @@ class MlpClassifier(ProbabilisticClassifier):
         n_layers = len(self.hidden_sizes) + 1
         self.weights_ = [arrays[f"w{i}"] for i in range(n_layers)]
         self.biases_ = [arrays[f"b{i}"] for i in range(n_layers)]
+        for i, size in enumerate(self.hidden_sizes):
+            if self.weights_[i].shape[:1] != (size,):
+                raise ValueError(f"w{i} has shape {self.weights_[i].shape}, not {size} rows")

@@ -276,6 +276,8 @@ def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, model, pair)
     ("rf", "n_trees=0"), ("e2", "xgb.learning_rate=2.0"),
     ("lstm", "batch_size=0"), ("lstm", "batch_size=-1"), ("lstm", "hidden_size=0"),
     ("mlp", "batch_size=-1"), ("mlp", "hidden_sizes=0"), ("e1", "mlp.hidden_sizes=8,0"),
+    ("lstm", "learning_rate=-0.5"), ("mlp", "learning_rate=0"), ("lr", "learning_rate=-0.5"),
+    ("lstm", "clip_threshold=0"), ("e2", "lr.learning_rate=-1"),
 ])
 def test_train_rejects_out_of_range_hp(trained_model, tmp_path, capsys, model, pair):
     # the constructor's ParameterError is a configuration error here, unlike
@@ -426,6 +428,10 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h["members"][2]["meta"].update(hidden_sizes=[0]), 3, "e2"),
     (lambda h: h["members"][0]["meta"].update(batch_size=0), 3, "lstm"),
     (lambda h: h["members"][0]["meta"].update(hidden_size=0), 3, "lstm"),
+    # sizes that are in range but not those of the arrays
+    (lambda h: h["members"][0]["meta"].update(hidden_size=7), 3, "lstm"),
+    (lambda h: h["members"][2]["meta"].update(hidden_sizes=[9]), 3, "e2"),
+    (lambda h: h["members"][0]["meta"].update(learning_rate=-0.5), 3, "lstm"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -434,7 +440,8 @@ def _edit_header(model: Path, edit) -> bytes:
         "rf-input-mode-frames", "e2-vocab-df-str", "e2-vocab-null", "e2-scaler-block-short",
         "e2-member-n-classes", "e2-class-names-edited", "rf-n-trees-zero",
         "e2-scaler-kind-unknown", "e2-mlp-batch-size-negative", "e2-mlp-hidden-size-zero",
-        "lstm-batch-size-zero", "lstm-hidden-size-zero"])
+        "lstm-batch-size-zero", "lstm-hidden-size-zero", "lstm-hidden-size-edited",
+        "e2-mlp-hidden-sizes-edited", "lstm-learning-rate-negative"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model

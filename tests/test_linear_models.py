@@ -6,6 +6,9 @@ from emoforge.models import LinearSVM, LogisticRegression
 from emoforge.models.base import sigmoid
 from emoforge.persistence import save_container
 
+# an overflow or a 0/0 fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def separable_blobs(n=80, seed=0, centers=((0.0, 0.0), (6.0, 0.0), (0.0, 6.0))):
     rng = np.random.default_rng(seed)
@@ -82,6 +85,12 @@ def test_svm_parameter_validation():
 # --- logistic regression
 
 
+@pytest.mark.parametrize("learning_rate", [0.0, -0.5])
+def test_lr_rejects_a_step_not_above_zero(learning_rate):
+    with pytest.raises(ParameterError):
+        LogisticRegression(learning_rate=learning_rate)
+
+
 def test_lr_separable_blobs():
     Xtr, ytr, Xte, yte = separable_blobs(seed=1)
     model = LogisticRegression(reg=1e-4, epochs=300, learning_rate=0.5).fit(Xtr, ytr)
@@ -140,7 +149,6 @@ def test_lr_deterministic(tmp_path):
     assert _bytes(a, tmp_path, "a") == _bytes(b, tmp_path, "b")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cls", [LogisticRegression, LinearSVM])
 def test_saturated_logits_give_uniform_rows(cls):
     Xtr, ytr, _, _ = separable_blobs(seed=6)
@@ -167,7 +175,6 @@ def _split_sigmoid(z):
     return out
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_sigmoid_bits_match_split_reference(dtype):
     rng = np.random.default_rng(8)

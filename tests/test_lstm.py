@@ -8,9 +8,8 @@ from emoforge.lstm import (
     LstmClassifier,
     LstmParams,
     LstmState,
+    _GATES,
     _bptt,
-    _grad_arrays,
-    _zero_grads,
     lstm_forward,
     lstm_step,
     sequence_gradients,
@@ -21,15 +20,13 @@ from emoforge.models.base import sigmoid, softmax
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def zero_params(input_size=2, hidden=3, classes=2, dropout=0.0):
-    return LstmParams(
-        w={g: np.zeros((hidden, input_size)) for g in "fioc"},
-        u={g: np.zeros((hidden, hidden)) for g in "fioc"},
-        b={g: np.zeros(hidden) for g in "fioc"},
-        w_out=np.zeros((classes, hidden)),
-        b_out=np.zeros(classes),
-        dropout_rate=dropout,
-    )
+def zero_params(input_size=2, hidden=3, classes=2):
+    return LstmParams(np.zeros((4 * hidden, input_size)), np.zeros((4 * hidden, hidden)),
+                      np.zeros(4 * hidden), np.zeros((classes, hidden)), np.zeros(classes))
+
+
+def zero_grads(params):
+    return LstmParams(*(np.zeros_like(a) for a in params.arrays()))
 
 
 def cumsum_task(seed, n=100, tmax=8):
@@ -43,8 +40,8 @@ def cumsum_task(seed, n=100, tmax=8):
     return seqs, np.asarray(labels)
 
 
-def random_params(rng, input_size, hidden, classes, dropout=0.0):
-    params = LstmParams.init(input_size, hidden, classes, rng, dropout_rate=dropout)
+def random_params(rng, input_size, hidden, classes):
+    params = LstmParams.init(input_size, hidden, classes, rng)
     params.set_vector(rng.uniform(-1, 1, size=params.to_vector().size))
     return params
 
@@ -60,7 +57,7 @@ def oracle_forward(params, xs):
     c = np.zeros(hidden)
     caches = []
     for x_t in xs:
-        z = params._w_stack @ x_t + params._u_stack @ h + params._b_stack
+        z = params.W @ x_t + params.U @ h + params.b
         gates = sigmoid(z[: 3 * hidden])
         f, i, o = gates[:hidden], gates[hidden : 2 * hidden], gates[2 * hidden :]
         cand = np.tanh(z[3 * hidden :])
@@ -102,10 +99,10 @@ def oracle_backward(params, xs, label, grads, dropout_mask=None):
         dz[hidden : 2 * hidden] = dc * cand * i * (1.0 - i)
         dz[2 * hidden : 3 * hidden] = do * o * (1.0 - o)
         dz[3 * hidden :] = dc * i * (1.0 - cand**2)
-        grads._w_stack += np.outer(dz, x_t)
-        grads._u_stack += np.outer(dz, h_prev)
-        grads._b_stack += dz
-        dh = params._u_stack.T @ dz
+        grads.W += np.outer(dz, x_t)
+        grads.U += np.outer(dz, h_prev)
+        grads.b += dz
+        dh = params.U.T @ dz
         dc_next = dc * f
     return loss
 
@@ -115,8 +112,7 @@ def oracle_fit_losses(model, sequences, y):
     sequence at a time, each drawing its own dropout mask in batch order.
     Needs ``patience >= epochs`` (validation never stops it early)."""
     rng = np.random.default_rng(model.seed)
-    params = LstmParams.init(sequences[0].shape[1], model.hidden_size, int(y.max()) + 1, rng,
-                             dropout_rate=model.dropout_rate)
+    params = LstmParams.init(sequences[0].shape[1], model.hidden_size, int(y.max()) + 1, rng)
     n = len(sequences)
     n_val = min(max(1, int(round(model.validation_fraction * n))), n - 1)
     train_idx = rng.permutation(n)[n_val:]
@@ -128,18 +124,18 @@ def oracle_fit_losses(model, sequences, y):
         epoch_loss = 0.0
         for start in range(0, epoch_order.size, batch):
             idx = epoch_order[start : start + batch]
-            grads = _zero_grads(params)
+            grads = zero_grads(params)
             for j in idx:
                 mask = (rng.random(model.hidden_size) < keep).astype(np.float64) / keep
                 epoch_loss += oracle_backward(params, sequences[j], int(y[j]), grads, mask)
-            arrays = _grad_arrays(grads)
+            arrays = grads.arrays()
             for a in arrays:
                 a /= idx.size
             norm = np.sqrt(sum(float(np.sum(a**2)) for a in arrays))
             if norm > model.clip_threshold:
                 for a in arrays:
                     a *= model.clip_threshold / norm
-            for target, grad in zip(_grad_arrays(params), arrays):
+            for target, grad in zip(params.arrays(), arrays):
                 target -= model.learning_rate * grad
         history.append(epoch_loss / train_idx.size)
     return history
@@ -177,9 +173,9 @@ def test_two_step_matches_scalar_oracle():
         h = o * math.tanh(c)
 
     params = LstmParams(
-        w={g: np.array([[scal[f"w{g}"]]]) for g in "fioc"},
-        u={g: np.array([[scal[f"u{g}"]]]) for g in "fioc"},
-        b={g: np.array([scal[f"b{g}"]]) for g in "fioc"},
+        W=np.array([[scal[f"w{g}"]] for g in "fioc"]),
+        U=np.array([[scal[f"u{g}"]] for g in "fioc"]),
+        b=np.array([scal[f"b{g}"] for g in "fioc"]),
         w_out=np.zeros((2, 1)),
         b_out=np.zeros(2),
     )
@@ -195,7 +191,7 @@ def test_saturating_inputs_pin_gates():
     params = LstmParams.init(2, 4, 2, rng)
     big = np.array([1e4, -1e4])
     hidden = params.hidden_size
-    z = params._w_stack @ big + params._b_stack
+    z = params.W @ big + params.b
     gates = 1.0 / (1.0 + np.exp(-np.clip(z[: 3 * hidden], -700, 700)))
     assert np.all((gates < 1e-6) | (gates > 1 - 1e-6))
 
@@ -231,15 +227,6 @@ def test_forward_probabilities_sum_to_one():
         probs = lstm_forward(params, seq)
         assert probs.shape == (3,)
         assert abs(probs.sum() - 1.0) < 1e-9
-
-
-def test_forward_dropout_zero_matches_inference():
-    rng = np.random.default_rng(3)
-    params = LstmParams.init(2, 4, 2, rng, dropout_rate=0.0)
-    seq = rng.normal(size=(5, 2))
-    train = lstm_forward(params, seq, training=True, rng=np.random.default_rng(0))
-    infer = lstm_forward(params, seq)
-    assert np.array_equal(train, infer)
 
 
 def test_forward_length_one_equals_step_plus_projection():
@@ -313,13 +300,13 @@ def test_batched_bptt_matches_per_sequence_oracle(lengths, dropout):
     masks = (rng.random((len(lengths), 5)) < 0.6) / 0.6 if dropout else None
 
     loss, grads = _bptt(params, sequences, labels, masks)
-    oracle = _zero_grads(params)
+    oracle = zero_grads(params)
     oracle_loss = sum(
         oracle_backward(params, xs, int(label), oracle, None if masks is None else masks[k])
         for k, (xs, label) in enumerate(zip(sequences, labels))
     )
     assert abs(loss - oracle_loss) <= 1e-12 * abs(oracle_loss)
-    for got, want in zip(_grad_arrays(grads), _grad_arrays(oracle)):
+    for got, want in zip(grads.arrays(), oracle.arrays()):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -362,6 +349,74 @@ def test_batch_inputs_are_checked():
 def test_constructor_rejects_sizes_below_one(key, value):
     with pytest.raises(ParameterError):
         LstmClassifier(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "clip_threshold"])
+@pytest.mark.parametrize("value", [0.0, -0.5])
+def test_constructor_rejects_steps_and_thresholds_not_above_zero(key, value):
+    with pytest.raises(ParameterError):
+        LstmClassifier(**{key: value})
+
+
+# --- parameter layout: four gates stacked in W, U and b
+
+
+@pytest.mark.parametrize("hidden, inputs", [(3, 2), (32, 6), (5, 1)])
+def test_init_draws_the_per_gate_stream(hidden, inputs):
+    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+    params = LstmParams.init(inputs, hidden, 3, rng)
+    wb, ub = 1.0 / np.sqrt(inputs), 1.0 / np.sqrt(hidden)
+    w = [reference.uniform(-wb, wb, size=(hidden, inputs)) for _ in _GATES]
+    u = [reference.uniform(-ub, ub, size=(hidden, hidden)) for _ in _GATES]
+    assert np.array_equal(params.W, np.vstack(w))
+    assert np.array_equal(params.U, np.vstack(u))
+    assert not params.b.any() and not params.w_out.any() and not params.b_out.any()
+    assert [a.shape for a in params.arrays()] == [
+        (4 * hidden, inputs), (4 * hidden, hidden), (4 * hidden,), (3, hidden), (3,)]
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def fitted_model():
+    seqs, labels = cumsum_task(19, n=24)
+    return LstmClassifier(hidden_size=3, epochs=3, seed=4).fit(seqs, labels)
+
+
+def test_saved_arrays_are_the_gate_rows_and_load_back_exactly():
+    model = fitted_model()
+    params, h = model.params_, model.hidden_size
+    arrays = model._arrays()
+    assert list(arrays) == ["w_out", "b_out"] + [f"{n}_{g}" for g in _GATES for n in "wub"]
+    for k, g in enumerate(_GATES):
+        assert np.array_equal(arrays[f"w_{g}"], params.W[k * h : (k + 1) * h])
+        assert np.array_equal(arrays[f"u_{g}"], params.U[k * h : (k + 1) * h])
+        assert np.array_equal(arrays[f"b_{g}"], params.b[k * h : (k + 1) * h])
+    loaded = LstmClassifier.from_state(*model.state())
+    assert np.array_equal(loaded.params_.to_vector(), params.to_vector())
+    assert all(a.dtype == np.float64 for a in loaded.params_.arrays())
+
+
+@pytest.mark.parametrize("name", ["w", "u", "b"])
+def test_load_rejects_gates_that_stack_but_split_wrongly(name):
+    meta, arrays = fitted_model().state()
+    # w_f takes one row of w_i: the stack is the same, the split is not
+    stack = np.concatenate([arrays[f"{name}_{g}"] for g in _GATES])
+    arrays[f"{name}_f"], arrays[f"{name}_i"] = stack[:4], stack[4:6]
+    with pytest.raises(ValueError):
+        LstmClassifier.from_state(meta, arrays)
+
+
+def test_load_rejects_a_hidden_size_the_arrays_do_not_have():
+    meta, arrays = fitted_model().state()
+    with pytest.raises(ValueError):
+        LstmClassifier.from_state(dict(meta, hidden_size=4), arrays)
+
+
+def test_params_reject_shapes_that_do_not_chain():
+    good = zero_params(input_size=2, hidden=3, classes=2).arrays()
+    for k, bad in enumerate([np.zeros((11, 2)), np.zeros((12, 4)), np.zeros(3), np.zeros((2, 4)),
+                             np.zeros(3)]):
+        with pytest.raises(ParameterError):
+            LstmParams(*good[:k], bad, *good[k + 1 :])
 
 
 # --- training

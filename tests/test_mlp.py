@@ -5,6 +5,9 @@ from emoforge.errors import ParameterError
 from emoforge.models import MlpClassifier
 from emoforge.persistence import save_container
 
+# an overflow or a 0/0 fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
 
@@ -123,3 +126,18 @@ def test_constructor_validation():
     for batch_size in (0, -1):
         with pytest.raises(ParameterError):
             MlpClassifier(batch_size=batch_size)
+    for learning_rate in (0.0, -0.5):
+        with pytest.raises(ParameterError):
+            MlpClassifier(learning_rate=learning_rate)
+
+
+def test_load_rejects_layers_that_are_not_the_hidden_sizes():
+    rng = np.random.default_rng(10)
+    model = MlpClassifier(hidden_sizes=(5, 4), epochs=2, seed=0)
+    model.fit(rng.normal(size=(20, 3)), rng.integers(0, 2, size=20))
+    meta, arrays = model.state()
+    loaded = MlpClassifier.from_state(meta, arrays)
+    assert np.array_equal(loaded.get_param_vector(), model.get_param_vector())
+    for sizes in ((9, 4), (5, 3), (4, 5)):
+        with pytest.raises(ValueError):
+            MlpClassifier.from_state(dict(meta, hidden_sizes=sizes), arrays)
