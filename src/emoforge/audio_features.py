@@ -49,7 +49,7 @@ FRAME_FEATURE_NAMES = (
 )
 
 _MAX_MEDIAN_WINDOW = 1 << 16
-_BLOCK_ROWS = 64  # frequency rows per np.partition call in the median filter
+_BLOCK_ELEMENTS = 1 << 18  # sorted-core float64s per block of the median filter
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,12 @@ class FrameFeatureSequence:
 
 
 def frame_signal(samples: np.ndarray, config: FrameConfig) -> np.ndarray:
-    """Slice a signal into rectangular frames, shape (n_frames, frame_length)."""
+    """Slice a signal into rectangular frames, shape (n_frames, frame_length).
+
+    The frames are a read-only view of the samples (overlapping frames share
+    memory, so nothing is copied); a clip shorter than one frame comes back
+    as one zero-padded frame of its own.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < config.frame_length:
         padded = np.zeros(config.frame_length, dtype=np.float64)
@@ -138,10 +143,9 @@ def frame_signal(samples: np.ndarray, config: FrameConfig) -> np.ndarray:
         return padded[np.newaxis, :]
     n_frames = config.frame_count(samples.size)
     strides = (samples.strides[0] * config.hop_length, samples.strides[0])
-    view = np.lib.stride_tricks.as_strided(
-        samples, shape=(n_frames, config.frame_length), strides=strides
+    return np.lib.stride_tricks.as_strided(
+        samples, shape=(n_frames, config.frame_length), strides=strides, writeable=False
     )
-    return np.ascontiguousarray(view)
 
 
 def center_clip(frame: np.ndarray, clip_level: float) -> np.ndarray:
@@ -234,15 +238,40 @@ def median_filter_1d(x: np.ndarray, l: int) -> np.ndarray:
     return _median_filter_time(x.reshape(1, -1), l).reshape(x.shape)
 
 
-def _window_median(windows: np.ndarray) -> np.ndarray:
-    """Median along the last axis by selection: the middle rank for an odd
-    length, the np.mean of the two middle ranks for an even one. On NaN-free
-    input this is np.median's own rule, so the bits match."""
-    m = windows.shape[-1]
-    k = (m - 1) // 2
-    if m % 2:
-        return np.partition(windows, k, axis=-1)[..., k]
-    return np.partition(windows, (k, k + 1), axis=-1)[..., k : k + 2].mean(axis=-1)
+def _rank(core, p, x, r):
+    """Rank r of each window made of sorted core[:, p, 1:-1] and one element x."""
+    return np.maximum(core[:, p, r], np.minimum(x, core[:, p, r + 1]))
+
+
+def _pair_medians(padded, core, start, stop, left, right, out):
+    """Filter columns start..stop-1 of a block of +inf-padded rows into out.
+
+    Columns i and i+1 (i - start even) share the core padded[i+1 : i+w] of
+    their two width-w windows. The core is sorted once into core[:, p, 1:w];
+    core[:, p, 0] = -inf and core[:, p, w] = +inf bound it, so rank r of a
+    window is max(core[:, p, r], min(x, core[:, p, r + 1])), with x the one
+    element of the window outside the core.
+    """
+    n = padded.shape[1] - left - right - 1
+    width = left + right + 1
+    pairs = (stop - start + 1) // 2
+    sorted_core = core[:, :pairs, 1:width]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width - 1, axis=1)
+    np.copyto(sorted_core, windows[:, start + 1 : start + 2 * pairs : 2])
+    sorted_core.sort(axis=-1)
+    for parity in (0, 1):
+        cols = np.arange(start + parity, stop, 2)
+        p = (cols - start) // 2
+        x = padded[:, cols + parity * (width - 1)]
+        m = np.minimum(n, cols + right + 1) - np.maximum(0, cols - left)
+        median = _rank(core, p, x, (m - 1) // 2)
+        even = np.flatnonzero(m % 2 == 0)
+        if even.size:
+            # the upper middle rank, averaged as np.mean averages two values
+            upper = _rank(core, p[even], x[:, even], m[even] // 2)
+            with np.errstate(invalid="ignore"):  # -inf and +inf give NaN
+                median[:, even] = (median[:, even] + upper) / 2
+        out[:, start + parity : stop : 2] = median
 
 
 def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
@@ -254,6 +283,17 @@ def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
     the boundaries instead of padding. A window holding NaN gives NaN, as
     np.median does.
 
+    Algorithm: the extents are capped at n-1, which changes no clamped
+    window, and each row is padded with +inf, so every window has one width
+    w <= 2n-1. Pads sort last, so a window of true length m keeps its ranks
+    (m-1)//2 and m//2. Columns whose window is the whole row share one row
+    median. The others go in pairs that sort their shared core of w-1
+    elements once and take each window's two middle ranks from it with one
+    min and one max (Adams 2021, separable sorting networks). Rows go in
+    blocks whose sorted cores hold at most _BLOCK_ELEMENTS float64s, through
+    one core buffer per call, so the working set is O(_BLOCK_ELEMENTS +
+    rows * n) whatever l is.
+
     The output has the input's memory order. Spectrogram magnitudes are
     Fortran-ordered (a transposed rfft), and harmonic_feature's means sum in
     memory order, so a C-ordered output would change harmonic_mean's bits.
@@ -262,26 +302,41 @@ def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
         raise ParameterError("window length must be >= 1")
     if l > _MAX_MEDIAN_WINDOW:
         raise ParameterError(f"window length above {_MAX_MEDIAN_WINDOW}")
-    n = magnitudes.shape[1]
+    rows, n = magnitudes.shape
     if l == 1 or n <= 1:
         return magnitudes.copy()
-    left = (l - 1) // 2
-    right = l // 2  # inclusive extent to the right
-    data = np.ascontiguousarray(magnitudes)  # each window a contiguous run
+    left = min((l - 1) // 2, n - 1)
+    right = min(l // 2, n - 1)  # inclusive extent to the right
     out = np.empty_like(magnitudes)
-    interior = range(left, n - right) if l <= n else range(0)
-    if interior:
-        # blocks of rows bound the window copy np.partition makes
-        for lo in range(0, data.shape[0], _BLOCK_ROWS):
-            block = data[lo : lo + _BLOCK_ROWS]
-            windows = np.lib.stride_tricks.sliding_window_view(block, l, axis=1)
-            out[lo : lo + _BLOCK_ROWS, interior.start : interior.stop] = _window_median(windows)
-    for i in range(n):
-        if i not in interior:
-            out[:, i] = _window_median(data[:, max(0, i - left) : min(n, i + right + 1)])
-    nan = np.isnan(data)
+    # the windows of columns first..last are the whole row
+    first, last = max(0, n - 1 - right), min(n - 1, left)
+    spans = [(0, n)]
+    if first <= last:
+        ordered = np.sort(magnitudes, axis=1)
+        whole = ordered[:, (n - 1) // 2]
+        if n % 2 == 0:
+            with np.errstate(invalid="ignore"):
+                whole = (whole + ordered[:, n // 2]) / 2
+        out[:, first : last + 1] = whole[:, np.newaxis]
+        spans = [(0, first), (last + 1, n)]
+    spans = [(start, stop) for start, stop in spans if start < stop]
+    if spans:
+        width = left + right + 1
+        pairs = max((stop - start + 1) // 2 for start, stop in spans)
+        block = max(1, min(rows, _BLOCK_ELEMENTS // (pairs * (width + 1))))
+        core = np.empty((block, pairs, width + 1))
+        core[..., 0] = -np.inf
+        core[..., width] = np.inf
+        padded = np.full((block, left + n + right + 1), np.inf)
+        for lo in range(0, rows, block):
+            hi = min(rows, lo + block)
+            padded[: hi - lo, left : left + n] = magnitudes[lo:hi]
+            for start, stop in spans:
+                _pair_medians(padded[: hi - lo], core[: hi - lo], start, stop, left, right,
+                              out[lo:hi])
+    nan = np.isnan(magnitudes)
     if nan.any():
-        seen = np.concatenate([np.zeros((data.shape[0], 1)), np.cumsum(nan, axis=1)], axis=1)
+        seen = np.concatenate([np.zeros((rows, 1)), np.cumsum(nan, axis=1)], axis=1)
         cols = np.arange(n)
         in_window = seen[:, np.minimum(n, cols + right + 1)] - seen[:, np.maximum(0, cols - left)]
         out[in_window > 0] = np.nan

@@ -327,6 +327,8 @@ class LstmClassifier(ProbabilisticClassifier):
             raise ParameterError("learning_rate must be > 0")
         if not clip_threshold > 0:
             raise ParameterError("clip_threshold must be > 0")
+        if not 0.0 < validation_fraction < 1.0:
+            raise ParameterError("validation_fraction must lie in (0, 1)")
         self.hidden_size = hidden_size
         self.epochs = epochs
         self.learning_rate = learning_rate

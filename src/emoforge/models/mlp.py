@@ -48,6 +48,8 @@ class MlpClassifier(ProbabilisticClassifier):
             raise ParameterError("batch_size must be >= 1")
         if not learning_rate > 0:
             raise ParameterError("learning_rate must be > 0")
+        if not 0.0 <= momentum < 1.0:
+            raise ParameterError("momentum must lie in [0, 1)")
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         if min(self.hidden_sizes) < 1:
             raise ParameterError("every hidden size must be >= 1")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,20 +160,113 @@ def test_median_filter_2d_matches_np_median_body():
             _assert_same_filter_output(_median_filter_time(data, l), want)
 
 
-def test_harmonic_feature_matches_np_median_body(monkeypatch):
-    # 4.5 s at 16 kHz is 137 frames of 1025 bins: interior and edge columns,
-    # Fortran-ordered magnitudes, the default l = 31
-    rng = np.random.default_rng(9)
-    t = np.arange(72_000) / 16_000
+def _noisy_tone(seconds, sr=16_000, seed=9):
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(round(seconds * sr))) / sr
     samples = 0.4 * np.sin(2 * np.pi * 180.0 * t) + 0.1 * rng.standard_normal(t.size)
-    clip = clip_of(np.clip(samples, -1.0, 1.0), sr=16_000)
+    return clip_of(np.clip(samples, -1.0, 1.0), sr=sr)
+
+
+def test_harmonic_feature_matches_np_median_body(monkeypatch):
+    # at 16 kHz with the default framing and l = 31: 0.6 s is 15 frames, so
+    # every window is the whole row; 2.0 s is 59 frames and 4.5 s is 137,
+    # with interior and edge columns. Magnitudes are Fortran-ordered.
     config = FrameConfig()
-    assert spectrogram(clip, config).magnitudes.flags.f_contiguous
-    got_mean, got_frames = harmonic_feature(clip, config)
-    monkeypatch.setattr(audio_features, "_median_filter_time", _reference_median_filter_time)
-    want_mean, want_frames = harmonic_feature(clip, config)
-    assert got_mean == want_mean
-    assert np.array_equal(got_frames, want_frames)
+    for seconds in (0.6, 2.0, 4.5):
+        clip = _noisy_tone(seconds)
+        assert spectrogram(clip, config).magnitudes.flags.f_contiguous
+        got_mean, got_frames = harmonic_feature(clip, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(audio_features, "_median_filter_time", _reference_median_filter_time)
+            want_mean, want_frames = harmonic_feature(clip, config)
+        assert got_mean == want_mean
+        assert np.array_equal(got_frames, want_frames)
+
+
+def test_median_filter_whole_row_windows_match_np_median_body():
+    # n <= min(left, right) + 1: every clamped window is the whole row, so all
+    # columns share one row median; then the rows just past that, where only
+    # the middle columns see the whole row
+    rng = np.random.default_rng(21)
+    for l in (2, 3, 30, 31, 64):
+        for n in range(2, l + 3):
+            for ties in (False, True):
+                x = rng.uniform(0.0, 3.0, (5, n))
+                if ties:
+                    x = np.round(x)
+                for order in ("C", "F"):
+                    data = np.asarray(x, order=order)
+                    want = _reference_median_filter_time(data, l)
+                    _assert_same_filter_output(_median_filter_time(data, l), want)
+
+
+def test_median_filter_longest_window_on_short_rows_stays_small():
+    # the window extents are capped at n - 1, so l = 1 << 16 on a 40-sample
+    # row works on rows x 40 values, never on rows x l
+    rng = np.random.default_rng(22)
+    for n in (2, 3, 17, 40):
+        for l in (1 << 16, (1 << 16) - 1):
+            x = rng.uniform(0.0, 1.0, (256, n))
+            want = _reference_median_filter_time(x, l)
+            tracemalloc.start()
+            try:
+                got = _median_filter_time(x, l)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            _assert_same_filter_output(got, want)
+            assert peak <= 6 * x.nbytes + (1 << 16)
+
+
+def test_median_filter_infinities_match_np_median_body():
+    # +inf entries tie with the +inf padding and -inf with the buffer's
+    # lower bound; a window whose middle ranks are -inf and +inf is NaN
+    rng = np.random.default_rng(23)
+    for case in range(120):
+        rows = int(rng.integers(1, 20))
+        n = int(rng.integers(2, 80))
+        l = int(rng.choice([2, 3, 4, 31, n, n + 1, 2 * n]))
+        x = rng.uniform(-1.0, 1.0, (rows, n))
+        x[rng.random(x.shape) < 0.2] = np.inf
+        x[rng.random(x.shape) < 0.2] = -np.inf
+        if case % 3 == 0:
+            x[rng.integers(rows), rng.integers(n)] = np.nan
+        for order in ("C", "F"):
+            data = np.asarray(x, order=order)
+            with np.errstate(invalid="ignore"):
+                want = _reference_median_filter_time(data, l)
+            _assert_same_filter_output(_median_filter_time(data, l), want)
+
+
+def test_median_filter_working_set_is_bounded_by_the_block(monkeypatch):
+    # sorting every pair's core at once would hold rows * n/2 * l values
+    # (14.8 MB for n = 60, l = 59); blocks keep it to the block plus the output
+    monkeypatch.setattr(audio_features, "_BLOCK_ELEMENTS", 1 << 16)
+    rng = np.random.default_rng(25)
+    for n, l in ((60, 59), (137, 31)):
+        x = np.asfortranarray(rng.uniform(0.0, 1.0, (1025, n)))
+        tracemalloc.start()
+        try:
+            _median_filter_time(x, l)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (1 << 16) + 2 * x.nbytes + (1 << 16)
+
+
+@pytest.mark.parametrize("block_elements", [1, 97, 2000])
+def test_median_filter_blocks_that_do_not_divide_the_rows(monkeypatch, block_elements):
+    # one row per block, and blocks that leave a short last block
+    monkeypatch.setattr(audio_features, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(24)
+    for rows, n, l in ((7, 50, 31), (65, 20, 31), (13, 40, 6), (3, 9, 4), (101, 33, 5), (0, 40, 7)):
+        x = rng.uniform(0.0, 5.0, (rows, n))
+        if rows:
+            x[rng.integers(rows), rng.integers(n)] = np.nan
+        for order in ("C", "F"):
+            data = np.asarray(x, order=order)
+            want = _reference_median_filter_time(data, l)
+            _assert_same_filter_output(_median_filter_time(data, l), want)
 
 
 def test_median_filter_bad_window():
@@ -376,6 +471,31 @@ def test_frame_count_short_clip_pads_to_one():
     frames = frame_signal(np.ones(100), config)
     assert frames.shape == (1, 2048)
     assert frames[0, 100:].sum() == 0.0
+
+
+def test_frame_signal_is_a_read_only_view():
+    samples = np.random.default_rng(6).uniform(-1, 1, 2048 + 5 * 512 + 100)
+    frames = frame_signal(samples, FrameConfig())
+    assert frames.shape == (6, 2048)
+    assert np.shares_memory(frames, samples)
+    assert np.array_equal(frames[3], samples[3 * 512 : 3 * 512 + 2048])
+    with pytest.raises(ValueError):
+        frames[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("seconds", [0.6, 2.0, 4.5])
+def test_features_on_frame_views_match_copied_frames(monkeypatch, seconds):
+    clip = _noisy_tone(seconds, seed=10)
+    want = extract_audio_features(clip).to_array(), extract_frame_sequence(clip).vectors
+    viewing = audio_features.frame_signal
+
+    def copying(samples, config):
+        return np.ascontiguousarray(viewing(samples, config))
+
+    monkeypatch.setattr(audio_features, "frame_signal", copying)
+    got = extract_audio_features(clip).to_array(), extract_frame_sequence(clip).vectors
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def test_frame_count_closed_form():

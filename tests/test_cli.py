@@ -278,6 +278,9 @@ def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, model, pair)
     ("mlp", "batch_size=-1"), ("mlp", "hidden_sizes=0"), ("e1", "mlp.hidden_sizes=8,0"),
     ("lstm", "learning_rate=-0.5"), ("mlp", "learning_rate=0"), ("lr", "learning_rate=-0.5"),
     ("lstm", "clip_threshold=0"), ("e2", "lr.learning_rate=-1"),
+    ("mlp", "momentum=1.5"), ("mlp", "momentum=-1.0"), ("e1", "mlp.momentum=1"),
+    ("lstm", "validation_fraction=2.0"), ("lstm", "validation_fraction=-0.5"),
+    ("lstm", "validation_fraction=0"),
 ])
 def test_train_rejects_out_of_range_hp(trained_model, tmp_path, capsys, model, pair):
     # the constructor's ParameterError is a configuration error here, unlike
@@ -432,6 +435,8 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h["members"][0]["meta"].update(hidden_size=7), 3, "lstm"),
     (lambda h: h["members"][2]["meta"].update(hidden_sizes=[9]), 3, "e2"),
     (lambda h: h["members"][0]["meta"].update(learning_rate=-0.5), 3, "lstm"),
+    (lambda h: h["members"][2]["meta"].update(momentum=1.5), 3, "e2"),
+    (lambda h: h["members"][0]["meta"].update(validation_fraction=2.0), 3, "lstm"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -441,7 +446,8 @@ def _edit_header(model: Path, edit) -> bytes:
         "e2-member-n-classes", "e2-class-names-edited", "rf-n-trees-zero",
         "e2-scaler-kind-unknown", "e2-mlp-batch-size-negative", "e2-mlp-hidden-size-zero",
         "lstm-batch-size-zero", "lstm-hidden-size-zero", "lstm-hidden-size-edited",
-        "e2-mlp-hidden-sizes-edited", "lstm-learning-rate-negative"])
+        "e2-mlp-hidden-sizes-edited", "lstm-learning-rate-negative",
+        "e2-mlp-momentum-above-one", "lstm-validation-fraction-above-one"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model

@@ -351,6 +351,20 @@ def test_constructor_rejects_sizes_below_one(key, value):
         LstmClassifier(**{key: value})
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.5, float("nan")])
+def test_constructor_rejects_validation_fraction_outside_open_unit(value):
+    with pytest.raises(ParameterError):
+        LstmClassifier(validation_fraction=value)
+
+
+def test_fit_keeps_one_sequence_each_side_on_tiny_sets():
+    # an in-range fraction still leaves at least one sequence to train on and
+    # one to validate on: 0.9 of two sequences rounds to both
+    model = LstmClassifier(hidden_size=2, epochs=1, validation_fraction=0.9, seed=0)
+    model.fit([np.zeros((2, 3)), np.ones((3, 3))], np.array([0, 1]))
+    assert len(model.loss_history_) == 1
+
+
 @pytest.mark.parametrize("key", ["learning_rate", "clip_threshold"])
 @pytest.mark.parametrize("value", [0.0, -0.5])
 def test_constructor_rejects_steps_and_thresholds_not_above_zero(key, value):

@@ -129,6 +129,10 @@ def test_constructor_validation():
     for learning_rate in (0.0, -0.5):
         with pytest.raises(ParameterError):
             MlpClassifier(learning_rate=learning_rate)
+    for momentum in (1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ParameterError):
+            MlpClassifier(momentum=momentum)
+    MlpClassifier(momentum=0.0)
 
 
 def test_load_rejects_layers_that_are_not_the_hidden_sizes():
