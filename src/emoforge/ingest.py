@@ -130,36 +130,51 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     path = Path(path)
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     entries: list[ManifestEntry] = []
     base = path.parent
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    # bytes.splitlines breaks lines where text-mode reading would: \n, \r\n, \r
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            for key in ("audio", "text", "label"):
-                if key not in obj:
-                    raise ManifestError(f"{path}:{lineno}: missing field {key!r}")
-            audio_path = Path(obj["audio"])
-            if not audio_path.is_absolute():
-                audio_path = base / audio_path
-            if not audio_path.is_file():
-                raise ManifestError(f"{path}:{lineno}: audio file not found: {audio_path}")
-            split_hint = obj.get("split")
-            if split_hint is not None and split_hint not in ("train", "test"):
-                raise ManifestError(f"{path}:{lineno}: split must be 'train' or 'test'")
-            entries.append(
-                ManifestEntry(
-                    audio_path=audio_path,
-                    transcript=str(obj["text"]),
-                    raw_label=str(obj["label"]),
-                    split_hint=split_hint,
-                )
+            obj = json.loads(line)
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path}:{lineno}: not UTF-8 text ({exc})") from exc
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long integer
+            raise ManifestError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise ManifestError(
+                f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
+        for key in ("audio", "text", "label"):
+            if key not in obj:
+                raise ManifestError(f"{path}:{lineno}: missing field {key!r}")
+            if not isinstance(obj[key], str):
+                raise ManifestError(f"{path}:{lineno}: field {key!r} must be a string")
+        audio_path = Path(obj["audio"])
+        if not audio_path.is_absolute():
+            audio_path = base / audio_path
+        try:
+            found = audio_path.is_file()
+        except OSError:  # a name the file system cannot hold, such as one too long
+            found = False
+        if not found:
+            raise ManifestError(f"{path}:{lineno}: audio file not found: {audio_path}")
+        split_hint = obj.get("split")
+        if split_hint is not None and split_hint not in ("train", "test"):
+            raise ManifestError(f"{path}:{lineno}: split must be 'train' or 'test'")
+        entries.append(
+            ManifestEntry(
+                audio_path=audio_path,
+                transcript=obj["text"],
+                raw_label=obj["label"],
+                split_hint=split_hint,
             )
+        )
     return entries
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .base import ProbabilisticClassifier, check_training_labels, log_loss, one_hot, softmax
-from .tree import TreeNodes, grow_tree, leaf_values, pack_trees, sum_leaf_values, unpack_trees
+from .tree import TreeNodes, grow_tree, pack_trees, presort, sum_leaf_values, unpack_trees
 
 
 class GradientBoosting(ProbabilisticClassifier):
@@ -47,6 +47,8 @@ class GradientBoosting(ProbabilisticClassifier):
         targets = one_hot(y, self.n_classes)
         logits = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
         trees = []
+        presorted = presort(X)  # every tree splits the same columns
+        step = np.empty((X.shape[0], 1), dtype=np.float64)  # each row's leaf value
         proba = softmax(logits)  # each round's probabilities serve its loss and the next residuals
         self.train_loss_history_ = [log_loss(proba, y)]
         for _ in range(self.n_rounds):
@@ -58,9 +60,11 @@ class GradientBoosting(ProbabilisticClassifier):
                     task="regression",
                     max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
+                    presorted=presorted,
+                    leaves=step,
                 )
                 trees.append(tree)
-                logits[:, c] += self.learning_rate * leaf_values(pack_trees([tree]), X)[:, 0, 0]
+                logits[:, c] += self.learning_rate * step[:, 0]
             proba = softmax(logits)
             self.train_loss_history_.append(log_loss(proba, y))
         self._set_arrays(pack_trees(trees))

@@ -3,14 +3,38 @@
 Both tree flavors share one builder: classification trees split on Gini
 impurity and keep class distributions at the leaves, regression trees split
 on variance and keep means. Candidate thresholds are midpoints between
-consecutive distinct sorted feature values. A node scores every candidate
-feature in one pass (a stable argsort per column, cumulative class counts or
-target sums, a position x feature gain matrix). Equal-gain ties resolve to
-the lowest feature index, then the lowest threshold, and a split needs a
-strictly positive gain. Every sum runs in the order a one-column search
-would use, so trees match it bit for bit: class counts are summed along the
-last axis, and the regression parent variance is taken on a Fortran-ordered
-copy so that each column reduces over contiguous memory.
+consecutive distinct sorted feature values. Equal-gain ties resolve to the
+lowest feature index, then the lowest threshold, and a split needs a
+strictly positive gain.
+
+A caller that grows many trees on one X, as boosting does, computes
+``presort(X)`` once: per column, the row indices in stable sorted order and
+the values in that order. Each node carries its share down the tree, a
+split hands each child the entries of its own rows in the same order, and no
+node sorts again. Without a presort (a random forest draws a few candidate
+columns per node) a node sorts the columns it draws. Both orders agree,
+because a node's rows stay ascending and a stable sort breaks ties by row.
+
+The search scores only the valid positions of a column block: those between
+two distinct sorted values that leave ``min_samples_leaf`` rows on each side
+(a small share of a TFIDF column with two to four distinct values). It
+gathers the cumulative class counts or target sums at those entries alone
+and scatters their gains into a -inf (columns x positions) matrix for the
+first-max rules. Every sum runs in the order a one-column search would use,
+so trees match it bit for bit: cumulative sums run along each sorted column,
+a position's class terms are summed along the last axis, each column's
+regression parent variance is reduced over its contiguous sorted row, and a
+node's mean and variance are the ``np.add.reduce`` sums of ``np.mean`` and
+``np.var``. ``grow_tree`` also reports each training row's leaf value, which
+boosting adds to its logits instead of walking the new tree over X.
+
+Memory: with int32 row indices a presort takes 1.5 x X.nbytes. A growing
+tree adds at most 3 x X.nbytes of carried shares (pending nodes hold
+disjoint rows, and a split fills its children before its own share goes),
+so a boosting fit stays within 4.5 x X.nbytes plus the temporaries of one
+column block: the search and the partition handle at most
+``_BLOCK_ELEMENTS`` (rows x columns x classes) entries at a time, in about
+twenty arrays.
 
 A model keeps its trees once, in the packed arrays that ``pack_trees``
 writes to a model file, and ``leaf_values`` is the one traversal of them:
@@ -37,10 +61,10 @@ from .base import one_hot
 
 _NO_FEATURE = -1
 # Upper bound on the elements of one (rows x columns x classes) block that the
-# split search gathers and scores at once; nodes with more candidate columns
-# are scored in column blocks, so a wide TFIDF matrix is never copied whole.
-# The traversal likewise walks rows in blocks of at most this many
-# (row, tree, value) leaf entries.
+# split search scores, or a split partitions, at once; nodes with more
+# candidate columns work in column blocks, so no temporary grows with the
+# width of a TFIDF matrix. The traversal likewise walks rows in blocks of at
+# most this many (row, tree, value) leaf entries.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -61,53 +85,87 @@ class TreeNodes:
         return int(self.feature.size)
 
 
+def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's row indices in stable sorted order and its values in that
+    order, both (columns x rows) with one column per contiguous row; the
+    indices are int32 while the row count allows it."""
+    X = np.asarray(X, dtype=np.float64)
+    order = np.argsort(X.T, axis=1, kind="stable")
+    values = np.take_along_axis(X.T, order, axis=1)
+    return order.astype(np.int32 if X.shape[0] < 2**31 else np.int64), values
+
+
 def _best_splits(
-    X: np.ndarray, idx: np.ndarray, candidates: np.ndarray, yn: np.ndarray, task: str,
+    X: np.ndarray, idx: np.ndarray, candidates: np.ndarray | None,
+    carried: tuple[np.ndarray, np.ndarray] | None, targets: np.ndarray, task: str,
     min_samples_leaf: int, parent: float,
 ) -> tuple[float, float, int]:
-    """Best (gain, threshold, feature) over the ``candidates`` columns of the
-    node holding rows ``idx`` of X; gain 0.0 means no split.
+    """Best (gain, threshold, feature) over the ``candidates`` columns (None:
+    all) of the node holding rows ``idx`` of X; gain 0.0 means no split.
 
-    ``yn`` is the node's one-hot labels (classification) or targets
-    (regression). ``parent`` is the node's Gini impurity; regression replaces
-    it by each column's variance in that column's sorted order.
+    ``carried`` is the node's share of ``presort(X)``; without it each block
+    of candidate columns is sorted here. ``targets`` is the one-hot labels
+    (classification) or targets (regression) of every row of X. ``parent``
+    is the node's Gini impurity; regression replaces it by each column's
+    variance in that column's sorted order.
     """
     n = idx.size
-    # split after sorted position i: the left child takes the first i+1 rows
-    sizes_left = np.arange(1, n)[:, None]
-    sizes_right = n - sizes_left
-    size_ok = (sizes_left >= min_samples_leaf) & (sizes_right >= min_samples_leaf)
-    width = max(1, _BLOCK_ELEMENTS // yn.size)  # yn.size is rows x classes
+    features = np.arange(X.shape[1]) if candidates is None else candidates
+    width = max(1, _BLOCK_ELEMENTS // (n * targets[0].size))  # rows x classes per column
+    # split after sorted position p: the left child takes the first p + 1 rows;
+    # only p in [lo, hi) leave min_samples_leaf rows on each side
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
     best = (0.0, 0.0, _NO_FEATURE)
-    for lo in range(0, candidates.size, width):
-        cols = candidates[lo : lo + width]
-        block = X[np.ix_(idx, cols)]
-        order = np.argsort(block, axis=0, kind="stable")
-        sv = np.take_along_axis(block, order, axis=0)
-        valid = (sv[:-1] < sv[1:]) & size_ok
-        ys = yn[order]
-        cum = np.cumsum(ys, axis=0)
-        if task == "classification":
-            left = cum[:-1]  # rows x columns x classes
-            right = cum[-1] - left
-            impurity_left = 1.0 - np.sum((left / sizes_left[..., None]) ** 2, axis=2)
-            impurity_right = 1.0 - np.sum((right / sizes_right[..., None]) ** 2, axis=2)
+    for start in range(0, features.size, width):
+        cols = features[start : start + width]
+        if carried is None:
+            block = X[idx, cols[:, None]]
+            order = np.argsort(block, axis=1, kind="stable")
+            rows, sv = idx[order], np.take_along_axis(block, order, axis=1)
         else:
-            cum2 = np.cumsum(ys**2, axis=0)
-            sum_left, sq_left = cum[:-1], cum2[:-1]
-            sum_right, sq_right = cum[-1] - sum_left, cum2[-1] - sq_left
+            pick = slice(start, start + width) if candidates is None else cols
+            rows, sv = carried[0][pick], carried[1][pick]
+        # score only the positions between two distinct values: window
+        # entry (c, q) is the split after sorted position p = lo + q of column c
+        valid = sv[:, lo:hi] < sv[:, lo + 1 : hi + 1]
+        flat = np.flatnonzero(valid)
+        if not flat.size:
+            continue
+        c, q = np.divmod(flat, hi - lo)
+        sizes_left = q + min_samples_leaf  # p + 1
+        sizes_right = n - sizes_left
+        at = c * n + (q + lo)  # (c, p) in a columns x rows matrix
+        ys = targets[rows]  # columns x rows (x classes)
+        cum = np.cumsum(ys, axis=1)
+        if task == "classification":
+            cum = cum.reshape(-1, cum.shape[2])
+            left = cum[at]  # positions x classes
+            right = cum[c * n + (n - 1)] - left
+            impurity_left = 1.0 - np.add.reduce((left / sizes_left[:, None]) ** 2, axis=1)
+            impurity_right = 1.0 - np.add.reduce((right / sizes_right[:, None]) ** 2, axis=1)
+            column_parent = parent
+        else:
+            cum2 = np.square(ys)
+            np.cumsum(cum2, axis=1, out=cum2)
+            sum_left, sq_left = cum.take(at), cum2.take(at)
+            last = c * n + (n - 1)
+            sum_right, sq_right = cum.take(last) - sum_left, cum2.take(last) - sq_left
             impurity_left = sq_left / sizes_left - (sum_left / sizes_left) ** 2
             impurity_right = sq_right / sizes_right - (sum_right / sizes_right) ** 2
-            parent = np.var(np.asfortranarray(ys), axis=0)  # == np.var(ys[:, j]) bit for bit
+            # np.var of each sorted column, reduced over its contiguous row;
+            # ys turns into the squared deviations from each column's mean
+            ys -= np.add.reduce(ys, axis=1, keepdims=True) / n
+            column_parent = (np.add.reduce(np.square(ys, out=ys), axis=1) / n).take(c)
         weighted = (sizes_left * impurity_left + sizes_right * impurity_right) / n
-        gains = np.where(valid, parent - weighted, -np.inf)
-        rows = np.argmax(gains, axis=0)  # first max: lowest threshold wins ties
-        col_gains = gains[rows, np.arange(cols.size)]
+        gains = np.full(valid.shape, -np.inf)
+        gains.ravel()[flat] = column_parent - weighted
+        rows_best = np.argmax(gains, axis=1)  # first max: lowest threshold wins ties
+        col_gains = gains[np.arange(cols.size), rows_best]
         col_gains = np.where(np.isfinite(col_gains) & (col_gains > 0.0), col_gains, 0.0)
         col = int(np.argmax(col_gains))  # first max: lowest feature wins ties
         if col_gains[col] > best[0]:
-            r = rows[col]
-            threshold = 0.5 * (sv[r, col] + sv[r + 1, col])
+            r = lo + rows_best[col]
+            threshold = 0.5 * (sv[col, r] + sv[col, r + 1])
             best = (float(col_gains[col]), float(threshold), int(cols[col]))
     return best
 
@@ -121,10 +179,15 @@ def grow_tree(
     min_samples_leaf: int = 1,
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
+    presorted: tuple[np.ndarray, np.ndarray] | None = None,
+    leaves: np.ndarray | None = None,
 ) -> TreeNodes:
     """Grow one tree. ``y`` is class indices (classification) or targets
     (regression). ``max_features`` draws that many split candidates per node
-    from ``rng``; None considers every feature."""
+    from ``rng``; None considers every feature. ``presorted`` is
+    ``presort(X)``, which a caller growing many trees on one X computes once;
+    without it every node sorts its candidate columns. ``leaves``, an
+    (n_samples, value_dim) array, receives each row's leaf value."""
     X = np.asarray(X, dtype=np.float64)
     n_samples, n_features = X.shape
     depth_cap = np.inf if max_depth is None else max_depth
@@ -139,28 +202,30 @@ def grow_tree(
 
     feature, threshold, left, right, value = [], [], [], [], []
     importances = np.zeros(n_features, dtype=np.float64)
+    goes_left = np.zeros(n_samples, dtype=bool)  # per row of X, set at each split
 
-    stack = [(np.arange(n_samples), 0, -1, False)]  # (rows, depth, parent id, is left child)
+    # (rows in ascending order, their share of presorted, depth, parent id, is left child)
+    stack = [(np.arange(n_samples), presorted, 0, -1, False)]
     while stack:
-        idx, depth, parent, is_left = stack.pop()
+        idx, carried, depth, parent, is_left = stack.pop()
+        n = idx.size
         node_id = len(feature)
         if parent >= 0:
             (left if is_left else right)[parent] = node_id
 
         yn = targets[idx]  # the node's one-hot rows or residuals, gathered once
-        mean = np.atleast_1d(yn.mean(axis=0))  # class distribution or target mean
+        mean = np.atleast_1d(np.add.reduce(yn, axis=0) / n)  # class distribution or target mean
         if task == "classification":
             impurity = 1.0 - float(np.dot(mean, mean))  # Gini
         else:
-            impurity = float(np.var(yn))
+            impurity = float(np.add.reduce((yn - mean[0]) ** 2) / n)  # np.var(yn)
         best_gain, best_thr, best_feat = 0.0, 0.0, _NO_FEATURE
-        if idx.size >= 2 * min_samples_leaf and depth < depth_cap and impurity > 0.0:
+        if n >= 2 * min_samples_leaf and depth < depth_cap and impurity > 0.0:
+            candidates = None
             if max_features is not None and max_features < n_features:
                 candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
-            else:
-                candidates = np.arange(n_features)
             best_gain, best_thr, best_feat = _best_splits(
-                X, idx, candidates, yn, task, min_samples_leaf, impurity
+                X, idx, candidates, carried, targets, task, min_samples_leaf, impurity
             )
 
         feature.append(best_feat)
@@ -169,18 +234,42 @@ def grow_tree(
         right.append(-1)
         value.append(mean)
         if best_feat == _NO_FEATURE:
+            if leaves is not None:
+                leaves[idx] = mean
             continue
-        importances[best_feat] += (idx.size / n_samples) * best_gain
+        importances[best_feat] += (n / n_samples) * best_gain
         mask = X[idx, best_feat] <= best_thr
-        # push right first so the left child is processed (and numbered) next
-        stack.append((idx[~mask], depth + 1, node_id, False))
-        stack.append((idx[mask], depth + 1, node_id, True))
+        shares = [None, None] if carried is None else _partition(carried, goes_left, idx, mask)
+        # push right first so the left child is processed (and numbered) next;
+        # popping the shares leaves no reference that outlives a child
+        stack.append((idx[~mask], shares.pop(), depth + 1, node_id, False))
+        stack.append((idx[mask], shares.pop(), depth + 1, node_id, True))
 
     return TreeNodes(
         np.asarray(feature, dtype=np.int64), np.asarray(threshold, dtype=np.float64),
         np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
         np.vstack(value), importances,
     )
+
+
+def _partition(carried, goes_left, idx, mask):
+    """The presorted (rows, values) shares of a node's left and right
+    children: each column keeps its sorted order. Columns move in blocks of
+    at most _BLOCK_ELEMENTS entries, so no temporary outgrows a block."""
+    rows, sv = carried
+    goes_left[idx] = mask
+    n_left = int(np.count_nonzero(mask))
+    shares = [(np.empty((rows.shape[0], size), rows.dtype), np.empty((rows.shape[0], size)))
+              for size in (n_left, idx.size - n_left)]
+    width = max(1, _BLOCK_ELEMENTS // idx.size)
+    for start in range(0, rows.shape[0], width):
+        block = slice(start, start + width)
+        side = goes_left[rows[block]].ravel()
+        for (child_rows, child_sv), keep in zip(shares, (side, ~side)):
+            keep = np.flatnonzero(keep)
+            child_rows[block].ravel()[:] = rows[block].take(keep)
+            child_sv[block].ravel()[:] = sv[block].take(keep)
+    return shares
 
 
 def pack_trees(trees: list[TreeNodes]) -> dict[str, np.ndarray]:

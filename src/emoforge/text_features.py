@@ -35,6 +35,8 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.terms) != len(self.document_frequencies):
             raise ParameterError("terms and document frequencies must align")
+        if len(set(self.terms)) != len(self.terms):
+            raise ParameterError("terms must be distinct")
         if any(df < 1 for df in self.document_frequencies):
             raise ParameterError("document frequencies must be >= 1")
         if any(df > self.n_documents for df in self.document_frequencies):
@@ -110,7 +112,13 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a ``save_vocabulary`` file; raise DataError for anything else."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: vocabulary is not UTF-8 text ({exc})") from exc
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or not lines[0].startswith("N="):
         raise DataError(f"{path}: missing N= header")
@@ -126,4 +134,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
             dfs.append(int(df))
     except ValueError as exc:
         raise DataError(f"{path}: non-integer document count or frequency ({exc})") from exc
-    return Vocabulary(terms=tuple(terms), document_frequencies=tuple(dfs), n_documents=n_documents)
+    try:
+        return Vocabulary(terms=tuple(terms), document_frequencies=tuple(dfs),
+                          n_documents=n_documents)
+    except ParameterError as exc:
+        raise DataError(f"{path}: {exc}") from exc

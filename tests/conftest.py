@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from emoforge.audio_io import AudioClip, encode_wav
 
@@ -32,6 +33,44 @@ def write_manifest(tmp_path: Path, rows: list[dict], sample_rate: int = 8000) ->
                 entry["split"] = row["split"]
             fh.write(json.dumps(entry) + "\n")
     return manifest
+
+
+MANIFEST_ROWS = [
+    {"text": "hello there", "label": "sad", "split": "train"},
+    {"text": "so glad", "label": "happy", "split": "train"},
+    {"text": "why me", "label": "sad", "split": "test"},
+    {"text": "great news", "label": "excited", "split": "test"},
+]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def mutated_manifest(draw):
+    """The bytes of a manifest of MANIFEST_ROWS, whose wavs ``write_manifest``
+    writes, with fields set to other JSON values or deleted, other JSON
+    values as whole lines, and single bytes replaced."""
+    rows = [{"audio": f"wavs/clip_{i:03d}.wav", **row} for i, row in enumerate(MANIFEST_ROWS)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        key = draw(st.sampled_from(["audio", "text", "label", "split"]))
+        if draw(st.booleans()):
+            row.pop(key, None)
+        else:
+            row[key] = draw(_JSON_VALUES | st.sampled_from(
+                ["wavs/clip_001.wav", "wavs", "", "angry", "bored", "test", "TRAIN"]))
+    lines = [json.dumps(row).encode() for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), json.dumps(draw(_JSON_VALUES)).encode())
+    data = bytearray(b"\n".join(lines) + b"\n")
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from emoforge.ingest import build_dataset, load_manifest
 from emoforge.pipeline import documents, featurize, load_bundle
 from emoforge.text_features import fit_vocabulary
 
-from conftest import write_manifest
+from conftest import MANIFEST_ROWS, mutated_manifest, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +192,61 @@ def test_train_determinism_across_invocations(tmp_path):
         outs.append(out)
     assert (outs[0] / "model.emf").read_bytes() == (outs[1] / "model.emf").read_bytes()
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+
+
+def test_e2_training_is_identical_at_any_thread_count(tmp_path, monkeypatch):
+    corpus = tmp_path / "c"
+    main(["synth-corpus", "--out", str(corpus), "--seed", "4", "--per-class", "8"])
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("EMOFORGE_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        code = main([
+            "train", "--manifest", str(corpus / "manifest.jsonl"), "--model", "e2",
+            "--setting", "audio_text", "--seed", "7", "--out", str(out),
+            "--hp", "rf.n_trees=10", "--hp", "xgb.n_rounds=5", "--hp", "mlp.epochs=5",
+            "--hp", "lr.epochs=5",
+        ])
+        assert code == 0
+        outs.append(out)
+    for name in ("model.emf", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("line", [
+    b'{"audio": "wavs/clip_000.wav", "text": "caf\xe9", "label": "sad"}',
+    b"1",
+    b'{"audio": true, "text": "x", "label": "sad"}',
+    b'{"audio": "wavs/clip_000.wav", "text": null, "label": "sad"}',
+], ids=["latin1-byte", "number", "audio-bool", "text-null"])
+def test_train_rejects_malformed_manifest_line(tmp_path, capsys, line):
+    manifest = write_manifest(tmp_path, [{"text": "x", "label": "sad"}])
+    manifest.write_bytes(manifest.read_bytes() + line + b"\n")
+    code = main(["train", "--manifest", str(manifest), "--model", "mnb", "--setting", "text_only",
+                 "--seed", "0", "--out", str(tmp_path / "run")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ":2:" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_manifest_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest-fuzz")
+    write_manifest(root, MANIFEST_ROWS)
+    return root
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=mutated_manifest())
+def test_train_on_mutated_manifest_exits_cleanly(fuzz_manifest_dir, data):
+    path = fuzz_manifest_dir / "fuzzed.jsonl"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["train", "--manifest", str(path), "--model", "mnb", "--setting", "audio_text",
+                     "--seed", "0", "--out", str(fuzz_manifest_dir / "run")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 # --- --hp scoping

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from emoforge.errors import (
+    DataError,
     DegenerateClassError,
     ManifestError,
     SplitError,
@@ -21,7 +23,7 @@ from emoforge.ingest import (
     upsample,
 )
 
-from conftest import write_manifest
+from conftest import MANIFEST_ROWS, mutated_manifest, write_manifest
 
 
 def _dataset(counts: dict[EmotionLabel, int], class_mode="six") -> Dataset:
@@ -111,6 +113,54 @@ def test_manifest_bad_split_value(tmp_path):
     manifest.write_text(json.dumps(row) + "\n")
     with pytest.raises(ManifestError):
         load_manifest(manifest)
+
+
+@pytest.mark.parametrize("line", [
+    b'{"audio": "wavs/clip_000.wav", "text": "caf\xe9", "label": "sad"}',
+    b"1",
+    b"null",
+    b'["wavs/clip_000.wav", "x", "sad"]',
+    b'{"audio": true, "text": "x", "label": "sad"}',
+    b'{"audio": "wavs/clip_000.wav", "text": null, "label": "sad"}',
+    b'{"audio": "wavs/clip_000.wav", "text": "x", "label": 3}',
+    b'{"audio": "wavs/clip_000.wav", "text": "x", "label": "sad", "n": 1' + b"0" * 5000 + b"}",
+    b"[" * 100_000,
+    b'{"audio": "' + b"a" * 300 + b'.wav", "text": "x", "label": "sad"}',
+], ids=["latin1-byte", "number", "null", "array", "audio-bool", "text-null", "label-int",
+        "huge-integer", "deep-nesting", "long-file-name"])
+def test_manifest_malformed_line_is_manifest_error(tmp_path, line):
+    manifest = write_manifest(tmp_path, [{"text": "x", "label": "sad"}])
+    manifest.write_bytes(manifest.read_bytes() + line + b"\n")
+    with pytest.raises(ManifestError, match=":2:"):
+        load_manifest(manifest)
+
+
+def test_manifest_keeps_text_line_breaks(tmp_path):
+    manifest = write_manifest(tmp_path, [{"text": t, "label": "sad"} for t in ("a", "b")])
+    lines = manifest.read_bytes().splitlines()
+    manifest.write_bytes(lines[0] + b"\r\n\r\n" + lines[1] + b"\r")
+    assert [e.transcript for e in load_manifest(manifest)] == ["a", "b"]
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest-fuzz")
+    write_manifest(root, MANIFEST_ROWS)
+    return root
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=mutated_manifest())
+def test_mutated_manifest_raises_only_data_errors(manifest_dir, data):
+    path = manifest_dir / "fuzzed.jsonl"
+    path.write_bytes(data)
+    try:
+        entries = load_manifest(path)
+        build_dataset(entries)
+    except DataError:
+        return
+    for entry in entries:
+        assert isinstance(entry.transcript, str) and isinstance(entry.raw_label, str)
 
 
 def test_dropped_labels_leave_dataset(tmp_path):

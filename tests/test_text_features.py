@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emoforge.errors import DataError, ParameterError
 from emoforge.text_features import (
@@ -116,8 +118,50 @@ def test_load_vocabulary_non_integer_is_data_error(tmp_path, text):
         load_vocabulary(path)
 
 
+@pytest.mark.parametrize("data", [b"N=2\ncaf\xe9\t1\n", b"N=1\nhello\t2\n", b"N=1\nhello\t0\n",
+                                  b"N=2\nhello\t1\nhello\t2\n"],
+                         ids=["latin1-byte", "df-above-count", "df-zero", "duplicate-term"])
+def test_load_vocabulary_bad_file_is_data_error(tmp_path, data):
+    path = tmp_path / "vocab.tsv"
+    path.write_bytes(data)
+    with pytest.raises(DataError):
+        load_vocabulary(path)
+    with pytest.raises(DataError):
+        load_vocabulary(tmp_path / "missing.tsv")
+
+
+@st.composite
+def _mutated_vocabulary(draw):
+    """A saved vocabulary with lines replaced by drawn bytes or numbers and
+    single bytes replaced."""
+    lines = [b"N=3", b"hello\t2", b"don't\t1", b"stop\t3"]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        number = str(draw(st.integers(-2, 5))).encode()
+        lines[at] = draw(st.sampled_from([b"N=" + number, b"stop\t" + number, b"\t" + number]) |
+                         st.binary(max_size=10))
+    data = bytearray(b"\n".join(lines) + b"\n")
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=_mutated_vocabulary())
+def test_mutated_vocabulary_raises_only_data_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-vocab.tsv"
+    path.write_bytes(data)
+    try:
+        vocab = load_vocabulary(path)
+    except DataError:
+        return
+    assert np.isfinite(tfidf_transform(["hello", "stop"], vocab)).all()
+
+
 def test_vocabulary_invariant_validation():
     with pytest.raises(ParameterError):
         Vocabulary(terms=("a",), document_frequencies=(0,), n_documents=1)
     with pytest.raises(ParameterError):
         Vocabulary(terms=("a",), document_frequencies=(3,), n_documents=2)
+    with pytest.raises(ParameterError):
+        Vocabulary(terms=("a", "a"), document_frequencies=(1, 1), n_documents=2)

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from emoforge.errors import DegenerateLabelError, ParameterError
 from emoforge.models import GradientBoosting, RandomForest
 from emoforge.models import tree as tree_module
-from emoforge.models.base import one_hot
-from emoforge.models.tree import grow_tree
+from emoforge.models.base import log_loss, one_hot, softmax
+from emoforge.models.tree import grow_tree, leaf_values, pack_trees, presort
 from emoforge.persistence import save_container
 from emoforge.pipeline import load_bundle, save_bundle, train_bundle
 
@@ -332,10 +334,68 @@ def oracle_problem(seed, task, n=90, d=7):
     return X[sample], y[sample]
 
 
+def tfidf_problem(seed, task, n=90, d=9):
+    """TFIDF-like columns: mostly 0.0 with one to three idf weights, a
+    two-value column, an all-zero column beside a column of +0.0 and -0.0
+    (equal values, so neither splits), a column mixing +0.0, -0.0 and one
+    weight, and a last column equal to the first."""
+    rng = np.random.default_rng(seed)
+    weights = np.array([0.41, 0.92, 1.39])
+    X = np.where(rng.random((n, d)) < 0.75, 0.0, weights[rng.integers(0, 3, size=(n, d))])
+    X[:, 1] = np.where(rng.random(n) < 0.5, 0.0, 0.69)
+    X[:, 2] = 0.0
+    X[:, 3] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    X[:, 4] = np.where(rng.random(n) < 0.3, 1.1, np.where(rng.random(n) < 0.5, 0.0, -0.0))
+    X[:, -1] = X[:, 0]
+    if task == "classification":
+        y = (X[:, 0] > 0).astype(int) + ((X[:, 1] > 0) & (X[:, 4] > 0))
+    else:
+        y = X[:, 0] + 0.5 * X[:, 1] - X[:, 4] + rng.normal(0, 0.2, size=n)
+    return X, y
+
+
+def upsampled_problem(seed, task):
+    """oracle_problem with 60 rows of its first class (or of its 30 lowest
+    targets) repeated as upsampling does, so a node holds more than the 128
+    values after which numpy sums pairwise in blocks."""
+    X, y = oracle_problem(seed, task)
+    pool = np.flatnonzero(y == 0) if task == "classification" else np.argsort(y)[:30]
+    extra = np.random.default_rng(seed + 100).choice(pool, size=60)
+    return np.vstack([X, X[extra]]), np.concatenate([y, y[extra]])
+
+
+PROBLEMS = {"mixed": oracle_problem, "tfidf": tfidf_problem, "upsampled": upsampled_problem}
+
+
 def assert_same_tree(a, b):
     for name in ("feature", "threshold", "left", "right", "value", "importances"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
+
+
+def grow_both_ways(X, y, seed=0, **kwargs):
+    """grow_tree sorting at every node and grow_tree on presort(X), each with
+    an rng seeded with ``seed``, after checking that each reports every row's
+    leaf value as the traversal finds it."""
+    trees = []
+    width = kwargs["n_classes"] if kwargs["task"] == "classification" else 1
+    for presorted in (None, presort(X)):
+        leaves = np.full((X.shape[0], width), np.nan)
+        tree = grow_tree(X, y, rng=np.random.default_rng(seed), presorted=presorted,
+                         leaves=leaves, **kwargs)
+        assert np.array_equal(leaves, leaf_values(pack_trees([tree]), X)[:, 0])
+        trees.append(tree)
+    return trees
+
+
+def assert_matches_oracle(problem, task, min_samples_leaf, max_features, seed):
+    X, y = PROBLEMS[problem](seed, task)
+    kwargs = dict(task=task, n_classes=3, max_depth=None if seed % 2 else 4,
+                  min_samples_leaf=min_samples_leaf, max_features=max_features)
+    old = reference_grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+    for new in grow_both_ways(X, y, seed, **kwargs):
+        assert new.n_nodes > 1
+        assert_same_tree(new, old)
 
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
@@ -343,24 +403,91 @@ def assert_same_tree(a, b):
 @pytest.mark.parametrize("max_features", [None, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grow_tree_matches_per_feature_oracle(task, min_samples_leaf, max_features, seed):
-    X, y = oracle_problem(seed, task)
-    kwargs = dict(task=task, n_classes=3, max_depth=None if seed % 2 else 4,
-                  min_samples_leaf=min_samples_leaf, max_features=max_features)
-    new = grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
-    old = reference_grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
-    assert new.n_nodes > 1
-    assert_same_tree(new, old)
+    assert_matches_oracle("mixed", task, min_samples_leaf, max_features, seed)
+
+
+@pytest.mark.parametrize("problem", ["tfidf", "upsampled"])
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+@pytest.mark.parametrize("max_features", [None, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grow_tree_on_tfidf_and_upsampled_rows_matches_oracle(problem, task, min_samples_leaf,
+                                                              max_features, seed):
+    assert_matches_oracle(problem, task, min_samples_leaf, max_features, seed)
+
+
+def assert_blocks_match_oracle(problem, task, monkeypatch):
+    # root blocks of 2 (classification) or 6 (regression) of the 9 columns,
+    # so the last column, equal to the first, sits in a later block; the
+    # presorted columns are partitioned 6 at a time. In the TFIDF problem
+    # the classification block of columns 2 and 3 holds no valid position.
+    X, y = PROBLEMS[problem](5, task, n=60, d=9)
+    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", 60 * 3 * 2)
+    old = reference_grow_tree(X, y, task=task, n_classes=3)
+    for new in grow_both_ways(X, y, task=task, n_classes=3):
+        assert_same_tree(new, old)
 
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_grow_tree_column_blocks_match_oracle(task, monkeypatch):
-    # root blocks of 2 (classification) or 6 (regression) of the 9 columns,
-    # so the last column, equal to the first, sits in a later block
-    X, y = oracle_problem(5, task, n=60, d=9)
-    monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", 60 * 3 * 2)
-    new = grow_tree(X, y, task=task, n_classes=3)
-    old = reference_grow_tree(X, y, task=task, n_classes=3)
-    assert_same_tree(new, old)
+    assert_blocks_match_oracle("mixed", task, monkeypatch)
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_grow_tree_tfidf_column_blocks_match_oracle(task, monkeypatch):
+    assert_blocks_match_oracle("tfidf", task, monkeypatch)
+
+
+def reference_boosting_fit(X, y, n_classes, n_rounds, learning_rate, max_depth,
+                           min_samples_leaf):
+    """GradientBoosting.fit as a loop that grows each tree with the
+    per-feature oracle and then walks the tree over X for its leaf values;
+    returns the packed trees and the training losses."""
+    targets = one_hot(y, n_classes)
+    logits = np.zeros((X.shape[0], n_classes))
+    proba = softmax(logits)
+    trees, history = [], [log_loss(proba, y)]
+    for _ in range(n_rounds):
+        for c in range(n_classes):
+            tree = reference_grow_tree(X, targets[:, c] - proba[:, c], task="regression",
+                                       max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+            trees.append(tree)
+            logits[:, c] += learning_rate * leaf_values(pack_trees([tree]), X)[:, 0, 0]
+        proba = softmax(logits)
+        history.append(log_loss(proba, y))
+    return pack_trees(trees), history
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+def test_boosting_matches_per_tree_loop(problem, min_samples_leaf):
+    X, y = PROBLEMS[problem](3, "classification")
+    kwargs = dict(n_rounds=4, learning_rate=0.3, max_depth=3, min_samples_leaf=min_samples_leaf)
+    model = GradientBoosting(n_classes=3, **kwargs).fit(X, y)
+    packed, history = reference_boosting_fit(X, y, n_classes=3, **kwargs)
+    for name, array in packed.items():
+        assert np.array_equal(model.packed_[name], array), name
+        assert model.packed_[name].dtype == array.dtype, name
+    assert model.train_loss_history_ == history
+
+
+@pytest.mark.parametrize("block", [None, 1 << 14], ids=["default-blocks", "small-blocks"])
+def test_boosting_working_set_within_stated_bound(monkeypatch, block):
+    # the bound in the tree module's docstring: 4.5 x X.nbytes of presorted
+    # shares plus about twenty arrays of one column block
+    if block is not None:
+        monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(0)
+    X = np.where(rng.random((300, 2000)) < 0.9, 0.0, rng.choice([0.4, 0.9, 1.4], size=(300, 2000)))
+    y = rng.integers(0, 3, size=300)
+    GradientBoosting(n_rounds=1, max_depth=1).fit(X[:30, :4], y[:30])  # first-call imports
+    tracemalloc.start()
+    try:
+        GradientBoosting(n_rounds=1, max_depth=3).fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * X.nbytes + 20 * 8 * tree_module._BLOCK_ELEMENTS
 
 
 # --- oracle: the per-tree walk that the one traversal of the packed arrays replaced
