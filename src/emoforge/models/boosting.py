@@ -30,6 +30,8 @@ class GradientBoosting(ProbabilisticClassifier):
             raise ParameterError("n_rounds must be >= 1")
         if not 0.0 < learning_rate <= 1.0:
             raise ParameterError("learning_rate must be in (0, 1]")
+        if min_samples_leaf < 1:
+            raise ParameterError("min_samples_leaf must be >= 1")
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
         self.max_depth = max_depth

@@ -35,6 +35,8 @@ class RandomForest(ProbabilisticClassifier):
     ):
         if n_trees < 1:
             raise ParameterError("n_trees must be >= 1")
+        if min_samples_leaf < 1:
+            raise ParameterError("min_samples_leaf must be >= 1")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf

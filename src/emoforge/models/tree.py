@@ -11,22 +11,25 @@ A caller that grows many trees on one X, as boosting does, computes
 ``presort(X)`` once: per column, the row indices in stable sorted order and
 the values in that order. Each node carries its share down the tree, a
 split hands each child the entries of its own rows in the same order, and no
-node sorts again. Without a presort (a random forest draws a few candidate
-columns per node) a node sorts the columns it draws. Both orders agree,
-because a node's rows stay ascending and a stable sort breaks ties by row.
+node sorts again. Without a presort a node sorts the columns it draws: a
+random forest scores ceil(sqrt(d)) drawn columns per node, and carrying
+every column's order down its deep trees fitted 1.2x slower on a 96 x 44
+matrix. Both orders agree, because a node's rows stay ascending and a
+stable sort breaks ties by row.
 
 The search scores only the valid positions of a column block: those between
-two distinct sorted values that leave ``min_samples_leaf`` rows on each side
-(a small share of a TFIDF column with two to four distinct values). It
-gathers the cumulative class counts or target sums at those entries alone
-and scatters their gains into a -inf (columns x positions) matrix for the
-first-max rules. Every sum runs in the order a one-column search would use,
-so trees match it bit for bit: cumulative sums run along each sorted column,
-a position's class terms are summed along the last axis, each column's
-regression parent variance is reduced over its contiguous sorted row, and a
-node's mean and variance are the ``np.add.reduce`` sums of ``np.mean`` and
-``np.var``. ``grow_tree`` also reports each training row's leaf value, which
-boosting adds to its logits instead of walking the new tree over X.
+two distinct sorted values that leave ``min_samples_leaf`` (at least 1) rows
+on each side (a small share of a TFIDF column with two to four distinct
+values). It gathers the cumulative class counts or target sums at those
+entries alone and scatters their gains into a -inf (columns x positions)
+matrix for the first-max rules. Every sum runs in the order a one-column
+search would use, so trees match it bit for bit: cumulative sums run along
+each sorted column, a position's class terms are summed along the last axis,
+each column's regression parent variance is reduced over its contiguous
+sorted row, and a node's mean and variance are the ``np.add.reduce`` sums of
+``np.mean`` and ``np.var``. ``grow_tree`` also reports each training row's
+leaf value, which boosting adds to its logits instead of walking the new
+tree over X.
 
 Memory: with int32 row indices a presort takes 1.5 x X.nbytes. A growing
 tree adds at most 3 x X.nbytes of carried shares (pending nodes hold
@@ -199,6 +202,8 @@ def grow_tree(
         raise ParameterError(f"unknown tree task {task!r}")
     if max_features is not None and rng is None:
         raise ParameterError("feature subsampling requires an rng")
+    if min_samples_leaf < 1:
+        raise ParameterError("min_samples_leaf must be >= 1")
 
     feature, threshold, left, right, value = [], [], [], [], []
     importances = np.zeros(n_features, dtype=np.float64)

@@ -73,6 +73,14 @@ def mutated_manifest(draw):
     return bytes(data)
 
 
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """A directory holding the wavs of MANIFEST_ROWS, for ``mutated_manifest``."""
+    root = tmp_path_factory.mktemp("manifest-fuzz")
+    write_manifest(root, MANIFEST_ROWS)
+    return root
+
+
 @pytest.fixture(scope="session")
 def synth_corpus(tmp_path_factory):
     """Small shared synthetic corpus for pipeline and CLI tests."""

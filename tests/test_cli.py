@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import signal
 import struct
@@ -18,10 +19,10 @@ from emoforge.errors import ConfigError
 from emoforge.persistence import MAGIC
 from emoforge.audio_features import FrameConfig
 from emoforge.ingest import build_dataset, load_manifest
-from emoforge.pipeline import documents, featurize, load_bundle
+from emoforge.pipeline import documents, featurize, load_bundle, thread_count
 from emoforge.text_features import fit_vocabulary
 
-from conftest import MANIFEST_ROWS, mutated_manifest, write_manifest
+from conftest import mutated_manifest, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -197,9 +198,11 @@ def test_train_determinism_across_invocations(tmp_path):
 def test_e2_training_is_identical_at_any_thread_count(tmp_path, monkeypatch):
     corpus = tmp_path / "c"
     main(["synth-corpus", "--out", str(corpus), "--seed", "4", "--per-class", "8"])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # two workers even on one CPU
     outs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("EMOFORGE_THREADS", threads)
+        assert thread_count() == int(threads)
         out = tmp_path / f"threads{threads}"
         code = main([
             "train", "--manifest", str(corpus / "manifest.jsonl"), "--model", "e2",
@@ -229,22 +232,15 @@ def test_train_rejects_malformed_manifest_line(tmp_path, capsys, line):
     assert err.startswith("error:") and ":2:" in err and "Traceback" not in err
 
 
-@pytest.fixture(scope="module")
-def fuzz_manifest_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("manifest-fuzz")
-    write_manifest(root, MANIFEST_ROWS)
-    return root
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(data=mutated_manifest())
-def test_train_on_mutated_manifest_exits_cleanly(fuzz_manifest_dir, data):
-    path = fuzz_manifest_dir / "fuzzed.jsonl"
+def test_train_on_mutated_manifest_exits_cleanly(manifest_dir, data):
+    path = manifest_dir / "fuzzed.jsonl"
     path.write_bytes(data)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["train", "--manifest", str(path), "--model", "mnb", "--setting", "audio_text",
-                     "--seed", "0", "--out", str(fuzz_manifest_dir / "run")])
+                     "--seed", "0", "--out", str(manifest_dir / "run")])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
 
@@ -329,6 +325,7 @@ def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, model, pair)
 
 @pytest.mark.parametrize("model, pair", [
     ("rf", "n_trees=0"), ("e2", "xgb.learning_rate=2.0"),
+    ("rf", "min_samples_leaf=0"), ("xgb", "min_samples_leaf=-1"), ("e2", "xgb.min_samples_leaf=-1"),
     ("lstm", "batch_size=0"), ("lstm", "batch_size=-1"), ("lstm", "hidden_size=0"),
     ("mlp", "batch_size=-1"), ("mlp", "hidden_sizes=0"), ("e1", "mlp.hidden_sizes=8,0"),
     ("lstm", "learning_rate=-0.5"), ("mlp", "learning_rate=0"), ("lr", "learning_rate=-0.5"),

@@ -23,7 +23,7 @@ from emoforge.ingest import (
     upsample,
 )
 
-from conftest import MANIFEST_ROWS, mutated_manifest, write_manifest
+from conftest import mutated_manifest, write_manifest
 
 
 def _dataset(counts: dict[EmotionLabel, int], class_mode="six") -> Dataset:
@@ -140,13 +140,6 @@ def test_manifest_keeps_text_line_breaks(tmp_path):
     lines = manifest.read_bytes().splitlines()
     manifest.write_bytes(lines[0] + b"\r\n\r\n" + lines[1] + b"\r")
     assert [e.transcript for e in load_manifest(manifest)] == ["a", "b"]
-
-
-@pytest.fixture(scope="module")
-def manifest_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("manifest-fuzz")
-    write_manifest(root, MANIFEST_ROWS)
-    return root
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

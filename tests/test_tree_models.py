@@ -133,6 +133,18 @@ def test_boosting_rounds_validation():
         GradientBoosting(learning_rate=1.5)
 
 
+@pytest.mark.parametrize("min_samples_leaf", [0, -1])
+def test_tree_models_reject_min_samples_leaf_below_one(min_samples_leaf):
+    # the split search's window of valid positions needs a leaf of >= 1 row
+    X, y = make_xor(n_rep=5)
+    with pytest.raises(ParameterError, match="min_samples_leaf"):
+        GradientBoosting(min_samples_leaf=min_samples_leaf)
+    with pytest.raises(ParameterError, match="min_samples_leaf"):
+        RandomForest(min_samples_leaf=min_samples_leaf)
+    with pytest.raises(ParameterError, match="min_samples_leaf"):
+        grow_tree(X, y, task="classification", n_classes=2, min_samples_leaf=min_samples_leaf)
+
+
 def test_boosting_single_round_beats_chance_on_xor():
     X, y = make_xor()
     model = GradientBoosting(n_rounds=1, learning_rate=1.0, max_depth=2).fit(X, y)
