@@ -50,6 +50,7 @@ FRAME_FEATURE_NAMES = (
 
 _MAX_MEDIAN_WINDOW = 1 << 16
 _BLOCK_ELEMENTS = 1 << 18  # sorted-core float64s per block of the median filter
+_PITCH_BLOCK_POINTS = 1 << 16  # FFT points per block of the pitch kernel
 
 
 @dataclass(frozen=True)
@@ -153,23 +154,52 @@ def center_clip(frame: np.ndarray, clip_level: float) -> np.ndarray:
     zero out everything inside the band."""
     if clip_level < 0:
         raise ParameterError("clip_level must be >= 0")
-    y = np.asarray(frame, dtype=np.float64)
-    return np.where(
-        y >= clip_level,
-        y - clip_level,
-        np.where(y <= -clip_level, y + clip_level, 0.0),
-    )
+    return _center_clip(np.asarray(frame, dtype=np.float64), clip_level)
 
 
-def _autocorrelate(x: np.ndarray) -> np.ndarray:
-    """Raw autocorrelation r[tau] = sum_n x[n] x[n+tau] for tau in [0, len)."""
-    n = x.size
-    size = 1
-    while size < 2 * n:
-        size <<= 1
-    spectrum = np.fft.rfft(x, size)
-    r = np.fft.irfft(spectrum * np.conj(spectrum), size)[:n]
-    return r
+def _center_clip(y: np.ndarray, level) -> np.ndarray:
+    """center_clip without the check; level broadcasts against y.
+
+    sign(y) * max(|y| - level, 0) is y - level above the band and y + level
+    below it to the last bit, and + 0.0 turns the -0.0 of a negative sample
+    inside the band into 0.0.
+    """
+    clipped = np.abs(y)
+    clipped -= level
+    np.maximum(clipped, 0.0, out=clipped)
+    np.copysign(clipped, y, out=clipped)
+    clipped += 0.0
+    return clipped
+
+
+def _smooth_size(minimum: int) -> int:
+    """The smallest 2**a * 3**b * 5**c that is >= minimum."""
+    best = 1 << max(0, minimum - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            best = min(best, odd << max(0, -(-minimum // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
+
+
+def _pitch_lags(n: int, sample_rate, f_min, f_max) -> tuple[int, int]:
+    """Check the pitch settings and return the searched lags [lag_min, lag_max]."""
+    if not (np.isfinite(sample_rate) and sample_rate > 0):
+        raise ParameterError("sample_rate must be positive and finite")
+    for name, f in (("f_min", f_min), ("f_max", f_max)):
+        if not (np.isfinite(f) and f > 0):
+            raise ParameterError(f"{name} must be positive and finite")
+    if not f_min < f_max:
+        raise ParameterError("f_min must be below f_max")
+    if n < 1:
+        raise ParameterError("frame must be non-empty")
+    lag_min = max(1, int(round(sample_rate / f_max)))
+    ratio = sample_rate / f_min  # inf for a subnormal f_min
+    lag_max = n - 1 if ratio >= n - 1 else int(round(ratio))
+    return lag_min, lag_max
 
 
 def autocorr_pitch(
@@ -187,49 +217,117 @@ def autocorr_pitch(
     shrinking overlap drag low-frequency peaks more than a sample off. The
     maximum over lags corresponding to [f_min, f_max] is returned as
     (peak_value, peak_lag). Silent frames give (0.0, 0).
+
+    The autocorrelation is a circular one through a zero-padded FFT of the
+    smallest 5-smooth length N >= n + lag_max, with lag_max =
+    round(sample_rate / f_min) capped at n - 1; a circular correlation of
+    length N >= n + lag_max equals the linear one at every lag it reads.
+    This is a one-row call of _pitch_peaks, which states the algorithm.
+    ParameterError rejects an empty frame, a non-positive sample_rate, a
+    non-finite or non-positive f_min or f_max, and f_min >= f_max.
     """
-    y = np.asarray(frame, dtype=np.float64)
-    if y.size == 0:
-        raise ParameterError("frame must be non-empty")
-    level = 0.5 * np.mean(np.abs(y))
-    clipped = center_clip(y, level)
-    r = _autocorrelate(clipped)
-    if r[0] <= 0.0:
-        return 0.0, 0
-    lag_min = max(1, int(round(sample_rate / f_max)))
-    lag_max = min(y.size - 1, int(round(sample_rate / f_min)))
+    y = np.asarray(frame, dtype=np.float64).reshape(1, -1)
+    values, lags = _pitch_peaks(y, sample_rate, f_min, f_max)
+    return float(values[0]), int(lags[0])
+
+
+def _pitch_peaks(
+    frames: np.ndarray,
+    sample_rate: int,
+    f_min: float = DEFAULT_PITCH_FMIN,
+    f_max: float = DEFAULT_PITCH_FMAX,
+) -> tuple[np.ndarray, np.ndarray]:
+    """autocorr_pitch of every row of a (rows, n) frame matrix: (values, lags).
+
+    Per row, clipped = center_clip(row, mean(|row|) / 2) and
+    r[tau] = sum_t clipped[t] clipped[t + tau]. The searched window is
+    r[tau] / sqrt(E_head(tau) E_tail(tau)) over lags lag_min..lag_max, where
+    E_head and E_tail are the energies of clipped[: n - tau] and
+    clipped[tau:], read from one cumsum of squares per row. Its arg-max is
+    walked down to a submultiple (_walk_submultiples). A row with r[0] <= 0
+    is silent and gives (0.0, 0).
+
+    r comes from one rfft/irfft pair of length N = _smooth_size(n + lag_max)
+    (2400 for 2048-sample frames at 16 kHz, 2500 at 22.05 kHz). The circular
+    correlation of a zero-padded length-N DFT is the linear one at every lag
+    tau <= N - n, so it is exact at every lag read.
+
+    Rows go through the FFT in blocks of max(1, _PITCH_BLOCK_POINTS // N),
+    so the working set is O(_PITCH_BLOCK_POINTS + rows) floats. A batched
+    FFT does not round a row as a one-row call does, so the block boundaries
+    depend on nothing but the row count and N: a clip's values never depend
+    on the thread count or on the clips featurized beside it.
+    """
+    rows, n = frames.shape
+    lag_min, lag_max = _pitch_lags(n, sample_rate, f_min, f_max)
+    values = np.zeros(rows)
+    peak_lags = np.zeros(rows, dtype=np.int64)
     if lag_min > lag_max:
-        return 0.0, 0
-    # per-lag energies of the overlapping head and tail segments
-    sq = clipped**2
-    head = np.cumsum(sq)  # head[k] = energy of clipped[: k + 1]
-    total = head[-1]
-    lags = np.arange(lag_min, lag_max + 1)
-    energy_head = head[y.size - 1 - lags]
-    energy_tail = total - np.concatenate(([0.0], head))[lags]
-    denom = np.sqrt(energy_head * energy_tail)
-    window = np.divide(r[lags], denom, out=np.zeros(lags.size), where=denom > 0)
-    best = int(np.argmax(window))
-    best_value = float(window[best])
-    if best_value > 0.0:
-        # multiples of a tone's period score near-identically, and an even
-        # multiple can edge out a half-integral true period; walk the integer
-        # submultiples of the winning lag and keep the shortest one whose
-        # local peak is within tolerance of the maximum (2% absorbs the
-        # half-sample grid deficit across the 50-500 Hz search band)
-        tolerance = 0.02 * best_value
-        best_lag = int(lags[best])
-        for k in range(best_lag // lag_min, 1, -1):
-            candidate = best_lag / k
-            lo = max(0, int(np.floor(candidate)) - 1 - lag_min)
-            hi = min(window.size, int(np.ceil(candidate)) + 2 - lag_min)
-            if lo >= hi:
-                continue
-            local = lo + int(np.argmax(window[lo:hi]))
-            if window[local] >= best_value - tolerance:
-                best = local
-                break
-    return float(window[best]), int(lags[best])
+        return values, peak_lags
+    size = _smooth_size(n + lag_max)
+    block = max(1, _PITCH_BLOCK_POINTS // size)
+    for lo in range(0, rows, block):
+        y = frames[lo : lo + block]
+        clipped = _center_clip(y, 0.5 * np.abs(y).mean(axis=1, keepdims=True))
+        spectrum = np.fft.rfft(clipped, size, axis=1)
+        power, imag = spectrum.real, spectrum.imag  # |X|^2 in place, as a complex array
+        np.square(power, out=power)
+        power += np.square(imag, out=imag)
+        imag[...] = 0.0
+        r = np.fft.irfft(spectrum, size, axis=1)[:, : lag_max + 1]
+        del spectrum, power, imag  # the block's largest array goes before the energies
+        voiced = np.flatnonzero(r[:, 0] > 0.0)
+        if voiced.size < r.shape[0]:
+            clipped, r = clipped[voiced], r[voiced]
+        # head[:, k] is the energy of clipped[:, : k + 1]; lag tau overlaps
+        # clipped[:, : n - tau] (head[:, n - 1 - tau]) with clipped[:, tau:]
+        head = np.square(clipped, out=clipped)
+        np.cumsum(head, axis=1, out=head)
+        energy_tail = head[:, -1:] - head[:, lag_min - 1 : lag_max]
+        denom = np.sqrt(head[:, ::-1][:, lag_min : lag_max + 1] * energy_tail)
+        window = np.divide(r[:, lag_min : lag_max + 1], denom, out=np.zeros(denom.shape),
+                           where=denom > 0)
+        best = _walk_submultiples(window, lag_min)
+        values[lo + voiced] = window[np.arange(voiced.size), best]
+        peak_lags[lo + voiced] = best + lag_min
+    return values, peak_lags
+
+
+def _walk_submultiples(window: np.ndarray, lag_min: int) -> np.ndarray:
+    """Column of each row's pitch peak in a (rows, lags) normalized window
+    whose column j is lag lag_min + j.
+
+    Multiples of a tone's period score near-identically, and an even
+    multiple can edge out a half-integral true period. So from the arg-max
+    lag L, for k = L // lag_min down to 2, take the first maximum of the
+    window over lags floor(L/k) - 1 .. ceil(L/k) + 1 and stop at the first
+    one within 2% of the maximum (2% absorbs the half-sample grid deficit
+    across the 50-500 Hz search band). A row whose maximum is not positive
+    keeps it. All (row, k) pairs are scored at once.
+    """
+    rows, width = window.shape
+    row = np.arange(rows)
+    best = np.argmax(window, axis=1)
+    best_value = window[row, best]
+    best_lag = best + lag_min
+    ks = np.arange(int(best_lag.max(initial=0)) // lag_min, 1, -1)
+    if not ks.size:
+        return best
+    candidate = best_lag[:, np.newaxis] / ks  # (rows, k), k descending
+    lo = np.maximum(0, np.floor(candidate).astype(np.int64) - 1 - lag_min)
+    hi = np.minimum(width, np.ceil(candidate).astype(np.int64) + 2 - lag_min)
+    cols = lo[..., np.newaxis] + np.arange(4)  # hi - lo <= 4
+    local = np.where(cols < hi[..., np.newaxis],
+                     window[row[:, np.newaxis, np.newaxis], np.minimum(cols, width - 1)],
+                     -np.inf)
+    pick = np.argmax(local, axis=2)
+    found = np.take_along_axis(local, pick[..., np.newaxis], axis=2)[..., 0] >= (
+        best_value - 0.02 * best_value)[:, np.newaxis]
+    found &= (ks <= best_lag[:, np.newaxis] // lag_min) & (best_value > 0.0)[:, np.newaxis]
+    first = np.argmax(found, axis=1)  # the largest k that passes
+    hit = np.flatnonzero(found[row, first])
+    best[hit] = lo[hit, first[hit]] + pick[hit, first[hit]]
+    return best
 
 
 def median_filter_1d(x: np.ndarray, l: int) -> np.ndarray:
@@ -400,7 +498,7 @@ def _analyze_clip(clip: AudioClip, config: FrameConfig | None, l_harm: int):
     run once: (frames, pitch peaks, harmonic_feature(...), rmse(...))."""
     config = config or FrameConfig()
     frames = frame_signal(clip.samples, config)
-    peaks = np.array([autocorr_pitch(frame, clip.sample_rate)[0] for frame in frames])
+    peaks, _ = _pitch_peaks(frames, clip.sample_rate)
     return frames, peaks, harmonic_feature(clip, config, l_harm), rmse(clip, config)
 
 

@@ -3,9 +3,11 @@
 Both tree flavors share one builder: classification trees split on Gini
 impurity and keep class distributions at the leaves, regression trees split
 on variance and keep means. Candidate thresholds are midpoints between
-consecutive distinct sorted feature values. Equal-gain ties resolve to the
-lowest feature index, then the lowest threshold, and a split needs a
-strictly positive gain.
+consecutive distinct sorted feature values a < b, or a itself where the
+midpoint 0.5 * (a + b) is not in [a, b) (NaN for -inf and +inf, +inf when
+the sum overflows, b for adjacent floats), so no split empties a child.
+Equal-gain ties resolve to the lowest feature index, then the lowest
+threshold, and a split needs a strictly positive gain.
 
 A caller that grows many trees on one X, as boosting does, computes
 ``presort(X)`` once: per column, the row indices in stable sorted order and
@@ -168,8 +170,11 @@ def _best_splits(
         col = int(np.argmax(col_gains))  # first max: lowest feature wins ties
         if col_gains[col] > best[0]:
             r = lo + rows_best[col]
-            threshold = 0.5 * (sv[col, r] + sv[col, r + 1])
-            best = (float(col_gains[col]), float(threshold), int(cols[col]))
+            a, b = float(sv[col, r]), float(sv[col, r + 1])
+            threshold = 0.5 * (a + b)
+            if not a <= threshold < b:  # -inf/+inf, an overflowing sum, adjacent floats
+                threshold = a
+            best = (float(col_gains[col]), threshold, int(cols[col]))
     return best
 
 

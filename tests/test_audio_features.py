@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,9 @@ from emoforge.audio_features import (
     AUDIO_FEATURE_NAMES,
     FrameConfig,
     _median_filter_time,
+    _pitch_peaks,
+    _smooth_size,
+    _walk_submultiples,
     autocorr_pitch,
     center_clip,
     central_moments,
@@ -20,10 +24,14 @@ from emoforge.audio_features import (
     rmse,
     spectrogram,
 )
-from emoforge.audio_io import AudioClip
+from emoforge.audio_io import AudioClip, decode_wav
 from emoforge.errors import ParameterError
+from emoforge.synth import generate_corpus
 
 from conftest import make_tone
+
+# an overflow or a 0/0 fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SR = 22050
 
@@ -316,6 +324,282 @@ def test_pitch_silence_returns_zero_pair():
 def test_pitch_rejects_empty_frame():
     with pytest.raises(ParameterError):
         autocorr_pitch(np.array([]), SR)
+
+
+@pytest.mark.parametrize(
+    "sample_rate, f_min, f_max",
+    [
+        (0, 50.0, 500.0),
+        (-16000, 50.0, 500.0),
+        (np.inf, 50.0, 500.0),
+        (np.nan, 50.0, 500.0),
+        (16000, 0.0, 500.0),
+        (16000, -50.0, 500.0),
+        (16000, np.nan, 500.0),
+        (16000, np.inf, 500.0),
+        (16000, 50.0, 0.0),
+        (16000, 50.0, np.nan),
+        (16000, 50.0, np.inf),
+        (16000, 600.0, 500.0),
+        (16000, 500.0, 500.0),
+    ],
+)
+def test_pitch_rejects_bad_settings(sample_rate, f_min, f_max):
+    y = make_tone(220, 16000, 2048 / 16000).samples
+    with pytest.raises(ParameterError):
+        autocorr_pitch(y, sample_rate, f_min=f_min, f_max=f_max)
+    with pytest.raises(ParameterError):
+        _pitch_peaks(y[np.newaxis], sample_rate, f_min, f_max)
+
+
+def test_pitch_subnormal_f_min_searches_every_lag():
+    y = make_tone(220, 16000, 2048 / 16000).samples
+    value, lag = autocorr_pitch(y, 16000, f_min=5e-324)  # sample_rate / f_min is inf
+    assert lag == autocorr_pitch(y, 16000, f_min=1.0)[1]
+    assert 0.9 < value <= 1.0 + 1e-12
+
+
+# --- the batched pitch kernel against the per-frame oracle
+#
+# The oracle is the per-frame pitch of earlier versions: one power-of-two
+# FFT of length >= 2n per frame and a Python walk over the submultiples.
+
+
+def _reference_autocorrelate(x):
+    """Raw autocorrelation r[tau] = sum_n x[n] x[n+tau] for tau in [0, len)."""
+    n = x.size
+    size = 1
+    while size < 2 * n:
+        size <<= 1
+    spectrum = np.fft.rfft(x, size)
+    return np.fft.irfft(spectrum * np.conj(spectrum), size)[:n]
+
+
+def _reference_window(frame, sample_rate, f_min=50.0, f_max=500.0):
+    """(lag_min, normalized window over lag_min..lag_max) of one frame, or
+    None for a silent frame or an empty lag range."""
+    y = np.asarray(frame, dtype=np.float64)
+    clipped = center_clip(y, 0.5 * np.mean(np.abs(y)))
+    r = _reference_autocorrelate(clipped)
+    if r[0] <= 0.0:
+        return None
+    lag_min = max(1, int(round(sample_rate / f_max)))
+    lag_max = min(y.size - 1, int(round(sample_rate / f_min)))
+    if lag_min > lag_max:
+        return None
+    head = np.cumsum(clipped**2)
+    lags = np.arange(lag_min, lag_max + 1)
+    energy_head = head[y.size - 1 - lags]
+    energy_tail = head[-1] - np.concatenate(([0.0], head))[lags]
+    denom = np.sqrt(energy_head * energy_tail)
+    return lag_min, np.divide(r[lags], denom, out=np.zeros(lags.size), where=denom > 0)
+
+
+def _reference_walk(window, lag_min):
+    best = int(np.argmax(window))
+    best_value = float(window[best])
+    if best_value > 0.0:
+        tolerance = 0.02 * best_value
+        best_lag = best + lag_min
+        for k in range(best_lag // lag_min, 1, -1):
+            candidate = best_lag / k
+            lo = max(0, int(np.floor(candidate)) - 1 - lag_min)
+            hi = min(window.size, int(np.ceil(candidate)) + 2 - lag_min)
+            if lo >= hi:
+                continue
+            local = lo + int(np.argmax(window[lo:hi]))
+            if window[local] >= best_value - tolerance:
+                return local
+    return best
+
+
+def _reference_pitch(frame, sample_rate, f_min=50.0, f_max=500.0):
+    found = _reference_window(frame, sample_rate, f_min, f_max)
+    if found is None:
+        return 0.0, 0
+    lag_min, window = found
+    best = _reference_walk(window, lag_min)
+    return float(window[best]), best + lag_min
+
+
+def _assert_pitch_matches_oracle(frames, sample_rate, f_min=50.0, f_max=500.0, ties=False):
+    """The kernel's rows against the oracle: values within 1e-12, the same
+    silent rows, and equal lags. With ties=True a lag may differ where the
+    oracle's own window scores the kernel's lag within 1e-12 of its pick:
+    there the choice rests on the last bits of the FFT's rounding (a DC
+    frame's window is 1 at every lag, spikes score equal or zero). Returns
+    the kernel's values and lags and the oracle's silent rows."""
+    values, lags = _pitch_peaks(frames, sample_rate, f_min, f_max)
+    want = [_reference_pitch(frame, sample_rate, f_min, f_max) for frame in frames]
+    want_values = np.array([v for v, _ in want])
+    want_lags = np.array([lag for _, lag in want], dtype=np.int64)
+    want_silent = (want_values == 0) & (want_lags == 0)
+    assert values.shape == lags.shape == (frames.shape[0],)
+    assert np.abs(values - want_values).max(initial=0.0) <= 1e-12
+    assert np.array_equal((values == 0) & (lags == 0), want_silent)
+    for i in np.flatnonzero(lags != want_lags):
+        assert ties, (i, lags[i], want_lags[i])
+        lag_min, window = _reference_window(frames[i], sample_rate, f_min, f_max)
+        assert abs(window[lags[i] - lag_min] - want_values[i]) <= 1e-12
+    return values, lags, want_silent
+
+
+def _tone_frames(f, sample_rate, seconds=0.5):
+    return frame_signal(make_tone(f, sample_rate, seconds).samples, FrameConfig())
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 44100, 48000])
+def test_pitch_kernel_matches_oracle_on_tones(sample_rate):
+    for f in (50.0, 73.4, 110.0, 220.0, 333.3, 500.0):
+        _, lags, _ = _assert_pitch_matches_oracle(_tone_frames(f, sample_rate), sample_rate)
+        assert np.all(np.abs(lags - sample_rate / f) <= 1)
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 44100, 48000])
+def test_pitch_kernel_matches_oracle_on_noise_silence_and_denormals(sample_rate):
+    rng = np.random.default_rng(sample_rate)
+    n = sample_rate // 2
+    noise = rng.standard_normal(n)
+    tiny = rng.standard_normal(n) * 1e-310  # squares underflow: silent frames
+    gated = np.where(np.arange(n) % 6000 < 3000, noise, 0.0)  # silent and voiced frames
+    for samples in (noise, np.zeros(n), tiny, gated, noise * 1e-150):
+        _assert_pitch_matches_oracle(frame_signal(samples, FrameConfig()), sample_rate)
+    values, lags = _pitch_peaks(frame_signal(tiny, FrameConfig()), sample_rate)
+    assert not values.any() and not lags.any()
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 44100, 48000])
+def test_pitch_kernel_matches_oracle_on_dc_spikes_and_impulses(sample_rate):
+    rng = np.random.default_rng(sample_rate + 1)
+    n = sample_rate // 2
+    period = int(sample_rate / 140)
+    pulses = np.zeros(n)
+    pulses[::period] = 0.8  # a 140-Hz pulse train has one answer
+    _, lags, _ = _assert_pitch_matches_oracle(frame_signal(pulses, FrameConfig()), sample_rate)
+    assert np.all(lags == period)
+    spikes = np.zeros(n)
+    spikes[rng.integers(0, n, 30)] = rng.choice([-1.0, 1.0], 30)
+    impulse = np.zeros(n)
+    impulse[n // 3] = 1.0
+    for samples in (np.full(n, 0.25), np.full(n, -1.0), spikes, impulse):
+        _assert_pitch_matches_oracle(frame_signal(samples, FrameConfig()), sample_rate, ties=True)
+
+
+@pytest.mark.parametrize("length", [1, 2, 31, 500, 2047])
+def test_pitch_kernel_matches_oracle_on_clips_shorter_than_a_frame(length):
+    rng = np.random.default_rng(length)
+    for samples in (rng.uniform(-1, 1, length), np.sin(np.arange(length) / 7.0)):
+        frames = frame_signal(samples, FrameConfig())
+        assert frames.shape == (1, 2048)
+        _assert_pitch_matches_oracle(frames, 16000)
+
+
+@pytest.mark.parametrize("frame_length", [1, 2, 16, 32, 33])
+def test_pitch_kernel_matches_oracle_on_frames_shorter_than_lag_min(frame_length):
+    # at 16 kHz lag_min is 32: frames of at most 32 samples search no lag
+    # (lag_max = n - 1 < lag_min) and 33 samples search lag 32 alone
+    rng = np.random.default_rng(frame_length)
+    config = FrameConfig(frame_length=frame_length, hop_length=1)
+    for samples in (rng.uniform(-1, 1, 200), np.zeros(200)):
+        values, lags, _ = _assert_pitch_matches_oracle(frame_signal(samples, config), 16000)
+        if frame_length <= 32:
+            assert not values.any() and not lags.any()
+
+
+@pytest.mark.parametrize("points", [1, 2400 * 3, 2400 * 7, 2400 * 40])
+def test_pitch_kernel_blocks_that_do_not_divide_the_frames(monkeypatch, points):
+    # 1 point: one row per block; 3 and 7 rows leave a short last block of 2
+    # and 6 of 59 frames; 40 rows hold them all
+    monkeypatch.setattr(audio_features, "_PITCH_BLOCK_POINTS", points)
+    rng = np.random.default_rng(7)
+    samples = 0.6 * make_tone(180, 16000, 2.0).samples * rng.uniform(0.2, 1.0, 32000)
+    samples[10000:16000] = 0.0
+    frames = frame_signal(samples, FrameConfig())
+    assert frames.shape[0] == 59
+    _assert_pitch_matches_oracle(frames, 16000)
+
+
+def test_pitch_fft_size_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    sizes = [_smooth_size(m) for m in range(1, 6001)]
+    for m, size in zip(range(1, 6001), sizes):
+        assert size >= m and smooth(size)
+        assert not any(smooth(k) for k in range(m, size))
+    assert _smooth_size(2048 + 320) == 2400
+    assert _smooth_size(2048 + 441) == 2500
+
+
+@pytest.mark.parametrize("sample_rate, size", [(16000, 2400), (22050, 2500), (48000, 3072)])
+def test_pitch_kernel_blocks_depend_only_on_rows_and_fft_size(monkeypatch, sample_rate, size):
+    """One rfft per block of max(1, _PITCH_BLOCK_POINTS // N) rows at the
+    5-smooth length N >= n + lag_max; the last block takes the rest."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def spy(a, n=None, axis=-1, **kwargs):
+        calls.append((a.shape[0], n))
+        return rfft(a, n, axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    frames = _tone_frames(200.0, sample_rate, seconds=3.0)
+    _pitch_peaks(frames, sample_rate)
+    block = audio_features._PITCH_BLOCK_POINTS // size
+    rows = frames.shape[0]
+    assert size >= 2048 + min(2047, round(sample_rate / 50.0))
+    assert calls == [(min(block, rows - lo), size) for lo in range(0, rows, block)]
+
+
+def test_autocorr_pitch_is_a_one_row_kernel_call():
+    for frame in _tone_frames(150.0, 16000)[:3]:
+        values, lags = _pitch_peaks(frame[np.newaxis], 16000)
+        assert autocorr_pitch(frame, 16000) == (values[0], lags[0])
+    assert autocorr_pitch(np.zeros(2048), 16000) == (0.0, 0)
+
+
+def test_walk_submultiples_matches_reference_walk():
+    """The vectorized walk picks the oracle walk's lag on any window,
+    including the flat and tied windows of DC, spikes and impulses."""
+    rng = np.random.default_rng(12)
+    windows = []
+    for samples in (np.full(8000, 0.5), rng.standard_normal(8000), np.sin(np.arange(8000) / 9.0)):
+        for frame in frame_signal(samples, FrameConfig())[:4]:
+            found = _reference_window(frame, 16000)
+            windows.append((found[0], found[1][np.newaxis]))
+    for _ in range(300):
+        lag_min = int(rng.integers(1, 50))
+        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 300)))
+        window = np.round(rng.uniform(-1.0, 1.0, shape), int(rng.integers(1, 4)))
+        if rng.random() < 0.3:  # periodic peaks with multiples that score alike
+            period = rng.uniform(2.0, 40.0)
+            window = np.abs(np.cos(np.pi * np.arange(shape[1]) / period)) * rng.uniform(
+                0.97, 1.0, shape)
+        windows.append((lag_min, window))
+    for lag_min, window in windows:
+        want = [_reference_walk(row, lag_min) for row in window]
+        assert _walk_submultiples(window, lag_min).tolist() == want
+
+
+@pytest.mark.parametrize("seconds", [0.6, 2.0, 4.5])
+def test_pitch_kernel_frame_and_silent_totals_match_oracle_on_a_corpus(tmp_path, seconds):
+    """A synthetic corpus at a benchmark workload's clip length: per clip the
+    kernel matches the oracle, and the frame and silent-frame totals agree."""
+    manifest = generate_corpus(tmp_path, seed=5, n_per_class=2, duration=seconds)
+    frames_total = silent = want_silent = 0
+    for line in manifest.read_text().splitlines():
+        clip = decode_wav(tmp_path / json.loads(line)["audio"])
+        frames = frame_signal(clip.samples, FrameConfig())
+        values, lags, oracle_silent = _assert_pitch_matches_oracle(
+            frames, clip.sample_rate, ties=True)
+        frames_total += frames.shape[0]
+        silent += int(np.count_nonzero((values == 0) & (lags == 0)))
+        want_silent += int(np.count_nonzero(oracle_silent))
+    assert frames_total == 12 * FrameConfig().frame_count(int(round(16000 * seconds)))
+    assert silent == want_silent > 0
 
 
 # --- harmonic feature

@@ -11,6 +11,9 @@ from emoforge.models.tree import grow_tree, leaf_values, pack_trees, presort
 from emoforge.persistence import save_container
 from emoforge.pipeline import load_bundle, save_bundle, train_bundle
 
+# an overflow or a 0/0 fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def make_xor(n_rep=50, seed=0, jitter=0.05):
     rng = np.random.default_rng(seed)
@@ -651,3 +654,83 @@ def test_tree_models_reject_arrays_without_whole_rounds():
     with pytest.raises(ValueError):
         GradientBoosting.from_state(meta, first_trees(arrays, 5))
     assert len(GradientBoosting.from_state(meta, first_trees(arrays, 6)).trees_) == 2
+
+
+# --- thresholds that cannot empty a child: where the midpoint of two adjacent
+# distinct values a < b is not in [a, b), the threshold is a
+
+
+EDGE_PAIRS = {
+    "infinities": (-np.inf, np.inf),  # the midpoint is NaN
+    "overflow": (1e308, 1.7e308),  # the sum overflows to +inf
+    "adjacent": (1 + 2**-52, 1 + 2**-51),  # the midpoint rounds up to b
+}
+
+
+def edge_problem(a, b, seed=0):
+    """Column 0 holds only a and b, and the label depends on it and on the
+    random column 1, so trees split column 0 between the neighbours a and b."""
+    rng = np.random.default_rng(seed)
+    high = rng.random(40) < 0.5
+    X = np.column_stack([np.where(high, b, a), rng.uniform(-1.0, 1.0, 40)])
+    y = (high ^ (X[:, 1] > 0.5)).astype(np.int64)
+    return X, y
+
+
+def assert_sound_tree(tree, X):
+    """Every node value is finite, and routing X sends rows to both children
+    of every split (each child of a split holds training rows, all of X)."""
+    assert np.isfinite(tree.value).all()
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        assert rows.size > 0
+        if tree.feature[node] >= 0:
+            go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+            stack += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
+
+
+def edge_models(X, y, max_depth):
+    return [
+        grow_tree(X, y, task="classification", n_classes=2, max_depth=max_depth),
+        grow_tree(X, y - 0.5, task="regression", max_depth=max_depth),
+        *RandomForest(n_trees=6, max_depth=max_depth, seed=1).fit(X, y).trees_,
+        *sum(GradientBoosting(n_rounds=3, max_depth=max_depth, seed=1).fit(X, y).trees_, []),
+    ]
+
+
+@pytest.mark.parametrize("pair", sorted(EDGE_PAIRS))
+def test_thresholds_between_edge_values_keep_both_children(pair):
+    a, b = EDGE_PAIRS[pair]
+    X, y = edge_problem(a, b)
+    trees = edge_models(X, y, max_depth=5)
+    for tree in trees:
+        assert_sound_tree(tree, X)
+    on_column_0 = [t for tree in trees for f, t in zip(tree.feature, tree.threshold) if f == 0]
+    assert on_column_0 and all(t == a for t in on_column_0)
+
+
+def test_unbounded_trees_end_between_infinities(monkeypatch):
+    calls = []
+    best_splits = tree_module._best_splits
+
+    def counted(*args):  # a tree that empties a child keeps splitting forever
+        calls.append(1)
+        assert len(calls) < 10_000
+        return best_splits(*args)
+
+    monkeypatch.setattr(tree_module, "_best_splits", counted)
+    X, y = edge_problem(-np.inf, np.inf)
+    for tree in edge_models(X, y, max_depth=None):
+        assert_sound_tree(tree, X)
+    tree = grow_tree(np.array([[-np.inf], [np.inf]] * 2), [0, 1, 0, 1], task="classification",
+                     n_classes=2, max_depth=None)
+    assert tree.threshold.tolist() == [-np.inf, 0.0, 0.0]
+    assert tree.value.tolist() == [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
+
+
+def test_midpoint_thresholds_are_unchanged_inside_the_interval():
+    X = np.array([[0.0], [1.0], [3.0], [3.0 + 2**-50]])
+    tree = grow_tree(X, [0, 1, 1, 0], task="classification", n_classes=2, max_depth=None)
+    # 3 + 2**-51 lies one ulp above 3 and one below 3 + 2**-50
+    assert tree.threshold[tree.feature == 0].tolist() == [0.5, 3.0 + 2**-51]
