@@ -20,18 +20,24 @@ Every pass runs a whole batch of sequences through the cell as one
 and packed time-major, so the sequences still running at step t are a
 prefix of the batch: step t advances only that active prefix, no work is
 spent on padding, and each sequence ends on its own last state. Training,
-validation accuracy and ``predict_proba`` use this one forward pass; a
-single sequence is a batch of one. The backward pass (BPTT, Werbos 1990)
-walks the steps in reverse over the same prefixes and forms the weight
-gradients from the packed rows, dW = sum_t dZ_t^T X_t and
-dU = sum_t dZ_t^T H_{t-1}, as single matmuls.
+validation accuracy and ``predict_proba`` use this one forward pass, the
+last two on ``batch_size`` sequences at a time; a single sequence is a
+batch of one. The input projection X W^T + b of every packed row is one
+matmul per batch, so a step adds only H_{t-1} U^T to its rows. The
+backward pass (BPTT, Werbos 1990) walks the steps in reverse over the same
+prefixes and forms the weight gradients from the packed rows,
+dW = sum_t dZ_t^T X_t and dU = sum_t dZ_t^T H_{t-1}, as single matmuls.
 
 ``fit`` draws a batch's dropout masks before its forward pass, one
 ``rng.random(hidden)`` row per sequence in epoch order; the forward pass
-itself has no training mode. Models are not byte-identical to the earlier
-per-sequence trainer's: a matmul over a block of rows does not round like
-one matrix-vector product per row, so gradients differ in the last few bits
-(tests/test_lstm.py pins them to a per-sequence oracle).
+itself has no training mode. Models are not byte-identical to the
+per-sequence trainer's: a step sums its pre-activations as
+(x W^T + b) + h U^T where that trainer took W x + U h + b, and a matmul over
+a block of rows does not round like one matrix-vector product per row, so
+gradients differ in the last few bits (tests/test_lstm.py pins them to a
+per-sequence oracle). How a matmul rounds also depends on how many BLAS
+threads share it, so ``train_bundle`` and ``ModelBundle.predict_proba`` run
+models on one (``emoforge._blas``).
 """
 
 from __future__ import annotations
@@ -127,18 +133,22 @@ class LstmParams:
             raise ParameterError("parameter vector size mismatch")
 
 
-def _gates(params: LstmParams, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One fused gate evaluation for one state or a (rows, hidden) block of
-    states; returns (acts, c_t, tanh_c, h_t), where ``acts`` holds the
-    forget, input and output gates and the candidate side by side."""
-    hidden = params.hidden_size
-    acts = x @ params.W.T + h @ params.U.T + params.b
-    acts[..., : 3 * hidden] = sigmoid(acts[..., : 3 * hidden])
+def _cell(acts: np.ndarray, c: np.ndarray, c_t: np.ndarray, tanh_c: np.ndarray,
+          h_t: np.ndarray) -> None:
+    """One gate update for one state or a (rows, hidden) block of states.
+    Turns the pre-activations ``acts`` (x W^T + b + h U^T) into the forget,
+    input and output gates and the candidate in place, and writes
+    c_t = f*c + i*cand, tanh(c_t) and h_t = o*tanh(c_t) into the arrays
+    given."""
+    hidden = c.shape[-1]
+    gates = acts[..., : 3 * hidden]
+    sigmoid(gates, out=gates)
     np.tanh(acts[..., 3 * hidden :], out=acts[..., 3 * hidden :])
     f, i, o, cand = (acts[..., k * hidden : (k + 1) * hidden] for k in range(4))
-    c_t = f * c + i * cand
-    tanh_c = np.tanh(c_t)
-    return acts, c_t, tanh_c, o * tanh_c
+    np.multiply(f, c, out=c_t)
+    c_t += i * cand
+    np.tanh(c_t, out=tanh_c)
+    np.multiply(o, tanh_c, out=h_t)
 
 
 def lstm_step(params: LstmParams, state: LstmState, x_t: np.ndarray) -> LstmState:
@@ -151,8 +161,11 @@ def lstm_step(params: LstmParams, state: LstmState, x_t: np.ndarray) -> LstmStat
         )
     if state.h.shape != (params.hidden_size,):
         raise ParameterError("state size does not match parameters")
-    _, c_t, _, h_t = _gates(params, x_t, state.h, state.c)
-    return LstmState(h=h_t, c=c_t)
+    acts = x_t @ params.W.T + params.b
+    acts += state.h @ params.U.T
+    out = LstmState.zeros(params.hidden_size)
+    _cell(acts, state.c, out.c, np.empty_like(out.c), out.h)
+    return out
 
 
 @dataclass
@@ -196,25 +209,27 @@ def _forward_cached(
     still running, which are a prefix of the length-sorted batch."""
     order, bounds, xs = _pack(sequences)
     hidden = params.hidden_size
-    h = np.zeros((len(sequences), hidden))
-    c = np.zeros_like(h)
-    last = np.empty_like(h)
-    tape = None
-    if cache:
-        rows = xs.shape[0]
-        tape = _Tape(order, bounds, xs, np.empty((rows, hidden)), np.empty((rows, hidden)),
-                     np.empty((rows, 4 * hidden)), np.empty((rows, hidden)))
+    rows, batch = xs.shape[0], len(sequences)
+    acts = xs @ params.W.T  # every step's input projection in one product
+    acts += params.b
+    # Step t starts from the states in rows lo:hi of h_prev/c_prev and writes
+    # its n new states to rows hi:hi+n. The first of these belong to the
+    # sequences still running and are step t+1's start; the others end at t
+    # and go to ``last`` before step t+1 overwrites them. The last step
+    # writes up to ``batch`` rows past ``rows``.
+    h_prev, c_prev = np.zeros((rows + batch, hidden)), np.zeros((rows + batch, hidden))
+    tanh_c = np.empty((rows, hidden))
+    last = np.empty((batch, hidden))
     active = [*np.diff(bounds).tolist(), 0]  # sequences running at each step
     for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        h, c = h[: hi - lo], c[: hi - lo]
-        acts, c_t, tanh_c, h_t = _gates(params, xs[lo:hi], h, c)
-        if tape is not None:
-            tape.h_prev[lo:hi] = h
-            tape.c_prev[lo:hi] = c
-            tape.acts[lo:hi] = acts
-            tape.tanh_c[lo:hi] = tanh_c
-        h, c = h_t, c_t
-        last[active[t + 1] : active[t]] = h[active[t + 1] :]  # sequences that end at t
+        n, running = hi - lo, active[t + 1]
+        step = acts[lo:hi]
+        step += h_prev[lo:hi] @ params.U.T
+        _cell(step, c_prev[lo:hi], c_prev[hi : hi + n], tanh_c[lo:hi], h_prev[hi : hi + n])
+        last[running:n] = h_prev[hi + running : hi + n]
+    tape = None
+    if cache:
+        tape = _Tape(order, bounds, xs, h_prev[:rows], c_prev[:rows], acts, tanh_c)
     final = np.empty_like(last)
     final[order] = last
     return final, tape
@@ -266,17 +281,20 @@ def _bptt(
     dz[:, 3 * hidden :] *= (1.0 + cand) * i
     dc_from_dh = o * (1.0 - tape.tanh_c**2)
 
-    dh = dc = np.empty((0, hidden))
+    # the sweep carries (dh, dc) of the running sequences in the first rows
+    dh_all, dc_all = np.empty_like(dh_last), np.zeros_like(dh_last)
+    carried = 0
     bounds = tape.bounds
     for lo, hi in zip(reversed(bounds[:-1]), reversed(bounds[1:])):
-        n, carried = hi - lo, dh.shape[0]
+        n = hi - lo
         if n > carried:  # sequences whose last step this is join the sweep
-            dh = np.concatenate((dh, dh_last[carried:n]))
-            dc = np.concatenate((dc, np.zeros((n - carried, hidden))))
-        dc = dc + dh * dc_from_dh[lo:hi]
+            dh_all[carried:n] = dh_last[carried:n]
+            carried = n
+        dh, dc = dh_all[:n], dc_all[:n]
+        dc += dh * dc_from_dh[lo:hi]
         dz[lo:hi] *= np.concatenate((dc, dc, dh, dc), axis=1)
-        dh = dz[lo:hi] @ params.U
-        dc = dc * f[lo:hi]
+        np.matmul(dz[lo:hi], params.U, out=dh)
+        dc *= f[lo:hi]
     return loss, LstmParams(dz.T @ tape.xs, dz.T @ tape.h_prev, dz.sum(axis=0), dlogits.T @ h,
                             dlogits.sum(axis=0))
 
@@ -349,8 +367,15 @@ class LstmClassifier(ProbabilisticClassifier):
             return [row[np.newaxis, :] for row in np.asarray(X, dtype=np.float64)]
         return [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in X]
 
+    def _final_states(self, sequences: list[np.ndarray]) -> np.ndarray:
+        """Final hidden states, ``batch_size`` sequences per forward pass, so
+        that a pass holds the input projections of one batch, not of all."""
+        starts = range(0, max(len(sequences), 1), self.batch_size)  # [] raises in _pack
+        return np.vstack([_forward_cached(self.params_, sequences[s : s + self.batch_size])[0]
+                          for s in starts])
+
     def _accuracy(self, sequences: list[np.ndarray], y: np.ndarray) -> float:
-        h, _ = _forward_cached(self.params_, sequences)
+        h = self._final_states(sequences)
         return float(np.mean(np.argmax(_class_probs(self.params_, h), axis=1) == y))
 
     def fit(self, X, y):
@@ -425,8 +450,7 @@ class LstmClassifier(ProbabilisticClassifier):
     def predict_proba(self, X) -> np.ndarray:
         if self.params_ is None:
             raise ParameterError("model is not fitted")
-        h, _ = _forward_cached(self.params_, self._as_sequences(X))
-        return _class_probs(self.params_, h)
+        return _class_probs(self.params_, self._final_states(self._as_sequences(X)))
 
     def _arrays(self) -> dict[str, np.ndarray]:
         p = self.params_

@@ -70,12 +70,12 @@ def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise logistic function, split by sign so exp never overflows:
-    1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, both from e = e^-|z|."""
+    1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, both from e = e^-|z|.
+    ``out``, which may be ``z`` itself, receives the result."""
     e = np.exp(np.minimum(z, -z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .audio_features import (
     AUDIO_FEATURE_NAMES,
     FrameConfig,
@@ -212,9 +213,11 @@ class ModelBundle:
             )
 
     def predict_proba(self, X) -> np.ndarray:
-        """Mean of the members' probabilities (exact for one member)."""
+        """Mean of the members' probabilities (exact for one member), taken
+        with numpy's BLAS on one thread."""
         self._check_dim(X)
-        return sum(member.predict_proba(X) for member in self.members) / len(self.members)
+        with single_blas_thread():
+            return sum(member.predict_proba(X) for member in self.members) / len(self.members)
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
@@ -284,7 +287,9 @@ def train_bundle(
     """Fit the members of ``kind`` (a single kind is its own one member) into
     a reusable bundle; member i is seeded ``seed + SEED_OFFSET_MODEL + i``.
     A single kind takes flat hyperparameters, an ensemble a table keyed by
-    member kind. The bundle's input_mode records what ``X`` is."""
+    member kind. The bundle's input_mode records what ``X`` is. Members fit
+    with numpy's BLAS on one thread, so the bytes do not depend on the
+    host's core count (``emoforge._blas``)."""
     hyperparams = dict(hyperparams or {})
     frame_config = frame_config or FrameConfig()
     if setting not in SETTINGS:
@@ -310,8 +315,9 @@ def train_bundle(
         clf = make_classifier(member_kind, member_hp, seed + SEED_OFFSET_MODEL + i, n_classes)
         scaler = _scaler_for(member_kind, feature_dim, audio_block)
         members.append(_Member(member_kind, clf, scaler))
-    for member in members:
-        member.fit(X, y)
+    with single_blas_thread():
+        for member in members:
+            member.fit(X, y)
 
     if isinstance(X, list):
         input_mode = "frames"
@@ -477,7 +483,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
                     raise ValueError(f"scaler arrays do not fit {block} of {feature_dim} columns")
             if mm["kind"] not in _TREE_KINDS:
                 rows = int(mm["kind"] == "lstm")
-                if member.predict_proba(np.zeros((rows, feature_dim))).shape != (rows, n_classes):
+                with single_blas_thread():
+                    proba = member.predict_proba(np.zeros((rows, feature_dim)))
+                if proba.shape != (rows, n_classes):
                     raise ValueError("arrays do not map feature_dim columns to the classes")
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise DataError(f"{path}: {where} state is unusable ({exc!r})") from exc

@@ -5,7 +5,24 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from emoforge._blas import openblas
 from emoforge.audio_io import AudioClip, encode_wav
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_unchanged():
+    """Fail any test that leaves numpy's OpenBLAS thread count changed, and
+    set it back so the next test starts from the same count."""
+    lib = openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.get_num_threads()
+    yield
+    after = lib.get_num_threads()
+    if after != before:
+        lib.set_num_threads(before)
+        pytest.fail(f"the test left numpy's OpenBLAS on {after} threads, not {before}")
 
 
 def make_tone(freq: float, sample_rate: int = 22050, duration: float = 0.5,

@@ -1,0 +1,152 @@
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from emoforge import _blas
+from emoforge._blas import openblas, single_blas_thread
+from emoforge.errors import DegenerateLabelError
+from emoforge.lstm import LstmClassifier
+from emoforge.pipeline import load_bundle, save_bundle, train_bundle
+
+LIB = openblas()
+needs_openblas = pytest.mark.skipif(
+    LIB is None, reason="numpy's BLAS is not an OpenBLAS whose thread count can be set"
+)
+
+
+@pytest.fixture
+def caller_threads():
+    """Run a test with the caller's OpenBLAS set to ``set_to(n)`` threads,
+    restoring the count the test found."""
+    found = LIB.get_num_threads()
+
+    def set_to(n):
+        LIB.set_num_threads(n)
+        assert LIB.get_num_threads() == n
+
+    try:
+        yield set_to
+    finally:
+        LIB.set_num_threads(found)
+
+
+def ragged_frames(seed=0, n=32, dim=6):
+    """Per-frame sequences of 20-60 frames whose first column carries the
+    class: enough packed rows for OpenBLAS to split the gradient products."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % 4
+    X = [rng.normal(size=(int(rng.integers(20, 61)), dim)) for _ in range(n)]
+    for seq, label in zip(X, y):
+        seq[:, 0] += label
+    return X, y
+
+
+def train_lstm(X, y, **hp):
+    return train_bundle("lstm", X, y, setting="audio_only", class_mode="four", seed=3,
+                        hyperparams={"epochs": 3, "hidden_size": 32, **hp})
+
+
+@needs_openblas
+def test_lstm_bundle_bytes_do_not_depend_on_the_callers_blas_threads(tmp_path, caller_threads):
+    X, y = ragged_frames()
+    saved = []
+    for threads in (1, 2):
+        caller_threads(threads)
+        path = tmp_path / f"threads{threads}.emf"
+        save_bundle(path, train_lstm(X, y))
+        assert LIB.get_num_threads() == threads
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+
+
+@needs_openblas
+def test_models_fit_predict_and_load_on_one_thread(tmp_path, caller_threads, monkeypatch):
+    caller_threads(2)
+    seen = []
+
+    def record(method):
+        def wrapper(self, *args):
+            seen.append((method.__name__, LIB.get_num_threads()))
+            return method(self, *args)
+        return wrapper
+
+    for name in ("fit", "predict_proba"):
+        monkeypatch.setattr(LstmClassifier, name, record(getattr(LstmClassifier, name)))
+    X, y = ragged_frames(n=8)
+    bundle = train_lstm(X, y, epochs=1)
+    bundle.predict_proba(X)
+    save_bundle(tmp_path / "model.emf", bundle)
+    load_bundle(tmp_path / "model.emf")  # probes the member with one row
+    assert seen == [("fit", 1), ("predict_proba", 1), ("predict_proba", 1)]
+    assert LIB.get_num_threads() == 2
+
+
+@needs_openblas
+def test_callers_threads_are_restored_when_a_fit_raises(caller_threads):
+    caller_threads(2)
+    X, _ = ragged_frames(n=4)
+    with pytest.raises(DegenerateLabelError):
+        train_lstm(X, np.zeros(4, dtype=np.int64))
+    assert LIB.get_num_threads() == 2
+    assert _blas._depth == 0
+
+
+@needs_openblas
+def test_a_nested_entry_keeps_the_pin_and_the_outer_exit_restores(tmp_path, caller_threads):
+    caller_threads(2)
+    X, y = ragged_frames(n=8)
+    path = tmp_path / "model.emf"
+    save_bundle(path, train_lstm(X, y, epochs=1))
+    with single_blas_thread():
+        assert LIB.get_num_threads() == 1
+        bundle = load_bundle(path)  # its probe of the member enters the pin again
+        assert LIB.get_num_threads() == 1
+        bundle.predict_proba(X)
+        assert LIB.get_num_threads() == 1
+    assert LIB.get_num_threads() == 2
+    assert _blas._depth == 0
+
+
+@needs_openblas
+def test_concurrent_entries_pin_throughout_and_restore_once(caller_threads):
+    caller_threads(2)
+    seen, errors = [], []
+    start = threading.Barrier(8)
+
+    def worker(k):
+        try:
+            start.wait(timeout=10)
+            for j in range(300):
+                with single_blas_thread():
+                    seen.append(LIB.get_num_threads())
+                    if (j + k) % 3 == 0:
+                        with single_blas_thread():
+                            seen.append(LIB.get_num_threads())
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not errors
+    assert len(seen) == 8 * 400 and set(seen) == {1}
+    assert LIB.get_num_threads() == 2
+    assert _blas._depth == 0
+
+
+def test_the_context_runs_its_block_with_or_without_openblas(monkeypatch):
+    monkeypatch.setattr(_blas, "openblas", lambda: None)
+    ran = []
+    with single_blas_thread():
+        ran.append(True)
+    assert ran == [True]
