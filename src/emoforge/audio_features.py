@@ -372,6 +372,12 @@ def _pair_medians(padded, core, start, stop, left, right, out):
         out[:, start + parity : stop : 2] = median
 
 
+def _check_window(l: int) -> None:
+    """Raise ParameterError unless l is a median-filter window length."""
+    if not 1 <= l <= _MAX_MEDIAN_WINDOW:
+        raise ParameterError(f"window length must be in [1, {_MAX_MEDIAN_WINDOW}], got {l}")
+
+
 def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
     """Median-filter every row of a (rows, time) matrix along time, with
     window length l and edge-clamped windows.
@@ -396,10 +402,7 @@ def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
     Fortran-ordered (a transposed rfft), and harmonic_feature's means sum in
     memory order, so a C-ordered output would change harmonic_mean's bits.
     """
-    if l < 1:
-        raise ParameterError("window length must be >= 1")
-    if l > _MAX_MEDIAN_WINDOW:
-        raise ParameterError(f"window length above {_MAX_MEDIAN_WINDOW}")
+    _check_window(l)
     rows, n = magnitudes.shape
     if l == 1 or n <= 1:
         return magnitudes.copy()

@@ -209,6 +209,16 @@ def class_histogram(dataset: Dataset) -> dict[EmotionLabel, int]:
     return counts
 
 
+def _check_train_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:
+        raise ParameterError(f"train_fraction must be in (0, 1), got {train_fraction}")
+
+
+def _check_rho(rho: float) -> None:
+    if not 0.0 <= rho <= 1.0:
+        raise ParameterError(f"rho must be in [0, 1], got {rho}")
+
+
 def split(
     dataset: Dataset, train_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
@@ -218,8 +228,7 @@ def split(
     exhaustive; an empty partition raises SplitError. Upsampling, when used,
     belongs after this step and on the train side only.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ParameterError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    _check_train_fraction(train_fraction)
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(round(train_fraction * n))
@@ -267,8 +276,7 @@ def upsample(
     by class in canonical class order. ``expected_classes`` (defaults to the
     classes observed) must each have at least one example.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ParameterError(f"rho must be in [0, 1], got {rho}")
+    _check_rho(rho)
     if len(dataset) == 0:
         raise DegenerateClassError("cannot upsample an empty dataset")
 

@@ -23,6 +23,7 @@ from ._blas import single_blas_thread
 from .audio_features import (
     AUDIO_FEATURE_NAMES,
     FrameConfig,
+    _check_window,
     extract_audio_features,
     extract_frame_sequence,
 )
@@ -42,6 +43,8 @@ from .errors import ConfigError, DataError, ModelError, ParameterError, Unsuppor
 from .ingest import (
     Dataset,
     Example,
+    _check_rho,
+    _check_train_fraction,
     build_dataset,
     classes_for_mode,
     load_manifest,
@@ -179,6 +182,40 @@ class _Member:
         return self.classifier.predict_proba(X)
 
 
+def _check_design(
+    kind: str, setting: str, class_mode: str, input_mode: str, hyperparams: dict, l_harm: int,
+    has_vocab: bool,
+) -> None:
+    """Raise ConfigError unless a bundle can have this design: known setting,
+    kind and class mode; an input mode the kind takes in that setting (and
+    that an lstm's ``input_mode`` hyperparameter, if given, names); a
+    vocabulary exactly when the setting has text; an ``l_harm`` the harmonic
+    median filter takes. ModelBundle and ExperimentConfig both run it."""
+    if setting not in SETTINGS:
+        raise ConfigError(f"setting must be one of {SETTINGS}, got {setting!r}")
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    classes_for_mode(class_mode)
+    allowed = ("frames", "clip") if kind == "lstm" else ("vector",)
+    if input_mode not in allowed:
+        raise ConfigError(f"{kind} input_mode must be one of {allowed}, got {input_mode!r}")
+    if kind == "lstm" and hyperparams.get("input_mode", input_mode) != input_mode:
+        raise ConfigError(f"lstm hyperparameter input_mode does not fit {input_mode} input")
+    if input_mode == "frames" and setting != "audio_only":
+        raise ConfigError("frame-sequence input requires the audio_only setting")
+    if has_vocab != (setting != "audio_only"):
+        need = "takes no" if has_vocab else "needs a"
+        raise ConfigError(f"setting {setting!r} {need} vocabulary")
+    _check_window(l_harm)
+
+
+def _requested_input_mode(kind: str, hyperparams: dict) -> str:
+    """The input a run of ``kind`` trains on: the lstm's ``input_mode``
+    hyperparameter, else "vector"."""
+    default = MODEL_DEFAULTS["lstm"]["input_mode"]
+    return hyperparams.get("input_mode", default) if kind == "lstm" else "vector"
+
+
 @dataclass
 class ModelBundle:
     """A trained model plus everything needed to reuse it: preprocessing
@@ -196,6 +233,10 @@ class ModelBundle:
     frame_config: FrameConfig = field(default_factory=FrameConfig)
     l_harm: int = DEFAULT_HARMONIC_WINDOW
     input_mode: str = "vector"  # "vector", or for lstm "frames" or "clip"
+
+    def __post_init__(self):
+        _check_design(self.kind, self.setting, self.class_mode, self.input_mode,
+                      self.hyperparams, self.l_harm, self.vocab is not None)
 
     @property
     def combination(self) -> str:
@@ -235,8 +276,6 @@ def _hp_type_ok(value, default) -> bool:
 
 
 def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):
-    if kind not in _MODEL_CLASSES:
-        raise ConfigError(f"unknown model kind {kind!r}")
     params = dict(MODEL_DEFAULTS[kind])
     unknown = set(hyperparams) - set(params)
     if unknown:
@@ -261,13 +300,17 @@ def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):
     return _MODEL_CLASSES[kind](n_classes=n_classes, **params)
 
 
-def _scaler_for(kind: str, feature_dim: int, audio_block: int) -> Optional[ColumnScaler]:
+def _scaler_for(kind: str, setting: str, feature_dim: int) -> Optional[ColumnScaler]:
+    """A member's input scaling: the lstm standardizes every column, other
+    kinds only the audio block, which is the whole row on audio_only and the
+    eight clip features ahead of the TFIDF on audio_text."""
     if kind == "lstm":
         return ColumnScaler("standard", feature_dim)
-    if kind in _STANDARDIZED_KINDS and audio_block > 0:
-        return ColumnScaler("standard", audio_block)
-    if kind == "mnb" and audio_block > 0:
-        return ColumnScaler("minmax", audio_block)
+    block = {"audio_only": feature_dim, "audio_text": len(AUDIO_FEATURE_NAMES)}.get(setting, 0)
+    if kind in _STANDARDIZED_KINDS and block > 0:
+        return ColumnScaler("standard", block)
+    if kind == "mnb" and block > 0:
+        return ColumnScaler("minmax", block)
     return None
 
 
@@ -282,77 +325,41 @@ def train_bundle(
     vocab: Optional[Vocabulary] = None,
     frame_config: FrameConfig | None = None,
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
-    audio_block: int | None = None,
 ) -> ModelBundle:
     """Fit the members of ``kind`` (a single kind is its own one member) into
     a reusable bundle; member i is seeded ``seed + SEED_OFFSET_MODEL + i``.
     A single kind takes flat hyperparameters, an ensemble a table keyed by
-    member kind. The bundle's input_mode records what ``X`` is. Members fit
-    with numpy's BLAS on one thread, so the bytes do not depend on the
-    host's core count (``emoforge._blas``)."""
-    hyperparams = dict(hyperparams or {})
-    frame_config = frame_config or FrameConfig()
-    if setting not in SETTINGS:
-        raise ConfigError(f"unknown setting {setting!r}")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if audio_block is None:
-        audio_block = 0 if setting == "text_only" else len(AUDIO_FEATURE_NAMES)
-    n_classes = len(classes_for_mode(class_mode))
-    y = np.asarray(y, dtype=np.int64)
-
+    member kind. The input mode is what ``X`` is: "frames" for a list of
+    per-frame sequences, else "clip" for the lstm and "vector" for the rest.
+    The bundle's design is checked, and every member configured, before any
+    member fits. Members fit with numpy's BLAS on one thread, so the bytes do
+    not depend on the host's core count (``emoforge._blas``)."""
+    frames = isinstance(X, list)
+    feature_dim = X[0].shape[-1] if frames else X.shape[1]
+    bundle = ModelBundle(
+        kind=kind, setting=setting, class_mode=class_mode, seed=seed, feature_dim=feature_dim,
+        members=[], hyperparams=dict(hyperparams or {}), vocab=vocab,
+        frame_config=frame_config or FrameConfig(), l_harm=l_harm,
+        input_mode="frames" if frames else "clip" if kind == "lstm" else "vector",
+    )
     member_kinds = ENSEMBLE_MEMBERS.get(kind, (kind,))
-    table = hyperparams if kind in ENSEMBLE_MEMBERS else {kind: hyperparams}
+    table = bundle.hyperparams if kind in ENSEMBLE_MEMBERS else {kind: bundle.hyperparams}
     flat = sorted(set(table) - set(_MODEL_CLASSES))
     if flat:
         raise ConfigError(
             f"{kind} hyperparameters are keyed by member kind {member_kinds}, got {flat}"
         )
-    feature_dim = X[0].shape[-1] if isinstance(X, list) else X.shape[1]
-    members = []  # all configured, and their overrides checked, before any fit
+    n_classes = len(bundle.class_names)
     for i, member_kind in enumerate(member_kinds):
         member_hp = table.get(member_kind, {})
         clf = make_classifier(member_kind, member_hp, seed + SEED_OFFSET_MODEL + i, n_classes)
-        scaler = _scaler_for(member_kind, feature_dim, audio_block)
-        members.append(_Member(member_kind, clf, scaler))
+        scaler = _scaler_for(member_kind, setting, feature_dim)
+        bundle.members.append(_Member(member_kind, clf, scaler))
+    y = np.asarray(y, dtype=np.int64)
     with single_blas_thread():
-        for member in members:
+        for member in bundle.members:
             member.fit(X, y)
-
-    if isinstance(X, list):
-        input_mode = "frames"
-    else:
-        input_mode = "clip" if kind == "lstm" else "vector"
-    return ModelBundle(
-        kind=kind,
-        setting=setting,
-        class_mode=class_mode,
-        seed=seed,
-        feature_dim=feature_dim,
-        members=members,
-        hyperparams=hyperparams,
-        vocab=vocab,
-        frame_config=frame_config,
-        l_harm=l_harm,
-        input_mode=input_mode,
-    )
-
-
-def _requested_input_mode(kind: str, hyperparams: dict) -> str:
-    """The input a run of ``kind`` trains on: the lstm's ``input_mode``
-    hyperparameter, else "vector"."""
-    default = MODEL_DEFAULTS["lstm"]["input_mode"]
-    return hyperparams.get("input_mode", default) if kind == "lstm" else "vector"
-
-
-def _input_mode_problem(kind: str, setting: str, input_mode: str) -> Optional[str]:
-    """Why ``input_mode`` does not suit a ``kind`` model in ``setting``, or None."""
-    allowed = ("frames", "clip") if kind == "lstm" else ("vector",)
-    if input_mode not in allowed:
-        return f"{kind} input_mode must be one of {allowed}, got {input_mode!r}"
-    if input_mode == "frames" and setting != "audio_only":
-        return "frame-sequence input requires the audio_only setting"
-    return None
+    return bundle
 
 
 # --- bundle persistence -----------------------------------------------------
@@ -433,33 +440,33 @@ def load_bundle(path: str | Path) -> ModelBundle:
     """
     header, arrays = load_container(path)
     _require(path, "header", header, _HEADER_KEYS)
-    kind, setting, feature_dim = header["model_kind"], header["setting"], header["feature_dim"]
+    kind, feature_dim, vocab = header["model_kind"], header["feature_dim"], header["vocab"]
     if kind not in MODEL_KINDS:
         raise ModelError(f"{path}: header names unknown model kind {kind!r}")
-    if not header["members"]:
-        raise DataError(f"{path}: header lists no members")
-    if setting not in SETTINGS:
-        raise DataError(f"{path}: header names unknown setting {setting!r}")
     try:
-        class_names = [label.value for label in classes_for_mode(header["class_mode"])]
-        vocab = None
-        if header["vocab"] is not None:
-            _require(path, "vocab", header["vocab"], _VOCAB_KEYS)
-            terms, dfs = header["vocab"]["terms"], header["vocab"]["dfs"]
+        if vocab is not None:
+            _require(path, "vocab", vocab, _VOCAB_KEYS)
+            terms, dfs = vocab["terms"], vocab["dfs"]
             if not all(type(t) is str for t in terms) or not all(type(d) is int for d in dfs):
                 raise DataError(f"{path}: vocab terms must be strings and dfs integers")
-            vocab = Vocabulary(tuple(terms), tuple(dfs), header["vocab"]["n_documents"])
-    except ParameterError as exc:
+            vocab = Vocabulary(tuple(terms), tuple(dfs), vocab["n_documents"])
+        bundle = ModelBundle(
+            kind=kind, setting=header["setting"], class_mode=header["class_mode"],
+            seed=header["seed"], feature_dim=feature_dim, members=[],
+            hyperparams=header["hyperparameters"], vocab=vocab,
+            frame_config=FrameConfig(header["frame_length"], header["hop_length"]),
+            l_harm=header["l_harm"], input_mode=header["input_mode"],
+        )
+    except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    class_names = bundle.class_names
     if header["class_names"] != class_names:
         raise DataError(f"{path}: class names do not match class mode {header['class_mode']!r}")
-    if (vocab is None) != (setting == "audio_only"):
-        need = "needs a" if vocab is None else "takes no"
-        raise DataError(f"{path}: setting {setting!r} {need} vocabulary")
+    if header["combination"] != bundle.combination:
+        raise DataError(f"{path}: combination {header['combination']!r} does not fit {kind}")
     if not 0 <= feature_dim <= max((a.size for a in arrays.values()), default=0):
         # every model keeps an array with a cell per input column; this bounds the probe below
         raise DataError(f"{path}: feature_dim {feature_dim} is larger than any array")
-    members = []
     for i, mm in enumerate(header["members"]):
         where = f"member {i}"
         _require(path, where, mm, _MEMBER_KEYS)
@@ -489,29 +496,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
                     raise ValueError("arrays do not map feature_dim columns to the classes")
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise DataError(f"{path}: {where} state is unusable ({exc!r})") from exc
-        members.append(member)
-    member_kinds = [m.kind for m in members]
+        bundle.members.append(member)
+    member_kinds = [m.kind for m in bundle.members]
     if member_kinds != list(ENSEMBLE_MEMBERS.get(kind, (kind,))):
         raise DataError(f"{path}: members {member_kinds} are not those of a {kind} model")
-
-    bundle = ModelBundle(
-        kind=kind,
-        setting=setting,
-        class_mode=header["class_mode"],
-        seed=header["seed"],
-        feature_dim=feature_dim,
-        members=members,
-        hyperparams=header["hyperparameters"],
-        vocab=vocab,
-        frame_config=FrameConfig(header["frame_length"], header["hop_length"]),
-        l_harm=header["l_harm"],
-        input_mode=header["input_mode"],
-    )
-    if header["combination"] != bundle.combination:
-        raise DataError(f"{path}: combination {header['combination']!r} does not fit {kind}")
-    problem = _input_mode_problem(kind, bundle.setting, bundle.input_mode)
-    if problem is not None:
-        raise DataError(f"{path}: {problem}")
     return bundle
 
 
@@ -679,16 +667,15 @@ class ExperimentConfig:
         self.manifest = Path(self.manifest)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
-        if self.setting not in SETTINGS:
-            raise ConfigError(f"setting must be one of {SETTINGS}, got {self.setting!r}")
-        if self.model_kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.model_kind!r}")
-        classes_for_mode(self.class_mode)
-        problem = _input_mode_problem(
-            self.model_kind, self.setting, _requested_input_mode(self.model_kind, self.hyperparams)
+        # the run fits a vocabulary exactly when its setting has text
+        _check_design(
+            self.model_kind, self.setting, self.class_mode,
+            _requested_input_mode(self.model_kind, self.hyperparams), self.hyperparams,
+            self.l_harm, self.setting != "audio_only",
         )
-        if problem is not None:
-            raise ConfigError(problem)
+        # checked here too, so a run that skips the split or the upsampling records no bad value
+        _check_train_fraction(self.train_fraction)
+        _check_rho(self.upsample_rho)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path]]:

@@ -1,0 +1,67 @@
+"""The names in emoforge that the benchmark under perfbench/ binds.
+
+perfbench/spans.py wraps module globals and methods by name for a traced
+run, and perfbench/bench.py and run.py call pipeline functions directly.
+These tests only read perfbench/, so renaming or deleting one of those names
+fails here instead of breaking ``perfbench/run.py --trace 1``.
+"""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from emoforge import pipeline
+from emoforge.models import GradientBoosting, RandomForest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+_spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+spans = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(spans)
+
+# the pipeline calls of bench.py and run.py, so a scan that finds none fails
+PIPELINE_CALLS = {
+    "thread_count", "frame_sequences", "audio_feature_matrix", "text_feature_matrix",
+    "fused_matrix", "predict_example", "load_bundle", "build_dataset",
+}
+
+
+def test_tracer_installs_and_restores_every_traced_name():
+    # checked first: installing stops at a missing name and leaves the ones before it wrapped
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in spans._targets() if attr not in owner.__dict__]
+    assert missing == []
+    originals = [owner.__dict__[attr] for owner, attr, _, _ in spans._targets()]
+    with spans.Tracer().installed():
+        wrapped = [owner.__dict__[attr] for owner, attr, _, _ in spans._targets()]
+    assert all(w is not o for w, o in zip(wrapped, originals))
+    assert [owner.__dict__[attr] for owner, attr, _, _ in spans._targets()] == originals
+
+
+def test_functions_the_benchmark_calls_exist():
+    bench = (PERFBENCH / "bench.py").read_text(encoding="utf-8")
+    run = (PERFBENCH / "run.py").read_text(encoding="utf-8")
+    called = set(re.findall(r"\bpipeline\.(\w+)\(", bench))
+    called |= set(re.findall(r"from emoforge\.pipeline import (\w+)", run))
+    assert PIPELINE_CALLS <= called
+    assert [name for name in sorted(called) if not callable(getattr(pipeline, name, None))] == []
+    for module, name in re.findall(r"\b(audio_io|cli|metrics)\.(\w+)\(", bench):
+        assert callable(getattr(importlib.import_module(f"emoforge.{module}"), name, None))
+
+
+@pytest.mark.parametrize("kind, model", [
+    ("rf", RandomForest(n_trees=2, max_depth=3, seed=0)),
+    ("xgb", GradientBoosting(n_rounds=2, max_depth=2, seed=0)),
+])
+def test_fitted_trees_give_their_node_counts(kind, model):
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(30, 3)), np.arange(30) % 3
+    model.fit(X, y)
+    tracer = spans.Tracer()
+    spans._nodes_hook(kind)(tracer, (model, X, y), model)
+    # rf grows one tree per n_trees, xgb one per round and class
+    assert tracer.counters[f"models.{kind}.nodes"] > {"rf": 2, "xgb": 6}[kind]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from emoforge import ingest
 from emoforge.audio_io import encode_wav
 from emoforge.cli import _parse_hp, main
 from emoforge.errors import ConfigError
@@ -22,7 +23,7 @@ from emoforge.ingest import build_dataset, load_manifest
 from emoforge.pipeline import documents, featurize, load_bundle, thread_count
 from emoforge.text_features import fit_vocabulary
 
-from conftest import mutated_manifest, write_manifest
+from conftest import MANIFEST_ROWS, mutated_manifest, write_manifest
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +302,28 @@ def test_train_rejects_unknown_lstm_input_mode(trained_model, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _no_decode(path):
+    raise AssertionError(f"{path} was decoded before the configuration was checked")
+
+
+@pytest.mark.parametrize("setting, flags", [
+    ("audio_only", ["--train-fraction", "5"]),
+    ("audio_only", ["--no-upsample", "--rho", "7"]),
+    ("text_only", ["--l-harm", "0"]),
+    ("audio_only", ["--l-harm", "0"]),
+], ids=["train-fraction-unused", "rho-unused", "text-only-l-harm-zero", "l_harm-zero"])
+def test_train_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch, setting, flags):
+    # every entry carries a split hint, so no run here would call split()
+    manifest = write_manifest(tmp_path, MANIFEST_ROWS)
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
+    out = tmp_path / "run"
+    code = main(["train", "--manifest", str(manifest), "--model", "rf", "--setting", setting,
+                 "--out", str(out), "--hp", "n_trees=2", *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("model, pair", [
     ("rf", "n_trees=abc"),
     ("rf", "n_trees=2.5"),
@@ -489,6 +512,9 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h["members"][0]["meta"].update(learning_rate=-0.5), 3, "lstm"),
     (lambda h: h["members"][2]["meta"].update(momentum=1.5), 3, "e2"),
     (lambda h: h["members"][0]["meta"].update(validation_fraction=2.0), 3, "lstm"),
+    (lambda h: h.update(frame_length=0), 3, "rf"),
+    (lambda h: h.update(hop_length=99999), 3, "rf"),
+    (lambda h: h.update(l_harm=0), 3, "rf"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -499,7 +525,8 @@ def _edit_header(model: Path, edit) -> bytes:
         "e2-scaler-kind-unknown", "e2-mlp-batch-size-negative", "e2-mlp-hidden-size-zero",
         "lstm-batch-size-zero", "lstm-hidden-size-zero", "lstm-hidden-size-edited",
         "e2-mlp-hidden-sizes-edited", "lstm-learning-rate-negative",
-        "e2-mlp-momentum-above-one", "lstm-validation-fraction-above-one"])
+        "e2-mlp-momentum-above-one", "lstm-validation-fraction-above-one",
+        "frame-length-zero", "hop-length-above-frame", "l_harm-zero"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model
@@ -513,6 +540,22 @@ def test_predict_rejects_malformed_header(request, trained_model, tmp_path, caps
     assert code == expected
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(frame_length=0),
+    lambda h: h.update(hop_length=99999),
+    lambda h: h.update(l_harm=0),
+], ids=["frame-length-zero", "hop-length-above-frame", "l_harm-zero"])
+def test_evaluate_rejects_header_framing_out_of_range(trained_model, tmp_path, capsys, edit):
+    manifest, out = trained_model
+    path = tmp_path / "model.emf"
+    path.write_bytes(_edit_header(out / "model.emf", edit))
+    code = main(["evaluate", "--model", str(path), "--manifest", str(manifest),
+                 "--report", str(tmp_path / "eval.json")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "eval.json").exists()
 
 
 def _array_at(entries: list, name: str) -> tuple[dict, int]:

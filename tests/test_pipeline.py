@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from emoforge import pipeline
 from emoforge.audio_features import AUDIO_FEATURE_NAMES
+from emoforge.config import ENSEMBLE_MEMBERS, MODEL_KINDS
 from emoforge.errors import ConfigError, ModelError, UnsupportedModelError
 from emoforge.ingest import build_dataset, load_manifest
 from emoforge.models import LogisticRegression, RandomForest
 from emoforge.pipeline import (
+    SETTINGS,
     ColumnScaler,
     ExperimentConfig,
     ModelBundle,
@@ -109,8 +112,7 @@ def test_bundle_roundtrip_preserves_predictions(tmp_path, kind):
         "lstm": {"epochs": 5, "hidden_size": 4, "input_mode": "clip"},
     }[kind]
     bundle = train_bundle(
-        kind, X, y, setting="audio_only", class_mode="six", seed=1,
-        hyperparams=light, audio_block=X.shape[1],
+        kind, X, y, setting="audio_only", class_mode="six", seed=1, hyperparams=light,
     )
     path = tmp_path / "model.emf"
     save_bundle(path, bundle)
@@ -124,8 +126,7 @@ def test_bundle_roundtrip_ensemble(tmp_path):
     hp = {"rf": {"n_trees": 4, "max_depth": 3}, "xgb": {"n_rounds": 3},
           "mlp": {"epochs": 5, "hidden_sizes": (6,)}}
     bundle = train_bundle(
-        "e1", X, y, setting="audio_only", class_mode="six", seed=2,
-        hyperparams=hp, audio_block=X.shape[1],
+        "e1", X, y, setting="audio_only", class_mode="six", seed=2, hyperparams=hp,
     )
     assert bundle.combination == "soft_vote"
     assert [m.kind for m in bundle.members] == ["rf", "xgb", "mlp"]
@@ -141,7 +142,7 @@ def test_single_model_bundle_is_a_one_member_vote(kind):
     hp = {"rf": {"n_trees": 3, "max_depth": 3}, "mlp": {"epochs": 5, "hidden_sizes": (4,)},
           "lstm": {"epochs": 2, "hidden_size": 3}}[kind]
     bundle = train_bundle(kind, X, y, setting="audio_only", class_mode="six", seed=4,
-                          hyperparams=hp, audio_block=X.shape[1])
+                          hyperparams=hp)
     assert [m.kind for m in bundle.members] == [kind] and bundle.combination == "single"
     assert np.array_equal(bundle.predict_proba(X), bundle.members[0].predict_proba(X))
     # an lstm bundle records the input it was trained on
@@ -150,8 +151,7 @@ def test_single_model_bundle_is_a_one_member_vote(kind):
 
 def test_bundle_dimension_mismatch(tmp_path):
     X, y = toy_matrix()
-    bundle = train_bundle("mnb", X, y, setting="audio_only", class_mode="six", seed=0,
-                          audio_block=X.shape[1])
+    bundle = train_bundle("mnb", X, y, setting="audio_only", class_mode="six", seed=0)
     with pytest.raises(ModelError):
         bundle.predict_proba(np.ones((2, X.shape[1] + 1)))
 
@@ -168,6 +168,84 @@ def test_ensemble_rejects_flat_hyperparameters():
     with pytest.raises(ConfigError, match="keyed by member kind"):
         train_bundle("e1", X, y, setting="audio_only", class_mode="six", seed=0,
                      hyperparams={"n_trees": 3, "rf": {"max_depth": 2}})
+
+
+# --- bundle designs
+
+LIGHT_HP = {
+    "rf": {"n_trees": 3, "max_depth": 3}, "xgb": {"n_rounds": 2}, "svm": {"epochs": 3},
+    "mnb": {}, "lr": {"epochs": 5}, "mlp": {"epochs": 3, "hidden_sizes": (4,)},
+    "lstm": {"epochs": 2, "hidden_size": 3},
+}
+VOCAB = fit_vocabulary([["calm", "loud"], ["quiet", "calm"]])
+
+
+def design_inputs(setting, frames):
+    """Non-negative input for a model in ``setting``, per-frame 6-column
+    sequences when ``frames``, with three classes of labels and the
+    vocabulary the setting needs."""
+    rng = np.random.default_rng(7)
+    y = np.arange(12) % 3
+    vocab = None if setting == "audio_only" else VOCAB
+    if frames:
+        return [np.abs(rng.normal(size=(int(rng.integers(3, 7)), 6))) for _ in y], y, vocab
+    width = {"audio_only": 8, "audio_text": 8 + len(VOCAB), "text_only": len(VOCAB)}[setting]
+    return np.abs(rng.normal(size=(len(y), width))), y, vocab
+
+
+@pytest.fixture
+def no_fit(monkeypatch):
+    """Make every model's fit fail, so a design must be rejected before it."""
+    def fit(self, X, y):
+        raise AssertionError("a member was fitted")
+
+    for cls in set(pipeline._MODEL_CLASSES.values()):
+        monkeypatch.setattr(cls, "fit", fit)
+
+
+@pytest.mark.parametrize("frames", [False, True], ids=["matrix", "frames"])
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_path, kind,
+                                                                   setting, frames):
+    X, y, vocab = design_inputs(setting, frames)
+    members = ENSEMBLE_MEMBERS.get(kind)
+    hp = LIGHT_HP[kind] if members is None else {m: LIGHT_HP[m] for m in members}
+    design = {"setting": setting, "class_mode": "six", "seed": 0, "hyperparams": hp,
+              "vocab": vocab}
+    # per-frame sequences are input for the lstm alone, and only without text
+    if frames and (kind != "lstm" or setting != "audio_only"):
+        request.getfixturevalue("no_fit")
+        with pytest.raises(ConfigError):
+            train_bundle(kind, X, y, **design)
+        return
+    bundle = train_bundle(kind, X, y, **design)
+    save_bundle(tmp_path / "model.emf", bundle)
+    loaded = load_bundle(tmp_path / "model.emf")
+    assert (loaded.kind, loaded.setting, loaded.input_mode) == (kind, setting, bundle.input_mode)
+    assert np.array_equal(loaded.predict_proba(X), bundle.predict_proba(X))
+
+
+@pytest.mark.parametrize("kind, frames, change", [
+    ("rf", False, {"setting": "audio_text"}),
+    ("rf", False, {"setting": "text_only"}),
+    ("rf", False, {"vocab": VOCAB}),
+    ("lstm", False, {"hyperparams": {"input_mode": "frames"}}),
+    ("lstm", True, {"hyperparams": {"input_mode": "clip"}}),
+    ("lstm", True, {"hyperparams": {"input_mode": "sideways"}}),
+    ("mlp", False, {"l_harm": 0}),
+    ("mlp", False, {"l_harm": 2**16 + 1}),
+    ("rf", False, {"setting": "video_only"}),
+    ("rf", False, {"class_mode": "five"}),
+    ("tree", False, {}),
+], ids=["audio-text-no-vocab", "text-only-no-vocab", "audio-only-with-vocab",
+        "lstm-matrix-hp-frames", "lstm-frames-hp-clip", "lstm-hp-sideways", "l_harm-zero",
+        "l_harm-above-max", "setting-unknown", "class-mode-unknown", "kind-unknown"])
+def test_train_bundle_rejects_design_before_fitting(no_fit, kind, frames, change):
+    X, y, _ = design_inputs("audio_only", frames)
+    with pytest.raises(ConfigError):
+        train_bundle(kind, X, y, **{"setting": "audio_only", "class_mode": "six", "seed": 0,
+                                    **change})
 
 
 # --- soft vote

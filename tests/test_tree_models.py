@@ -628,7 +628,7 @@ def test_traversal_after_bundle_roundtrip_matches_oracle(tmp_path, kind):
     X, y = oracle_problem(7, "classification")
     hp = {"rf": {"n_trees": 12}, "xgb": {"n_rounds": 8}}[kind]
     bundle = train_bundle(kind, X, y, setting="audio_only", class_mode="six", seed=3,
-                          hyperparams=hp, audio_block=X.shape[1])
+                          hyperparams=hp)
     save_bundle(tmp_path / "model.emf", bundle)
     fitted = bundle.members[0].classifier
     loaded = load_bundle(tmp_path / "model.emf").members[0].classifier
