@@ -22,23 +22,20 @@ from .config import (
     ENSEMBLE_MEMBERS,
     MODEL_KINDS,
 )
-from .errors import ConfigError, DataError, EmoforgeError, ModelError
-from .ingest import build_dataset, load_manifest
-from .metrics import evaluate
+from .errors import ConfigError, DataError, EmoforgeError
+from .ingest import load_manifest
 from .pipeline import (
     SETTINGS,
     ExperimentConfig,
-    documents,
-    feature_names,
-    featurize,
+    features_csv,
     importance_csv,
-    labels_to_indices,
     load_bundle,
     predict_example,
+    read_dataset,
     run_experiment,
+    score,
 )
 from .synth import generate_corpus
-from .text_features import fit_vocabulary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -151,20 +148,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    frame_config = FrameConfig(args.frame_length, args.hop_length)
-    entries = load_manifest(args.manifest)
-    dataset = build_dataset(entries, _CLASS_MODES[args.classes])
-
-    vocab = None if args.setting == "audio_only" else fit_vocabulary(documents(dataset))
-    matrix = featurize(dataset, args.setting, "vector", frame_config, args.l_harm, vocab)
-
-    names = feature_names(args.setting, vocab)
-    lines = [",".join([*names, "source_id", "label"])]
-    for row, ex in zip(matrix, dataset.examples):
-        values = [f"{v:.9g}" for v in row]
-        lines.append(",".join([*values, ex.source_id, ex.label.value]))
+    text = features_csv(args.manifest, args.setting, _CLASS_MODES[args.classes],
+                        FrameConfig(args.frame_length, args.hop_length), args.l_harm)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args.out.write_text(text, encoding="utf-8")
     print(args.out)
     return EXIT_OK
 
@@ -193,22 +180,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle = load_bundle(args.model)
-    entries = load_manifest(args.manifest)
-    dataset = build_dataset(entries, bundle.class_mode)
-
-    X = featurize(dataset, bundle.setting, bundle.input_mode, bundle.frame_config,
-                  bundle.l_harm, bundle.vocab)
-    truth = labels_to_indices(dataset)
-    predictions = bundle.predict(X)
-    report = evaluate(predictions, truth, len(dataset.classes), bundle.class_names)
-
+    dataset = read_dataset(load_manifest(args.manifest), bundle.setting, bundle.class_mode)
+    report = score(bundle, dataset)
     payload = {
         "model_kind": bundle.kind,
         "setting": bundle.setting,
         "class_mode": bundle.class_mode,
         "examples": len(dataset),
+        **report.to_dict(),
     }
-    payload.update(report.to_dict())
     args.report.parent.mkdir(parents=True, exist_ok=True)
     args.report.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
@@ -243,15 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ModelError) as exc:
+    except EmoforgeError as exc:  # a DataError exits 3, every other error 2
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except EmoforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_DATA if isinstance(exc, DataError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

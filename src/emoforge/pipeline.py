@@ -43,6 +43,7 @@ from .errors import ConfigError, DataError, ModelError, ParameterError, Unsuppor
 from .ingest import (
     Dataset,
     Example,
+    ManifestEntry,
     _check_rho,
     _check_train_fraction,
     build_dataset,
@@ -72,7 +73,8 @@ from .text_features import (
     tfidf_transform,  # unused here; kept as a lookup point for the benchmark's tracer
 )
 
-SETTINGS = ("audio_only", "text_only", "audio_text")
+# the feature blocks each setting reads, in fused order
+SETTINGS = {"audio_only": ("audio",), "text_only": ("text",), "audio_text": ("audio", "text")}
 
 _MODEL_CLASSES = {
     "rf": RandomForest,
@@ -182,6 +184,14 @@ class _Member:
         return self.classifier.predict_proba(X)
 
 
+def _blocks(setting: str) -> tuple[str, ...]:
+    """The feature blocks ``setting`` reads; ConfigError for an unknown one."""
+    try:
+        return SETTINGS[setting]
+    except (KeyError, TypeError):
+        raise ConfigError(f"setting must be one of {tuple(SETTINGS)}, got {setting!r}") from None
+
+
 def _check_design(
     kind: str, setting: str, class_mode: str, input_mode: str, hyperparams: dict, l_harm: int,
     has_vocab: bool,
@@ -189,10 +199,9 @@ def _check_design(
     """Raise ConfigError unless a bundle can have this design: known setting,
     kind and class mode; an input mode the kind takes in that setting (and
     that an lstm's ``input_mode`` hyperparameter, if given, names); a
-    vocabulary exactly when the setting has text; an ``l_harm`` the harmonic
+    vocabulary exactly when the setting reads text; an ``l_harm`` the harmonic
     median filter takes. ModelBundle and ExperimentConfig both run it."""
-    if setting not in SETTINGS:
-        raise ConfigError(f"setting must be one of {SETTINGS}, got {setting!r}")
+    blocks = _blocks(setting)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     classes_for_mode(class_mode)
@@ -201,9 +210,9 @@ def _check_design(
         raise ConfigError(f"{kind} input_mode must be one of {allowed}, got {input_mode!r}")
     if kind == "lstm" and hyperparams.get("input_mode", input_mode) != input_mode:
         raise ConfigError(f"lstm hyperparameter input_mode does not fit {input_mode} input")
-    if input_mode == "frames" and setting != "audio_only":
+    if input_mode == "frames" and blocks != ("audio",):
         raise ConfigError("frame-sequence input requires the audio_only setting")
-    if has_vocab != (setting != "audio_only"):
+    if has_vocab != ("text" in blocks):
         need = "takes no" if has_vocab else "needs a"
         raise ConfigError(f"setting {setting!r} {need} vocabulary")
     _check_window(l_harm)
@@ -237,6 +246,11 @@ class ModelBundle:
     def __post_init__(self):
         _check_design(self.kind, self.setting, self.class_mode, self.input_mode,
                       self.hyperparams, self.l_harm, self.vocab is not None)
+
+    def features(self, dataset: Dataset):
+        """``featurize`` with the bundle's setting, input mode, framing, l_harm and vocab."""
+        return featurize(dataset, self.setting, self.input_mode, self.frame_config, self.l_harm,
+                         self.vocab)
 
     @property
     def combination(self) -> str:
@@ -302,11 +316,12 @@ def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):
 
 def _scaler_for(kind: str, setting: str, feature_dim: int) -> Optional[ColumnScaler]:
     """A member's input scaling: the lstm standardizes every column, other
-    kinds only the audio block, which is the whole row on audio_only and the
-    eight clip features ahead of the TFIDF on audio_text."""
+    kinds only the audio block: the whole row when the setting reads audio
+    alone, the eight clip features ahead of the TFIDF when it reads text too."""
     if kind == "lstm":
         return ColumnScaler("standard", feature_dim)
-    block = {"audio_only": feature_dim, "audio_text": len(AUDIO_FEATURE_NAMES)}.get(setting, 0)
+    widths = {("audio",): feature_dim, ("audio", "text"): len(AUDIO_FEATURE_NAMES)}
+    block = widths.get(_blocks(setting), 0)
     if kind in _STANDARDIZED_KINDS and block > 0:
         return ColumnScaler("standard", block)
     if kind == "mnb" and block > 0:
@@ -549,9 +564,25 @@ def frame_sequences(
     return _per_clip(dataset, job)
 
 
+def read_dataset(entries: list[ManifestEntry], setting: str, class_mode: str) -> Dataset:
+    """The examples of the entries whose label survives mapping, with clips
+    decoded exactly when ``setting`` reads audio; DataError when none
+    survives. Every command reads its manifest entries through this."""
+    dataset = build_dataset(entries, class_mode, decode_audio="audio" in _blocks(setting))
+    if not len(dataset):
+        raise DataError(f"none of {len(entries)} manifest entries has a {class_mode}-class label")
+    return dataset
+
+
 def documents(dataset: Dataset) -> list[list[str]]:
     """Normalized transcript tokens, one list per example."""
     return [normalize_text(ex.transcript or "") for ex in dataset.examples]
+
+
+def setting_vocabulary(setting: str, dataset: Dataset) -> Optional[Vocabulary]:
+    """The vocabulary a run fits: over ``dataset``'s transcripts exactly when
+    ``setting`` reads text, else None."""
+    return fit_vocabulary(documents(dataset)) if "text" in _blocks(setting) else None
 
 
 def text_feature_matrix(dataset: Dataset, vocab: Vocabulary) -> np.ndarray:
@@ -577,36 +608,55 @@ def featurize(
     vocab: Optional[Vocabulary],
 ):
     """Model input for every example of ``dataset``: per-frame sequences for
-    an audio_only model in "frames" mode, otherwise one row per example with
-    the audio block first and the TFIDF block over ``vocab`` after it.
+    a model in "frames" mode on a setting that reads audio alone, otherwise
+    one row per example holding the setting's blocks in ``SETTINGS`` order
+    (the TFIDF block over ``vocab``).
 
     Training, evaluation, prediction and feature dumps all call this, so a
     bundle sees at serving time exactly the features it was trained on.
     """
-    if setting == "audio_only" and input_mode == "frames":
+    blocks = _blocks(setting)
+    if blocks == ("audio",) and input_mode == "frames":
         return frame_sequences(dataset, frame_config, l_harm)
-    blocks = []
-    if setting in ("audio_only", "audio_text"):
-        blocks.append(audio_feature_matrix(dataset, frame_config, l_harm))
-    if setting in ("text_only", "audio_text"):
-        blocks.append(text_feature_matrix(dataset, vocab))
-    return blocks[0] if len(blocks) == 1 else fused_matrix(*blocks, vocab)
+    matrices = [audio_feature_matrix(dataset, frame_config, l_harm) if block == "audio"
+                else text_feature_matrix(dataset, vocab) for block in blocks]
+    return matrices[0] if len(matrices) == 1 else fused_matrix(*matrices, vocab)
 
 
 def feature_names(setting: str, vocab: Optional[Vocabulary]) -> list[str]:
-    names: list[str] = []
-    if setting in ("audio_only", "audio_text"):
-        names.extend(AUDIO_FEATURE_NAMES)
-    if setting in ("text_only", "audio_text"):
-        if vocab is None:
-            raise ParameterError(f"setting {setting!r} requires a vocabulary")
-        names.extend(f"tfidf:{t}" for t in vocab.terms)
-    return names
+    blocks = _blocks(setting)
+    if "text" in blocks and vocab is None:
+        raise ParameterError(f"setting {setting!r} requires a vocabulary")
+    terms = vocab.terms if "text" in blocks else ()
+    names = {"audio": AUDIO_FEATURE_NAMES, "text": [f"tfidf:{t}" for t in terms]}
+    return [name for block in blocks for name in names[block]]
+
+
+def features_csv(manifest: Path, setting: str, class_mode: str, frame_config: FrameConfig,
+                 l_harm: int) -> str:
+    """The manifest's feature rows as CSV text with 9 significant digits, a
+    vocabulary fitted on its own transcripts, and source_id and label columns
+    last. ``l_harm`` is checked before the manifest is read."""
+    _check_window(l_harm)
+    dataset = read_dataset(load_manifest(manifest), setting, class_mode)
+    vocab = setting_vocabulary(setting, dataset)
+    X = featurize(dataset, setting, "vector", frame_config, l_harm, vocab)
+    lines = [",".join([*feature_names(setting, vocab), "source_id", "label"])]
+    lines.extend(",".join([*(f"{v:.9g}" for v in row), ex.source_id, ex.label.value])
+                 for row, ex in zip(X, dataset.examples))
+    return "\n".join(lines) + "\n"
 
 
 def labels_to_indices(dataset: Dataset) -> np.ndarray:
     index = {label: i for i, label in enumerate(dataset.classes)}
     return np.asarray([index[ex.label] for ex in dataset.examples], dtype=np.int64)
+
+
+def score(bundle: ModelBundle, dataset: Dataset) -> EvalReport:
+    """The bundle's predictions on ``dataset`` scored against its labels."""
+    predictions = bundle.predict(bundle.features(dataset))
+    return evaluate(predictions, labels_to_indices(dataset), len(dataset.classes),
+                    class_names=bundle.class_names)
 
 
 # --- feature importance -------------------------------------------------------
@@ -667,11 +717,11 @@ class ExperimentConfig:
         self.manifest = Path(self.manifest)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
-        # the run fits a vocabulary exactly when its setting has text
+        # the run fits a vocabulary exactly when its setting reads text
         _check_design(
             self.model_kind, self.setting, self.class_mode,
             _requested_input_mode(self.model_kind, self.hyperparams), self.hyperparams,
-            self.l_harm, self.setting != "audio_only",
+            self.l_harm, "text" in _blocks(self.setting),
         )
         # checked here too, so a run that skips the split or the upsampling records no bad value
         _check_train_fraction(self.train_fraction)
@@ -681,45 +731,24 @@ class ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path]]:
     entries = load_manifest(config.manifest)
     if entries and all(e.split_hint is not None for e in entries):
-        train_entries, test_entries = split_by_hint(entries)
-        train_ds = build_dataset(train_entries, config.class_mode)
-        test_ds = build_dataset(test_entries, config.class_mode)
+        train_ds, test_ds = (read_dataset(part, config.setting, config.class_mode)
+                             for part in split_by_hint(entries))
     else:
-        dataset = build_dataset(entries, config.class_mode)
-        train_ds, test_ds = split(
-            dataset, config.train_fraction, config.seed + SEED_OFFSET_SPLIT
-        )
+        dataset = read_dataset(entries, config.setting, config.class_mode)
+        train_ds, test_ds = split(dataset, config.train_fraction, config.seed + SEED_OFFSET_SPLIT)
     if config.upsample_train:
-        train_ds = upsample(
-            train_ds, config.seed + SEED_OFFSET_UPSAMPLE, config.upsample_rho
-        )
+        train_ds = upsample(train_ds, config.seed + SEED_OFFSET_UPSAMPLE, config.upsample_rho)
 
     input_mode = _requested_input_mode(config.model_kind, config.hyperparams)
-    vocab = None if config.setting == "audio_only" else fit_vocabulary(documents(train_ds))
-    train_X, test_X = (
-        featurize(ds, config.setting, input_mode, config.frame_config, config.l_harm, vocab)
-        for ds in (train_ds, test_ds)
-    )
-    train_y = labels_to_indices(train_ds)
-    test_y = labels_to_indices(test_ds)
-
+    vocab = setting_vocabulary(config.setting, train_ds)
+    train_X = featurize(train_ds, config.setting, input_mode, config.frame_config,
+                        config.l_harm, vocab)
     bundle = train_bundle(
-        config.model_kind,
-        train_X,
-        train_y,
-        setting=config.setting,
-        class_mode=config.class_mode,
-        seed=config.seed,
-        hyperparams=config.hyperparams,
-        vocab=vocab,
-        frame_config=config.frame_config,
-        l_harm=config.l_harm,
+        config.model_kind, train_X, labels_to_indices(train_ds), setting=config.setting,
+        class_mode=config.class_mode, seed=config.seed, hyperparams=config.hyperparams,
+        vocab=vocab, frame_config=config.frame_config, l_harm=config.l_harm,
     )
-
-    predictions = bundle.predict(test_X)
-    report = evaluate(
-        predictions, test_y, len(train_ds.classes), class_names=bundle.class_names
-    )
+    report = score(bundle, test_ds)
 
     artifacts: dict[str, Path] = {}
     if config.out_dir is not None:
@@ -788,18 +817,13 @@ def predict_example(
     text: Optional[str] = None,
 ) -> tuple[str, dict[str, float]]:
     """Predict one example from raw inputs using the bundle's own protocol."""
-    if bundle.setting != "text_only" and clip is None:
-        raise ConfigError(f"setting {bundle.setting!r} requires audio input")
-    if bundle.setting != "audio_only" and text is None:
-        raise ConfigError(f"setting {bundle.setting!r} requires text input")
+    for block, given in (("audio", clip), ("text", text)):
+        if block in _blocks(bundle.setting) and given is None:
+            raise ConfigError(f"setting {bundle.setting!r} requires {block} input")
 
     # the placeholder label satisfies Dataset and is never read
     example = Example(label=classes_for_mode(bundle.class_mode)[0], audio=clip, transcript=text)
-    X = featurize(
-        Dataset([example], class_mode=bundle.class_mode), bundle.setting, bundle.input_mode,
-        bundle.frame_config, bundle.l_harm, bundle.vocab,
-    )
-    proba = bundle.predict_proba(X)[0]
+    proba = bundle.predict_proba(bundle.features(Dataset([example], bundle.class_mode)))[0]
     names = bundle.class_names
     predicted = names[int(np.argmax(proba))]
     return predicted, {name: float(p) for name, p in zip(names, proba)}

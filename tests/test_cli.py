@@ -324,6 +324,106 @@ def test_train_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch, 
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("setting, flags", [
+    ("audio_only", ["--l-harm", "0"]),
+    ("text_only", ["--l-harm", "0"]),
+    ("audio_text", ["--l-harm", "0"]),
+    ("text_only", ["--hop-length", "99999"]),
+    ("audio_only", ["--frame-length", "0"]),
+], ids=["audio-only-l-harm-zero", "text-only-l-harm-zero", "audio-text-l-harm-zero",
+        "hop-length-above-frame", "frame-length-zero"])
+def test_extract_features_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch,
+                                                            setting, flags):
+    manifest = write_manifest(tmp_path, MANIFEST_ROWS)
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
+    out = tmp_path / "features.csv"
+    code = main(["extract-features", "--manifest", str(manifest), "--out", str(out),
+                 "--setting", setting, *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_text_only_commands_read_no_wav(trained_model, tmp_path, monkeypatch):
+    manifest, _ = trained_model
+
+    def run(out: Path) -> Path:
+        model = out / "run" / "model.emf"
+        assert main(["train", "--manifest", str(manifest), "--model", "mnb", "--setting",
+                     "text_only", "--seed", "1", "--out", str(out / "run")]) == 0
+        assert main(["evaluate", "--model", str(model), "--manifest", str(manifest),
+                     "--report", str(out / "eval.json")]) == 0
+        assert main(["extract-features", "--manifest", str(manifest), "--setting", "text_only",
+                     "--out", str(out / "features.csv")]) == 0
+        return out
+
+    plain = run(tmp_path / "plain")
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
+    patched = run(tmp_path / "patched")
+    for name in ("run/model.emf", "run/report.json", "eval.json", "features.csv"):
+        assert (patched / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+EMPTY_AFTER_MAPPING = {
+    "empty": [],
+    "all-others": [{"text": "meh", "label": "others"}, {"text": "hm", "label": "others"}],
+    "test-all-frustration": [
+        {"text": "hello there", "label": "sad", "split": "train"},
+        {"text": "so glad", "label": "happy", "split": "train"},
+        {"text": "not again", "label": "frustration", "split": "test"},
+    ],
+}
+
+
+@pytest.mark.parametrize("rows, argv", [
+    ("empty", ["evaluate", "--model", "MODEL", "--report", "OUT/eval.json"]),
+    ("all-others", ["evaluate", "--model", "MODEL", "--report", "OUT/eval.json"]),
+    ("test-all-frustration", ["train", "--model", "rf", "--setting", "audio_only", "--out", "OUT"]),
+    ("test-all-frustration", ["train", "--model", "mnb", "--setting", "text_only", "--out", "OUT"]),
+    ("all-others", ["extract-features", "--setting", "audio_only", "--out", "OUT/features.csv"]),
+], ids=["evaluate-empty", "evaluate-all-others", "train-rf-audio-only", "train-mnb-text-only",
+        "extract-all-others"])
+def test_dataset_empty_after_label_mapping_exits_3(trained_model, tmp_path, capsys, rows, argv):
+    _, run = trained_model
+    manifest = write_manifest(tmp_path, EMPTY_AFTER_MAPPING[rows])
+    out = tmp_path / "out"
+    argv = [a.replace("MODEL", str(run / "model.emf")).replace("OUT", str(out)) for a in argv]
+    assert main([*argv, "--manifest", str(manifest)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, setting, hp", [
+    ("e2", "audio_text", ["--hp", "rf.n_trees=3", "--hp", "xgb.n_rounds=2", "--hp", "mlp.epochs=3",
+                          "--hp", "lr.epochs=5"]),
+    ("lstm", "audio_only", ["--hp", "input_mode=frames", "--hp", "hidden_size=3",
+                            "--hp", "epochs=2"]),
+    ("mnb", "text_only", []),
+])
+def test_evaluate_on_held_out_entries_reproduces_train_report(trained_model, tmp_path, model,
+                                                               setting, hp):
+    manifest, _ = trained_model
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    for i, row in enumerate(rows):
+        row["split"] = "test" if i % 4 == 0 else "train"
+        row["audio"] = str(manifest.parent / row["audio"])
+    hinted, held_out = tmp_path / "hinted.jsonl", tmp_path / "held_out.jsonl"
+    hinted.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    held_out.write_text("".join(json.dumps(row) + "\n" for row in rows if row["split"] == "test"))
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", str(hinted), "--model", model, "--setting", setting,
+                 "--seed", "1", "--out", str(out), *hp]) == 0
+    assert main(["evaluate", "--model", str(out / "model.emf"), "--manifest", str(held_out),
+                 "--report", str(tmp_path / "eval.json")]) == 0
+    trained = json.loads((out / "report.json").read_text())
+    evaluated = json.loads((tmp_path / "eval.json").read_text())
+    assert evaluated["examples"] == trained["test_size"]
+    for key in ("accuracy", "macro_precision", "macro_recall", "macro_f1", "per_class",
+                "confusion_matrix"):
+        assert evaluated[key] == trained[key], key
+
+
 @pytest.mark.parametrize("model, pair", [
     ("rf", "n_trees=abc"),
     ("rf", "n_trees=2.5"),
