@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AudioFormatError, EmptyAudioError, ParameterError, UnsupportedAudioError
+from .errors import (
+    AudioFormatError, DataError, EmptyAudioError, ParameterError, UnsupportedAudioError,
+)
 
 _FORMAT_PCM = 1
 _FORMAT_IEEE_FLOAT = 3
@@ -85,14 +87,18 @@ def decode_wav(path: str | Path) -> AudioClip:
     """Decode a WAV file into a normalized mono AudioClip.
 
     A WAVE_FORMAT_EXTENSIBLE file decodes exactly like the plain format its
-    subformat GUID names. Raises AudioFormatError for a malformed container
-    (an extensible fmt chunk shorter than 40 bytes among them) or a NaN or
-    infinite float sample, UnsupportedAudioError for encodings outside PCM
+    subformat GUID names. Raises DataError for a file that cannot be read,
+    AudioFormatError for a malformed container (an extensible fmt chunk
+    shorter than 40 bytes among them) or a NaN or infinite float sample,
+    UnsupportedAudioError for encodings outside PCM
     8/16/24-bit int and 32-bit float (1-2 channels) or any other subformat,
     and EmptyAudioError when the data chunk holds no frames.
     """
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read WAV {path}: {exc}") from exc
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise AudioFormatError(f"{path}: not a RIFF/WAVE file")
 

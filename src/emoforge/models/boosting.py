@@ -84,7 +84,7 @@ class GradientBoosting(ProbabilisticClassifier):
 
     @property
     def feature_importances_(self) -> np.ndarray:
-        if not self.trees_:
+        if self.packed_ is None:
             raise ParameterError("model is not fitted")
         return np.sum(self.packed_["importances"], axis=0)
 
@@ -94,7 +94,7 @@ class GradientBoosting(ProbabilisticClassifier):
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         flat = unpack_trees(arrays, 1)
         c = self.n_classes
-        if len(flat) % c:
+        if not flat or len(flat) % c:
             raise ValueError(f"{len(flat)} trees do not fill rounds of {c} classes")
         self.packed_ = arrays
         self.trees_ = [flat[i : i + c] for i in range(0, len(flat), c)]

@@ -86,7 +86,7 @@ class RandomForest(ProbabilisticClassifier):
     def predict_proba(self, X):
         if self.packed_ is None:
             raise ParameterError("forest is not fitted")
-        return sum_leaf_values(self.packed_, X, 1, 1.0) / len(self.trees_)
+        return sum_leaf_values(self.packed_, X, 1, 1.0) / (self.packed_["offsets"].size - 1)
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -17,7 +17,11 @@ node sorts again. Without a presort a node sorts the columns it draws: a
 random forest scores ceil(sqrt(d)) drawn columns per node, and carrying
 every column's order down its deep trees fitted 1.2x slower on a 96 x 44
 matrix. Both orders agree, because a node's rows stay ascending and a
-stable sort breaks ties by row.
+stable sort breaks ties by row. A node that instead filters its rows out of
+the whole presort reads every row of X, whatever its size: on a 2-core Xeon
+that fitted a forest 1.4x slower on a 96 x 1000 matrix and 1.7x on a
+1000 x 2000 one, and boosting on the latter 1.1x slower at depth 3 and 1.7x
+at depth 6.
 
 The search scores only the valid positions of a column block: those between
 two distinct sorted values that leave ``min_samples_leaf`` (at least 1) rows
@@ -39,7 +43,9 @@ disjoint rows, and a split fills its children before its own share goes),
 so a boosting fit stays within 4.5 x X.nbytes plus the temporaries of one
 column block: the search and the partition handle at most
 ``_BLOCK_ELEMENTS`` (rows x columns x classes) entries at a time, in about
-twenty arrays.
+twenty arrays. A forest holds no presort, only each tree's bootstrap copy
+of X. Measured on a 300 x 2000 TFIDF-like matrix with 2**14-entry blocks, a
+depth-3 boosting fit peaks at 4.5 x X.nbytes and a forest fit at 2.0 x.
 
 A model keeps its trees once, in the packed arrays that ``pack_trees``
 writes to a model file, and ``leaf_values`` is the one traversal of them:
@@ -354,12 +360,11 @@ def sum_leaf_values(
 ) -> np.ndarray:
     """Per row of X, the sum over rounds of ``scale`` x the leaf value of each
     group's tree, shape (rows, n_groups x value_dim); tree t is the tree of
-    group t % n_groups in round t // n_groups. No trees sum to zero."""
+    group t % n_groups in round t // n_groups. ``arrays`` hold at least one
+    tree."""
     X = np.asarray(X, dtype=np.float64)
     n_trees, width = arrays["offsets"].size - 1, arrays["value"].shape[1]
     total = np.zeros((X.shape[0], n_groups * width), dtype=np.float64)
-    if n_trees == 0:
-        return total
     step = max(1, _BLOCK_ELEMENTS // (n_trees * width))
     for lo in range(0, X.shape[0], step):
         leaves = scale * leaf_values(arrays, X[lo : lo + step])

@@ -64,7 +64,10 @@ def _array_spec(path, entry) -> tuple[str, np.dtype, list[int]]:
 
 
 def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read model {path}: {exc}") from exc
     if not data.startswith(MAGIC):
         raise DataError(f"{path}: not a model container")
     rest = data[len(MAGIC):]

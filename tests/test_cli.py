@@ -524,6 +524,55 @@ def test_predict_rejects_non_finite_float_wav(trained_model, tmp_path, capsys, b
     assert err.startswith("error:") and "bad.wav" in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def text_model(trained_model):
+    manifest, out = trained_model
+    out = out.parent / "mnb"
+    assert main(["train", "--manifest", str(manifest), "--model", "mnb", "--setting", "text_only",
+                 "--seed", "1", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", ["predict-wav-missing", "predict-model-missing",
+                                  "evaluate-model-directory"])
+def test_unreadable_input_paths_exit_3(trained_model, tmp_path, capsys, case):
+    manifest, run = trained_model
+    wav = manifest.parent / json.loads(manifest.read_text().splitlines()[0])["audio"]
+    argv = {
+        "predict-wav-missing": ["predict", "--model", str(run / "model.emf"),
+                                "--wav", str(tmp_path / "missing.wav")],
+        "predict-model-missing": ["predict", "--model", str(tmp_path / "missing.emf"),
+                                  "--wav", str(wav)],
+        "evaluate-model-directory": ["evaluate", "--model", str(tmp_path), "--manifest",
+                                     str(manifest), "--report", str(tmp_path / "out/eval.json")],
+    }[case]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model", ["mnb", "rf"], ids=["wav-on-text-only", "text-on-audio-only"])
+def test_predict_rejects_input_its_setting_does_not_read(request, trained_model, tmp_path, capsys,
+                                                         monkeypatch, model):
+    manifest, out = trained_model
+    row = json.loads(manifest.read_text().splitlines()[0])
+    if model == "mnb":
+        out = request.getfixturevalue("text_model")
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"not wav")
+        reads, unread = ["--text", row["text"]], ["--wav", str(bad)]
+    else:
+        reads, unread = ["--wav", str(manifest.parent / row["audio"])], ["--text", row["text"]]
+    predict = ["predict", "--model", str(out / "model.emf"), *reads]
+    assert main(predict) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("emoforge.cli.decode_wav", _no_decode)
+    assert main([*predict, *unread]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and unread[0] in err and "Traceback" not in err
+
+
 # --- malformed model containers
 
 
@@ -683,14 +732,15 @@ def _time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _predict_code(model: Path, manifest: Path) -> tuple[int, str]:
-    """(exit code, stderr) of ``emoforge predict`` on the manifest's first row."""
+def _predict_code(model: Path, manifest: Path, text: bool = True) -> tuple[int, str]:
+    """(exit code, stderr) of ``emoforge predict`` on the manifest's first
+    row: its WAV, and its transcript if ``text``."""
     row = json.loads(manifest.read_text().splitlines()[0])
     err = io.StringIO()
     with _time_limit(10), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = main(["predict", "--model", str(model), "--wav", str(manifest.parent / row["audio"]),
-                     "--text", row["text"]])
+                     *(["--text", row["text"]] if text else [])])
     return code, err.getvalue()
 
 
@@ -735,7 +785,7 @@ def test_predict_rejects_lstm_gates_that_do_not_chain(trained_model, lstm_model,
     entry["shape"] = [1, math.prod(entry["shape"])]
     path = tmp_path / "model.emf"
     path.write_bytes(_join_model(header, entries, blob))
-    code, err = _predict_code(path, manifest)
+    code, err = _predict_code(path, manifest, text=False)
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -795,6 +845,6 @@ def test_edited_model_file_exits_cleanly(trained_model, e2_model, lstm_model, tm
     _edit_model(data, header, entries, blob)
     path = tmp_path / "edited.emf"
     path.write_bytes(_join_model(header, entries, blob))
-    code, err = _predict_code(path, manifest)
+    code, err = _predict_code(path, manifest, text=source == e2_model)
     assert code in (0, 2, 3)
     assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -486,23 +487,54 @@ def test_boosting_matches_per_tree_loop(problem, min_samples_leaf):
     assert model.train_loss_history_ == history
 
 
+def reference_forest_fit(X, y, n_classes, n_trees, seed, min_samples_leaf):
+    """RandomForest.fit with its defaults (bootstrap, ceil(sqrt(d)) drawn
+    columns per node, depth 16) as a loop that grows each tree with the
+    per-feature oracle on the same bootstrap draw; returns the packed trees."""
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(seed + t)
+        sample = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(reference_grow_tree(
+            X[sample], y[sample], task="classification", n_classes=n_classes, max_depth=16,
+            min_samples_leaf=min_samples_leaf, max_features=math.ceil(math.sqrt(X.shape[1])),
+            rng=rng))
+    return pack_trees(trees)
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+def test_forest_matches_per_tree_loop(problem, min_samples_leaf):
+    X, y = PROBLEMS[problem](3, "classification")
+    model = RandomForest(n_trees=5, seed=3, min_samples_leaf=min_samples_leaf).fit(X, y)
+    packed = reference_forest_fit(X, y, n_classes=3, n_trees=5, seed=3,
+                                  min_samples_leaf=min_samples_leaf)
+    assert max(np.diff(packed["offsets"])) > 7
+    for name, array in packed.items():
+        assert np.array_equal(model.packed_[name], array), name
+        assert model.packed_[name].dtype == array.dtype, name
+
+
 @pytest.mark.parametrize("block", [None, 1 << 14], ids=["default-blocks", "small-blocks"])
 def test_boosting_working_set_within_stated_bound(monkeypatch, block):
     # the bound in the tree module's docstring: 4.5 x X.nbytes of presorted
-    # shares plus about twenty arrays of one column block
+    # shares plus about twenty arrays of one column block; a forest holds no
+    # presort and stays well within it
     if block is not None:
         monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", block)
     rng = np.random.default_rng(0)
     X = np.where(rng.random((300, 2000)) < 0.9, 0.0, rng.choice([0.4, 0.9, 1.4], size=(300, 2000)))
     y = rng.integers(0, 3, size=300)
     GradientBoosting(n_rounds=1, max_depth=1).fit(X[:30, :4], y[:30])  # first-call imports
-    tracemalloc.start()
-    try:
-        GradientBoosting(n_rounds=1, max_depth=3).fit(X, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * X.nbytes + 20 * 8 * tree_module._BLOCK_ELEMENTS
+    RandomForest(n_trees=1, max_depth=1).fit(X[:30, :4], y[:30])
+    for model in (GradientBoosting(n_rounds=1, max_depth=3), RandomForest(n_trees=2)):
+        tracemalloc.start()
+        try:
+            model.fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * X.nbytes + 20 * 8 * tree_module._BLOCK_ELEMENTS, type(model)
 
 
 # --- oracle: the per-tree walk that the one traversal of the packed arrays replaced
@@ -651,8 +683,9 @@ def test_tree_models_reject_arrays_without_whole_rounds():
     with pytest.raises(ValueError):
         RandomForest.from_state(meta, first_trees(arrays, 0))
     meta, arrays = xgb.state()
-    with pytest.raises(ValueError):
-        GradientBoosting.from_state(meta, first_trees(arrays, 5))
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            GradientBoosting.from_state(meta, first_trees(arrays, k))
     assert len(GradientBoosting.from_state(meta, first_trees(arrays, 6)).trees_) == 2
 
 
