@@ -19,7 +19,6 @@ from .config import (
     DEFAULT_HOP_LENGTH,
     DEFAULT_TRAIN_FRACTION,
     DEFAULT_UPSAMPLE_RHO,
-    ENSEMBLE_MEMBERS,
     MODEL_KINDS,
 )
 from .errors import ConfigError, DataError, EmoforgeError
@@ -49,24 +48,18 @@ def _parse_hp(pairs: list[str], model_kind: str) -> dict:
     """Parse repeated --hp [member.]key=value flags; values try int, float,
     then str.
 
-    An e1/e2 ensemble takes only member-scoped keys (``rf.n_trees=40``) and
-    gets {member: {key: value}}. A single model takes flat keys, or keys
-    scoped to its own kind, and gets {key: value}.
+    Keys scoped to the model's own kind, and unscoped keys, form the flat
+    {key: value} table a single model reads; any other scope nests as
+    {scope: {key: value}}, the table an e1/e2 ensemble reads per member
+    (``rf.n_trees=40``). The pipeline rejects every key the model would not
+    apply, before any WAV is read.
     """
-    members = ENSEMBLE_MEMBERS.get(model_kind)
-    out: dict = {}
+    nested, flat = {}, {}
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         scope, dot, name = key.rpartition(".")
         if not sep or not name or (dot and not scope):
             raise ConfigError(f"--hp expects [member.]key=value, got {pair!r}")
-        if members is not None and scope not in members:
-            raise ConfigError(
-                f"--hp {pair!r}: {model_kind} trains {', '.join(members)}; scope the key "
-                f"to one of them, e.g. --hp {members[0]}.{name}={value}"
-            )
-        if members is None and scope and scope != model_kind:
-            raise ConfigError(f"--hp {pair!r}: scope {scope!r} does not match model {model_kind}")
         for cast in (int, float):
             try:
                 parsed = cast(value)
@@ -75,8 +68,8 @@ def _parse_hp(pairs: list[str], model_kind: str) -> dict:
                 continue
         else:
             parsed = value
-        (out.setdefault(scope, {}) if members is not None else out)[name] = parsed
-    return out
+        (nested.setdefault(scope, {}) if scope not in ("", model_kind) else flat)[name] = parsed
+    return {**nested, **flat}  # a flat key named like a member is no table: rejected
 
 
 def _add_frame_args(parser: argparse.ArgumentParser) -> None:

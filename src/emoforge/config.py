@@ -1,9 +1,13 @@
 """Default hyperparameters for every model kind, declared in one place.
 
 Each entry can be overridden per run (library call or ``--hp key=value``
-on the CLI). Seeds are never stored here: they are part of the experiment
-configuration, and sub-seeds are derived from the experiment seed with the
-fixed offsets below so reruns are reproducible.
+on the CLI); an ensemble takes one table per member, keyed by member kind.
+Every override is checked against its default's type and its model's range
+before a run reads any WAV, so a value is either applied or rejected. Each
+default but the lstm's ``input_mode``, which the pipeline reads, is also
+its model constructor's default. Seeds are never stored here: they are part
+of the experiment configuration, and sub-seeds are derived from the
+experiment seed with the fixed offsets below so reruns are reproducible.
 """
 
 from __future__ import annotations

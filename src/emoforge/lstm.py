@@ -347,6 +347,8 @@ class LstmClassifier(ProbabilisticClassifier):
             raise ParameterError("clip_threshold must be > 0")
         if not 0.0 < validation_fraction < 1.0:
             raise ParameterError("validation_fraction must lie in (0, 1)")
+        if patience < 0:
+            raise ParameterError("patience must be >= 0")
         self.hidden_size = hidden_size
         self.epochs = epochs
         self.learning_rate = learning_rate

@@ -35,6 +35,8 @@ class RandomForest(ProbabilisticClassifier):
     ):
         if n_trees < 1:
             raise ParameterError("n_trees must be >= 1")
+        if max_depth is not None and max_depth < 1:
+            raise ParameterError("max_depth must be >= 1 or None")
         if min_samples_leaf < 1:
             raise ParameterError("min_samples_leaf must be >= 1")
         self.n_trees = n_trees

@@ -13,15 +13,15 @@ A caller that grows many trees on one X, as boosting does, computes
 ``presort(X)`` once: per column, the row indices in stable sorted order and
 the values in that order. Each node carries its share down the tree, a
 split hands each child the entries of its own rows in the same order, and no
-node sorts again. Without a presort a node sorts the columns it draws: a
-random forest scores ceil(sqrt(d)) drawn columns per node, and carrying
-every column's order down its deep trees fitted 1.2x slower on a 96 x 44
-matrix. Both orders agree, because a node's rows stay ascending and a
-stable sort breaks ties by row. A node that instead filters its rows out of
-the whole presort reads every row of X, whatever its size: on a 2-core Xeon
-that fitted a forest 1.4x slower on a 96 x 1000 matrix and 1.7x on a
-1000 x 2000 one, and boosting on the latter 1.1x slower at depth 3 and 1.7x
-at depth 6.
+node sorts again; a child at ``max_depth`` is never searched and gets no
+share. Without a presort a node sorts the columns it draws: a random forest
+scores ceil(sqrt(d)) drawn columns per node, and carrying every column's
+order down its deep trees fitted 1.2x slower on a 96 x 44 matrix. Both
+orders agree, because a node's rows stay ascending and a stable sort breaks
+ties by row. A node that instead filters its rows out of the whole presort
+reads every row of X, whatever its size: on a 2-core Xeon that fitted a
+forest 1.4x slower on a 96 x 1000 matrix and 1.7x on a 1000 x 2000 one, and
+boosting on the latter 1.1x slower at depth 3 and 1.7x at depth 6.
 
 The search scores only the valid positions of a column block: those between
 two distinct sorted values that leave ``min_samples_leaf`` (at least 1) rows
@@ -255,7 +255,8 @@ def grow_tree(
             continue
         importances[best_feat] += (n / n_samples) * best_gain
         mask = X[idx, best_feat] <= best_thr
-        shares = [None, None] if carried is None else _partition(carried, goes_left, idx, mask)
+        searched = carried is not None and depth + 1 < depth_cap  # a capped child is a leaf
+        shares = _partition(carried, goes_left, idx, mask) if searched else [None, None]
         # push right first so the left child is processed (and numbered) next;
         # popping the shares leaves no reference that outlives a child
         stack.append((idx[~mask], shares.pop(), depth + 1, node_id, False))

@@ -9,6 +9,7 @@ and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -200,11 +201,12 @@ def _check_design(
     kind and class mode; an input mode the kind takes in that setting (and
     that an lstm's ``input_mode`` hyperparameter, if given, names); a
     vocabulary exactly when the setting reads text; an ``l_harm`` the harmonic
-    median filter takes. ModelBundle and ExperimentConfig both run it."""
+    median filter takes; hyperparameters that every member applies
+    (``_configure_members``). ModelBundle and ExperimentConfig both run it."""
     blocks = _blocks(setting)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    classes_for_mode(class_mode)
+    _configure_members(kind, hyperparams, 0, len(classes_for_mode(class_mode)))
     allowed = ("frames", "clip") if kind == "lstm" else ("vector",)
     if input_mode not in allowed:
         raise ConfigError(f"{kind} input_mode must be one of {allowed}, got {input_mode!r}")
@@ -295,6 +297,8 @@ def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):
     if unknown:
         raise ConfigError(f"unknown hyperparameters for {kind}: {sorted(unknown)}")
     for key, value in hyperparams.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{kind} hyperparameter {key}={value!r} is not finite")
         if not _hp_type_ok(value, params[key]):
             raise ConfigError(
                 f"{kind} hyperparameter {key}={value!r} does not fit the type of its "
@@ -312,6 +316,26 @@ def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):
             sizes = tuple(int(s) for s in sizes.split(",") if s)
         params["hidden_sizes"] = tuple(sizes)
     return _MODEL_CLASSES[kind](n_classes=n_classes, **params)
+
+
+def _configure_members(kind: str, hyperparams: dict, seed: int,
+                       n_classes: int) -> list[tuple[str, object]]:
+    """(member kind, unfitted classifier) for each member of ``kind``, a
+    single kind being its own one member; member i is seeded
+    ``seed + SEED_OFFSET_MODEL + i``. A single kind reads ``hyperparams``
+    flat, an ensemble a table keyed only by its own member kinds, each entry
+    an object. Any key that no member would apply, or a value its
+    constructor rejects, raises ConfigError."""
+    members = ENSEMBLE_MEMBERS.get(kind, (kind,))
+    tables = hyperparams if kind in ENSEMBLE_MEMBERS else {kind: hyperparams}
+    stray = [key for key, table in tables.items()
+             if key not in members or not isinstance(table, dict)]
+    if stray:
+        raise ConfigError(f"{kind} hyperparameters are keyed by member kind, one object for "
+                          f"each of {', '.join(members)}; got {stray}")
+    return [(member, make_classifier(member, tables.get(member, {}),
+                                     seed + SEED_OFFSET_MODEL + i, n_classes))
+            for i, member in enumerate(members)]
 
 
 def _scaler_for(kind: str, setting: str, feature_dim: int) -> Optional[ColumnScaler]:
@@ -342,9 +366,9 @@ def train_bundle(
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
 ) -> ModelBundle:
     """Fit the members of ``kind`` (a single kind is its own one member) into
-    a reusable bundle; member i is seeded ``seed + SEED_OFFSET_MODEL + i``.
-    A single kind takes flat hyperparameters, an ensemble a table keyed by
-    member kind. The input mode is what ``X`` is: "frames" for a list of
+    a reusable bundle; ``_configure_members`` seeds them and reads their
+    hyperparameters, flat for a single kind and keyed by member kind for an
+    ensemble. The input mode is what ``X`` is: "frames" for a list of
     per-frame sequences, else "clip" for the lstm and "vector" for the rest.
     The bundle's design is checked, and every member configured, before any
     member fits. Members fit with numpy's BLAS on one thread, so the bytes do
@@ -357,19 +381,9 @@ def train_bundle(
         frame_config=frame_config or FrameConfig(), l_harm=l_harm,
         input_mode="frames" if frames else "clip" if kind == "lstm" else "vector",
     )
-    member_kinds = ENSEMBLE_MEMBERS.get(kind, (kind,))
-    table = bundle.hyperparams if kind in ENSEMBLE_MEMBERS else {kind: bundle.hyperparams}
-    flat = sorted(set(table) - set(_MODEL_CLASSES))
-    if flat:
-        raise ConfigError(
-            f"{kind} hyperparameters are keyed by member kind {member_kinds}, got {flat}"
-        )
     n_classes = len(bundle.class_names)
-    for i, member_kind in enumerate(member_kinds):
-        member_hp = table.get(member_kind, {})
-        clf = make_classifier(member_kind, member_hp, seed + SEED_OFFSET_MODEL + i, n_classes)
-        scaler = _scaler_for(member_kind, setting, feature_dim)
-        bundle.members.append(_Member(member_kind, clf, scaler))
+    for member, clf in _configure_members(kind, bundle.hyperparams, seed, n_classes):
+        bundle.members.append(_Member(member, clf, _scaler_for(member, setting, feature_dim)))
     y = np.asarray(y, dtype=np.int64)
     with single_blas_thread():
         for member in bundle.members:

@@ -25,6 +25,7 @@ from emoforge.audio_features import (
 )
 from emoforge.audio_io import AudioClip
 from emoforge.cli import main
+from emoforge.config import ENSEMBLE_MEMBERS
 from emoforge.ingest import EmotionLabel, build_dataset, class_histogram, load_manifest
 from emoforge.lstm import LstmClassifier, LstmParams, lstm_forward, sequence_gradients
 from emoforge.metrics import confusion_matrix, evaluate
@@ -294,9 +295,10 @@ def test_c6_synthetic_end_to_end(acceptance_corpus):
         }
 
         def run(setting, kind):
+            hyperparams = {m: light[m] for m in ENSEMBLE_MEMBERS[kind] if m in light}
             config = ExperimentConfig(
                 manifest=acceptance_corpus, setting=setting, model_kind=kind,
-                class_mode="six", seed=42, hyperparams=light,
+                class_mode="six", seed=42, hyperparams=hyperparams,
             )
             report, _ = run_experiment(config)
             return report

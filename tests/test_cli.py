@@ -262,32 +262,43 @@ def test_parse_hp_ensemble_nests_scoped_keys():
     }
 
 
+def test_parse_hp_leaves_unapplied_keys_to_the_design_check():
+    assert _parse_hp(["rf.n_trees=2", "n_trees=40", "rf=3"], "e1") == {"rf": 3, "n_trees": 40}
+    assert _parse_hp(["xgb.n_rounds=3", "rf.max_depth=5"], "rf") == {
+        "xgb": {"n_rounds": 3}, "max_depth": 5,
+    }
+
+
 @pytest.mark.parametrize("model, pair, expected", [
-    ("e1", "n_trees=40", "--hp rf.n_trees=40"),
-    ("e1", "mnb.alpha=2", "e1 trains rf, xgb, mlp"),
-    ("rf", "xgb.n_rounds=3", "does not match model rf"),
     ("rf", "=3", "[member.]key=value"),
     ("e2", "rf.=3", "[member.]key=value"),
     ("e2", ".n_trees=3", "[member.]key=value"),
 ])
-def test_parse_hp_rejects_unapplied_keys(model, pair, expected):
+def test_parse_hp_rejects_malformed_pairs(model, pair, expected):
     with pytest.raises(ConfigError, match=re.escape(expected)):
         _parse_hp([pair], model)
 
 
-@pytest.mark.parametrize("model, hp", [
-    ("e1", ["--hp", "n_trees=40"]),
-    ("e2", ["--hp", "rf.n_trees=2", "--hp", "learning_rate=0.3"]),
-    ("rf", ["--hp", "xgb.n_rounds=3"]),
-])
-def test_train_rejects_unapplied_hp(trained_model, tmp_path, capsys, model, hp):
+@pytest.mark.parametrize("model, hp, named", [
+    ("e1", ["--hp", "n_trees=40"], ["rf, xgb, mlp", "'n_trees'"]),
+    ("e1", ["--hp", "mnb.alpha=2"], ["rf, xgb, mlp", "'mnb'"]),
+    ("e1", ["--hp", "rf.n_trees=2", "--hp", "rf=3"], ["rf, xgb, mlp", "'rf'"]),
+    ("e2", ["--hp", "rf.n_trees=2", "--hp", "learning_rate=0.3"],
+     ["rf, xgb, mlp, mnb, lr", "'learning_rate'"]),
+    ("rf", ["--hp", "xgb.n_rounds=3"], ["unknown hyperparameters for rf", "'xgb'"]),
+], ids=["e1-unscoped", "e1-foreign-scope", "e1-member-as-value", "e2-unscoped",
+        "rf-foreign-scope"])
+def test_train_rejects_unapplied_hp(trained_model, tmp_path, capsys, monkeypatch, model, hp,
+                                    named):
     manifest, _ = trained_model
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
     code = main([
         "train", "--manifest", str(manifest), "--model", model,
         "--setting", "audio_only", "--out", str(tmp_path / "run"), *hp,
     ])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(name in err for name in named), err
     assert not (tmp_path / "run").exists()
 
 
@@ -311,7 +322,11 @@ def _no_decode(path):
     ("audio_only", ["--no-upsample", "--rho", "7"]),
     ("text_only", ["--l-harm", "0"]),
     ("audio_only", ["--l-harm", "0"]),
-], ids=["train-fraction-unused", "rho-unused", "text-only-l-harm-zero", "l_harm-zero"])
+    ("audio_only", ["--hp", "n_trees=0"]),
+    ("audio_only", ["--hp", "n_trees=abc"]),
+    ("audio_only", ["--hp", "trees=3"]),
+], ids=["train-fraction-unused", "rho-unused", "text-only-l-harm-zero", "l_harm-zero",
+        "n-trees-zero", "n-trees-str", "hp-unknown"])
 def test_train_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch, setting, flags):
     # every entry carries a split hint, so no run here would call split()
     manifest = write_manifest(tmp_path, MANIFEST_ROWS)
@@ -433,8 +448,9 @@ def test_evaluate_on_held_out_entries_reproduces_train_report(trained_model, tmp
     ("e1", "xgb.learning_rate=fast"),
     ("svm", "reg=x"),
 ])
-def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, model, pair):
+def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, monkeypatch, model, pair):
     manifest, _ = trained_model
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
     code = main([
         "train", "--manifest", str(manifest), "--model", model, "--setting", "audio_only",
         "--out", str(tmp_path / "run"), "--hp", pair,
@@ -456,11 +472,16 @@ def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, model, pair)
     ("mlp", "momentum=1.5"), ("mlp", "momentum=-1.0"), ("e1", "mlp.momentum=1"),
     ("lstm", "validation_fraction=2.0"), ("lstm", "validation_fraction=-0.5"),
     ("lstm", "validation_fraction=0"),
+    ("mnb", "alpha=nan"), ("svm", "reg=nan"), ("lr", "reg=inf"), ("mlp", "learning_rate=inf"),
+    ("e2", "mnb.alpha=inf"), ("rf", "max_depth=0"), ("rf", "max_depth=-2"),
+    ("xgb", "max_depth=0"), ("xgb", "max_depth=-1"), ("lstm", "patience=-1"),
 ])
-def test_train_rejects_out_of_range_hp(trained_model, tmp_path, capsys, model, pair):
+def test_train_rejects_out_of_range_hp(trained_model, tmp_path, capsys, monkeypatch, model,
+                                       pair):
     # the constructor's ParameterError is a configuration error here, unlike
     # the same check failing on a member's state in a model file (exit 3)
     manifest, _ = trained_model
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
     code = main([
         "train", "--manifest", str(manifest), "--model", model, "--setting", "audio_only",
         "--out", str(tmp_path / "run"), "--hp", pair,
@@ -664,6 +685,10 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h.update(frame_length=0), 3, "rf"),
     (lambda h: h.update(hop_length=99999), 3, "rf"),
     (lambda h: h.update(l_harm=0), 3, "rf"),
+    (lambda h: h["hyperparameters"].update(svm={}), 3, "e2"),
+    (lambda h: h["hyperparameters"].update(rf=3), 3, "e2"),
+    (lambda h: h["hyperparameters"]["xgb"].update(learning_rate=float("nan")), 3, "e2"),
+    (lambda h: h["hyperparameters"].update(max_depth=0), 3, "rf"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -675,7 +700,8 @@ def _edit_header(model: Path, edit) -> bytes:
         "lstm-batch-size-zero", "lstm-hidden-size-zero", "lstm-hidden-size-edited",
         "e2-mlp-hidden-sizes-edited", "lstm-learning-rate-negative",
         "e2-mlp-momentum-above-one", "lstm-validation-fraction-above-one",
-        "frame-length-zero", "hop-length-above-frame", "l_harm-zero"])
+        "frame-length-zero", "hop-length-above-frame", "l_harm-zero", "e2-hp-stray-scope",
+        "e2-hp-scope-not-object", "e2-hp-nan", "rf-hp-max-depth-zero"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from emoforge import pipeline
 from emoforge.audio_features import AUDIO_FEATURE_NAMES
-from emoforge.config import ENSEMBLE_MEMBERS, MODEL_KINDS
+from emoforge.config import ENSEMBLE_MEMBERS, MODEL_DEFAULTS, MODEL_KINDS
 from emoforge.errors import ConfigError, ModelError, UnsupportedModelError
 from emoforge.ingest import build_dataset, load_manifest
 from emoforge.models import LogisticRegression, RandomForest
@@ -170,6 +171,15 @@ def test_ensemble_rejects_flat_hyperparameters():
                      hyperparams={"n_trees": 3, "rf": {"max_depth": 2}})
 
 
+@pytest.mark.parametrize("kind", MODEL_DEFAULTS)
+def test_model_defaults_are_the_constructor_defaults(kind):
+    # a run that overrides nothing trains the model a library caller builds with no arguments
+    parameters = inspect.signature(pipeline._MODEL_CLASSES[kind]).parameters
+    for key, value in MODEL_DEFAULTS[kind].items():
+        if (kind, key) != ("lstm", "input_mode"):  # the pipeline's, not the model's
+            assert parameters[key].default == value, key
+
+
 # --- bundle designs
 
 LIGHT_HP = {
@@ -238,9 +248,25 @@ def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_pa
     ("rf", False, {"setting": "video_only"}),
     ("rf", False, {"class_mode": "five"}),
     ("tree", False, {}),
+    ("e1", False, {"hyperparams": {"mnb": {"alpha": 2.0}}}),
+    ("e1", False, {"hyperparams": {"rf": 3}}),
+    ("mnb", False, {"hyperparams": {"alpha": float("nan")}}),
+    ("svm", False, {"hyperparams": {"reg": float("nan")}}),
+    ("lr", False, {"hyperparams": {"reg": float("inf")}}),
+    ("mlp", False, {"hyperparams": {"learning_rate": float("inf")}}),
+    ("e2", False, {"hyperparams": {"mnb": {"alpha": float("inf")}}}),
+    ("rf", False, {"hyperparams": {"max_depth": 0}}),
+    ("rf", False, {"hyperparams": {"max_depth": -2}}),
+    ("xgb", False, {"hyperparams": {"max_depth": 0}}),
+    ("xgb", False, {"hyperparams": {"max_depth": -1}}),
+    ("lstm", False, {"hyperparams": {"patience": -1}}),
 ], ids=["audio-text-no-vocab", "text-only-no-vocab", "audio-only-with-vocab",
         "lstm-matrix-hp-frames", "lstm-frames-hp-clip", "lstm-hp-sideways", "l_harm-zero",
-        "l_harm-above-max", "setting-unknown", "class-mode-unknown", "kind-unknown"])
+        "l_harm-above-max", "setting-unknown", "class-mode-unknown", "kind-unknown",
+        "e1-unapplied-scope", "e1-scope-not-object", "mnb-alpha-nan", "svm-reg-nan",
+        "lr-reg-inf", "mlp-learning-rate-inf", "e2-mnb-alpha-inf", "rf-max-depth-zero",
+        "rf-max-depth-negative", "xgb-max-depth-zero", "xgb-max-depth-negative",
+        "lstm-patience-negative"])
 def test_train_bundle_rejects_design_before_fitting(no_fit, kind, frames, change):
     X, y, _ = design_inputs("audio_only", frames)
     with pytest.raises(ConfigError):

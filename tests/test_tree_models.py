@@ -515,6 +515,19 @@ def test_forest_matches_per_tree_loop(problem, min_samples_leaf):
         assert model.packed_[name].dtype == array.dtype, name
 
 
+def test_boosting_partitions_shares_only_for_searched_children(monkeypatch):
+    # a child at max_depth is a leaf whatever its rows, so no share is made for it
+    calls = []
+    partition = tree_module._partition
+    monkeypatch.setattr(tree_module, "_partition",
+                        lambda *args: calls.append(args) or partition(*args))
+    X, y = make_3class_blobs()
+    GradientBoosting(n_rounds=2, max_depth=1).fit(X, y)
+    assert not calls
+    GradientBoosting(n_rounds=2, max_depth=2).fit(X, y)
+    assert len(calls) == 2 * 3  # each tree's root split, whose children are searched
+
+
 @pytest.mark.parametrize("block", [None, 1 << 14], ids=["default-blocks", "small-blocks"])
 def test_boosting_working_set_within_stated_bound(monkeypatch, block):
     # the bound in the tree module's docstring: 4.5 x X.nbytes of presorted
