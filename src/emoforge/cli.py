@@ -51,8 +51,8 @@ def _parse_hp(pairs: list[str], model_kind: str) -> dict:
     Keys scoped to the model's own kind, and unscoped keys, form the flat
     {key: value} table a single model reads; any other scope nests as
     {scope: {key: value}}, the table an e1/e2 ensemble reads per member
-    (``rf.n_trees=40``). The pipeline rejects every key the model would not
-    apply, before any WAV is read.
+    (``rf.n_trees=40``). A name set twice in one table is a ConfigError; the
+    pipeline rejects every key the model would not apply before any WAV is read.
     """
     nested, flat = {}, {}
     for pair in pairs or []:
@@ -68,7 +68,10 @@ def _parse_hp(pairs: list[str], model_kind: str) -> dict:
                 continue
         else:
             parsed = value
-        (nested.setdefault(scope, {}) if scope not in ("", model_kind) else flat)[name] = parsed
+        table = nested.setdefault(scope, {}) if scope not in ("", model_kind) else flat
+        if name in table:
+            raise ConfigError(f"--hp sets {name!r} twice, again in {pair!r}")
+        table[name] = parsed
     return {**nested, **flat}  # a flat key named like a member is no table: rejected
 
 

@@ -96,7 +96,7 @@ class GradientBoosting(ProbabilisticClassifier):
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         flat = unpack_trees(arrays, 1)
         c = self.n_classes
-        if not flat or len(flat) % c:
-            raise ValueError(f"{len(flat)} trees do not fill rounds of {c} classes")
+        if len(flat) != self.n_rounds * c:
+            raise ValueError(f"{len(flat)} trees, not {self.n_rounds} rounds of {c} classes")
         self.packed_ = arrays
         self.trees_ = [flat[i : i + c] for i in range(0, len(flat), c)]

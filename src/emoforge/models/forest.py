@@ -101,6 +101,6 @@ class RandomForest(ProbabilisticClassifier):
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         trees = unpack_trees(arrays, self.n_classes)
-        if not trees:
-            raise ValueError("a forest needs at least one tree")
+        if len(trees) != self.n_trees:
+            raise ValueError(f"{len(trees)} trees, not the forest's {self.n_trees}")
         self.packed_, self.trees_ = arrays, trees

@@ -160,13 +160,6 @@ class ColumnScaler:
             "scale": self.scale_,
         }
 
-    @classmethod
-    def from_state(cls, meta, arrays) -> "ColumnScaler":
-        scaler = cls(meta["kind"], meta["block"])
-        scaler.center_ = arrays["center"]
-        scaler.scale_ = arrays["scale"]
-        return scaler
-
 
 @dataclass
 class _Member:
@@ -183,6 +176,12 @@ class _Member:
         if self.scaler is not None:
             X = self.scaler.transform(X)
         return self.classifier.predict_proba(X)
+
+    def header_entry(self) -> dict:
+        """The member as a model file's header records it (arrays aside)."""
+        clf = self.classifier
+        return {"kind": self.kind, "meta": {key: getattr(clf, key) for key in clf.state_keys()},
+                "scaler": None if self.scaler is None else self.scaler.state()[0]}
 
 
 def _blocks(setting: str) -> tuple[str, ...]:
@@ -366,9 +365,9 @@ def train_bundle(
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
 ) -> ModelBundle:
     """Fit the members of ``kind`` (a single kind is its own one member) into
-    a reusable bundle; ``_configure_members`` seeds them and reads their
-    hyperparameters, flat for a single kind and keyed by member kind for an
-    ensemble. The input mode is what ``X`` is: "frames" for a list of
+    a reusable bundle; ``_members`` builds them from the bundle's design,
+    reading hyperparameters flat for a single kind and keyed by member kind
+    for an ensemble. The input mode is what ``X`` is: "frames" for a list of
     per-frame sequences, else "clip" for the lstm and "vector" for the rest.
     The bundle's design is checked, and every member configured, before any
     member fits. Members fit with numpy's BLAS on one thread, so the bytes do
@@ -381,14 +380,20 @@ def train_bundle(
         frame_config=frame_config or FrameConfig(), l_harm=l_harm,
         input_mode="frames" if frames else "clip" if kind == "lstm" else "vector",
     )
-    n_classes = len(bundle.class_names)
-    for member, clf in _configure_members(kind, bundle.hyperparams, seed, n_classes):
-        bundle.members.append(_Member(member, clf, _scaler_for(member, setting, feature_dim)))
+    bundle.members = _members(bundle)
     y = np.asarray(y, dtype=np.int64)
     with single_blas_thread():
         for member in bundle.members:
             member.fit(X, y)
     return bundle
+
+
+def _members(bundle: ModelBundle) -> list[_Member]:
+    """The bundle's unfitted members as its design makes them, each with
+    ``_scaler_for``'s scaler: ``train_bundle`` fits them, ``load_bundle`` fills them."""
+    return [_Member(kind, clf, _scaler_for(kind, bundle.setting, bundle.feature_dim))
+            for kind, clf in _configure_members(bundle.kind, bundle.hyperparams, bundle.seed,
+                                                len(bundle.class_names))]
 
 
 # --- bundle persistence -----------------------------------------------------
@@ -398,15 +403,11 @@ def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
     member_meta = []
     arrays: dict[str, np.ndarray] = {}
     for i, member in enumerate(bundle.members):
-        meta, member_arrays = member.classifier.state()
-        for name, arr in member_arrays.items():
-            arrays[f"m{i}/{name}"] = arr
-        scaler_meta = None
+        arrays.update({f"m{i}/{name}": arr for name, arr in member.classifier._arrays().items()})
         if member.scaler is not None:
-            scaler_meta, scaler_arrays = member.scaler.state()
-            for name, arr in scaler_arrays.items():
-                arrays[f"m{i}/scaler/{name}"] = arr
-        member_meta.append({"kind": member.kind, "meta": meta, "scaler": scaler_meta})
+            scaler_arrays = member.scaler.state()[1]
+            arrays.update({f"m{i}/scaler/{name}": arr for name, arr in scaler_arrays.items()})
+        member_meta.append(member.header_entry())
 
     vocab_meta = None
     if bundle.vocab is not None:
@@ -459,14 +460,13 @@ def _under(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    """Rebuild a bundle from a container; a malformed or self-contradicting
-    header raises DataError and an unknown model or member kind ModelError.
-
-    Every member must have the bundle's class count. Each member that is not
-    a tree model must also map a batch of ``feature_dim`` columns to one
-    probability per class, checked on zero rows (one for the lstm, which
-    takes no empty batch); tree arrays are checked as they are unpacked.
-    """
+    """Rebuild a bundle from a container. A file's members must be exactly
+    those its header's kind, seed and hyperparameters make (``_members``, as
+    in ``train_bundle``); a malformed or self-contradicting header raises
+    DataError, and only an unknown model or member kind ModelError. A member
+    that is not a tree model must map ``feature_dim`` columns to one
+    probability per class, probed on zero rows (one for the lstm, which takes
+    no empty batch); tree arrays are checked as they are unpacked."""
     header, arrays = load_container(path)
     _require(path, "header", header, _HEADER_KEYS)
     kind, feature_dim, vocab = header["model_kind"], header["feature_dim"], header["vocab"]
@@ -496,39 +496,34 @@ def load_bundle(path: str | Path) -> ModelBundle:
     if not 0 <= feature_dim <= max((a.size for a in arrays.values()), default=0):
         # every model keeps an array with a cell per input column; this bounds the probe below
         raise DataError(f"{path}: feature_dim {feature_dim} is larger than any array")
-    for i, mm in enumerate(header["members"]):
+    members, stored = _members(bundle), header["members"]
+    if len(stored) != len(members):
+        raise DataError(f"{path}: {len(stored)} members, not the {len(members)} of a {kind} model")
+    for i, (entry, member) in enumerate(zip(stored, members)):
         where = f"member {i}"
-        _require(path, where, mm, _MEMBER_KEYS)
-        cls = _MODEL_CLASSES.get(mm["kind"])
-        if cls is None:
-            raise ModelError(f"{path}: {where} has unknown model kind {mm['kind']!r}")
-        if set(mm["meta"]) != set(cls.state_keys()):
-            raise DataError(
-                f"{path}: {where} meta keys {sorted(mm['meta'])} are not the {mm['kind']} "
-                f"parameters {sorted(cls.state_keys())}"
-            )
-        n_classes = mm["meta"]["n_classes"]
-        if type(n_classes) is not int or n_classes != len(class_names):
-            raise DataError(f"{path}: {where} has {n_classes!r} classes, not {len(class_names)}")
+        _require(path, where, entry, _MEMBER_KEYS)
+        if entry["kind"] not in MODEL_DEFAULTS:
+            raise ModelError(f"{path}: {where} has unknown model kind {entry['kind']!r}")
+        # one JSON round trip, as the file made it: tuples read back as lists
+        if entry != json.loads(json.dumps(member.header_entry())):
+            raise DataError(f"{path}: {where} is not the {member.kind} member that the header's "
+                            f"model kind, seed and hyperparameters make")
         try:
-            member = _Member(mm["kind"], cls.from_state(mm["meta"], _under(arrays, f"m{i}/")))
-            if mm["scaler"] is not None:
-                scaler = ColumnScaler.from_state(mm["scaler"], _under(arrays, f"m{i}/scaler/"))
-                member.scaler, block = scaler, scaler.block
-                if {scaler.center_.shape, scaler.scale_.shape} != {(block,)} or block > feature_dim:
-                    raise ValueError(f"scaler arrays do not fit {block} of {feature_dim} columns")
-            if mm["kind"] not in _TREE_KINDS:
-                rows = int(mm["kind"] == "lstm")
+            member.classifier._set_arrays(_under(arrays, f"m{i}/"))
+            if member.scaler is not None:
+                scaler, scaled = member.scaler, _under(arrays, f"m{i}/scaler/")
+                if {scaled["center"].shape, scaled["scale"].shape} != {(scaler.block,)}:
+                    raise ValueError(f"scaler arrays do not fit its {scaler.block} columns")
+                scaler.center_, scaler.scale_ = scaled["center"], scaled["scale"]
+            if member.kind not in _TREE_KINDS:
+                rows = int(member.kind == "lstm")
                 with single_blas_thread():
                     proba = member.predict_proba(np.zeros((rows, feature_dim)))
-                if proba.shape != (rows, n_classes):
+                if proba.shape != (rows, len(class_names)):
                     raise ValueError("arrays do not map feature_dim columns to the classes")
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise DataError(f"{path}: {where} state is unusable ({exc!r})") from exc
-        bundle.members.append(member)
-    member_kinds = [m.kind for m in bundle.members]
-    if member_kinds != list(ENSEMBLE_MEMBERS.get(kind, (kind,))):
-        raise DataError(f"{path}: members {member_kinds} are not those of a {kind} model")
+    bundle.members = members
     return bundle
 
 

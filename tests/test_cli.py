@@ -317,25 +317,33 @@ def _no_decode(path):
     raise AssertionError(f"{path} was decoded before the configuration was checked")
 
 
-@pytest.mark.parametrize("setting, flags", [
-    ("audio_only", ["--train-fraction", "5"]),
-    ("audio_only", ["--no-upsample", "--rho", "7"]),
-    ("text_only", ["--l-harm", "0"]),
-    ("audio_only", ["--l-harm", "0"]),
-    ("audio_only", ["--hp", "n_trees=0"]),
-    ("audio_only", ["--hp", "n_trees=abc"]),
-    ("audio_only", ["--hp", "trees=3"]),
+SMALL_RF = ["--hp", "n_trees=2"]
+
+
+@pytest.mark.parametrize("setting, flags, message", [
+    ("audio_only", [*SMALL_RF, "--train-fraction", "5"], "train_fraction must be in (0, 1)"),
+    ("audio_only", [*SMALL_RF, "--no-upsample", "--rho", "7"], "rho must be in [0, 1]"),
+    ("text_only", [*SMALL_RF, "--l-harm", "0"], "window length must be in [1, 65536]"),
+    ("audio_only", [*SMALL_RF, "--l-harm", "0"], "window length must be in [1, 65536]"),
+    # each --hp case stands alone, so none passes for repeating n_trees
+    ("audio_only", ["--hp", "n_trees=0"], "n_trees must be >= 1"),
+    ("audio_only", ["--hp", "n_trees=abc"], "n_trees='abc' does not fit the type"),
+    ("audio_only", [*SMALL_RF, "--hp", "trees=3"], "unknown hyperparameters for rf: ['trees']"),
+    ("audio_only", ["--hp", "n_trees=3", "--hp", "n_trees=4"], "sets 'n_trees' twice"),
+    ("audio_only", ["--hp", "n_trees=3", "--hp", "rf.n_trees=4"], "sets 'n_trees' twice"),
 ], ids=["train-fraction-unused", "rho-unused", "text-only-l-harm-zero", "l_harm-zero",
-        "n-trees-zero", "n-trees-str", "hp-unknown"])
-def test_train_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch, setting, flags):
+        "n-trees-zero", "n-trees-str", "hp-unknown", "hp-repeated", "hp-repeated-scoped"])
+def test_train_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch, setting, flags,
+                                                 message):
     # every entry carries a split hint, so no run here would call split()
     manifest = write_manifest(tmp_path, MANIFEST_ROWS)
     monkeypatch.setattr(ingest, "decode_wav", _no_decode)
     out = tmp_path / "run"
     code = main(["train", "--manifest", str(manifest), "--model", "rf", "--setting", setting,
-                 "--out", str(out), "--hp", "n_trees=2", *flags])
+                 "--out", str(out), *flags])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
     assert not (out / "report.json").exists()
 
 
@@ -689,6 +697,14 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h["hyperparameters"].update(rf=3), 3, "e2"),
     (lambda h: h["hyperparameters"]["xgb"].update(learning_rate=float("nan")), 3, "e2"),
     (lambda h: h["hyperparameters"].update(max_depth=0), 3, "rf"),
+    # members that the header's kind, seed and hyperparameters do not make
+    (lambda h: h["hyperparameters"].update(n_trees=7), 3, "rf"),
+    (lambda h: h["members"][2].update(scaler=None), 3, "e2"),
+    (lambda h: h["members"][2]["scaler"].update(kind="minmax"), 3, "e2"),
+    (lambda h: h["members"][0]["meta"].update(seed=h["members"][0]["meta"]["seed"] + 1), 3, "rf"),
+    (lambda h: h["members"][0]["meta"].update(bootstrap=False), 3, "rf"),
+    (lambda h: h.update(seed=h["seed"] + 1), 3, "rf"),
+    (lambda h: h["hyperparameters"].update(xgb={"n_rounds": 7, "max_depth": 9}), 3, "e2"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -701,7 +717,9 @@ def _edit_header(model: Path, edit) -> bytes:
         "e2-mlp-hidden-sizes-edited", "lstm-learning-rate-negative",
         "e2-mlp-momentum-above-one", "lstm-validation-fraction-above-one",
         "frame-length-zero", "hop-length-above-frame", "l_harm-zero", "e2-hp-stray-scope",
-        "e2-hp-scope-not-object", "e2-hp-nan", "rf-hp-max-depth-zero"])
+        "e2-hp-scope-not-object", "e2-hp-nan", "rf-hp-max-depth-zero", "rf-hp-edited",
+        "e2-mlp-scaler-null", "e2-mlp-scaler-minmax", "rf-member-seed-edited",
+        "rf-bootstrap-false", "rf-bundle-seed-edited", "e2-xgb-hp-edited"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model

@@ -6,6 +6,7 @@ import pytest
 
 from emoforge import pipeline
 from emoforge.audio_features import AUDIO_FEATURE_NAMES
+from emoforge.cli import _parse_hp
 from emoforge.config import ENSEMBLE_MEMBERS, MODEL_DEFAULTS, MODEL_KINDS
 from emoforge.errors import ConfigError, ModelError, UnsupportedModelError
 from emoforge.ingest import build_dataset, load_manifest
@@ -100,26 +101,34 @@ def test_scaler_constant_column_maps_to_zero():
 # --- bundles
 
 
-@pytest.mark.parametrize("kind", ["rf", "xgb", "svm", "mnb", "lr", "mlp", "lstm"])
-def test_bundle_roundtrip_preserves_predictions(tmp_path, kind):
-    X, y = toy_matrix()
-    light = {
-        "rf": {"n_trees": 5, "max_depth": 4},
-        "xgb": {"n_rounds": 4},
-        "svm": {"epochs": 5},
-        "mnb": {},
-        "lr": {"epochs": 30},
-        "mlp": {"epochs": 10, "hidden_sizes": (8,)},
-        "lstm": {"epochs": 5, "hidden_size": 4, "input_mode": "clip"},
-    }[kind]
-    bundle = train_bundle(
-        kind, X, y, setting="audio_only", class_mode="six", seed=1, hyperparams=light,
-    )
-    path = tmp_path / "model.emf"
-    save_bundle(path, bundle)
-    loaded = load_bundle(path)
+@pytest.mark.parametrize("kind, flags", [
+    ("rf", ["n_trees=3", "max_depth=3"]),
+    ("xgb", ["n_rounds=2", "learning_rate=1"]),
+    ("svm", ["epochs=3", "reg=1"]),
+    ("mnb", ["alpha=1"]),
+    ("lr", ["epochs=5", "learning_rate=1"]),
+    ("mlp", ["epochs=3", "hidden_sizes=8,4", "momentum=0"]),
+    ("lstm", ["epochs=2", "hidden_size=3", "input_mode=frames", "dropout_rate=0"]),
+    ("lstm", ["epochs=2", "hidden_size=3", "input_mode=clip", "learning_rate=1"]),
+    ("e1", ["rf.n_trees=2", "xgb.n_rounds=2", "xgb.learning_rate=1", "mlp.epochs=3",
+            "mlp.hidden_sizes=8,4"]),
+    ("e2", ["rf.n_trees=2", "xgb.n_rounds=2", "mlp.epochs=3", "mlp.hidden_sizes=8,4",
+            "mnb.alpha=1", "lr.epochs=5", "lr.learning_rate=1"]),
+], ids=["rf", "xgb", "svm", "mnb", "lr", "mlp", "lstm-frames", "lstm-clip", "e1", "e2"])
+def test_bundle_roundtrip_preserves_predictions(tmp_path, kind, flags):
+    # --hp values as the CLI parses them: a comma list for a tuple, an int for a float
+    hp = _parse_hp(flags, kind)
+    frames = hp.get("input_mode") == "frames"
+    setting = "audio_only" if frames else "audio_text"
+    X, y, vocab = design_inputs(setting, frames)
+    bundle = train_bundle(kind, X, y, setting=setting, class_mode="six", seed=3,
+                          hyperparams=hp, vocab=vocab)
+    save_bundle(tmp_path / "model.emf", bundle)
+    loaded = load_bundle(tmp_path / "model.emf")
     assert np.array_equal(loaded.predict_proba(X), bundle.predict_proba(X))
-    assert loaded.kind == kind and loaded.feature_dim == X.shape[1]
+    assert loaded.kind == kind and loaded.feature_dim == bundle.feature_dim
+    save_bundle(tmp_path / "again.emf", loaded)
+    assert (tmp_path / "again.emf").read_bytes() == (tmp_path / "model.emf").read_bytes()
 
 
 def test_bundle_roundtrip_ensemble(tmp_path):

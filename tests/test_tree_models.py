@@ -690,16 +690,18 @@ def first_trees(arrays, k):
     return {"offsets": arrays["offsets"][: k + 1], "importances": arrays["importances"][:k], **nodes}
 
 
-def test_tree_models_reject_arrays_without_whole_rounds():
-    _, rf, xgb = fitted_tree_models()  # 3 classes
+def test_tree_models_reject_arrays_without_their_own_tree_count():
+    _, rf, xgb = fitted_tree_models()  # 3 classes, 12 trees and 8 rounds
     meta, arrays = rf.state()
-    with pytest.raises(ValueError):
-        RandomForest.from_state(meta, first_trees(arrays, 0))
+    for k in (0, 11):
+        with pytest.raises(ValueError):
+            RandomForest.from_state(meta, first_trees(arrays, k))
+    assert len(RandomForest.from_state(meta, first_trees(arrays, 12)).trees_) == 12
     meta, arrays = xgb.state()
-    for k in (0, 5):
+    for k in (0, 5, 6):  # 6 trees are whole rounds, but 2 of the model's 8
         with pytest.raises(ValueError):
             GradientBoosting.from_state(meta, first_trees(arrays, k))
-    assert len(GradientBoosting.from_state(meta, first_trees(arrays, 6)).trees_) == 2
+    assert len(GradientBoosting.from_state(meta, first_trees(arrays, 24)).trees_) == 8
 
 
 # --- thresholds that cannot empty a child: where the midpoint of two adjacent
