@@ -61,10 +61,9 @@ class GradientBoosting(ProbabilisticClassifier):
                 tree = grow_tree(
                     X,
                     residual,
-                    task="regression",
+                    presorted,
                     max_depth=self.max_depth,
                     min_samples_leaf=self.min_samples_leaf,
-                    presorted=presorted,
                     leaves=step,
                 )
                 trees.append(tree)

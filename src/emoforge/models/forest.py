@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
 from ..errors import ParameterError
 from .base import ProbabilisticClassifier, check_training_labels
-from .tree import TreeNodes, grow_tree, pack_trees, sum_leaf_values, unpack_trees
+from .tree import TreeNodes, grow_forest, pack_trees, sum_leaf_values, unpack_trees
 
 
 class RandomForest(ProbabilisticClassifier):
@@ -17,10 +18,11 @@ class RandomForest(ProbabilisticClassifier):
     Each split considers ceil(sqrt(d)) randomly drawn features. Prediction
     averages the per-tree leaf class distributions (a soft vote; the argmax
     coincides with the hard majority when leaves are pure). Tree t draws all
-    of its randomness from a generator seeded with seed + t, so fitting is
-    reproducible and could run tree-parallel without changing the result.
-    ``n_trees=1, bootstrap=False, max_features=None`` grows one plain CART
-    tree on all rows and features.
+    of its randomness from a generator seeded with seed + t, its bootstrap
+    sample first, so each tree is the one it would be if grown alone, and the
+    trees grow in lockstep (``grow_forest``), reading X through their sample
+    indices. ``n_trees=1, bootstrap=False, max_features=None`` grows one plain
+    CART tree on all rows and features.
     """
 
     def __init__(
@@ -39,6 +41,11 @@ class RandomForest(ProbabilisticClassifier):
             raise ParameterError("max_depth must be >= 1 or None")
         if min_samples_leaf < 1:
             raise ParameterError("min_samples_leaf must be >= 1")
+        if not (max_features is None or isinstance(max_features, str) and max_features == "sqrt"
+                or isinstance(max_features, Integral) and not isinstance(max_features, bool)
+                and max_features >= 1):
+            raise ParameterError(f"max_features must be 'sqrt', None or an integer >= 1, "
+                                 f"got {max_features!r}")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -49,39 +56,20 @@ class RandomForest(ProbabilisticClassifier):
         self.packed_: dict[str, np.ndarray] | None = None  # the trees, as pack_trees writes them
         self.trees_: list[TreeNodes] = []  # per-tree views into packed_
 
-    def _resolve_max_features(self, n_features: int) -> int | None:
-        if self.max_features == "sqrt":
-            return math.ceil(math.sqrt(n_features))
-        if self.max_features is None:
-            return None
-        return int(self.max_features)
-
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self.n_classes = check_training_labels(y, self.n_classes)
         n = X.shape[0]
-        max_features = self._resolve_max_features(X.shape[1])
-        trees = []
-        for t in range(self.n_trees):
-            rng = np.random.default_rng(self.seed + t)
-            if self.bootstrap:
-                sample = rng.integers(0, n, size=n)
-                Xs, ys = X[sample], y[sample]
-            else:
-                Xs, ys = X, y
-            trees.append(
-                grow_tree(
-                    Xs,
-                    ys,
-                    task="classification",
-                    n_classes=self.n_classes,
-                    max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    max_features=max_features,
-                    rng=rng,
-                )
-            )
+        rngs = [np.random.default_rng(self.seed + t) for t in range(self.n_trees)]
+        if self.bootstrap:  # each tree's first draw; the trees read X through these rows
+            samples = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+        else:
+            samples = np.broadcast_to(np.arange(n), (self.n_trees, n))
+        max_features = (math.ceil(math.sqrt(X.shape[1])) if self.max_features == "sqrt"
+                        else self.max_features)
+        trees = grow_forest(X, y, samples, rngs, self.n_classes, self.max_depth,
+                            self.min_samples_leaf, max_features)
         self._set_arrays(pack_trees(trees))
         return self
 

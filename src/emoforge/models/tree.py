@@ -1,51 +1,49 @@
 """CART-style decision trees over flat node arrays.
 
-Both tree flavors share one builder: classification trees split on Gini
-impurity and keep class distributions at the leaves, regression trees split
-on variance and keep means. Candidate thresholds are midpoints between
-consecutive distinct sorted feature values a < b, or a itself where the
-midpoint 0.5 * (a + b) is not in [a, b) (NaN for -inf and +inf, +inf when
-the sum overflows, b for adjacent floats), so no split empties a child.
-Equal-gain ties resolve to the lowest feature index, then the lowest
-threshold, and a split needs a strictly positive gain.
+Classification trees split on Gini impurity and keep class distributions at
+the leaves; regression trees split on variance and keep means. Candidate
+thresholds are midpoints between consecutive distinct sorted feature values
+a < b, or a itself where the midpoint 0.5 * (a + b) is not in [a, b) (NaN
+for -inf and +inf, +inf when the sum overflows, b for adjacent floats), so no
+split empties a child. Equal-gain ties resolve to the lowest feature index,
+then the lowest threshold, and a split needs a strictly positive gain.
 
-A caller that grows many trees on one X, as boosting does, computes
-``presort(X)`` once: per column, the row indices in stable sorted order and
-the values in that order. Each node carries its share down the tree, a
-split hands each child the entries of its own rows in the same order, and no
-node sorts again; a child at ``max_depth`` is never searched and gets no
-share. Without a presort a node sorts the columns it draws: a random forest
-scores ceil(sqrt(d)) drawn columns per node, and carrying every column's
-order down its deep trees fitted 1.2x slower on a 96 x 44 matrix. Both
-orders agree, because a node's rows stay ascending and a stable sort breaks
-ties by row. A node that instead filters its rows out of the whole presort
-reads every row of X, whatever its size: on a 2-core Xeon that fitted a
-forest 1.4x slower on a 96 x 1000 matrix and 1.7x on a 1000 x 2000 one, and
-boosting on the latter 1.1x slower at depth 3 and 1.7x at depth 6.
+Boosting grows its regression trees one at a time with ``grow_tree`` on
+``presort(X)``, computed once per fit: per column, the row indices in stable
+sorted order and the values in that order. Each node carries its share down
+the tree, a split hands each child the entries of its own rows in the same
+order, and a child at ``max_depth`` gets none, as it is never searched.
+(Filtering each node's rows out of the whole presort reads all of X at every
+node: boosting on a 1000 x 2000 matrix fitted 1.1x slower at depth 3, 1.7x
+at depth 6.) A random forest grows its classification trees in lockstep with
+``grow_forest``: each tree reads X through its sample indices and keeps its
+own depth-first stack, so its node numbering and its generator's draws are
+those of growing it alone, and each step sorts the columns that the next
+node of every unfinished tree draws, all at once. A lone node costs dozens
+of small numpy calls, whatever its size: grown node by node, the forest
+fitted about 2x slower on a 96 x 44 matrix. Batching a boosting round's
+trees was not faster, as their nodes are bound by data.
 
-The search scores only the valid positions of a column block: those between
-two distinct sorted values that leave ``min_samples_leaf`` (at least 1) rows
-on each side (a small share of a TFIDF column with two to four distinct
-values). It gathers the cumulative class counts or target sums at those
-entries alone and scatters their gains into a -inf (columns x positions)
-matrix for the first-max rules. Every sum runs in the order a one-column
-search would use, so trees match it bit for bit: cumulative sums run along
-each sorted column, a position's class terms are summed along the last axis,
-each column's regression parent variance is reduced over its contiguous
-sorted row, and a node's mean and variance are the ``np.add.reduce`` sums of
-``np.mean`` and ``np.var``. ``grow_tree`` also reports each training row's
-leaf value, which boosting adds to its logits instead of walking the new
-tree over X.
+The search scores only the valid positions of a column: those between two
+distinct sorted values that leave ``min_samples_leaf`` (at least 1) rows on
+each side (a small share of a TFIDF column with two to four distinct
+values), and scatters their gains into a -inf (columns x positions) matrix
+for the first-max rules. Every sum runs in the order a one-column search
+would use, so trees match it bit for bit: class counts are exact integers
+(the forest's are bit fields of one integer cumulative sum), a position's
+class terms are summed along the last axis, each column's regression parent
+variance is reduced over its contiguous sorted row, and a node's mean and
+variance are the ``np.add.reduce`` sums of ``np.mean`` and ``np.var``.
 
-Memory: with int32 row indices a presort takes 1.5 x X.nbytes. A growing
-tree adds at most 3 x X.nbytes of carried shares (pending nodes hold
-disjoint rows, and a split fills its children before its own share goes),
-so a boosting fit stays within 4.5 x X.nbytes plus the temporaries of one
-column block: the search and the partition handle at most
-``_BLOCK_ELEMENTS`` (rows x columns x classes) entries at a time, in about
-twenty arrays. A forest holds no presort, only each tree's bootstrap copy
-of X. Measured on a 300 x 2000 TFIDF-like matrix with 2**14-entry blocks, a
-depth-3 boosting fit peaks at 4.5 x X.nbytes and a forest fit at 2.0 x.
+Memory: a presort takes 1.5 x X.nbytes (int32 row indices), built a block
+of columns at a time, and a growing tree adds at most 3 x X.nbytes of
+carried shares (pending nodes hold disjoint rows, and a split fills its
+children before its own share goes). A forest holds one transposed copy of
+X, whatever its tree count. Each search or partition handles at most
+``_BLOCK_ELEMENTS`` (nodes x rows x columns x classes) entries at a time, in
+about twenty arrays. On a 300 x 2000 TFIDF-like matrix with 2**14-entry
+blocks, a presort peaks at 1.56 x X.nbytes, a depth-3 boosting fit at 4.5 x
+and a depth-3 100-tree forest at 1.6 x.
 
 A model keeps its trees once, in the packed arrays that ``pack_trees``
 writes to a model file, and ``leaf_values`` is the one traversal of them:
@@ -68,15 +66,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from .base import one_hot
 
 _NO_FEATURE = -1
-# Upper bound on the elements of one (rows x columns x classes) block that the
-# split search scores, or a split partitions, at once; nodes with more
-# candidate columns work in column blocks, so no temporary grows with the
-# width of a TFIDF matrix. The traversal likewise walks rows in blocks of at
-# most this many (row, tree, value) leaf entries.
-_BLOCK_ELEMENTS = 1 << 18
+# Upper bound on the elements of one (nodes x rows x columns x classes) block
+# that a split search scores or a split partitions at once, so no temporary
+# grows with a TFIDF matrix's width; a traversal block holds as many (row, tree,
+# value) leaf entries. On a 2-core Xeon 2**16 fits 96 x 44 to 300 x 2000
+# matrices as fast as 2**18 or faster, and keeps a forest fit's traced peak
+# (1.5 MB on 96 x 44) under a boosting fit's (2.0 MB).
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -99,43 +97,34 @@ class TreeNodes:
 def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column's row indices in stable sorted order and its values in that
     order, both (columns x rows) with one column per contiguous row; the
-    indices are int32 while the row count allows it."""
+    indices are int32 while the row count allows it. Columns are sorted a
+    block of at most _BLOCK_ELEMENTS entries at a time."""
     X = np.asarray(X, dtype=np.float64)
-    order = np.argsort(X.T, axis=1, kind="stable")
-    values = np.take_along_axis(X.T, order, axis=1)
-    return order.astype(np.int32 if X.shape[0] < 2**31 else np.int64), values
+    order = np.empty(X.T.shape, dtype=np.int32 if X.shape[0] < 2**31 else np.int64)
+    values = np.empty(X.T.shape)
+    width = max(1, _BLOCK_ELEMENTS // max(1, X.shape[0]))
+    for block in (slice(start, start + width) for start in range(0, X.shape[1], width)):
+        order[block] = np.argsort(X.T[block], axis=1, kind="stable")
+        values[block] = np.take_along_axis(X.T[block], order[block], axis=1)
+    return order, values
 
 
 def _best_splits(
-    X: np.ndarray, idx: np.ndarray, candidates: np.ndarray | None,
-    carried: tuple[np.ndarray, np.ndarray] | None, targets: np.ndarray, task: str,
-    min_samples_leaf: int, parent: float,
+    idx: np.ndarray, carried: tuple[np.ndarray, np.ndarray], targets: np.ndarray,
+    min_samples_leaf: int,
 ) -> tuple[float, float, int]:
-    """Best (gain, threshold, feature) over the ``candidates`` columns (None:
-    all) of the node holding rows ``idx`` of X; gain 0.0 means no split.
-
-    ``carried`` is the node's share of ``presort(X)``; without it each block
-    of candidate columns is sorted here. ``targets`` is the one-hot labels
-    (classification) or targets (regression) of every row of X. ``parent``
-    is the node's Gini impurity; regression replaces it by each column's
-    variance in that column's sorted order.
-    """
+    """Best (gain, threshold, feature) of the regression node holding rows
+    ``idx``, whose share of ``presort(X)`` is ``carried``; gain 0.0 means no
+    split. ``targets`` holds every row's target; a column's parent variance is
+    taken in that column's sorted order."""
     n = idx.size
-    features = np.arange(X.shape[1]) if candidates is None else candidates
-    width = max(1, _BLOCK_ELEMENTS // (n * targets[0].size))  # rows x classes per column
+    width = max(1, _BLOCK_ELEMENTS // n)
     # split after sorted position p: the left child takes the first p + 1 rows;
     # only p in [lo, hi) leave min_samples_leaf rows on each side
     lo, hi = min_samples_leaf - 1, n - min_samples_leaf
     best = (0.0, 0.0, _NO_FEATURE)
-    for start in range(0, features.size, width):
-        cols = features[start : start + width]
-        if carried is None:
-            block = X[idx, cols[:, None]]
-            order = np.argsort(block, axis=1, kind="stable")
-            rows, sv = idx[order], np.take_along_axis(block, order, axis=1)
-        else:
-            pick = slice(start, start + width) if candidates is None else cols
-            rows, sv = carried[0][pick], carried[1][pick]
+    for start in range(0, carried[0].shape[0], width):
+        rows, sv = (share[start : start + width] for share in carried)
         # score only the positions between two distinct values: window
         # entry (c, q) is the split after sorted position p = lo + q of column c
         valid = sv[:, lo:hi] < sv[:, lo + 1 : hi + 1]
@@ -146,73 +135,50 @@ def _best_splits(
         sizes_left = q + min_samples_leaf  # p + 1
         sizes_right = n - sizes_left
         at = c * n + (q + lo)  # (c, p) in a columns x rows matrix
-        ys = targets[rows]  # columns x rows (x classes)
+        ys = targets[rows]  # columns x rows
         cum = np.cumsum(ys, axis=1)
-        if task == "classification":
-            cum = cum.reshape(-1, cum.shape[2])
-            left = cum[at]  # positions x classes
-            right = cum[c * n + (n - 1)] - left
-            impurity_left = 1.0 - np.add.reduce((left / sizes_left[:, None]) ** 2, axis=1)
-            impurity_right = 1.0 - np.add.reduce((right / sizes_right[:, None]) ** 2, axis=1)
-            column_parent = parent
-        else:
-            cum2 = np.square(ys)
-            np.cumsum(cum2, axis=1, out=cum2)
-            sum_left, sq_left = cum.take(at), cum2.take(at)
-            last = c * n + (n - 1)
-            sum_right, sq_right = cum.take(last) - sum_left, cum2.take(last) - sq_left
-            impurity_left = sq_left / sizes_left - (sum_left / sizes_left) ** 2
-            impurity_right = sq_right / sizes_right - (sum_right / sizes_right) ** 2
-            # np.var of each sorted column, reduced over its contiguous row;
-            # ys turns into the squared deviations from each column's mean
-            ys -= np.add.reduce(ys, axis=1, keepdims=True) / n
-            column_parent = (np.add.reduce(np.square(ys, out=ys), axis=1) / n).take(c)
+        cum2 = np.square(ys)
+        np.cumsum(cum2, axis=1, out=cum2)
+        sum_left, sq_left = cum.take(at), cum2.take(at)
+        last = c * n + (n - 1)
+        sum_right, sq_right = cum.take(last) - sum_left, cum2.take(last) - sq_left
+        impurity_left = sq_left / sizes_left - (sum_left / sizes_left) ** 2
+        impurity_right = sq_right / sizes_right - (sum_right / sizes_right) ** 2
+        # np.var of each sorted column, reduced over its contiguous row;
+        # ys turns into the squared deviations from each column's mean
+        ys -= np.add.reduce(ys, axis=1, keepdims=True) / n
+        column_parent = (np.add.reduce(np.square(ys, out=ys), axis=1) / n).take(c)
         weighted = (sizes_left * impurity_left + sizes_right * impurity_right) / n
         gains = np.full(valid.shape, -np.inf)
         gains.ravel()[flat] = column_parent - weighted
         rows_best = np.argmax(gains, axis=1)  # first max: lowest threshold wins ties
-        col_gains = gains[np.arange(cols.size), rows_best]
+        col_gains = gains[np.arange(rows.shape[0]), rows_best]
         col_gains = np.where(np.isfinite(col_gains) & (col_gains > 0.0), col_gains, 0.0)
         col = int(np.argmax(col_gains))  # first max: lowest feature wins ties
         if col_gains[col] > best[0]:
             r = lo + rows_best[col]
-            a, b = float(sv[col, r]), float(sv[col, r + 1])
-            threshold = 0.5 * (a + b)
-            if not a <= threshold < b:  # -inf/+inf, an overflowing sum, adjacent floats
-                threshold = a
-            best = (float(col_gains[col]), threshold, int(cols[col]))
+            best = (float(col_gains[col]), _threshold(sv[col, r], sv[col, r + 1]), start + col)
     return best
 
 
-def grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    task: str,
-    n_classes: int = 0,
-    max_depth: int | None = None,
-    min_samples_leaf: int = 1,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
-    presorted: tuple[np.ndarray, np.ndarray] | None = None,
-    leaves: np.ndarray | None = None,
-) -> TreeNodes:
-    """Grow one tree. ``y`` is class indices (classification) or targets
-    (regression). ``max_features`` draws that many split candidates per node
-    from ``rng``; None considers every feature. ``presorted`` is
-    ``presort(X)``, which a caller growing many trees on one X computes once;
-    without it every node sorts its candidate columns. ``leaves``, an
-    (n_samples, value_dim) array, receives each row's leaf value."""
+def _threshold(a: float, b: float) -> float:
+    """The threshold between sorted neighbours a < b: their midpoint, or a
+    where it is not in [a, b) (-inf/+inf, an overflowing sum, adjacent floats)."""
+    a, b = float(a), float(b)
+    threshold = 0.5 * (a + b)
+    return threshold if a <= threshold < b else a
+
+
+def grow_tree(X: np.ndarray, y: np.ndarray, presorted: tuple[np.ndarray, np.ndarray],
+              max_depth: int | None = None, min_samples_leaf: int = 1,
+              leaves: np.ndarray | None = None) -> TreeNodes:
+    """Grow one variance-splitting regression tree on targets ``y``, given
+    ``presort(X)``, which a caller growing many trees on one X computes once.
+    ``leaves``, an (n_samples, 1) array, receives each row's leaf value."""
     X = np.asarray(X, dtype=np.float64)
     n_samples, n_features = X.shape
     depth_cap = np.inf if max_depth is None else max_depth
-    if task == "classification":
-        targets = one_hot(np.asarray(y, dtype=np.int64), n_classes)
-    elif task == "regression":
-        targets = np.asarray(y, dtype=np.float64)
-    else:
-        raise ParameterError(f"unknown tree task {task!r}")
-    if max_features is not None and rng is None:
-        raise ParameterError("feature subsampling requires an rng")
+    targets = np.asarray(y, dtype=np.float64)
     if min_samples_leaf < 1:
         raise ParameterError("min_samples_leaf must be >= 1")
 
@@ -229,20 +195,13 @@ def grow_tree(
         if parent >= 0:
             (left if is_left else right)[parent] = node_id
 
-        yn = targets[idx]  # the node's one-hot rows or residuals, gathered once
-        mean = np.atleast_1d(np.add.reduce(yn, axis=0) / n)  # class distribution or target mean
-        if task == "classification":
-            impurity = 1.0 - float(np.dot(mean, mean))  # Gini
-        else:
-            impurity = float(np.add.reduce((yn - mean[0]) ** 2) / n)  # np.var(yn)
+        yn = targets[idx]  # the node's residuals, gathered once
+        mean = np.atleast_1d(np.add.reduce(yn, axis=0) / n)
         best_gain, best_thr, best_feat = 0.0, 0.0, _NO_FEATURE
-        if n >= 2 * min_samples_leaf and depth < depth_cap and impurity > 0.0:
-            candidates = None
-            if max_features is not None and max_features < n_features:
-                candidates = np.sort(rng.choice(n_features, size=max_features, replace=False))
-            best_gain, best_thr, best_feat = _best_splits(
-                X, idx, candidates, carried, targets, task, min_samples_leaf, impurity
-            )
+        # a node at max_depth is never searched, so it needs no impurity
+        if (n >= 2 * min_samples_leaf and depth < depth_cap
+                and float(np.add.reduce((yn - mean[0]) ** 2) / n) > 0.0):  # np.var(yn)
+            best_gain, best_thr, best_feat = _best_splits(idx, carried, targets, min_samples_leaf)
 
         feature.append(best_feat)
         threshold.append(best_thr)
@@ -255,7 +214,7 @@ def grow_tree(
             continue
         importances[best_feat] += (n / n_samples) * best_gain
         mask = X[idx, best_feat] <= best_thr
-        searched = carried is not None and depth + 1 < depth_cap  # a capped child is a leaf
+        searched = depth + 1 < depth_cap  # a capped child is a leaf
         shares = _partition(carried, goes_left, idx, mask) if searched else [None, None]
         # push right first so the left child is processed (and numbered) next;
         # popping the shares leaves no reference that outlives a child
@@ -267,6 +226,139 @@ def grow_tree(
         np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
         np.vstack(value), importances,
     )
+
+
+def grow_forest(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, n_classes: int,
+                max_depth: int | None = None, min_samples_leaf: int = 1,
+                max_features: int | None = None) -> list[TreeNodes]:
+    """Grow in lockstep a Gini tree for class indices ``y`` on the rows of X
+    that each row of ``samples`` lists; a searched node draws ``max_features``
+    candidate columns (None: all) from its tree's generator in ``rngs``. Each
+    step pops the next node of every unfinished tree and scores the searched
+    ones together (``_gini_splits``)."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    n_rows, n_features = X.shape
+    depth_cap = np.inf if max_depth is None else max_depth
+    draw, every = max_features is not None and max_features < n_features, np.arange(n_features)
+    # a NaN after each column pads short nodes: it sorts last and compares false
+    columns = np.full((n_features, n_rows + 1), np.nan)
+    columns[:, :-1] = X.T
+    labels = np.append(y, -1)  # the padding row has no class
+    n_nodes = np.zeros(len(rngs), dtype=np.int64)
+    importances = np.zeros((len(rngs), n_features))
+    steps, popped = [], 0  # per step: its nodes' trees, ids, parents, sides, splits, values
+    # (rows of X in sample order, depth, parent's place in pop order, is left child)
+    stacks = [[(sample, 0, -1, False)] for sample in samples]
+    while any(stacks):
+        live = [t for t, stack in enumerate(stacks) if stack]
+        rows, depths, parents, sides = zip(*[stacks[t].pop() for t in live])
+        sizes = np.array([r.size for r in rows])
+        # class counts are exact integers, so they equal the one-hot sums
+        cells = n_classes * np.repeat(np.arange(len(live)), sizes) + y.take(np.concatenate(rows))
+        counts = np.bincount(cells, minlength=len(live) * n_classes).reshape(-1, n_classes)
+        means = counts / sizes[:, None]  # class distributions
+        ids = n_nodes[live]
+        n_nodes[live] += 1
+        search, impurities, candidates = [], [], []
+        # a node that is never searched needs no impurity
+        for j in np.flatnonzero((sizes >= 2 * min_samples_leaf)
+                                & (np.array(depths) < depth_cap)).tolist():
+            impurity = 1.0 - float(np.dot(means[j], means[j]))  # Gini
+            if impurity > 0.0:
+                search.append(j)
+                impurities.append(impurity)
+                candidates.append(np.sort(rngs[live[j]].choice(
+                    n_features, size=max_features, replace=False)) if draw else every)
+        feature, threshold = np.full(len(live), _NO_FEATURE), np.zeros(len(live))
+        splits = _gini_splits(columns, labels, [rows[j] for j in search], counts[search],
+                              np.array(impurities), np.array(candidates), min_samples_leaf)
+        for j, (gain, thr, feat) in zip(search, splits):
+            if feat != _NO_FEATURE:
+                feature[j], threshold[j] = feat, thr
+                importances[live[j], feat] += (rows[j].size / n_rows) * gain
+                mask = columns[feat].take(rows[j]) <= thr
+                # push right first so the left child is processed (and numbered) next
+                stacks[live[j]] += [(rows[j][~mask], depths[j] + 1, popped + j, False),
+                                    (rows[j][mask], depths[j] + 1, popped + j, True)]
+        steps.append((live, ids, parents, sides, feature, threshold, means))
+        popped += len(live)
+
+    tree, ids, parents, sides, feature, threshold, value = map(np.concatenate, zip(*steps))
+    left, right, child = np.full(tree.size, -1), np.full(tree.size, -1), parents >= 0
+    left[parents[sides]] = ids[sides]  # a root is no left child
+    right[parents[child & ~sides]] = ids[child & ~sides]
+    # each tree's nodes were popped in the order of their ids
+    by_tree = np.split(np.argsort(tree, kind="stable"), np.cumsum(n_nodes)[:-1])
+    return [TreeNodes(feature[i], threshold[i], left[i], right[i], value[i], imp)
+            for i, imp in zip(by_tree, importances)]
+
+
+def _gini_splits(columns: np.ndarray, labels: np.ndarray, rows: list, counts: np.ndarray,
+                 parents: np.ndarray, candidates: np.ndarray, min_samples_leaf: int) -> list:
+    """Best (gain, threshold, feature) of each node i, with rows ``rows[i]``
+    of X (in sample order), class ``counts[i]`` and Gini impurity
+    ``parents[i]``, among columns ``candidates[i]``; gain 0.0 means no split.
+    ``columns`` is X transposed with a NaN after each column and ``labels``
+    the rows' classes, -1 for that padding row. Each block of nodes, largest
+    first, is padded to its largest node's rows, so one stable sort and one
+    integer cumulative sum (a bit field per class) serve all its rows."""
+    stride, n_classes = columns.shape[1], counts.shape[1]
+    sizes = np.array([r.size for r in rows], dtype=np.int64)
+    bits = int(sizes.max(initial=1)).bit_length()  # a field holds any count in a node
+    per_word = 63 // bits
+    word, place = np.divmod(labels, per_word)  # the padding row is in no word
+    codes = [np.where(word == w, np.left_shift(1, bits * place), 0)
+             for w in range(-(-n_classes // per_word))]
+    class_word, class_place = np.divmod(np.arange(n_classes), per_word)
+    lo = min_samples_leaf - 1
+    best = [(0.0, 0.0, _NO_FEATURE)] * len(rows)
+    by_size, done = np.argsort(-sizes, kind="stable"), 0
+    while done < len(rows):
+        m = int(sizes[by_size[done]])  # the block's largest node
+        per_node = candidates.shape[1] * m * n_classes
+        group = by_size[done : done + max(1, _BLOCK_ELEMENTS // per_node)]
+        done += group.size
+        n, group_counts, group_parents = sizes[group], counts[group], parents[group]
+        padded = np.full((group.size, m), stride - 1)
+        padded[np.arange(m) < n[:, None]] = np.concatenate([rows[i] for i in group])
+        # split after sorted position p = lo + q, valid for q < n - 2 * min_samples_leaf + 1
+        hi = m - min_samples_leaf
+        window = np.arange(hi - lo) < (n - 2 * min_samples_leaf + 1)[:, None, None]
+        width = max(1, _BLOCK_ELEMENTS // (group.size * m * n_classes))
+        for start in range(0, candidates.shape[1], width):
+            cols = candidates[group, start : start + width]
+            g, w = cols.shape
+            values = columns.take(cols[:, :, None] * stride + padded[:, None, :])
+            order = np.argsort(values, axis=2, kind="stable")
+            sv = values.take(order + (np.arange(g * w) * m).reshape(g, w, 1))
+            flat = np.flatnonzero((sv[:, :, lo:hi] < sv[:, :, lo + 1 : hi + 1]) & window)
+            if not flat.size:
+                continue
+            row, q = np.divmod(flat, hi - lo)  # row: the (node, column) pair
+            node, at = row // w, row * m + (q + lo)
+            sorted_rows = padded.take(order + (np.arange(g) * m).reshape(g, 1, 1))
+            packed = np.stack([np.cumsum(code.take(sorted_rows), axis=2).take(at)
+                               for code in codes], axis=1)
+            left = (packed[:, class_word] >> bits * class_place) & ((1 << bits) - 1)
+            right = group_counts[node] - left
+            sizes_left = q + min_samples_leaf
+            sizes_right = n[node] - sizes_left
+            impurity_left = 1.0 - np.add.reduce((left / sizes_left[:, None]) ** 2, axis=1)
+            impurity_right = 1.0 - np.add.reduce((right / sizes_right[:, None]) ** 2, axis=1)
+            weighted = (sizes_left * impurity_left + sizes_right * impurity_right) / n[node]
+            gains = np.full((g * w, hi - lo), -np.inf)
+            gains.ravel()[flat] = group_parents[node] - weighted
+            rows_best = np.argmax(gains, axis=1)  # first max: lowest threshold wins ties
+            col_gains = gains[np.arange(g * w), rows_best].reshape(g, w)
+            col_gains = np.where(np.isfinite(col_gains) & (col_gains > 0.0), col_gains, 0.0)
+            col = np.argmax(col_gains, axis=1)  # first max: lowest feature wins ties
+            gain, feat = col_gains[np.arange(g), col], cols[np.arange(g), col]
+            r = lo + rows_best.reshape(g, w)[np.arange(g), col]
+            a, b = sv[np.arange(g), col, r], sv[np.arange(g), col, r + 1]
+            for k, i in enumerate(group.tolist()):
+                if gain[k] > best[i][0]:
+                    best[i] = (float(gain[k]), _threshold(a[k], b[k]), int(feat[k]))
+    return best
 
 
 def _partition(carried, goes_left, idx, mask):

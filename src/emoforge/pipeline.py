@@ -23,6 +23,7 @@ import numpy as np
 from ._blas import single_blas_thread
 from .audio_features import (
     AUDIO_FEATURE_NAMES,
+    FRAME_FEATURE_NAMES,
     FrameConfig,
     _check_window,
     extract_audio_features,
@@ -194,14 +195,15 @@ def _blocks(setting: str) -> tuple[str, ...]:
 
 def _check_design(
     kind: str, setting: str, class_mode: str, input_mode: str, hyperparams: dict, l_harm: int,
-    has_vocab: bool,
+    vocab: Optional[Vocabulary] = None, feature_dim: Optional[int] = None,
 ) -> None:
     """Raise ConfigError unless a bundle can have this design: known setting,
     kind and class mode; an input mode the kind takes in that setting (and
-    that an lstm's ``input_mode`` hyperparameter, if given, names); a
-    vocabulary exactly when the setting reads text; an ``l_harm`` the harmonic
-    median filter takes; hyperparameters that every member applies
-    (``_configure_members``). ModelBundle and ExperimentConfig both run it."""
+    that an lstm's ``input_mode`` hyperparameter, if given, names); an
+    ``l_harm`` the harmonic median filter takes; hyperparameters that every
+    member applies (``_configure_members``); and, for a ModelBundle, a
+    vocabulary exactly when the setting reads text and a ``feature_dim`` that
+    is its input's width (ExperimentConfig checks before either exists)."""
     blocks = _blocks(setting)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -213,10 +215,17 @@ def _check_design(
         raise ConfigError(f"lstm hyperparameter input_mode does not fit {input_mode} input")
     if input_mode == "frames" and blocks != ("audio",):
         raise ConfigError("frame-sequence input requires the audio_only setting")
-    if has_vocab != ("text" in blocks):
-        need = "takes no" if has_vocab else "needs a"
-        raise ConfigError(f"setting {setting!r} {need} vocabulary")
     _check_window(l_harm)
+    if feature_dim is None:
+        return
+    if (vocab is not None) != ("text" in blocks):
+        need = "takes no" if vocab is not None else "needs a"
+        raise ConfigError(f"setting {setting!r} {need} vocabulary")
+    width = len(FRAME_FEATURE_NAMES) if input_mode == "frames" else sum(
+        len(AUDIO_FEATURE_NAMES) if block == "audio" else len(vocab) for block in blocks)
+    if feature_dim != width:
+        raise ConfigError(f"feature_dim {feature_dim} is not the {width} columns of "
+                          f"{input_mode} input in setting {setting!r}")
 
 
 def _requested_input_mode(kind: str, hyperparams: dict) -> str:
@@ -246,7 +255,7 @@ class ModelBundle:
 
     def __post_init__(self):
         _check_design(self.kind, self.setting, self.class_mode, self.input_mode,
-                      self.hyperparams, self.l_harm, self.vocab is not None)
+                      self.hyperparams, self.l_harm, self.vocab, self.feature_dim)
 
     def features(self, dataset: Dataset):
         """``featurize`` with the bundle's setting, input mode, framing, l_harm and vocab."""
@@ -493,9 +502,6 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise DataError(f"{path}: class names do not match class mode {header['class_mode']!r}")
     if header["combination"] != bundle.combination:
         raise DataError(f"{path}: combination {header['combination']!r} does not fit {kind}")
-    if not 0 <= feature_dim <= max((a.size for a in arrays.values()), default=0):
-        # every model keeps an array with a cell per input column; this bounds the probe below
-        raise DataError(f"{path}: feature_dim {feature_dim} is larger than any array")
     members, stored = _members(bundle), header["members"]
     if len(stored) != len(members):
         raise DataError(f"{path}: {len(stored)} members, not the {len(members)} of a {kind} model")
@@ -726,12 +732,9 @@ class ExperimentConfig:
         self.manifest = Path(self.manifest)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
-        # the run fits a vocabulary exactly when its setting reads text
-        _check_design(
-            self.model_kind, self.setting, self.class_mode,
-            _requested_input_mode(self.model_kind, self.hyperparams), self.hyperparams,
-            self.l_harm, "text" in _blocks(self.setting),
-        )
+        _check_design(self.model_kind, self.setting, self.class_mode,
+                      _requested_input_mode(self.model_kind, self.hyperparams), self.hyperparams,
+                      self.l_harm)
         # checked here too, so a run that skips the split or the upsampling records no bad value
         _check_train_fraction(self.train_fraction)
         _check_rho(self.upsample_rho)

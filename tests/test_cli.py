@@ -705,6 +705,9 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h["members"][0]["meta"].update(bootstrap=False), 3, "rf"),
     (lambda h: h.update(seed=h["seed"] + 1), 3, "rf"),
     (lambda h: h["hyperparameters"].update(xgb={"n_rounds": 7, "max_depth": 9}), 3, "e2"),
+    # a width that is not the eight clip features of an audio_only tree model
+    (lambda h: h.update(feature_dim=4), 3, "rf"),
+    (lambda h: h.update(feature_dim=9), 3, "rf"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -719,7 +722,8 @@ def _edit_header(model: Path, edit) -> bytes:
         "frame-length-zero", "hop-length-above-frame", "l_harm-zero", "e2-hp-stray-scope",
         "e2-hp-scope-not-object", "e2-hp-nan", "rf-hp-max-depth-zero", "rf-hp-edited",
         "e2-mlp-scaler-null", "e2-mlp-scaler-minmax", "rf-member-seed-edited",
-        "rf-bootstrap-false", "rf-bundle-seed-edited", "e2-xgb-hp-edited"])
+        "rf-bootstrap-false", "rf-bundle-seed-edited", "e2-xgb-hp-edited", "rf-feature-dim-4",
+        "rf-feature-dim-9"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model

@@ -34,7 +34,7 @@ from emoforge.text_features import fit_vocabulary
 from conftest import make_tone
 
 
-def toy_matrix(seed=0, n=90, d=10, classes=3):
+def toy_matrix(seed=0, n=90, d=8, classes=3):  # audio_only rows: the eight clip features
     rng = np.random.default_rng(seed)
     y = rng.integers(0, classes, size=n)
     X = rng.normal(size=(n, d)) + 2.0 * y[:, None] * (np.arange(d) == 0)
@@ -283,6 +283,27 @@ def test_train_bundle_rejects_design_before_fitting(no_fit, kind, frames, change
                                     **change})
 
 
+@pytest.mark.parametrize("kind, setting, width, frames", [
+    ("rf", "audio_only", 9, False),
+    ("xgb", "audio_only", 4, False),
+    ("e1", "audio_text", 8, False),
+    ("mnb", "text_only", len(VOCAB) + 1, False),
+    ("lstm", "audio_only", 8, True),
+], ids=["audio-only-9", "audio-only-4", "audio-text-without-text", "text-only-extra-column",
+        "frames-8"])
+def test_train_bundle_rejects_input_width_before_fitting(no_fit, kind, setting, width, frames):
+    # feature_dim must be the width the setting, input mode and vocabulary give
+    rng = np.random.default_rng(0)
+    y = np.arange(12) % 3
+    X = ([np.abs(rng.normal(size=(4, width))) for _ in y] if frames
+         else np.abs(rng.normal(size=(len(y), width))))
+    members = ENSEMBLE_MEMBERS.get(kind)
+    hp = LIGHT_HP[kind] if members is None else {m: LIGHT_HP[m] for m in members}
+    with pytest.raises(ConfigError, match="feature_dim"):
+        train_bundle(kind, X, y, setting=setting, class_mode="six", seed=0, hyperparams=hp,
+                     vocab=None if setting == "audio_only" else VOCAB)
+
+
 # --- soft vote
 
 
@@ -294,30 +315,30 @@ class FixedProba:
         return np.tile(self.proba, (len(X), 1))
 
 
-def soft_vote(members, feature_dim=1):
+def soft_vote(members):
     return ModelBundle(
-        kind="e1", setting="audio_only", class_mode="six", seed=0, feature_dim=feature_dim,
+        kind="e1", setting="audio_only", class_mode="six", seed=0, feature_dim=8,
         members=[_Member(kind="rf", classifier=m) for m in members],
         hyperparams={},
     )
 
 
 def test_soft_vote_two_opposed_members_tie_break_to_lowest_index():
-    bundle = soft_vote([FixedProba([1.0, 0.0]), FixedProba([0.0, 1.0])], feature_dim=2)
-    X = np.zeros((3, 2))
+    bundle = soft_vote([FixedProba([1.0, 0.0]), FixedProba([0.0, 1.0])])
+    X = np.zeros((3, 8))
     assert np.allclose(bundle.predict_proba(X), 0.5)
     assert np.array_equal(bundle.predict(X), [0, 0, 0])
 
 
 def test_soft_vote_identical_members_equal_any_member():
     member = FixedProba([0.2, 0.5, 0.3])
-    proba = soft_vote([member, member, member]).predict_proba(np.zeros((4, 1)))
-    assert np.allclose(proba, member.predict_proba(np.zeros((4, 1))))
+    proba = soft_vote([member, member, member]).predict_proba(np.zeros((4, 8)))
+    assert np.allclose(proba, member.predict_proba(np.zeros((4, 8))))
 
 
 def test_soft_vote_three_member_mean_hand_computed():
     rows = [[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.1, 0.8, 0.1]]
-    proba = soft_vote([FixedProba(r) for r in rows]).predict_proba(np.zeros((1, 1)))[0]
+    proba = soft_vote([FixedProba(r) for r in rows]).predict_proba(np.zeros((1, 8)))[0]
     expected = (np.array(rows[0]) + np.array(rows[1]) + np.array(rows[2])) / 3
     assert np.allclose(proba, expected, atol=1e-12)
 
@@ -334,14 +355,14 @@ def test_soft_vote_argmax_invariant_under_common_rescaling():
             return self.k * self.rows
 
     for k in (0.5, 2.0, 10.0):
-        plain = soft_vote([Scaled(r, 1.0) for r in base]).predict(np.zeros((6, 1)))
-        scaled = soft_vote([Scaled(r, k) for r in base]).predict(np.zeros((6, 1)))
+        plain = soft_vote([Scaled(r, 1.0) for r in base]).predict(np.zeros((6, 8)))
+        scaled = soft_vote([Scaled(r, k) for r in base]).predict(np.zeros((6, 8)))
         assert np.array_equal(plain, scaled)
 
 
 def test_soft_vote_bundle_interface():
-    bundle = soft_vote([FixedProba([0.7, 0.3]), FixedProba([0.4, 0.6])], feature_dim=3)
-    X = np.zeros((2, 3))
+    bundle = soft_vote([FixedProba([0.7, 0.3]), FixedProba([0.4, 0.6])])
+    X = np.zeros((2, 8))
     assert np.allclose(bundle.predict_proba(X), [[0.55, 0.45], [0.55, 0.45]])
     assert np.array_equal(bundle.predict(X), [0, 0])
 

@@ -119,6 +119,23 @@ def test_forest_importances_cover_features():
     assert (imp >= 0).all() and imp.sum() > 0
 
 
+@pytest.mark.parametrize("max_features", [0, -1, 2.5, "log2", True],
+                         ids=["zero", "negative", "fraction", "log2", "bool"])
+def test_forest_rejects_max_features_other_than_sqrt_none_or_positive_int(max_features):
+    with pytest.raises(ParameterError, match="max_features"):
+        RandomForest(max_features=max_features)
+
+
+def test_forest_max_features_takes_ints_and_caps_at_the_width():
+    X, y = make_3class_blobs(n=30)
+    one = RandomForest(n_trees=3, max_features=np.int64(1), seed=2).fit(X, y)
+    assert one.packed_["feature"].max() >= 0
+    every = RandomForest(n_trees=3, max_features=None, seed=2).fit(X, y).packed_
+    wide = RandomForest(n_trees=3, max_features=5, seed=2).fit(X, y).packed_
+    for name, array in every.items():
+        assert np.array_equal(wide[name], array), name
+
+
 # --- gradient boosting
 
 
@@ -146,7 +163,7 @@ def test_tree_models_reject_min_samples_leaf_below_one(min_samples_leaf):
     with pytest.raises(ParameterError, match="min_samples_leaf"):
         RandomForest(min_samples_leaf=min_samples_leaf)
     with pytest.raises(ParameterError, match="min_samples_leaf"):
-        grow_tree(X, y, task="classification", n_classes=2, min_samples_leaf=min_samples_leaf)
+        grow_tree(X, y, presort(X), min_samples_leaf=min_samples_leaf)
 
 
 def test_boosting_single_round_beats_chance_on_xor():
@@ -389,19 +406,24 @@ def assert_same_tree(a, b):
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
 
 
-def grow_both_ways(X, y, seed=0, **kwargs):
-    """grow_tree sorting at every node and grow_tree on presort(X), each with
-    an rng seeded with ``seed``, after checking that each reports every row's
-    leaf value as the traversal finds it."""
-    trees = []
-    width = kwargs["n_classes"] if kwargs["task"] == "classification" else 1
-    for presorted in (None, presort(X)):
-        leaves = np.full((X.shape[0], width), np.nan)
-        tree = grow_tree(X, y, rng=np.random.default_rng(seed), presorted=presorted,
-                         leaves=leaves, **kwargs)
-        assert np.array_equal(leaves, leaf_values(pack_trees([tree]), X)[:, 0])
-        trees.append(tree)
-    return trees
+def grow(X, y, seed=0, task="classification", n_classes=3, max_depth=None, min_samples_leaf=1,
+         max_features=None):
+    """The tree that the grower for ``task`` makes: the forest's lockstep
+    grower as a one-tree forest on every row, whose generator is
+    default_rng(seed) as the oracle's is, for classification; for regression
+    (which draws no features) grow_tree on presort(X), after checking that it
+    reports every row's leaf value as the traversal finds it."""
+    if task == "classification":
+        forest = RandomForest(n_trees=1, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                              seed=seed, bootstrap=False, max_features=max_features,
+                              n_classes=n_classes)
+        return forest.fit(X, y).trees_[0]
+    assert max_features is None
+    leaves = np.full((X.shape[0], 1), np.nan)
+    tree = grow_tree(X, y, presort(X), max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                     leaves=leaves)
+    assert np.array_equal(leaves, leaf_values(pack_trees([tree]), X)[:, 0])
+    return tree
 
 
 def assert_matches_oracle(problem, task, min_samples_leaf, max_features, seed):
@@ -409,23 +431,25 @@ def assert_matches_oracle(problem, task, min_samples_leaf, max_features, seed):
     kwargs = dict(task=task, n_classes=3, max_depth=None if seed % 2 else 4,
                   min_samples_leaf=min_samples_leaf, max_features=max_features)
     old = reference_grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
-    for new in grow_both_ways(X, y, seed, **kwargs):
-        assert new.n_nodes > 1
-        assert_same_tree(new, old)
+    new = grow(X, y, seed, **kwargs)
+    assert new.n_nodes > 1
+    assert_same_tree(new, old)
 
 
-@pytest.mark.parametrize("task", ["classification", "regression"])
+# forests draw max_features columns per node; boosting's regression trees draw none
+GROWERS = [("classification", None), ("classification", 3), ("regression", None)]
+
+
+@pytest.mark.parametrize("task, max_features", GROWERS)
 @pytest.mark.parametrize("min_samples_leaf", [1, 3])
-@pytest.mark.parametrize("max_features", [None, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grow_tree_matches_per_feature_oracle(task, min_samples_leaf, max_features, seed):
     assert_matches_oracle("mixed", task, min_samples_leaf, max_features, seed)
 
 
 @pytest.mark.parametrize("problem", ["tfidf", "upsampled"])
-@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("task, max_features", GROWERS)
 @pytest.mark.parametrize("min_samples_leaf", [1, 3])
-@pytest.mark.parametrize("max_features", [None, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grow_tree_on_tfidf_and_upsampled_rows_matches_oracle(problem, task, min_samples_leaf,
                                                               max_features, seed):
@@ -440,8 +464,7 @@ def assert_blocks_match_oracle(problem, task, monkeypatch):
     X, y = PROBLEMS[problem](5, task, n=60, d=9)
     monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", 60 * 3 * 2)
     old = reference_grow_tree(X, y, task=task, n_classes=3)
-    for new in grow_both_ways(X, y, task=task, n_classes=3):
-        assert_same_tree(new, old)
+    assert_same_tree(grow(X, y, task=task, n_classes=3), old)
 
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
@@ -487,19 +510,28 @@ def test_boosting_matches_per_tree_loop(problem, min_samples_leaf):
     assert model.train_loss_history_ == history
 
 
-def reference_forest_fit(X, y, n_classes, n_trees, seed, min_samples_leaf):
-    """RandomForest.fit with its defaults (bootstrap, ceil(sqrt(d)) drawn
-    columns per node, depth 16) as a loop that grows each tree with the
-    per-feature oracle on the same bootstrap draw; returns the packed trees."""
+def reference_forest_fit(X, y, n_classes, n_trees, seed, min_samples_leaf=1, max_depth=16,
+                         bootstrap=True, max_features="sqrt"):
+    """RandomForest.fit (by default bootstrap, ceil(sqrt(d)) drawn columns per
+    node, depth 16) as a loop that grows each tree with the per-feature oracle
+    on a copy of its bootstrap rows; returns the packed trees."""
+    if max_features == "sqrt":
+        max_features = math.ceil(math.sqrt(X.shape[1]))
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(seed + t)
-        sample = rng.integers(0, X.shape[0], size=X.shape[0])
+        sample = rng.integers(0, X.shape[0], size=X.shape[0]) if bootstrap else slice(None)
         trees.append(reference_grow_tree(
-            X[sample], y[sample], task="classification", n_classes=n_classes, max_depth=16,
-            min_samples_leaf=min_samples_leaf, max_features=math.ceil(math.sqrt(X.shape[1])),
+            X[sample], y[sample], task="classification", n_classes=n_classes,
+            max_depth=max_depth, min_samples_leaf=min_samples_leaf, max_features=max_features,
             rng=rng))
     return pack_trees(trees)
+
+
+def assert_same_packed(model, packed):
+    for name, array in packed.items():
+        assert np.array_equal(model.packed_[name], array), name
+        assert model.packed_[name].dtype == array.dtype, name
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
@@ -510,9 +542,36 @@ def test_forest_matches_per_tree_loop(problem, min_samples_leaf):
     packed = reference_forest_fit(X, y, n_classes=3, n_trees=5, seed=3,
                                   min_samples_leaf=min_samples_leaf)
     assert max(np.diff(packed["offsets"])) > 7
-    for name, array in packed.items():
-        assert np.array_equal(model.packed_[name], array), name
-        assert model.packed_[name].dtype == array.dtype, name
+    assert_same_packed(model, packed)
+
+
+# the lockstep grower against the per-tree loop: 24 unbounded trees that end
+# at different steps; leaves of at least 3 rows; classes beyond the labels;
+# every row and column; and batches that the block size splits into groups of
+# two nodes (90 rows x 3 drawn columns x 3 classes each) or into one column
+# of one node at a time
+LOCKSTEP_CASES = {
+    "deep": ({"n_trees": 24, "max_depth": None}, None),
+    "min-leaf-3": ({"n_trees": 8, "min_samples_leaf": 3}, None),
+    "unseen-classes": ({"n_trees": 8, "n_classes": 5}, None),
+    "all-rows-and-columns": ({"n_trees": 3, "bootstrap": False, "max_features": None}, None),
+    "node-blocks": ({"n_trees": 8}, 2 * 90 * 3 * 3),
+    "column-blocks": ({"n_trees": 8, "max_depth": None}, 400),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_forest_matches_per_tree_loop(problem, case, monkeypatch):
+    kwargs, block = LOCKSTEP_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", block)
+    X, y = PROBLEMS[problem](4, "classification")
+    kwargs = {"seed": 11, "n_classes": 3, **kwargs}
+    model = RandomForest(**kwargs).fit(X, y)
+    sizes = np.diff(model.packed_["offsets"])
+    assert sizes.max() > 7 and (case != "deep" or np.unique(sizes).size > 5)
+    assert_same_packed(model, reference_forest_fit(X, y, **kwargs))
 
 
 def test_boosting_partitions_shares_only_for_searched_children(monkeypatch):
@@ -528,26 +587,65 @@ def test_boosting_partitions_shares_only_for_searched_children(monkeypatch):
     assert len(calls) == 2 * 3  # each tree's root split, whose children are searched
 
 
-@pytest.mark.parametrize("block", [None, 1 << 14], ids=["default-blocks", "small-blocks"])
+def wide_problem():
+    """A 300 x 2000 TFIDF-like matrix with three classes, after a small fit of
+    each tree model has done the first-call imports."""
+    rng = np.random.default_rng(0)
+    X = np.where(rng.random((300, 2000)) < 0.9, 0.0, rng.choice([0.4, 0.9, 1.4], size=(300, 2000)))
+    y = rng.integers(0, 3, size=300)
+    GradientBoosting(n_rounds=1, max_depth=1).fit(X[:30, :4], y[:30])
+    RandomForest(n_trees=1, max_depth=1).fit(X[:30, :4], y[:30])
+    return X, y
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+BLOCKS = pytest.mark.parametrize("block", [None, 1 << 14], ids=["default-blocks", "small-blocks"])
+
+
+@BLOCKS
 def test_boosting_working_set_within_stated_bound(monkeypatch, block):
     # the bound in the tree module's docstring: 4.5 x X.nbytes of presorted
     # shares plus about twenty arrays of one column block; a forest holds no
     # presort and stays well within it
     if block is not None:
         monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", block)
-    rng = np.random.default_rng(0)
-    X = np.where(rng.random((300, 2000)) < 0.9, 0.0, rng.choice([0.4, 0.9, 1.4], size=(300, 2000)))
-    y = rng.integers(0, 3, size=300)
-    GradientBoosting(n_rounds=1, max_depth=1).fit(X[:30, :4], y[:30])  # first-call imports
-    RandomForest(n_trees=1, max_depth=1).fit(X[:30, :4], y[:30])
+    X, y = wide_problem()
     for model in (GradientBoosting(n_rounds=1, max_depth=3), RandomForest(n_trees=2)):
-        tracemalloc.start()
-        try:
-            model.fit(X, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: model.fit(X, y))
         assert peak <= 4.5 * X.nbytes + 20 * 8 * tree_module._BLOCK_ELEMENTS, type(model)
+
+
+@BLOCKS
+def test_presort_peak_within_stated_bound(monkeypatch, block):
+    # the kept presort (int32 rows and float64 values) is 1.5 x X.nbytes, and
+    # sorting a block of columns at a time adds its int64 order and its
+    # gathered values; an int64 order of the whole matrix peaked at 2.5 x,
+    # above this bound with small blocks
+    if block is not None:
+        monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", block)
+    X, _ = wide_problem()
+    peak = traced_peak(lambda: presort(X))
+    assert peak <= 1.5 * X.nbytes + 3 * 8 * tree_module._BLOCK_ELEMENTS
+
+
+@BLOCKS
+def test_forest_working_set_does_not_grow_with_trees(monkeypatch, block):
+    # every tree reads X through its sample rows, so a fit holds one copy of X
+    # (transposed, for the split search) plus one block's arrays however many
+    # trees it grows; a bootstrap copy of X per tree would take 100 x X.nbytes
+    if block is not None:
+        monkeypatch.setattr(tree_module, "_BLOCK_ELEMENTS", block)
+    X, y = wide_problem()
+    peak = traced_peak(lambda: RandomForest(n_trees=100, max_depth=3).fit(X, y))
+    assert peak <= 1.5 * X.nbytes + 20 * 8 * tree_module._BLOCK_ELEMENTS
 
 
 # --- oracle: the per-tree walk that the one traversal of the packed arrays replaced
@@ -660,7 +758,7 @@ def test_leaf_sums_add_in_tree_order():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 3))
     trees = [grow_tree(X, rng.normal(size=40) * 10.0 ** rng.integers(-8, 8, size=40),
-                       task="regression", max_depth=2) for _ in range(30)]
+                       presort(X), max_depth=2) for _ in range(30)]
     want = np.zeros((40, 1))
     for tree in trees:
         want += 0.3 * reference_apply(tree, X)
@@ -670,7 +768,7 @@ def test_leaf_sums_add_in_tree_order():
 
 @pytest.mark.parametrize("kind", ["rf", "xgb"])
 def test_traversal_after_bundle_roundtrip_matches_oracle(tmp_path, kind):
-    X, y = oracle_problem(7, "classification")
+    X, y = oracle_problem(7, "classification", d=8)  # audio_only rows
     hp = {"rf": {"n_trees": 12}, "xgb": {"n_rounds": 8}}[kind]
     bundle = train_bundle(kind, X, y, setting="audio_only", class_mode="six", seed=3,
                           hyperparams=hp)
@@ -740,8 +838,8 @@ def assert_sound_tree(tree, X):
 
 def edge_models(X, y, max_depth):
     return [
-        grow_tree(X, y, task="classification", n_classes=2, max_depth=max_depth),
-        grow_tree(X, y - 0.5, task="regression", max_depth=max_depth),
+        plain_tree(max_depth=max_depth).fit(X, y).trees_[0],
+        grow_tree(X, y - 0.5, presort(X), max_depth=max_depth),
         *RandomForest(n_trees=6, max_depth=max_depth, seed=1).fit(X, y).trees_,
         *sum(GradientBoosting(n_rounds=3, max_depth=max_depth, seed=1).fit(X, y).trees_, []),
     ]
@@ -758,27 +856,29 @@ def test_thresholds_between_edge_values_keep_both_children(pair):
     assert on_column_0 and all(t == a for t in on_column_0)
 
 
-def test_unbounded_trees_end_between_infinities(monkeypatch):
+@pytest.mark.parametrize("search", ["_best_splits", "_gini_splits"])
+def test_unbounded_trees_end_between_infinities(monkeypatch, search):
     calls = []
-    best_splits = tree_module._best_splits
+    best_splits = getattr(tree_module, search)
 
     def counted(*args):  # a tree that empties a child keeps splitting forever
         calls.append(1)
         assert len(calls) < 10_000
         return best_splits(*args)
 
-    monkeypatch.setattr(tree_module, "_best_splits", counted)
+    monkeypatch.setattr(tree_module, search, counted)
     X, y = edge_problem(-np.inf, np.inf)
     for tree in edge_models(X, y, max_depth=None):
         assert_sound_tree(tree, X)
-    tree = grow_tree(np.array([[-np.inf], [np.inf]] * 2), [0, 1, 0, 1], task="classification",
-                     n_classes=2, max_depth=None)
+    assert calls
+    tree = plain_tree(max_depth=None).fit(np.array([[-np.inf], [np.inf]] * 2),
+                                          np.array([0, 1, 0, 1])).trees_[0]
     assert tree.threshold.tolist() == [-np.inf, 0.0, 0.0]
     assert tree.value.tolist() == [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_midpoint_thresholds_are_unchanged_inside_the_interval():
     X = np.array([[0.0], [1.0], [3.0], [3.0 + 2**-50]])
-    tree = grow_tree(X, [0, 1, 1, 0], task="classification", n_classes=2, max_depth=None)
+    tree = plain_tree(max_depth=None).fit(X, np.array([0, 1, 1, 0])).trees_[0]
     # 3 + 2**-51 lies one ulp above 3 and one below 3 + 2**-50
     assert tree.threshold[tree.feature == 0].tolist() == [0.5, 3.0 + 2**-51]
