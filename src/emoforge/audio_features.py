@@ -51,6 +51,7 @@ FRAME_FEATURE_NAMES = (
 _MAX_MEDIAN_WINDOW = 1 << 16
 _BLOCK_ELEMENTS = 1 << 18  # sorted-core float64s per block of the median filter
 _PITCH_BLOCK_POINTS = 1 << 16  # FFT points per block of the pitch kernel
+PAUSE_FACTOR = 0.4  # a pause is quieter than this times the clip energy
 
 
 @dataclass(frozen=True)
@@ -481,13 +482,13 @@ def clip_energy(clip: AudioClip) -> float:
     return float(np.sqrt(np.mean(clip.samples**2)))
 
 
-def pause_ratio(clip: AudioClip, threshold_factor: float = 0.4) -> float:
-    """Fraction of samples whose magnitude falls below 0.4x the clip energy.
+def pause_ratio(clip: AudioClip) -> float:
+    """Fraction of samples whose magnitude is below PAUSE_FACTOR x clip energy.
 
     A silent clip has zero energy and therefore ratio 0: no sample is
     strictly below a zero threshold.
     """
-    t = threshold_factor * clip_energy(clip)
+    t = PAUSE_FACTOR * clip_energy(clip)
     return float(np.mean(np.abs(clip.samples) < t))
 
 
@@ -531,11 +532,11 @@ def extract_frame_sequence(
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
 ) -> FrameFeatureSequence:
     """Per-frame 6-vectors: pitch peak, RMSE, harmonic mean of the frame,
-    pause indicator (frame RMSE below 0.4x clip energy), amplitude mean/std."""
+    pause indicator (frame RMSE below PAUSE_FACTOR x clip energy), amplitude mean/std."""
     frames, peaks, (_, harmonic_per_frame), (_, _, rmse_per_frame) = _analyze_clip(
         clip, config, l_harm
     )
-    pause_flags = (rmse_per_frame < 0.4 * clip_energy(clip)).astype(np.float64)
+    pause_flags = (rmse_per_frame < PAUSE_FACTOR * clip_energy(clip)).astype(np.float64)
     vectors = np.column_stack(
         [
             peaks,

@@ -26,7 +26,7 @@ from .ingest import load_manifest
 from .pipeline import (
     SETTINGS,
     ExperimentConfig,
-    _blocks,
+    check_example_inputs,
     features_csv,
     importance_csv,
     load_bundle,
@@ -194,11 +194,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     bundle = load_bundle(args.model)
-    blocks = _blocks(bundle.setting)
-    for block, flag, given in (("audio", "--wav", args.wav), ("text", "--text", args.text)):
-        if (given is not None) != (block in blocks):  # checked before any WAV is decoded
-            need = "requires" if given is None else "reads no"
-            raise ConfigError(f"setting {bundle.setting!r} {need} {block} input ({flag})")
+    check_example_inputs(bundle.setting, {"--wav": args.wav, "--text": args.text})
     clip = decode_wav(args.wav) if args.wav is not None else None
     label, probabilities = predict_example(bundle, clip=clip, text=args.text)
     print(json.dumps({"label": label, "probabilities": probabilities}, indent=2))

@@ -4,9 +4,11 @@ Each entry can be overridden per run (library call or ``--hp key=value``
 on the CLI); an ensemble takes one table per member, keyed by member kind.
 Every override is checked against its default's type and its model's range
 before a run reads any WAV, so a value is either applied or rejected. Each
-default but the lstm's ``input_mode``, which the pipeline reads, is also
-its model constructor's default. Seeds are never stored here: they are part
-of the experiment configuration, and sub-seeds are derived from the
+model constructor takes exactly these defaults (but the lstm's
+``input_mode``, which the pipeline reads), plus ``n_classes``, a ``seed``
+where the model draws (rf, svm, mlp, lstm) and rf's library-only
+``bootstrap`` and ``max_features``. Seeds are never stored here: they are
+part of the experiment configuration, and sub-seeds are derived from the
 experiment seed with the fixed offsets below so reruns are reproducible.
 """
 

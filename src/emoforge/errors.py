@@ -43,7 +43,7 @@ class UnknownLabelError(DataError):
 
 
 class DegenerateClassError(DataError):
-    """A class that must be present has no examples."""
+    """A dataset that must hold examples holds none."""
 
 
 class DegenerateLabelError(DataError):

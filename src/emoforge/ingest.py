@@ -262,19 +262,14 @@ def split_by_hint(dataset_entries: list[ManifestEntry]) -> tuple[list[ManifestEn
     return train, test
 
 
-def upsample(
-    dataset: Dataset,
-    seed: int,
-    rho: float = 0.5,
-    expected_classes: Optional[tuple[EmotionLabel, ...]] = None,
-) -> Dataset:
+def upsample(dataset: Dataset, seed: int, rho: float = 0.5) -> Dataset:
     """Grow minority classes by seeded duplication.
 
-    Each class is brought up to at least ceil(rho * max class count) by
-    sampling its own examples uniformly with replacement. Original examples
-    are all kept, in their original order, with duplicates appended grouped
-    by class in canonical class order. ``expected_classes`` (defaults to the
-    classes observed) must each have at least one example.
+    Each class present is brought up to at least ceil(rho * max class count)
+    by sampling its own examples uniformly with replacement; a class with no
+    examples stays empty. Original examples are all kept, in their original
+    order, with duplicates appended grouped by class in canonical class
+    order. An empty dataset raises DegenerateClassError.
     """
     _check_rho(rho)
     if len(dataset) == 0:
@@ -282,11 +277,6 @@ def upsample(
 
     counts = class_histogram(dataset)
     present = [label for label in dataset.classes if counts[label] > 0]
-    required = expected_classes if expected_classes is not None else tuple(present)
-    for label in required:
-        if counts[label] == 0:
-            raise DegenerateClassError(f"class {label.value} has no examples")
-
     max_count = max(counts[label] for label in present)
     target = math.ceil(rho * max_count)
     rng = np.random.default_rng(seed)
@@ -296,9 +286,7 @@ def upsample(
         by_class[ex.label].append(i)
 
     extra: list[Example] = []
-    for label in dataset.classes:
-        if label not in by_class:
-            continue
+    for label in present:
         deficit = target - counts[label]
         if deficit <= 0:
             continue

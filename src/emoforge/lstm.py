@@ -5,7 +5,7 @@ One recurrent cell with logistic-sigmoid input/forget/output gates and tanh
 candidate and output nonlinearities (Hochreiter & Schmidhuber 1997), a
 softmax projection of the final hidden state, inverted dropout on that state
 during training, gradient-norm clipping, and early stopping on a held-out
-validation slice.
+validation slice, a fixed 10 % of the sequences (at least one).
 
 The parameters are five arrays (``LstmParams``): the four gates stacked in
 ``_GATES`` order (forget, input, output, candidate) as W (4*hidden, input),
@@ -329,7 +329,6 @@ class LstmClassifier(ProbabilisticClassifier):
         dropout_rate: float = 0.2,
         clip_threshold: float = 5.0,
         patience: int = 10,
-        validation_fraction: float = 0.1,
         seed: int = 0,
         n_classes: int | None = None,
     ):
@@ -345,8 +344,6 @@ class LstmClassifier(ProbabilisticClassifier):
             raise ParameterError("learning_rate must be > 0")
         if not clip_threshold > 0:
             raise ParameterError("clip_threshold must be > 0")
-        if not 0.0 < validation_fraction < 1.0:
-            raise ParameterError("validation_fraction must lie in (0, 1)")
         if patience < 0:
             raise ParameterError("patience must be >= 0")
         self.hidden_size = hidden_size
@@ -356,7 +353,6 @@ class LstmClassifier(ProbabilisticClassifier):
         self.dropout_rate = dropout_rate
         self.clip_threshold = clip_threshold
         self.patience = patience
-        self.validation_fraction = validation_fraction
         self.seed = seed
         self.n_classes = n_classes
         self.params_: LstmParams | None = None
@@ -395,7 +391,7 @@ class LstmClassifier(ProbabilisticClassifier):
         )
 
         n = len(sequences)
-        n_val = min(max(1, int(round(self.validation_fraction * n))), n - 1)
+        n_val = max(1, round(0.1 * n))  # n >= 2 (two classes), so training keeps one too
         order = rng.permutation(n)
         val_idx, train_idx = order[:n_val], order[n_val:]
         val_seqs = [sequences[i] for i in val_idx]

@@ -23,7 +23,6 @@ class GradientBoosting(ProbabilisticClassifier):
         learning_rate: float = 0.1,
         max_depth: int = 3,
         min_samples_leaf: int = 1,
-        seed: int = 0,
         n_classes: int | None = None,
     ):
         if n_rounds < 1:
@@ -38,7 +37,6 @@ class GradientBoosting(ProbabilisticClassifier):
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.seed = seed
         self.n_classes = n_classes
         self.packed_: dict[str, np.ndarray] | None = None  # the trees, as pack_trees writes them
         self.trees_: list[list[TreeNodes]] = []  # [round][class] views into packed_

@@ -15,14 +15,14 @@ from ..errors import ParameterError
 from .base import ProbabilisticClassifier, check_training_labels, sigmoid
 
 
-def fit_logistic_link(scores: np.ndarray, targets: np.ndarray, ridge: float = 1e-6,
-                      n_iter: int = 100) -> tuple[float, float]:
-    """Fit p = sigmoid(a * score + b) by damped Newton iterations.
+def fit_logistic_link(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
+    """Fit p = sigmoid(a * score + b) by at most 100 damped Newton iterations.
 
     The tiny ridge keeps the fit bounded on separable scores.
     """
+    ridge = 1e-6
     a, b = 1.0, 0.0
-    for _ in range(n_iter):
+    for _ in range(100):
         z = a * scores + b
         p = sigmoid(z)
         w = np.maximum(p * (1.0 - p), 1e-12)
@@ -160,7 +160,6 @@ class LogisticRegression(ProbabilisticClassifier):
         reg: float = 1e-4,
         epochs: int = 300,
         learning_rate: float = 0.5,
-        seed: int = 0,
         n_classes: int | None = None,
     ):
         if reg < 0:
@@ -172,7 +171,6 @@ class LogisticRegression(ProbabilisticClassifier):
         self.reg = reg
         self.epochs = epochs
         self.learning_rate = learning_rate
-        self.seed = seed
         self.n_classes = n_classes
         self.coef_: np.ndarray | None = None
         self.intercept_: np.ndarray | None = None

@@ -1,5 +1,5 @@
-"""Feed-forward network: rectifier hidden layers, softmax cross-entropy,
-mini-batch gradient descent with momentum.
+"""Feed-forward network: ReLU hidden layers (max(z, 0), the only
+activation), softmax cross-entropy, mini-batch gradient descent with momentum.
 
 Hidden weights start uniform in +-1/sqrt(fan_in); the output layer starts at
 zero so an untrained network predicts uniform probabilities and relabeling
@@ -14,20 +14,6 @@ from ..errors import ParameterError
 from .base import ProbabilisticClassifier, check_training_labels, log_loss, one_hot, softmax
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    raise ParameterError(f"unknown activation {kind!r}")
-
-
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - a**2
-
-
 class MlpClassifier(ProbabilisticClassifier):
     def __init__(
         self,
@@ -36,7 +22,6 @@ class MlpClassifier(ProbabilisticClassifier):
         learning_rate: float = 0.05,
         batch_size: int = 32,
         momentum: float = 0.9,
-        activation: str = "relu",
         seed: int = 0,
         n_classes: int | None = None,
     ):
@@ -57,7 +42,6 @@ class MlpClassifier(ProbabilisticClassifier):
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.momentum = momentum
-        self.activation = activation
         self.seed = seed
         self.n_classes = n_classes
         self.weights_: list[np.ndarray] = []
@@ -90,7 +74,7 @@ class MlpClassifier(ProbabilisticClassifier):
         for i, (w, b) in enumerate(zip(self.weights_, self.biases_)):
             z = a @ w.T + b
             zs.append(z)
-            a = z if i == last else _activate(z, self.activation)
+            a = z if i == last else np.maximum(z, 0.0)
             activations.append(a)
         return zs, activations
 
@@ -117,9 +101,7 @@ class MlpClassifier(ProbabilisticClassifier):
             grads_w[i] = delta.T @ activations[i]
             grads_b[i] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self.weights_[i]) * _activate_grad(
-                    zs[i - 1], activations[i], self.activation
-                )
+                delta = (delta @ self.weights_[i]) * (zs[i - 1] > 0.0)
         return grads_w, grads_b
 
     def fit(self, X, y):

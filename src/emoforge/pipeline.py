@@ -88,21 +88,20 @@ _MODEL_CLASSES = {
     "lstm": LstmClassifier,
 }
 
-_SEEDLESS_KINDS = {"mnb"}
 _TREE_KINDS = {"rf", "xgb"}
 _STANDARDIZED_KINDS = {"svm", "lr", "mlp"}
 
 
-def thread_count(requested: int | None = None) -> int:
-    """Worker count for data-parallel stages; EMOFORGE_THREADS caps it."""
-    count = requested if requested is not None else min(4, os.cpu_count() or 1)
+def thread_count() -> int:
+    """Worker count for data-parallel stages: one per core up to four; EMOFORGE_THREADS caps it."""
+    count = min(4, os.cpu_count() or 1)
     cap = os.environ.get("EMOFORGE_THREADS")
     if cap:
         try:
             count = min(count, max(1, int(cap)))
         except ValueError as exc:
             raise ConfigError(f"EMOFORGE_THREADS must be an integer, got {cap!r}") from exc
-    return max(1, count)
+    return count
 
 
 def fuse(audio_vec: np.ndarray, text_vec: np.ndarray) -> np.ndarray:
@@ -314,7 +313,7 @@ def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):
             )
     params.update(hyperparams)
     params.pop("input_mode", None)  # consumed by the pipeline, not the model
-    if kind not in _SEEDLESS_KINDS:
+    if "seed" in _MODEL_CLASSES[kind].state_keys():  # only the models that draw take one
         params["seed"] = seed
     if kind == "mlp":
         sizes = params["hidden_sizes"]
@@ -475,7 +474,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
     DataError, and only an unknown model or member kind ModelError. A member
     that is not a tree model must map ``feature_dim`` columns to one
     probability per class, probed on zero rows (one for the lstm, which takes
-    no empty batch); tree arrays are checked as they are unpacked."""
+    no empty batch); a tree model's arrays are checked as they are unpacked,
+    with ``feature_dim`` importance columns to bound every split feature."""
     header, arrays = load_container(path)
     _require(path, "header", header, _HEADER_KEYS)
     kind, feature_dim, vocab = header["model_kind"], header["feature_dim"], header["vocab"]
@@ -521,7 +521,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 if {scaled["center"].shape, scaled["scale"].shape} != {(scaler.block,)}:
                     raise ValueError(f"scaler arrays do not fit its {scaler.block} columns")
                 scaler.center_, scaler.scale_ = scaled["center"], scaled["scale"]
-            if member.kind not in _TREE_KINDS:
+            if member.kind in _TREE_KINDS:  # importances bound every split feature
+                if member.classifier.packed_["importances"].shape[1] != feature_dim:
+                    raise ValueError(f"tree importances do not have {feature_dim} columns")
+            else:
                 rows = int(member.kind == "lstm")
                 with single_blas_thread():
                     proba = member.predict_proba(np.zeros((rows, feature_dim)))
@@ -742,7 +745,7 @@ class ExperimentConfig:
 
 def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path]]:
     entries = load_manifest(config.manifest)
-    if entries and all(e.split_hint is not None for e in entries):
+    if any(e.split_hint is not None for e in entries):  # split_by_hint rejects a mix
         train_ds, test_ds = (read_dataset(part, config.setting, config.class_mode)
                              for part in split_by_hint(entries))
     else:
@@ -823,15 +826,24 @@ def write_artifacts(
 # --- single-example prediction -------------------------------------------------
 
 
+def check_example_inputs(setting: str, inputs: dict) -> None:
+    """Raise ConfigError unless exactly the inputs ``setting`` reads are given:
+    ``inputs`` maps the audio input's name, then the text input's, to its
+    value or None."""
+    for block, (name, given) in zip(("audio", "text"), inputs.items()):
+        if (given is not None) != (block in _blocks(setting)):
+            need = "requires" if given is None else "reads no"
+            raise ConfigError(f"setting {setting!r} {need} {block} input ({name})")
+
+
 def predict_example(
     bundle: ModelBundle,
     clip: Optional[AudioClip] = None,
     text: Optional[str] = None,
 ) -> tuple[str, dict[str, float]]:
-    """Predict one example from raw inputs using the bundle's own protocol."""
-    for block, given in (("audio", clip), ("text", text)):
-        if block in _blocks(bundle.setting) and given is None:
-            raise ConfigError(f"setting {bundle.setting!r} requires {block} input")
+    """Predict one example from exactly the raw inputs its setting reads
+    (``check_example_inputs``), using the bundle's own protocol."""
+    check_example_inputs(bundle.setting, {"clip": clip, "text": text})
 
     # the placeholder label satisfies Dataset and is never read
     example = Example(label=classes_for_mode(bundle.class_mode)[0], audio=clip, transcript=text)

@@ -55,7 +55,7 @@ def test_functions_the_benchmark_calls_exist():
 
 @pytest.mark.parametrize("kind, model", [
     ("rf", RandomForest(n_trees=2, max_depth=3, seed=0)),
-    ("xgb", GradientBoosting(n_rounds=2, max_depth=2, seed=0)),
+    ("xgb", GradientBoosting(n_rounds=2, max_depth=2)),
 ])
 def test_fitted_trees_give_their_node_counts(kind, model):
     rng = np.random.default_rng(0)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from emoforge import ingest
 from emoforge.audio_io import encode_wav
 from emoforge.cli import _parse_hp, main
+from emoforge.config import SEED_OFFSET_MODEL
 from emoforge.errors import ConfigError
-from emoforge.persistence import MAGIC
+from emoforge.persistence import MAGIC, load_container, save_container
 from emoforge.audio_features import FrameConfig
 from emoforge.ingest import build_dataset, load_manifest
 from emoforge.pipeline import documents, featurize, load_bundle, thread_count
@@ -602,6 +603,27 @@ def test_predict_rejects_input_its_setting_does_not_read(request, trained_model,
     assert err.startswith("error:") and unread[0] in err and "Traceback" not in err
 
 
+def test_train_rejects_manifest_mixing_hinted_and_unhinted_entries(trained_model, tmp_path,
+                                                                   capsys, monkeypatch):
+    # split hints are all-or-nothing: five hinted entries of 60 do not fall back to a seeded split
+    manifest, _ = trained_model
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    for i, row in enumerate(rows):
+        row["audio"] = str(manifest.parent / row["audio"])
+        if i < 5:
+            row["split"] = "test"
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
+    out = tmp_path / "run"
+    code = main(["train", "--manifest", str(mixed), "--model", "rf", "--setting", "audio_only",
+                 "--out", str(out), *SMALL_RF])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mixes hinted and unhinted" in err
+    assert not out.exists()
+
+
 # --- malformed model containers
 
 
@@ -708,6 +730,8 @@ def _edit_header(model: Path, edit) -> bytes:
     # a width that is not the eight clip features of an audio_only tree model
     (lambda h: h.update(feature_dim=4), 3, "rf"),
     (lambda h: h.update(feature_dim=9), 3, "rf"),
+    # the seed that files of earlier versions stored for xgb, which draws nothing
+    (lambda h: h["members"][1]["meta"].update(seed=h["seed"] + SEED_OFFSET_MODEL + 1), 3, "e2"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -723,7 +747,7 @@ def _edit_header(model: Path, edit) -> bytes:
         "e2-hp-scope-not-object", "e2-hp-nan", "rf-hp-max-depth-zero", "rf-hp-edited",
         "e2-mlp-scaler-null", "e2-mlp-scaler-minmax", "rf-member-seed-edited",
         "rf-bootstrap-false", "rf-bundle-seed-edited", "e2-xgb-hp-edited", "rf-feature-dim-4",
-        "rf-feature-dim-9"])
+        "rf-feature-dim-9", "e2-xgb-meta-seed"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model
@@ -799,6 +823,25 @@ def _f8_left(entries, blob):
 def _root_left_is_itself(entries, blob):
     _, offset = _array_at(entries, "m0/left")
     blob[offset : offset + 8] = struct.pack("<q", 0)
+
+
+@pytest.mark.parametrize("command", ["predict", "importance"])
+def test_tree_split_features_stay_within_feature_dim(trained_model, tmp_path, capsys, command):
+    # importances widened to 20 columns would let a split on column 15 of an
+    # eight-column audio_only input pass the tree checks
+    manifest, out = trained_model
+    header, arrays = load_container(out / "model.emf")
+    importances, feature = arrays["m0/importances"], arrays["m0/feature"]
+    arrays["m0/importances"] = np.hstack([importances, np.zeros((importances.shape[0], 12))])
+    feature[np.flatnonzero(feature >= 0)[0]] = 15
+    path = tmp_path / "model.emf"
+    save_container(path, header, arrays)
+    wav = manifest.parent / json.loads(manifest.read_text().splitlines()[0])["audio"]
+    argv = {"predict": ["predict", "--model", str(path), "--wav", str(wav)],
+            "importance": ["importance", "--model", str(path)]}[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "8 columns" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("edit", [_f8_left, _root_left_is_itself], ids=["f8-left", "self-child"])

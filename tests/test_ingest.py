@@ -250,9 +250,6 @@ def test_upsample_keeps_originals_and_adds_only_copies():
 def test_upsample_degenerate_cases():
     with pytest.raises(DegenerateClassError):
         upsample(Dataset(examples=[]), seed=0)
-    ds = _dataset({EmotionLabel.ANGRY: 4})
-    with pytest.raises(DegenerateClassError):
-        upsample(ds, seed=0, expected_classes=(EmotionLabel.ANGRY, EmotionLabel.SAD))
 
 
 # --- histogram

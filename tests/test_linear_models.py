@@ -144,8 +144,8 @@ def test_lr_label_permutation():
 
 def test_lr_deterministic(tmp_path):
     Xtr, ytr, _, _ = separable_blobs(seed=19)
-    a = LogisticRegression(epochs=40, seed=3).fit(Xtr, ytr)
-    b = LogisticRegression(epochs=40, seed=3).fit(Xtr, ytr)
+    a = LogisticRegression(epochs=40).fit(Xtr, ytr)
+    b = LogisticRegression(epochs=40).fit(Xtr, ytr)
     assert _bytes(a, tmp_path, "a") == _bytes(b, tmp_path, "b")
 
 

@@ -114,7 +114,7 @@ def oracle_fit_losses(model, sequences, y):
     rng = np.random.default_rng(model.seed)
     params = LstmParams.init(sequences[0].shape[1], model.hidden_size, int(y.max()) + 1, rng)
     n = len(sequences)
-    n_val = min(max(1, int(round(model.validation_fraction * n))), n - 1)
+    n_val = max(1, round(0.1 * n))
     train_idx = rng.permutation(n)[n_val:]
     keep = 1.0 - model.dropout_rate
     batch = min(model.batch_size, train_idx.size)
@@ -351,16 +351,10 @@ def test_constructor_rejects_sizes_below_one(key, value):
         LstmClassifier(**{key: value})
 
 
-@pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.5, float("nan")])
-def test_constructor_rejects_validation_fraction_outside_open_unit(value):
-    with pytest.raises(ParameterError):
-        LstmClassifier(validation_fraction=value)
-
-
 def test_fit_keeps_one_sequence_each_side_on_tiny_sets():
-    # an in-range fraction still leaves at least one sequence to train on and
-    # one to validate on: 0.9 of two sequences rounds to both
-    model = LstmClassifier(hidden_size=2, epochs=1, validation_fraction=0.9, seed=0)
+    # the 10 % validation slice holds at least one sequence and leaves at
+    # least one to train on: two sequences split one and one
+    model = LstmClassifier(hidden_size=2, epochs=1, seed=0)
     model.fit([np.zeros((2, 3)), np.ones((3, 3))], np.array([0, 1]))
     assert len(model.loss_history_) == 1
 

@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 
 import numpy as np
 import pytest
@@ -182,11 +183,18 @@ def test_ensemble_rejects_flat_hyperparameters():
 
 @pytest.mark.parametrize("kind", MODEL_DEFAULTS)
 def test_model_defaults_are_the_constructor_defaults(kind):
-    # a run that overrides nothing trains the model a library caller builds with no arguments
+    # a run that overrides nothing trains the model a library caller builds with no
+    # arguments, and a constructor takes no setting that a run cannot reach: only its
+    # defaults, n_classes, a seed where the model draws, and rf's library-only flags
     parameters = inspect.signature(pipeline._MODEL_CLASSES[kind]).parameters
-    for key, value in MODEL_DEFAULTS[kind].items():
-        if (kind, key) != ("lstm", "input_mode"):  # the pipeline's, not the model's
-            assert parameters[key].default == value, key
+    defaults = {key: value for key, value in MODEL_DEFAULTS[kind].items()
+                if (kind, key) != ("lstm", "input_mode")}  # the pipeline's, not the model's
+    for key, value in defaults.items():
+        assert parameters[key].default == value, key
+    extra = {"n_classes"} | ({"seed"} if kind in ("rf", "svm", "mlp", "lstm") else set())
+    if kind == "rf":
+        extra |= {"bootstrap", "max_features"}
+    assert set(parameters) == set(defaults) | extra
 
 
 # --- bundle designs
@@ -528,16 +536,37 @@ def test_predict_example_matches_batch_featurize(tmp_path, synth_corpus, setting
                   bundle.l_harm, bundle.vocab)
     assert isinstance(X, list) == (kind == "lstm")
     batch = bundle.predict_proba(X)
+    blocks = SETTINGS[setting]  # predict_example takes only the inputs its setting reads
     for ex, row in zip(dataset.examples, batch):
-        _, probabilities = predict_example(bundle, clip=ex.audio, text=ex.transcript)
+        _, probabilities = predict_example(bundle, clip=ex.audio if "audio" in blocks else None,
+                                           text=ex.transcript if "text" in blocks else None)
         assert np.array_equal(np.array(list(probabilities.values())), row)
 
 
+@pytest.mark.parametrize("setting, kind, reads", [
+    ("audio_only", "e1", "clip"), ("text_only", "mnb", "text"),
+], ids=["text-on-audio-only-e1", "clip-on-text-only-mnb"])
+def test_predict_example_rejects_an_input_its_setting_does_not_read(setting, kind, reads):
+    X, y, vocab = design_inputs(setting, frames=False)
+    hp = ({m: LIGHT_HP[m] for m in ENSEMBLE_MEMBERS[kind]} if kind in ENSEMBLE_MEMBERS
+          else LIGHT_HP[kind])
+    bundle = train_bundle(kind, X, y, setting=setting, class_mode="six", seed=0,
+                          hyperparams=hp, vocab=vocab)
+    inputs = {"clip": make_tone(200, 16000, 0.5), "text": "so calm"}
+    label, _ = predict_example(bundle, **{reads: inputs[reads]})
+    assert label in bundle.class_names
+    with pytest.raises(ConfigError, match="reads no"):
+        predict_example(bundle, **inputs)
+
+
 def test_thread_count_env_cap(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("EMOFORGE_THREADS", "2")
-    assert thread_count(8) == 2
+    assert thread_count() == 2
     monkeypatch.setenv("EMOFORGE_THREADS", "bogus")
     with pytest.raises(ConfigError):
-        thread_count(4)
+        thread_count()
     monkeypatch.delenv("EMOFORGE_THREADS")
-    assert thread_count(3) == 3
+    assert thread_count() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert thread_count() == 3

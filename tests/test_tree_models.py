@@ -188,8 +188,8 @@ def test_boosting_xor_train_accuracy():
 
 def test_boosting_deterministic(tmp_path):
     X, y = make_3class_blobs(n=30)
-    a = GradientBoosting(n_rounds=5, seed=1).fit(X, y)
-    b = GradientBoosting(n_rounds=5, seed=1).fit(X, y)
+    a = GradientBoosting(n_rounds=5).fit(X, y)
+    b = GradientBoosting(n_rounds=5).fit(X, y)
     assert serialized_bytes(a, tmp_path, "a.emf") == serialized_bytes(b, tmp_path, "b.emf")
 
 
@@ -686,7 +686,7 @@ def reference_decision_function(model, X):
 def fitted_tree_models(**kwargs):
     X, y = oracle_problem(7, "classification")
     rf = RandomForest(n_trees=12, seed=3, **kwargs).fit(X, y)
-    xgb = GradientBoosting(n_rounds=8, seed=3, **kwargs).fit(X, y)
+    xgb = GradientBoosting(n_rounds=8, **kwargs).fit(X, y)
     return X, rf, xgb
 
 
@@ -841,7 +841,7 @@ def edge_models(X, y, max_depth):
         plain_tree(max_depth=max_depth).fit(X, y).trees_[0],
         grow_tree(X, y - 0.5, presort(X), max_depth=max_depth),
         *RandomForest(n_trees=6, max_depth=max_depth, seed=1).fit(X, y).trees_,
-        *sum(GradientBoosting(n_rounds=3, max_depth=max_depth, seed=1).fit(X, y).trees_, []),
+        *sum(GradientBoosting(n_rounds=3, max_depth=max_depth).fit(X, y).trees_, []),
     ]
 
 
