@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .models.base import ProbabilisticClassifier, check_training_labels, sigmoid, softmax
+from .models.base import ProbabilisticClassifier, check_training_data, sigmoid, softmax
 
 _GATES = ("f", "i", "o", "c")
 
@@ -377,11 +377,8 @@ class LstmClassifier(ProbabilisticClassifier):
         return float(np.mean(np.argmax(_class_probs(self.params_, h), axis=1) == y))
 
     def fit(self, X, y):
+        X, y, self.n_classes = check_training_data(X, y, self.n_classes, sequences=True)
         sequences = self._as_sequences(X)
-        y = np.asarray(y, dtype=np.int64)
-        if len(sequences) == 0:
-            raise DataError("training set is empty")
-        self.n_classes = check_training_labels(y, self.n_classes)
         rng = np.random.default_rng(self.seed)
         self.params_ = LstmParams.init(
             input_size=sequences[0].shape[1],

@@ -48,20 +48,37 @@ class ProbabilisticClassifier(ABC):
         return model
 
 
-def check_training_labels(y: np.ndarray, n_classes: int | None) -> int:
-    """Validate integer labels and resolve the class count."""
-    y = np.asarray(y)
+def check_training_data(X, y, n_classes: int | None, sequences: bool = False):
+    """Validate a training set and resolve the class count: X is a 2-D matrix
+    or, with ``sequences``, also a non-empty list of 2-D sequences of one
+    width; y holds one non-negative integer label per row or sequence, of at
+    least two classes. X need not be finite. Returns X as float64 (a list
+    stays a list of sequences), y as int64 and the class count."""
+    try:
+        if sequences and isinstance(X, list):
+            X = [np.asarray(s, dtype=np.float64) for s in X]
+            if not X or X[0].ndim != 2 or len({s.shape[1:] for s in X}) != 1:
+                raise ParameterError("training sequences must be a non-empty list of 2-D "
+                                     "arrays of one width")
+        else:
+            X = np.asarray(X, dtype=np.float64)
+            if X.ndim != 2:
+                raise ParameterError(f"training input must be a 2-D matrix, not {X.ndim}-D")
+        y = np.asarray(y, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"training input is not numeric ({exc})") from exc
+    if y.ndim != 1 or y.size != len(X):
+        raise ParameterError(f"{y.size} labels do not match {len(X)} training rows")
     if y.size == 0:
         raise ParameterError("training labels are empty")
     if y.min() < 0:
         raise ParameterError("class labels must be non-negative integers")
-    distinct = np.unique(y).size
-    if distinct < 2:
+    if np.unique(y).size < 2:
         raise DegenerateLabelError("training data holds a single class")
     resolved = int(y.max()) + 1 if n_classes is None else int(n_classes)
     if y.max() >= resolved:
         raise ParameterError(f"label {int(y.max())} outside {resolved} classes")
-    return resolved
+    return X, y, resolved
 
 
 def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:

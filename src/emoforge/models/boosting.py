@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .base import ProbabilisticClassifier, check_training_labels, log_loss, one_hot, softmax
+from .base import ProbabilisticClassifier, check_training_data, log_loss, one_hot, softmax
 from .tree import TreeNodes, grow_tree, pack_trees, presort, sum_leaf_values, unpack_trees
 
 
@@ -43,9 +43,7 @@ class GradientBoosting(ProbabilisticClassifier):
         self.train_loss_history_: list[float] = []
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = check_training_labels(y, self.n_classes)
+        X, y, self.n_classes = check_training_data(X, y, self.n_classes)
         targets = one_hot(y, self.n_classes)
         logits = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
         trees = []

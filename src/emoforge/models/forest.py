@@ -8,7 +8,7 @@ from numbers import Integral
 import numpy as np
 
 from ..errors import ParameterError
-from .base import ProbabilisticClassifier, check_training_labels
+from .base import ProbabilisticClassifier, check_training_data
 from .tree import TreeNodes, grow_forest, pack_trees, sum_leaf_values, unpack_trees
 
 
@@ -57,9 +57,7 @@ class RandomForest(ProbabilisticClassifier):
         self.trees_: list[TreeNodes] = []  # per-tree views into packed_
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = check_training_labels(y, self.n_classes)
+        X, y, self.n_classes = check_training_data(X, y, self.n_classes)
         n = X.shape[0]
         rngs = [np.random.default_rng(self.seed + t) for t in range(self.n_trees)]
         if self.bootstrap:  # each tree's first draw; the trees read X through these rows

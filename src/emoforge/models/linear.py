@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .base import ProbabilisticClassifier, check_training_labels, sigmoid
+from .base import ProbabilisticClassifier, check_training_data, sigmoid
 
 
 def fit_logistic_link(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
@@ -100,9 +100,7 @@ class LinearSVM(ProbabilisticClassifier):
         return float(0.5 * self.reg * np.sum(self.coef_**2) + hinge)
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = check_training_labels(y, self.n_classes)
+        X, y, self.n_classes = check_training_data(X, y, self.n_classes)
         n, d = X.shape
         self.init_params(d, self.n_classes)
         signs = np.where(y[:, None] == np.arange(self.n_classes)[None, :], 1.0, -1.0)
@@ -183,9 +181,7 @@ class LogisticRegression(ProbabilisticClassifier):
         return X @ self.coef_.T + self.intercept_
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = check_training_labels(y, self.n_classes)
+        X, y, self.n_classes = check_training_data(X, y, self.n_classes)
         n, d = X.shape
         self.coef_ = np.zeros((self.n_classes, d), dtype=np.float64)
         self.intercept_ = np.zeros(self.n_classes, dtype=np.float64)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .base import ProbabilisticClassifier, check_training_labels, log_loss, one_hot, softmax
+from .base import ProbabilisticClassifier, check_training_data, log_loss, one_hot, softmax
 
 
 class MlpClassifier(ProbabilisticClassifier):
@@ -105,9 +105,7 @@ class MlpClassifier(ProbabilisticClassifier):
         return grads_w, grads_b
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = check_training_labels(y, self.n_classes)
+        X, y, self.n_classes = check_training_data(X, y, self.n_classes)
         rng = np.random.default_rng(self.seed)
         self.init_params(X.shape[1], self.n_classes, rng)
         vel_w = [np.zeros_like(w) for w in self.weights_]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError, ParameterError
-from .base import ProbabilisticClassifier, check_training_labels, softmax
+from .base import ProbabilisticClassifier, check_training_data, softmax
 
 # Finite stand-in for log(0): keeps zero-probability events at posterior 0
 # without letting -inf * 0 produce NaN in the score matmul.
@@ -27,11 +27,9 @@ class MultinomialNaiveBayes(ProbabilisticClassifier):
         self.log_prob_: np.ndarray | None = None  # (C, d)
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
+        X, y, self.n_classes = check_training_data(X, y, self.n_classes)
         if (X < 0).any():
             raise DataError("multinomial NB requires non-negative features")
-        y = np.asarray(y, dtype=np.int64)
-        self.n_classes = check_training_labels(y, self.n_classes)
         n, d = X.shape
         counts = np.zeros(self.n_classes, dtype=np.float64)
         totals = np.zeros((self.n_classes, d), dtype=np.float64)

@@ -65,7 +65,7 @@ from .models import (
     MultinomialNaiveBayes,
     RandomForest,
 )
-from .persistence import load_container, save_container
+from .persistence import FORMAT_VERSION, load_container, save_container
 from .text_features import (
     Vocabulary,
     fit_vocabulary,
@@ -184,6 +184,16 @@ class _Member:
                 "scaler": None if self.scaler is None else self.scaler.state()[0]}
 
 
+def _width(X) -> int:
+    """The column count of model input: a 2-D matrix, or a non-empty list of
+    2-D per-frame sequences (read from the first); ParameterError otherwise."""
+    shape = np.shape(X[0] if isinstance(X, list) and X else X)
+    if len(shape) != 2:
+        raise ParameterError(f"model input must be a 2-D matrix or a non-empty list of 2-D "
+                             f"sequences, got shape {shape}")
+    return shape[1]
+
+
 def _blocks(setting: str) -> tuple[str, ...]:
     """The feature blocks ``setting`` reads; ConfigError for an unknown one."""
     try:
@@ -270,11 +280,9 @@ class ModelBundle:
         return [label.value for label in classes_for_mode(self.class_mode)]
 
     def _check_dim(self, X) -> None:
-        width = X[0].shape[-1] if isinstance(X, list) else np.asarray(X).shape[-1]
+        width = _width(X)
         if width != self.feature_dim:
-            raise ModelError(
-                f"feature dim mismatch: model expects {self.feature_dim}, got {width}"
-            )
+            raise ModelError(f"feature dim mismatch: model expects {self.feature_dim}, got {width}")
 
     def predict_proba(self, X) -> np.ndarray:
         """Mean of the members' probabilities (exact for one member), taken
@@ -381,15 +389,13 @@ def train_bundle(
     member fits. Members fit with numpy's BLAS on one thread, so the bytes do
     not depend on the host's core count (``emoforge._blas``)."""
     frames = isinstance(X, list)
-    feature_dim = X[0].shape[-1] if frames else X.shape[1]
     bundle = ModelBundle(
-        kind=kind, setting=setting, class_mode=class_mode, seed=seed, feature_dim=feature_dim,
+        kind=kind, setting=setting, class_mode=class_mode, seed=seed, feature_dim=_width(X),
         members=[], hyperparams=dict(hyperparams or {}), vocab=vocab,
         frame_config=frame_config or FrameConfig(), l_harm=l_harm,
         input_mode="frames" if frames else "clip" if kind == "lstm" else "vector",
     )
     bundle.members = _members(bundle)
-    y = np.asarray(y, dtype=np.int64)
     with single_blas_thread():
         for member in bundle.members:
             member.fit(X, y)
@@ -407,59 +413,43 @@ def _members(bundle: ModelBundle) -> list[_Member]:
 # --- bundle persistence -----------------------------------------------------
 
 
+def _header(bundle: ModelBundle) -> dict:
+    """The JSON header of the bundle's model file: its design, the fields
+    derived from it (combination, class names) and each member's entry.
+    ``save_bundle`` writes it, and ``load_bundle`` takes a file only when its
+    header is this one."""
+    vocab, frames = bundle.vocab, bundle.frame_config
+    return {
+        "model_kind": bundle.kind, "setting": bundle.setting, "class_mode": bundle.class_mode,
+        "seed": bundle.seed, "feature_dim": bundle.feature_dim,
+        "hyperparameters": bundle.hyperparams,
+        "vocab": None if vocab is None else {
+            "terms": list(vocab.terms), "dfs": list(vocab.document_frequencies),
+            "n_documents": vocab.n_documents},
+        "frame_length": frames.frame_length, "hop_length": frames.hop_length,
+        "l_harm": bundle.l_harm, "input_mode": bundle.input_mode,
+        "combination": bundle.combination, "class_names": bundle.class_names,
+        "members": [member.header_entry() for member in bundle.members],
+    }
+
+
 def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
-    member_meta = []
     arrays: dict[str, np.ndarray] = {}
     for i, member in enumerate(bundle.members):
+        scaled = {} if member.scaler is None else member.scaler.state()[1]
         arrays.update({f"m{i}/{name}": arr for name, arr in member.classifier._arrays().items()})
-        if member.scaler is not None:
-            scaler_arrays = member.scaler.state()[1]
-            arrays.update({f"m{i}/scaler/{name}": arr for name, arr in scaler_arrays.items()})
-        member_meta.append(member.header_entry())
-
-    vocab_meta = None
-    if bundle.vocab is not None:
-        vocab_meta = {
-            "terms": list(bundle.vocab.terms),
-            "dfs": list(bundle.vocab.document_frequencies),
-            "n_documents": bundle.vocab.n_documents,
-        }
-    header = {
-        "model_kind": bundle.kind,
-        "setting": bundle.setting,
-        "class_mode": bundle.class_mode,
-        "seed": bundle.seed,
-        "feature_dim": bundle.feature_dim,
-        "hyperparameters": bundle.hyperparams,
-        "combination": bundle.combination,
-        "members": member_meta,
-        "vocab": vocab_meta,
-        "frame_length": bundle.frame_config.frame_length,
-        "hop_length": bundle.frame_config.hop_length,
-        "l_harm": bundle.l_harm,
-        "input_mode": bundle.input_mode,
-        "class_names": bundle.class_names,
-    }
-    save_container(path, header, arrays)
+        arrays.update({f"m{i}/scaler/{name}": arr for name, arr in scaled.items()})
+    save_container(path, _header(bundle), arrays)
 
 
-_HEADER_KEYS = {
-    "model_kind": str, "setting": str, "class_mode": str, "seed": int, "feature_dim": int,
-    "hyperparameters": dict, "combination": str, "members": list, "vocab": (dict, type(None)),
-    "frame_length": int, "hop_length": int, "l_harm": int, "input_mode": str, "class_names": list,
-}
-_MEMBER_KEYS = {"kind": str, "meta": dict, "scaler": (dict, type(None))}
-_VOCAB_KEYS = {"terms": list, "dfs": list, "n_documents": int}
-
-
-def _require(path, where: str, obj, keys: dict) -> None:
-    """Raise DataError unless ``obj`` is an object holding every key of
-    ``keys`` with a value of that key's type."""
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: {where} is not an object")
-    for key, expected in keys.items():
-        if key not in obj or not isinstance(obj[key], expected):
-            raise DataError(f"{path}: {where} key {key!r} is missing or mistyped")
+def _typed(path, obj: dict, expected: type, *keys: str) -> list:
+    """``obj``'s values at ``keys``, each of exactly the ``expected`` type (a bool
+    is no int); DataError otherwise."""
+    values = [obj.get(key) for key in keys]
+    for key, value in zip(keys, values):
+        if type(value) is not expected:
+            raise DataError(f"{path}: header key {key!r} is missing or not a {expected.__name__}")
+    return values
 
 
 def _under(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
@@ -468,52 +458,43 @@ def _under(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    """Rebuild a bundle from a container. A file's members must be exactly
-    those its header's kind, seed and hyperparameters make (``_members``, as
-    in ``train_bundle``); a malformed or self-contradicting header raises
-    DataError, and only an unknown model or member kind ModelError. A member
-    that is not a tree model must map ``feature_dim`` columns to one
-    probability per class, probed on zero rows (one for the lstm, which takes
-    no empty batch); a tree model's arrays are checked as they are unpacked,
-    with ``feature_dim`` importance columns to bound every split feature."""
+    """Rebuild a bundle from a container. A file loads only when its header
+    is exactly the one ``save_bundle`` writes for the design it names: the
+    bundle and its members are built from the header's design fields, as in
+    ``train_bundle``, and the header must equal ``_header`` of that bundle.
+    Any other header raises DataError, and only an unknown model or member
+    kind ModelError. A member that is not a tree model must then map
+    ``feature_dim`` columns to one probability per class, probed on zero rows
+    (one for the lstm, which takes no empty batch); a tree model's arrays are
+    checked as they are unpacked, with ``feature_dim`` importance columns."""
     header, arrays = load_container(path)
-    _require(path, "header", header, _HEADER_KEYS)
-    kind, feature_dim, vocab = header["model_kind"], header["feature_dim"], header["vocab"]
-    if kind not in MODEL_KINDS:
-        raise ModelError(f"{path}: header names unknown model kind {kind!r}")
+    kind, setting, class_mode, input_mode = _typed(path, header, str, "model_kind", "setting",
+                                                   "class_mode", "input_mode")
+    stored = header.get("members")
+    kinds = [kind] + [e.get("kind") for e in (stored if isinstance(stored, list) else [])
+                      if isinstance(e, dict)]
+    unknown = [k for k in kinds if isinstance(k, str) and k not in MODEL_KINDS]
+    if unknown:
+        raise ModelError(f"{path}: header names unknown model kind {unknown[0]!r}")
+    seed, feature_dim, frame_length, hop_length, l_harm = _typed(
+        path, header, int, "seed", "feature_dim", "frame_length", "hop_length", "l_harm")
+    [hyperparams] = _typed(path, header, dict, "hyperparameters")
+    vocab = header.get("vocab")
     try:
         if vocab is not None:
-            _require(path, "vocab", vocab, _VOCAB_KEYS)
-            terms, dfs = vocab["terms"], vocab["dfs"]
-            if not all(type(t) is str for t in terms) or not all(type(d) is int for d in dfs):
-                raise DataError(f"{path}: vocab terms must be strings and dfs integers")
-            vocab = Vocabulary(tuple(terms), tuple(dfs), vocab["n_documents"])
-        bundle = ModelBundle(
-            kind=kind, setting=header["setting"], class_mode=header["class_mode"],
-            seed=header["seed"], feature_dim=feature_dim, members=[],
-            hyperparams=header["hyperparameters"], vocab=vocab,
-            frame_config=FrameConfig(header["frame_length"], header["hop_length"]),
-            l_harm=header["l_harm"], input_mode=header["input_mode"],
-        )
+            [vocab] = _typed(path, header, dict, "vocab")
+            terms, dfs = _typed(path, vocab, list, "terms", "dfs")
+            vocab = Vocabulary(tuple(terms), tuple(dfs), vocab.get("n_documents"))
+        bundle = ModelBundle(kind, setting, class_mode, seed, feature_dim, [], hyperparams, vocab,
+                             FrameConfig(frame_length, hop_length), l_harm, input_mode)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    class_names = bundle.class_names
-    if header["class_names"] != class_names:
-        raise DataError(f"{path}: class names do not match class mode {header['class_mode']!r}")
-    if header["combination"] != bundle.combination:
-        raise DataError(f"{path}: combination {header['combination']!r} does not fit {kind}")
-    members, stored = _members(bundle), header["members"]
-    if len(stored) != len(members):
-        raise DataError(f"{path}: {len(stored)} members, not the {len(members)} of a {kind} model")
-    for i, (entry, member) in enumerate(zip(stored, members)):
-        where = f"member {i}"
-        _require(path, where, entry, _MEMBER_KEYS)
-        if entry["kind"] not in MODEL_DEFAULTS:
-            raise ModelError(f"{path}: {where} has unknown model kind {entry['kind']!r}")
-        # one JSON round trip, as the file made it: tuples read back as lists
-        if entry != json.loads(json.dumps(member.header_entry())):
-            raise DataError(f"{path}: {where} is not the {member.kind} member that the header's "
-                            f"model kind, seed and hyperparameters make")
+    bundle.members = _members(bundle)
+    # compared as the JSON text the file holds, so neither true nor 1.0 passes for 1
+    if json.dumps(header, sort_keys=True) != json.dumps(
+            {**_header(bundle), "format_version": FORMAT_VERSION}, sort_keys=True):
+        raise DataError(f"{path}: header is not the one that the design it names makes")
+    for i, member in enumerate(bundle.members):
         try:
             member.classifier._set_arrays(_under(arrays, f"m{i}/"))
             if member.scaler is not None:
@@ -528,11 +509,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 rows = int(member.kind == "lstm")
                 with single_blas_thread():
                     proba = member.predict_proba(np.zeros((rows, feature_dim)))
-                if proba.shape != (rows, len(class_names)):
+                if proba.shape != (rows, len(bundle.class_names)):
                     raise ValueError("arrays do not map feature_dim columns to the classes")
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
-            raise DataError(f"{path}: {where} state is unusable ({exc!r})") from exc
-    bundle.members = members
+            raise DataError(f"{path}: member {i} state is unusable ({exc!r})") from exc
     return bundle
 
 

@@ -33,6 +33,9 @@ class Vocabulary:
     n_documents: int
 
     def __post_init__(self):
+        counts = (*self.document_frequencies, self.n_documents)
+        if not all(type(t) is str for t in self.terms) or not all(type(c) is int for c in counts):
+            raise ParameterError("terms must be strings, and frequencies and counts integers")
         if len(self.terms) != len(self.document_frequencies):
             raise ParameterError("terms and document frequencies must align")
         if len(set(self.terms)) != len(self.terms):

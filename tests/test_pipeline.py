@@ -9,9 +9,10 @@ from emoforge import pipeline
 from emoforge.audio_features import AUDIO_FEATURE_NAMES
 from emoforge.cli import _parse_hp
 from emoforge.config import ENSEMBLE_MEMBERS, MODEL_DEFAULTS, MODEL_KINDS
-from emoforge.errors import ConfigError, ModelError, UnsupportedModelError
+from emoforge.errors import ConfigError, ModelError, ParameterError, UnsupportedModelError
 from emoforge.ingest import build_dataset, load_manifest
 from emoforge.models import LogisticRegression, RandomForest
+from emoforge.persistence import FORMAT_VERSION, load_container
 from emoforge.pipeline import (
     SETTINGS,
     ColumnScaler,
@@ -130,6 +131,10 @@ def test_bundle_roundtrip_preserves_predictions(tmp_path, kind, flags):
     assert loaded.kind == kind and loaded.feature_dim == bundle.feature_dim
     save_bundle(tmp_path / "again.emf", loaded)
     assert (tmp_path / "again.emf").read_bytes() == (tmp_path / "model.emf").read_bytes()
+    # the stored header is the one that the loaded bundle's design makes
+    header, _ = load_container(tmp_path / "model.emf")
+    assert header.pop("format_version") == FORMAT_VERSION
+    assert header == json.loads(json.dumps(pipeline._header(loaded)))
 
 
 def test_bundle_roundtrip_ensemble(tmp_path):
@@ -167,6 +172,21 @@ def test_bundle_dimension_mismatch(tmp_path):
         bundle.predict_proba(np.ones((2, X.shape[1] + 1)))
 
 
+@pytest.mark.parametrize("kind, X", [("lstm", []), ("rf", np.zeros(12))],
+                         ids=["lstm-no-sequences", "rf-1d"])
+def test_train_bundle_rejects_input_without_a_width(kind, X):
+    with pytest.raises(ParameterError, match="2-D"):
+        train_bundle(kind, X, np.arange(12) % 3, setting="audio_only", class_mode="six", seed=0)
+
+
+def test_frames_bundle_rejects_an_empty_sequence_list():
+    X, y, _ = design_inputs("audio_only", frames=True)
+    bundle = train_bundle("lstm", X, y, setting="audio_only", class_mode="six", seed=0,
+                          hyperparams={"input_mode": "frames", **LIGHT_HP["lstm"]})
+    with pytest.raises(ParameterError, match="2-D"):
+        bundle.predict_proba([])
+
+
 def test_unknown_hyperparameter_rejected():
     X, y = toy_matrix()
     with pytest.raises(ConfigError):
@@ -195,6 +215,20 @@ def test_model_defaults_are_the_constructor_defaults(kind):
     if kind == "rf":
         extra |= {"bootstrap", "max_features"}
     assert set(parameters) == set(defaults) | extra
+
+
+@pytest.mark.parametrize("X, y", [
+    (np.ones((3, 2)), [0, 1]),
+    (np.ones(4), [0, 1, 0, 1]),
+    (np.ones((4, 2, 2)), [0, 1, 0, 1]),
+    (np.ones((0, 2)), []),
+    ([], []),
+    ([np.ones((2, 2)), np.ones((3, 3))], [0, 1]),
+], ids=["length-mismatch", "1d", "3d", "empty", "empty-list", "mixed-widths"])
+@pytest.mark.parametrize("kind", MODEL_DEFAULTS)
+def test_fit_rejects_malformed_training_data(kind, X, y):
+    with pytest.raises(ParameterError):
+        pipeline._MODEL_CLASSES[kind]().fit(X, y)
 
 
 # --- bundle designs
