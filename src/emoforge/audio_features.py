@@ -13,7 +13,7 @@ one frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,18 +26,6 @@ from .config import (
     DEFAULT_PITCH_FMIN,
 )
 from .errors import ParameterError
-
-#: Canonical field order; also the CSV column order for feature dumps.
-AUDIO_FEATURE_NAMES = (
-    "autocorr_peak_mean",
-    "autocorr_peak_std",
-    "harmonic_mean",
-    "rmse_mean",
-    "rmse_std",
-    "pause_ratio",
-    "amp_mean",
-    "amp_std",
-)
 
 FRAME_FEATURE_NAMES = (
     "autocorr_peak",
@@ -95,6 +83,10 @@ class AudioFeatureVector:
 
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in AUDIO_FEATURE_NAMES], dtype=np.float64)
+
+
+#: Canonical field order; also the CSV column order for feature dumps.
+AUDIO_FEATURE_NAMES = tuple(f.name for f in fields(AudioFeatureVector))
 
 
 @dataclass(frozen=True)

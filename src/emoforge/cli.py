@@ -19,11 +19,11 @@ from .config import (
     DEFAULT_HOP_LENGTH,
     DEFAULT_TRAIN_FRACTION,
     DEFAULT_UPSAMPLE_RHO,
-    MODEL_KINDS,
 )
 from .errors import ConfigError, DataError, EmoforgeError
 from .ingest import load_manifest
 from .pipeline import (
+    MODEL_KINDS,
     SETTINGS,
     ExperimentConfig,
     check_example_inputs,

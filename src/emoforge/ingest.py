@@ -37,14 +37,7 @@ class EmotionLabel(Enum):
     NEUTRAL = "neutral"
 
 
-SIX_CLASSES = (
-    EmotionLabel.ANGRY,
-    EmotionLabel.HAPPY,
-    EmotionLabel.SAD,
-    EmotionLabel.FEAR,
-    EmotionLabel.SURPRISE,
-    EmotionLabel.NEUTRAL,
-)
+SIX_CLASSES = tuple(EmotionLabel)
 FOUR_CLASSES = (
     EmotionLabel.ANGRY,
     EmotionLabel.HAPPY,
@@ -52,14 +45,13 @@ FOUR_CLASSES = (
     EmotionLabel.NEUTRAL,
 )
 
-# Full label alphabet a manifest may use. "excited" merges into happy;
-# "others" and "frustration" carry no usable class and are dropped.
-LABEL_ALPHABET = frozenset(
-    {"angry", "happy", "excited", "sad", "fear", "surprise", "neutral", "others", "frustration"}
-)
-
-_DROPPED = {"others", "frustration"}
+# "excited" merges into happy; "others" and "frustration" carry no usable
+# class and are dropped.
 _MERGED = {"excited": EmotionLabel.HAPPY}
+_DROPPED = {"others", "frustration"}
+
+# Full label alphabet a manifest may use.
+LABEL_ALPHABET = frozenset({label.value for label in EmotionLabel} | _MERGED.keys() | _DROPPED)
 
 
 def classes_for_mode(class_mode: str) -> tuple[EmotionLabel, ...]:

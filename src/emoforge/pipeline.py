@@ -8,6 +8,7 @@ and repeated runs produce byte-identical files.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -35,8 +36,6 @@ from .config import (
     DEFAULT_TRAIN_FRACTION,
     DEFAULT_UPSAMPLE_RHO,
     ENSEMBLE_MEMBERS,
-    MODEL_DEFAULTS,
-    MODEL_KINDS,
     SEED_OFFSET_MODEL,
     SEED_OFFSET_SPLIT,
     SEED_OFFSET_UPSAMPLE,
@@ -87,6 +86,20 @@ _MODEL_CLASSES = {
     "mlp": MlpClassifier,
     "lstm": LstmClassifier,
 }
+
+#: Each kind's hyperparameters and defaults, read from its constructor (all but
+#: the class count, the seed that the run derives and rf's library-only flags),
+#: plus the lstm's ``input_mode`` ("frames" or "clip"), which the pipeline reads.
+#: A run overrides any of them; each override is checked before any WAV is read.
+MODEL_DEFAULTS: dict[str, dict] = {
+    kind: {name: param.default for name, param in inspect.signature(cls).parameters.items()
+           if name not in ("n_classes", "seed", "bootstrap", "max_features")}
+    for kind, cls in _MODEL_CLASSES.items()
+}
+MODEL_DEFAULTS["lstm"]["input_mode"] = "frames"
+
+#: Every model kind a run can name: the single models, then the ensembles.
+MODEL_KINDS = (*MODEL_DEFAULTS, *ENSEMBLE_MEMBERS)
 
 _TREE_KINDS = {"rf", "xgb"}
 _STANDARDIZED_KINDS = {"svm", "lr", "mlp"}
@@ -298,12 +311,13 @@ class ModelBundle:
 def _hp_type_ok(value, default) -> bool:
     """Whether an override fits its default's type: int for int, int or
     float for float, str for str; hidden sizes also take comma-separated
-    ints or a sequence of ints."""
+    ints or a sequence of ints. A bool is never a number here."""
     if isinstance(default, tuple):
-        return isinstance(value, Integral) or (
+        return _hp_type_ok(value, 0) or (
             isinstance(value, str) and re.fullmatch(r"\d+(,\d+)*", value) is not None
-        ) or (isinstance(value, (tuple, list)) and all(isinstance(v, Integral) for v in value))
-    return isinstance(value, {int: Integral, float: Real, str: str}[type(default)])
+        ) or (isinstance(value, (tuple, list)) and all(_hp_type_ok(v, 0) for v in value))
+    return not isinstance(value, bool) and isinstance(
+        value, {int: Integral, float: Real, str: str}[type(default)])
 
 
 def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):

@@ -732,10 +732,12 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h.update(feature_dim=9), 3, "rf"),
     # the seed that files of earlier versions stored for xgb, which draws nothing
     (lambda h: h["members"][1]["meta"].update(seed=h["seed"] + SEED_OFFSET_MODEL + 1), 3, "e2"),
-    # what no design field holds: an extra key, and a bool where an int belongs
+    # what no design field holds: an extra key, and a bool where a number belongs
     (lambda h: h.update(colour="red"), 3, "rf"),
     (lambda h: h["vocab"].update(colour="red"), 3, "e2"),
     (lambda h: h.update(seed=True), 3, "rf"),
+    (lambda h: (h["hyperparameters"]["mlp"].update(learning_rate=True),
+                h["members"][2]["meta"].update(learning_rate=True)), 3, "e2"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -752,7 +754,7 @@ def _edit_header(model: Path, edit) -> bytes:
         "e2-mlp-scaler-null", "e2-mlp-scaler-minmax", "rf-member-seed-edited",
         "rf-bootstrap-false", "rf-bundle-seed-edited", "e2-xgb-hp-edited", "rf-feature-dim-4",
         "rf-feature-dim-9", "e2-xgb-meta-seed", "rf-extra-key", "e2-vocab-extra-key",
-        "rf-seed-true"])
+        "rf-seed-true", "e2-mlp-learning-rate-true"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model
