@@ -18,13 +18,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio_io import AudioClip
-from .config import (
-    DEFAULT_FRAME_LENGTH,
-    DEFAULT_HARMONIC_WINDOW,
-    DEFAULT_HOP_LENGTH,
-    DEFAULT_PITCH_FMAX,
-    DEFAULT_PITCH_FMIN,
-)
 from .errors import ParameterError
 
 FRAME_FEATURE_NAMES = (
@@ -36,6 +29,9 @@ FRAME_FEATURE_NAMES = (
     "amp_std",
 )
 
+DEFAULT_HARMONIC_WINDOW = 31  # l_harm: frames per window of the harmonic median filter
+DEFAULT_PITCH_FMIN, DEFAULT_PITCH_FMAX = 50.0, 500.0  # pitch search band, Hz
+
 _MAX_MEDIAN_WINDOW = 1 << 16
 _BLOCK_ELEMENTS = 1 << 18  # sorted-core float64s per block of the median filter
 _PITCH_BLOCK_POINTS = 1 << 16  # FFT points per block of the pitch kernel
@@ -46,8 +42,8 @@ PAUSE_FACTOR = 0.4  # a pause is quieter than this times the clip energy
 class FrameConfig:
     """Analysis framing: rectangular windows of frame_length every hop_length."""
 
-    frame_length: int = DEFAULT_FRAME_LENGTH
-    hop_length: int = DEFAULT_HOP_LENGTH
+    frame_length: int = 2048
+    hop_length: int = 512
 
     def __post_init__(self):
         if self.frame_length < 1:

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: synth-corpus, extract-features, train, evaluate, predict,
-importance. Exit codes: 0 success, 2 configuration error, 3 data error.
+importance. Exit codes: 0 success, 2 configuration error, 3 data or I/O error.
 """
 
 from __future__ import annotations
@@ -13,13 +13,6 @@ from pathlib import Path
 
 from .audio_features import FrameConfig
 from .audio_io import decode_wav
-from .config import (
-    DEFAULT_FRAME_LENGTH,
-    DEFAULT_HARMONIC_WINDOW,
-    DEFAULT_HOP_LENGTH,
-    DEFAULT_TRAIN_FRACTION,
-    DEFAULT_UPSAMPLE_RHO,
-)
 from .errors import ConfigError, DataError, EmoforgeError
 from .ingest import load_manifest
 from .pipeline import (
@@ -76,9 +69,9 @@ def _parse_hp(pairs: list[str], model_kind: str) -> dict:
 
 
 def _add_frame_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--frame-length", type=int, default=DEFAULT_FRAME_LENGTH)
-    parser.add_argument("--hop-length", type=int, default=DEFAULT_HOP_LENGTH)
-    parser.add_argument("--l-harm", type=int, default=DEFAULT_HARMONIC_WINDOW)
+    parser.add_argument("--frame-length", type=int, default=FrameConfig.frame_length)
+    parser.add_argument("--hop-length", type=int, default=FrameConfig.hop_length)
+    parser.add_argument("--l-harm", type=int, default=ExperimentConfig.l_harm)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, choices=tuple(_CLASS_MODES), default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--train-fraction", type=float, default=DEFAULT_TRAIN_FRACTION)
-    p.add_argument("--rho", type=float, default=DEFAULT_UPSAMPLE_RHO)
+    p.add_argument("--train-fraction", type=float, default=ExperimentConfig.train_fraction)
+    p.add_argument("--rho", type=float, default=ExperimentConfig.upsample_rho)
     p.add_argument("--no-upsample", action="store_true")
     p.add_argument("--hp", action="append", metavar="KEY=VALUE",
                    help="hyperparameter override, repeatable")
@@ -221,9 +214,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except EmoforgeError as exc:  # a DataError exits 3, every other error 2
+    except (EmoforgeError, OSError) as exc:  # a DataError or OSError exits 3, any other 2
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA if isinstance(exc, DataError) else EXIT_CONFIG
+        return EXIT_DATA if isinstance(exc, (DataError, OSError)) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

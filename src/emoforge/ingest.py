@@ -53,6 +53,8 @@ _DROPPED = {"others", "frustration"}
 # Full label alphabet a manifest may use.
 LABEL_ALPHABET = frozenset({label.value for label in EmotionLabel} | _MERGED.keys() | _DROPPED)
 
+DEFAULT_UPSAMPLE_RHO = 0.5  # upsample grows each class to at least rho times the largest
+
 
 def classes_for_mode(class_mode: str) -> tuple[EmotionLabel, ...]:
     if class_mode == "six":
@@ -254,7 +256,7 @@ def split_by_hint(dataset_entries: list[ManifestEntry]) -> tuple[list[ManifestEn
     return train, test
 
 
-def upsample(dataset: Dataset, seed: int, rho: float = 0.5) -> Dataset:
+def upsample(dataset: Dataset, seed: int, rho: float = DEFAULT_UPSAMPLE_RHO) -> Dataset:
     """Grow minority classes by seeded duplication.
 
     Each class present is brought up to at least ceil(rho * max class count)

@@ -12,8 +12,7 @@ The parameters are five arrays (``LstmParams``): the four gates stacked in
 U (4*hidden, hidden) and b (4*hidden,), plus the projection w_out and b_out.
 A step costs two matmuls over the stacks, and the backward pass returns its
 gradients in the same five arrays, so clipping and the SGD update walk one
-tuple. Model files keep one array per gate (``w_f`` ... ``b_c``): saving
-slices the stacks, and loading checks each slice's shape before stacking.
+tuple. Model files store the same five arrays under the same names.
 
 Every pass runs a whole batch of sequences through the cell as one
 (batch, hidden) state. The batch is sorted by length (descending, stable)
@@ -42,7 +41,7 @@ models on one (``emoforge._blas``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -448,31 +447,10 @@ class LstmClassifier(ProbabilisticClassifier):
         return _class_probs(self.params_, self._final_states(self._as_sequences(X)))
 
     def _arrays(self) -> dict[str, np.ndarray]:
-        p = self.params_
-        h = p.hidden_size
-        arrays = {"w_out": p.w_out, "b_out": p.b_out}
-        for k, g in enumerate(_GATES):
-            rows = slice(k * h, (k + 1) * h)
-            arrays[f"w_{g}"] = p.W[rows]
-            arrays[f"u_{g}"] = p.U[rows]
-            arrays[f"b_{g}"] = p.b[rows]
-        return arrays
+        return {f.name: getattr(self.params_, f.name) for f in fields(LstmParams)}
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        # each gate is checked before stacking: w_f with h+1 rows over w_i
-        # with h-1 would stack into a valid-looking W
-        h = self.hidden_size
-        inputs = arrays["w_f"].shape[1:]
-        for g in _GATES:
-            for name, shape in ((f"w_{g}", (h, *inputs)), (f"u_{g}", (h, h)), (f"b_{g}", (h,))):
-                if arrays[name].shape != shape:
-                    raise ValueError(
-                        f"{name} has shape {arrays[name].shape}, not {shape} of hidden_size {h}"
-                    )
-        self.params_ = LstmParams(
-            np.vstack([arrays[f"w_{g}"] for g in _GATES]),
-            np.vstack([arrays[f"u_{g}"] for g in _GATES]),
-            np.concatenate([arrays[f"b_{g}"] for g in _GATES]),
-            arrays["w_out"],
-            arrays["b_out"],
-        )
+        params = LstmParams(**{f.name: arrays[f.name] for f in fields(LstmParams)})
+        if params.hidden_size != self.hidden_size:
+            raise ValueError(f"hidden size is {params.hidden_size}, not {self.hidden_size}")
+        self.params_ = params

@@ -24,6 +24,7 @@ import numpy as np
 from ._blas import single_blas_thread
 from .audio_features import (
     AUDIO_FEATURE_NAMES,
+    DEFAULT_HARMONIC_WINDOW,
     FRAME_FEATURE_NAMES,
     FrameConfig,
     _check_window,
@@ -31,17 +32,9 @@ from .audio_features import (
     extract_frame_sequence,
 )
 from .audio_io import AudioClip
-from .config import (
-    DEFAULT_HARMONIC_WINDOW,
-    DEFAULT_TRAIN_FRACTION,
-    DEFAULT_UPSAMPLE_RHO,
-    ENSEMBLE_MEMBERS,
-    SEED_OFFSET_MODEL,
-    SEED_OFFSET_SPLIT,
-    SEED_OFFSET_UPSAMPLE,
-)
 from .errors import ConfigError, DataError, ModelError, ParameterError, UnsupportedModelError
 from .ingest import (
+    DEFAULT_UPSAMPLE_RHO,
     Dataset,
     Example,
     ManifestEntry,
@@ -86,6 +79,17 @@ _MODEL_CLASSES = {
     "mlp": MlpClassifier,
     "lstm": LstmClassifier,
 }
+
+ENSEMBLE_MEMBERS: dict[str, tuple[str, ...]] = {
+    "e1": ("rf", "xgb", "mlp"),
+    "e2": ("rf", "xgb", "mlp", "mnb", "lr"),
+}
+
+# Offsets added to the experiment seed when a stage needs its own stream: fixed,
+# so a rerun with the one stored seed reproduces the split, upsampling and models.
+SEED_OFFSET_SPLIT = 0
+SEED_OFFSET_UPSAMPLE = 1
+SEED_OFFSET_MODEL = 100  # model i uses seed + SEED_OFFSET_MODEL + i
 
 #: Each kind's hyperparameters and defaults, read from its constructor (all but
 #: the class count, the seed that the run derives and rf's library-only flags),
@@ -167,11 +171,13 @@ class ColumnScaler:
             out[:, : self.block] = np.clip(out[:, : self.block], 0.0, 1.0)
         return out
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        return {"kind": self.kind, "block": self.block}, {
-            "center": self.center_,
-            "scale": self.scale_,
-        }
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {"center": self.center_, "scale": self.scale_}
+
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        if {arrays["center"].shape, arrays["scale"].shape} != {(self.block,)}:
+            raise ValueError(f"scaler arrays do not fit its {self.block} columns")
+        self.center_, self.scale_ = arrays["center"], arrays["scale"]
 
 
 @dataclass
@@ -192,9 +198,9 @@ class _Member:
 
     def header_entry(self) -> dict:
         """The member as a model file's header records it (arrays aside)."""
-        clf = self.classifier
+        clf, scaler = self.classifier, self.scaler
         return {"kind": self.kind, "meta": {key: getattr(clf, key) for key in clf.state_keys()},
-                "scaler": None if self.scaler is None else self.scaler.state()[0]}
+                "scaler": None if scaler is None else {"kind": scaler.kind, "block": scaler.block}}
 
 
 def _width(X) -> int:
@@ -216,19 +222,22 @@ def _blocks(setting: str) -> tuple[str, ...]:
 
 
 def _check_design(
-    kind: str, setting: str, class_mode: str, input_mode: str, hyperparams: dict, l_harm: int,
-    vocab: Optional[Vocabulary] = None, feature_dim: Optional[int] = None,
+    kind: str, setting: str, class_mode: str, seed: int, input_mode: str, hyperparams: dict,
+    l_harm: int, vocab: Optional[Vocabulary] = None, feature_dim: Optional[int] = None,
 ) -> None:
     """Raise ConfigError unless a bundle can have this design: known setting,
-    kind and class mode; an input mode the kind takes in that setting (and
-    that an lstm's ``input_mode`` hyperparameter, if given, names); an
-    ``l_harm`` the harmonic median filter takes; hyperparameters that every
-    member applies (``_configure_members``); and, for a ModelBundle, a
-    vocabulary exactly when the setting reads text and a ``feature_dim`` that
-    is its input's width (ExperimentConfig checks before either exists)."""
+    kind and class mode; an integer seed >= 0, as numpy's generators need; an
+    input mode the kind takes in that setting (and that an lstm's ``input_mode``
+    hyperparameter, if given, names); an ``l_harm`` the harmonic median filter
+    takes; hyperparameters that every member applies (``_configure_members``);
+    and, for a ModelBundle, a vocabulary exactly when the setting reads text and
+    a ``feature_dim`` that is its input's width (ExperimentConfig checks before
+    either exists)."""
     blocks = _blocks(setting)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
+    if type(seed) is not int or seed < 0:  # the header stores an int: no bool, no numpy integer
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     _configure_members(kind, hyperparams, 0, len(classes_for_mode(class_mode)))
     allowed = ("frames", "clip") if kind == "lstm" else ("vector",)
     if input_mode not in allowed:
@@ -276,7 +285,7 @@ class ModelBundle:
     input_mode: str = "vector"  # "vector", or for lstm "frames" or "clip"
 
     def __post_init__(self):
-        _check_design(self.kind, self.setting, self.class_mode, self.input_mode,
+        _check_design(self.kind, self.setting, self.class_mode, self.seed, self.input_mode,
                       self.hyperparams, self.l_harm, self.vocab, self.feature_dim)
 
     def features(self, dataset: Dataset):
@@ -450,7 +459,7 @@ def _header(bundle: ModelBundle) -> dict:
 def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
     arrays: dict[str, np.ndarray] = {}
     for i, member in enumerate(bundle.members):
-        scaled = {} if member.scaler is None else member.scaler.state()[1]
+        scaled = {} if member.scaler is None else member.scaler._arrays()
         arrays.update({f"m{i}/{name}": arr for name, arr in member.classifier._arrays().items()})
         arrays.update({f"m{i}/scaler/{name}": arr for name, arr in scaled.items()})
     save_container(path, _header(bundle), arrays)
@@ -512,10 +521,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
         try:
             member.classifier._set_arrays(_under(arrays, f"m{i}/"))
             if member.scaler is not None:
-                scaler, scaled = member.scaler, _under(arrays, f"m{i}/scaler/")
-                if {scaled["center"].shape, scaled["scale"].shape} != {(scaler.block,)}:
-                    raise ValueError(f"scaler arrays do not fit its {scaler.block} columns")
-                scaler.center_, scaler.scale_ = scaled["center"], scaled["scale"]
+                member.scaler._set_arrays(_under(arrays, f"m{i}/scaler/"))
             if member.kind in _TREE_KINDS:  # importances bound every split feature
                 if member.classifier.packed_["importances"].shape[1] != feature_dim:
                     raise ValueError(f"tree importances do not have {feature_dim} columns")
@@ -718,7 +724,7 @@ class ExperimentConfig:
     class_mode: str = "six"
     seed: int = 0
     out_dir: Optional[Path] = None
-    train_fraction: float = DEFAULT_TRAIN_FRACTION
+    train_fraction: float = 0.8
     upsample_train: bool = True
     upsample_rho: float = DEFAULT_UPSAMPLE_RHO
     hyperparams: dict = field(default_factory=dict)
@@ -729,7 +735,7 @@ class ExperimentConfig:
         self.manifest = Path(self.manifest)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
-        _check_design(self.model_kind, self.setting, self.class_mode,
+        _check_design(self.model_kind, self.setting, self.class_mode, self.seed,
                       _requested_input_mode(self.model_kind, self.hyperparams), self.hyperparams,
                       self.l_harm)
         # checked here too, so a run that skips the split or the upsampling records no bad value

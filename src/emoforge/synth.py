@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import encode_wav
+from .errors import ParameterError
 
 AUDIO_CUE_CLASSES = ("angry", "happy", "sad")
 TEXT_CUE_CLASSES = ("fear", "surprise", "neutral")
@@ -77,7 +78,12 @@ def generate_corpus(
     sample_rate: int = 16000,
     duration: float = 0.6,
 ) -> Path:
-    """Write wavs plus manifest.jsonl and meta.json; returns the manifest path."""
+    """Write wavs plus manifest.jsonl and meta.json; returns the manifest path.
+    ParameterError, before any file is written, for settings out of range."""
+    if not (seed >= 0 and n_per_class >= 1 and sample_rate >= 1 and np.isfinite(duration)
+            and round(sample_rate * duration) >= 1):
+        raise ParameterError(f"corpus needs seed >= 0, per-class >= 1, rate >= 1, a sample per "
+                             f"clip; got {seed}, {n_per_class}, {sample_rate}, {duration}")
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)

@@ -40,8 +40,8 @@ class Vocabulary:
             raise ParameterError("terms and document frequencies must align")
         if len(set(self.terms)) != len(self.terms):
             raise ParameterError("terms must be distinct")
-        if any(df < 1 for df in self.document_frequencies):
-            raise ParameterError("document frequencies must be >= 1")
+        if self.n_documents < 1 or any(df < 1 for df in self.document_frequencies):
+            raise ParameterError("document count and frequencies must be >= 1")
         if any(df > self.n_documents for df in self.document_frequencies):
             raise ParameterError("document frequency cannot exceed document count")
 

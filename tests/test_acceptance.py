@@ -25,7 +25,6 @@ from emoforge.audio_features import (
 )
 from emoforge.audio_io import AudioClip
 from emoforge.cli import main
-from emoforge.config import ENSEMBLE_MEMBERS
 from emoforge.ingest import EmotionLabel, build_dataset, class_histogram, load_manifest
 from emoforge.lstm import LstmClassifier, LstmParams, lstm_forward, sequence_gradients
 from emoforge.metrics import confusion_matrix, evaluate
@@ -38,6 +37,7 @@ from emoforge.models import (
     RandomForest,
 )
 from emoforge.pipeline import (
+    ENSEMBLE_MEMBERS,
     ExperimentConfig,
     feature_importance,
     feature_names,

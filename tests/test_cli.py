@@ -16,12 +16,17 @@ from hypothesis import strategies as st
 from emoforge import ingest
 from emoforge.audio_io import encode_wav
 from emoforge.cli import _parse_hp, main
-from emoforge.config import SEED_OFFSET_MODEL
 from emoforge.errors import ConfigError
 from emoforge.persistence import MAGIC, load_container, save_container
 from emoforge.audio_features import FrameConfig
 from emoforge.ingest import build_dataset, load_manifest
-from emoforge.pipeline import documents, featurize, load_bundle, thread_count
+from emoforge.pipeline import (
+    SEED_OFFSET_MODEL,
+    documents,
+    featurize,
+    load_bundle,
+    thread_count,
+)
 from emoforge.text_features import fit_vocabulary
 
 from conftest import MANIFEST_ROWS, mutated_manifest, write_manifest
@@ -332,8 +337,10 @@ SMALL_RF = ["--hp", "n_trees=2"]
     ("audio_only", [*SMALL_RF, "--hp", "trees=3"], "unknown hyperparameters for rf: ['trees']"),
     ("audio_only", ["--hp", "n_trees=3", "--hp", "n_trees=4"], "sets 'n_trees' twice"),
     ("audio_only", ["--hp", "n_trees=3", "--hp", "rf.n_trees=4"], "sets 'n_trees' twice"),
+    ("audio_only", [*SMALL_RF, "--seed", "-1"], "seed must be an integer >= 0"),
 ], ids=["train-fraction-unused", "rho-unused", "text-only-l-harm-zero", "l_harm-zero",
-        "n-trees-zero", "n-trees-str", "hp-unknown", "hp-repeated", "hp-repeated-scoped"])
+        "n-trees-zero", "n-trees-str", "hp-unknown", "hp-repeated", "hp-repeated-scoped",
+        "seed-negative"])
 def test_train_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch, setting, flags,
                                                  message):
     # every entry carries a split hint, so no run here would call split()
@@ -582,6 +589,38 @@ def test_unreadable_input_paths_exit_3(trained_model, tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"], ["--per-class", "0"], ["--sample-rate", "0"], ["--sample-rate", "-8000"],
+    ["--duration", "0"], ["--duration", "-1"], ["--duration", "nan"],
+], ids=["seed-negative", "per-class-zero", "sample-rate-zero", "sample-rate-negative",
+        "duration-zero", "duration-negative", "duration-nan"])
+def test_synth_corpus_rejects_arguments_out_of_range(tmp_path, capsys, flags):
+    corpus = tmp_path / "corpus"
+    assert main(["synth-corpus", "--out", str(corpus), "--per-class", "1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "extract-features", "synth-corpus"])
+def test_unwritable_output_paths_exit_3(trained_model, tmp_path, capsys, command):
+    manifest, run = trained_model
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {
+        "train": ["train", "--manifest", str(manifest), "--model", "mnb", "--setting",
+                  "text_only", "--out", str(blocker)],
+        "evaluate": ["evaluate", "--model", str(run / "model.emf"), "--manifest", str(manifest),
+                     "--report", str(tmp_path)],
+        "extract-features": ["extract-features", "--manifest", str(manifest), "--setting",
+                             "text_only", "--out", str(tmp_path)],
+        "synth-corpus": ["synth-corpus", "--out", str(blocker / "corpus"), "--per-class", "1"],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("model", ["mnb", "rf"], ids=["wav-on-text-only", "text-on-audio-only"])
 def test_predict_rejects_input_its_setting_does_not_read(request, trained_model, tmp_path, capsys,
                                                          monkeypatch, model):
@@ -738,6 +777,9 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h.update(seed=True), 3, "rf"),
     (lambda h: (h["hyperparameters"]["mlp"].update(learning_rate=True),
                 h["members"][2]["meta"].update(learning_rate=True)), 3, "e2"),
+    # a negative seed, with the member seed derived from it as the design derives it
+    (lambda h: (h.update(seed=-150),
+                h["members"][0]["meta"].update(seed=-150 + SEED_OFFSET_MODEL)), 3, "rf"),
 ], ids=["no-members", "no-vocab", "empty-members", "members-object", "l_harm-str",
         "setting-unknown", "vocab-no-dfs", "member-no-meta", "meta-missing-key",
         "meta-extra-key", "meta-mistyped-value", "unknown-kind", "e2-combination-single",
@@ -754,7 +796,7 @@ def _edit_header(model: Path, edit) -> bytes:
         "e2-mlp-scaler-null", "e2-mlp-scaler-minmax", "rf-member-seed-edited",
         "rf-bootstrap-false", "rf-bundle-seed-edited", "e2-xgb-hp-edited", "rf-feature-dim-4",
         "rf-feature-dim-9", "e2-xgb-meta-seed", "rf-extra-key", "e2-vocab-extra-key",
-        "rf-seed-true", "e2-mlp-learning-rate-true"])
+        "rf-seed-true", "e2-mlp-learning-rate-true", "rf-seed-negative"])
 def test_predict_rejects_malformed_header(request, trained_model, tmp_path, capsys, edit,
                                           expected, model):
     manifest, out = trained_model
@@ -879,7 +921,7 @@ def lstm_model(trained_model):
 def test_predict_rejects_lstm_gates_that_do_not_chain(trained_model, lstm_model, tmp_path):
     manifest, _ = trained_model
     header, entries, blob = _split_model(lstm_model / "model.emf")
-    entry, _ = _array_at(entries, "m0/w_i")
+    entry, _ = _array_at(entries, "m0/W")
     entry["shape"] = [1, math.prod(entry["shape"])]
     path = tmp_path / "model.emf"
     path.write_bytes(_join_model(header, entries, blob))

@@ -391,25 +391,21 @@ def fitted_model():
 
 def test_saved_arrays_are_the_gate_rows_and_load_back_exactly():
     model = fitted_model()
-    params, h = model.params_, model.hidden_size
+    params = model.params_
     arrays = model._arrays()
-    assert list(arrays) == ["w_out", "b_out"] + [f"{n}_{g}" for g in _GATES for n in "wub"]
-    for k, g in enumerate(_GATES):
-        assert np.array_equal(arrays[f"w_{g}"], params.W[k * h : (k + 1) * h])
-        assert np.array_equal(arrays[f"u_{g}"], params.U[k * h : (k + 1) * h])
-        assert np.array_equal(arrays[f"b_{g}"], params.b[k * h : (k + 1) * h])
+    assert list(arrays) == ["W", "U", "b", "w_out", "b_out"]
+    for name, array in zip(arrays, params.arrays()):
+        assert np.array_equal(arrays[name], array)
     loaded = LstmClassifier.from_state(*model.state())
     assert np.array_equal(loaded.params_.to_vector(), params.to_vector())
     assert all(a.dtype == np.float64 for a in loaded.params_.arrays())
 
 
-@pytest.mark.parametrize("name", ["w", "u", "b"])
-def test_load_rejects_gates_that_stack_but_split_wrongly(name):
+@pytest.mark.parametrize("name", ["W", "U", "b"])
+def test_load_rejects_a_stack_missing_a_row(name):
     meta, arrays = fitted_model().state()
-    # w_f takes one row of w_i: the stack is the same, the split is not
-    stack = np.concatenate([arrays[f"{name}_{g}"] for g in _GATES])
-    arrays[f"{name}_f"], arrays[f"{name}_i"] = stack[:4], stack[4:6]
-    with pytest.raises(ValueError):
+    arrays[name] = arrays[name][1:]
+    with pytest.raises(ParameterError):
         LstmClassifier.from_state(meta, arrays)
 
 

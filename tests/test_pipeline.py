@@ -8,12 +8,12 @@ import pytest
 from emoforge import pipeline
 from emoforge.audio_features import AUDIO_FEATURE_NAMES
 from emoforge.cli import _parse_hp
-from emoforge.config import ENSEMBLE_MEMBERS
 from emoforge.errors import ConfigError, ModelError, ParameterError, UnsupportedModelError
 from emoforge.ingest import build_dataset, load_manifest
 from emoforge.models import LogisticRegression, RandomForest
 from emoforge.persistence import FORMAT_VERSION, load_container
 from emoforge.pipeline import (
+    ENSEMBLE_MEMBERS,
     MODEL_DEFAULTS,
     MODEL_KINDS,
     SETTINGS,
@@ -318,6 +318,9 @@ def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_pa
     ("mlp", False, {"hyperparams": {"hidden_sizes": True}}),
     ("mlp", False, {"hyperparams": {"hidden_sizes": [True]}}),
     ("e1", False, {"hyperparams": {"rf": {"n_trees": True}}}),
+    ("rf", False, {"seed": -1}),
+    ("lstm", True, {"seed": True}),
+    ("lr", False, {"seed": np.int64(3)}),
 ], ids=["audio-text-no-vocab", "text-only-no-vocab", "audio-only-with-vocab",
         "lstm-matrix-hp-frames", "lstm-frames-hp-clip", "lstm-hp-sideways", "l_harm-zero",
         "l_harm-above-max", "setting-unknown", "class-mode-unknown", "kind-unknown",
@@ -325,7 +328,8 @@ def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_pa
         "lr-reg-inf", "mlp-learning-rate-inf", "e2-mnb-alpha-inf", "rf-max-depth-zero",
         "rf-max-depth-negative", "xgb-max-depth-zero", "xgb-max-depth-negative",
         "lstm-patience-negative", "rf-n-trees-true", "mlp-learning-rate-true",
-        "mlp-hidden-sizes-true", "mlp-hidden-sizes-list-true", "e1-rf-n-trees-true"])
+        "mlp-hidden-sizes-true", "mlp-hidden-sizes-list-true", "e1-rf-n-trees-true",
+        "rf-seed-negative", "lstm-seed-true", "lr-seed-numpy"])
 def test_train_bundle_rejects_design_before_fitting(no_fit, kind, frames, change):
     X, y, _ = design_inputs("audio_only", frames)
     with pytest.raises(ConfigError):

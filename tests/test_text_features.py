@@ -119,8 +119,9 @@ def test_load_vocabulary_non_integer_is_data_error(tmp_path, text):
 
 
 @pytest.mark.parametrize("data", [b"N=2\ncaf\xe9\t1\n", b"N=1\nhello\t2\n", b"N=1\nhello\t0\n",
-                                  b"N=2\nhello\t1\nhello\t2\n"],
-                         ids=["latin1-byte", "df-above-count", "df-zero", "duplicate-term"])
+                                  b"N=2\nhello\t1\nhello\t2\n", b"N=0\n", b"N=-3\n"],
+                         ids=["latin1-byte", "df-above-count", "df-zero", "duplicate-term",
+                              "no-documents", "negative-documents"])
 def test_load_vocabulary_bad_file_is_data_error(tmp_path, data):
     path = tmp_path / "vocab.tsv"
     path.write_bytes(data)
