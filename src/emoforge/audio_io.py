@@ -165,6 +165,12 @@ def decode_wav(path: str | Path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=int(sample_rate), source_id=path.stem)
 
 
+def check_wav_rate(sample_rate: int, bits: int) -> None:
+    """ParameterError unless a mono ``bits``-bit WAV header's 32-bit fields hold the rate."""
+    if not 0 < int(sample_rate) * (bits // 8) <= 0xFFFFFFFF:
+        raise ParameterError(f"sample rate {sample_rate} does not fit a {bits}-bit WAV header")
+
+
 def encode_wav(
     path: str | Path,
     samples: np.ndarray,
@@ -175,7 +181,8 @@ def encode_wav(
     """Write a mono WAV file; values outside [-1, 1] are clipped.
 
     Integer depths quantize with round-half-away-from-zero so that decoding
-    reproduces the input to within one quantization step.
+    reproduces the input to within one quantization step. ParameterError for
+    an unsupported depth or a rate the header cannot hold (``check_wav_rate``).
     """
     samples = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     if float_format:
@@ -202,6 +209,7 @@ def encode_wav(
         fmt_code, block = _FORMAT_PCM, 3
     else:
         raise ParameterError(f"unsupported bit depth for encoding: {bits}")
+    check_wav_rate(sample_rate, bits)
 
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",

@@ -170,8 +170,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle = load_bundle(args.model)
-    dataset = read_dataset(load_manifest(args.manifest), bundle.setting, bundle.class_mode)
-    report = score(bundle, dataset)
+    dataset = read_dataset(load_manifest(args.manifest), bundle.class_mode)
+    report = score(bundle, bundle.features(dataset), dataset)
     payload = {
         "model_kind": bundle.kind,
         "setting": bundle.setting,

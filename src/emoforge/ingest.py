@@ -90,10 +90,11 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class Example:
-    """One labeled example: a decoded clip and/or a transcript."""
+    """One labeled example: its audio and/or a transcript. ``audio`` is a
+    clip in memory or the path of a WAV not yet decoded (``resolve_clip``)."""
 
     label: EmotionLabel
-    audio: Optional[AudioClip] = None
+    audio: Optional[AudioClip | Path] = None
     transcript: Optional[str] = None
     source_id: str = ""
 
@@ -172,22 +173,23 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     return entries
 
 
-def build_dataset(
-    entries: list[ManifestEntry],
-    class_mode: str = "six",
-    decode_audio: bool = True,
-) -> Dataset:
-    """Decode entries into a Dataset, dropping entries whose label maps to None."""
+def resolve_clip(audio: AudioClip | Path) -> AudioClip:
+    """An example's audio as a clip: itself, or its WAV decoded by ``decode_wav``."""
+    return audio if isinstance(audio, AudioClip) else decode_wav(audio)
+
+
+def build_dataset(entries: list[ManifestEntry], class_mode: str = "six") -> Dataset:
+    """A Dataset of the entries whose label maps to a class, each example
+    holding its WAV path; no WAV is read here."""
     examples = []
     for entry in entries:
         label = map_label(entry.raw_label, class_mode)
         if label is None:
             continue
-        clip = decode_wav(entry.audio_path) if decode_audio else None
         examples.append(
             Example(
                 label=label,
-                audio=clip,
+                audio=entry.audio_path,
                 transcript=entry.transcript,
                 source_id=entry.audio_path.stem,
             )

@@ -43,6 +43,7 @@ from .ingest import (
     build_dataset,
     classes_for_mode,
     load_manifest,
+    resolve_clip,
     split,
     split_by_hint,
     upsample,
@@ -540,20 +541,25 @@ def load_bundle(path: str | Path) -> ModelBundle:
 
 
 def _per_clip(dataset: Dataset, job) -> list:
-    """``job(clip)`` for every example, run once per distinct clip object in
+    """``job(clip)`` for every example, run once per distinct audio object in
     first-appearance order; upsampling duplicates examples by reference, so
-    identity dedups exactly those."""
-    unique: dict[int, AudioClip] = {}
+    identity dedups exactly those. A WAV path is decoded inside its job, so only
+    clips in flight are held; a job's error cancels every clip not yet started."""
+    unique: dict[int, AudioClip | Path] = {}
     for ex in dataset.examples:
         if ex.audio is None:
             raise ParameterError(f"example {ex.source_id!r} carries no audio")
         unique.setdefault(id(ex.audio), ex.audio)
-    clips, workers = list(unique.values()), thread_count()
-    if workers <= 1 or len(clips) <= 1:
-        rows = [job(clip) for clip in clips]
+    audios, workers = list(unique.values()), thread_count()
+
+    def clip_job(audio):
+        return job(resolve_clip(audio))
+
+    if workers <= 1 or len(audios) <= 1:
+        rows = [clip_job(audio) for audio in audios]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, clips))
+            rows = list(pool.map(clip_job, audios))
     cache = dict(zip(unique, rows))
     return [cache[id(ex.audio)] for ex in dataset.examples]
 
@@ -582,11 +588,11 @@ def frame_sequences(
     return _per_clip(dataset, job)
 
 
-def read_dataset(entries: list[ManifestEntry], setting: str, class_mode: str) -> Dataset:
-    """The examples of the entries whose label survives mapping, with clips
-    decoded exactly when ``setting`` reads audio; DataError when none
-    survives. Every command reads its manifest entries through this."""
-    dataset = build_dataset(entries, class_mode, decode_audio="audio" in _blocks(setting))
+def read_dataset(entries: list[ManifestEntry], class_mode: str) -> Dataset:
+    """The examples of the entries whose label survives mapping, each holding
+    its WAV path undecoded; DataError when none survives. Every command reads
+    its manifest entries through this."""
+    dataset = build_dataset(entries, class_mode)
     if not len(dataset):
         raise DataError(f"none of {len(entries)} manifest entries has a {class_mode}-class label")
     return dataset
@@ -656,7 +662,7 @@ def features_csv(manifest: Path, setting: str, class_mode: str, frame_config: Fr
     vocabulary fitted on its own transcripts, and source_id and label columns
     last. ``l_harm`` is checked before the manifest is read."""
     _check_window(l_harm)
-    dataset = read_dataset(load_manifest(manifest), setting, class_mode)
+    dataset = read_dataset(load_manifest(manifest), class_mode)
     vocab = setting_vocabulary(setting, dataset)
     X = featurize(dataset, setting, "vector", frame_config, l_harm, vocab)
     lines = [",".join([*feature_names(setting, vocab), "source_id", "label"])]
@@ -670,9 +676,9 @@ def labels_to_indices(dataset: Dataset) -> np.ndarray:
     return np.asarray([index[ex.label] for ex in dataset.examples], dtype=np.int64)
 
 
-def score(bundle: ModelBundle, dataset: Dataset) -> EvalReport:
-    """The bundle's predictions on ``dataset`` scored against its labels."""
-    predictions = bundle.predict(bundle.features(dataset))
+def score(bundle: ModelBundle, X, dataset: Dataset) -> EvalReport:
+    """The bundle's predictions on ``X``, ``dataset``'s features, scored against its labels."""
+    predictions = bundle.predict(X)
     return evaluate(predictions, labels_to_indices(dataset), len(dataset.classes),
                     class_names=bundle.class_names)
 
@@ -746,24 +752,25 @@ class ExperimentConfig:
 def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path]]:
     entries = load_manifest(config.manifest)
     if any(e.split_hint is not None for e in entries):  # split_by_hint rejects a mix
-        train_ds, test_ds = (read_dataset(part, config.setting, config.class_mode)
+        train_ds, test_ds = (read_dataset(part, config.class_mode)
                              for part in split_by_hint(entries))
     else:
-        dataset = read_dataset(entries, config.setting, config.class_mode)
+        dataset = read_dataset(entries, config.class_mode)
         train_ds, test_ds = split(dataset, config.train_fraction, config.seed + SEED_OFFSET_SPLIT)
     if config.upsample_train:
         train_ds = upsample(train_ds, config.seed + SEED_OFFSET_UPSAMPLE, config.upsample_rho)
 
     input_mode = _requested_input_mode(config.model_kind, config.hyperparams)
     vocab = setting_vocabulary(config.setting, train_ds)
-    train_X = featurize(train_ds, config.setting, input_mode, config.frame_config,
-                        config.l_harm, vocab)
+    # featurize both splits before any member fits: a bad WAV in either exits before training
+    train_X, test_X = (featurize(ds, config.setting, input_mode, config.frame_config,
+                                 config.l_harm, vocab) for ds in (train_ds, test_ds))
     bundle = train_bundle(
         config.model_kind, train_X, labels_to_indices(train_ds), setting=config.setting,
         class_mode=config.class_mode, seed=config.seed, hyperparams=config.hyperparams,
         vocab=vocab, frame_config=config.frame_config, l_harm=config.l_harm,
     )
-    report = score(bundle, test_ds)
+    report = score(bundle, test_X, test_ds)
 
     artifacts: dict[str, Path] = {}
     if config.out_dir is not None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import encode_wav
+from .audio_io import check_wav_rate, encode_wav
 from .errors import ParameterError
 
 AUDIO_CUE_CLASSES = ("angry", "happy", "sad")
@@ -84,6 +84,7 @@ def generate_corpus(
             and round(sample_rate * duration) >= 1):
         raise ParameterError(f"corpus needs seed >= 0, per-class >= 1, rate >= 1, a sample per "
                              f"clip; got {seed}, {n_per_class}, {sample_rate}, {duration}")
+    check_wav_rate(sample_rate, 16)
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)

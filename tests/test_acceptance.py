@@ -372,7 +372,7 @@ def test_c8_gated_dataset_histogram():
         pytest.skip("gated: set EMOFORGE_IEMOCAP_MANIFEST to a licensed-corpus manifest")
     with criterion(8, "gated dataset check", 600):
         entries = load_manifest(manifest_path)
-        dataset = build_dataset(entries, class_mode="six", decode_audio=False)
+        dataset = build_dataset(entries, class_mode="six")
         counts = class_histogram(dataset)
         assert counts == EXPECTED_CORPUS_COUNTS
         assert sum(counts.values()) == 7837

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from emoforge.audio_features import extract_audio_features
 from emoforge.audio_io import decode_wav, encode_wav
-from emoforge.errors import AudioFormatError, DataError, EmptyAudioError, UnsupportedAudioError
+from emoforge.errors import (
+    AudioFormatError, DataError, EmptyAudioError, ParameterError, UnsupportedAudioError,
+)
 
 
 def _raw_wav(fmt_code, channels, sample_rate, bits, payload):
@@ -107,6 +109,20 @@ def test_unsupported_encoding(tmp_path):
     path.write_bytes(_raw_wav(1, 4, 8000, 16, b"\x00" * 32))  # 4 channels
     with pytest.raises(UnsupportedAudioError):
         decode_wav(path)
+
+
+@pytest.mark.parametrize("rate, bits", [
+    (2**32, 8), (2**31, 16), (2**32 // 3 + 1, 24), (2**30, 32), (0, 16),
+], ids=["rate-8bit", "byte-rate-16bit", "byte-rate-24bit", "byte-rate-float", "rate-zero"])
+def test_encode_rejects_a_rate_the_header_cannot_hold(tmp_path, rate, bits):
+    # the header's sample-rate and byte-rate fields are unsigned 32-bit
+    path = tmp_path / "x.wav"
+    with pytest.raises(ParameterError):
+        encode_wav(path, np.zeros(4), rate, bits=bits, float_format=bits == 32)
+    assert not path.exists()
+    top = (2**32 - 1) // (bits // 8)
+    encode_wav(path, np.zeros(4), top, bits=bits, float_format=bits == 32)
+    assert decode_wav(path).sample_rate == top
 
 
 def test_empty_data_chunk(tmp_path):

@@ -6,6 +6,8 @@ import os
 import re
 import signal
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import emoforge
 from emoforge import ingest
 from emoforge.audio_io import encode_wav
 from emoforge.cli import _parse_hp, main
 from emoforge.errors import ConfigError
+from emoforge.models import RandomForest
 from emoforge.persistence import MAGIC, load_container, save_container
 from emoforge.audio_features import FrameConfig
 from emoforge.ingest import build_dataset, load_manifest
@@ -592,8 +596,11 @@ def test_unreadable_input_paths_exit_3(trained_model, tmp_path, capsys, case):
 @pytest.mark.parametrize("flags", [
     ["--seed", "-1"], ["--per-class", "0"], ["--sample-rate", "0"], ["--sample-rate", "-8000"],
     ["--duration", "0"], ["--duration", "-1"], ["--duration", "nan"],
+    ["--sample-rate", "4294967296", "--duration", "1e-9"],
+    ["--sample-rate", "2147483648", "--duration", "1e-9"],
 ], ids=["seed-negative", "per-class-zero", "sample-rate-zero", "sample-rate-negative",
-        "duration-zero", "duration-negative", "duration-nan"])
+        "duration-zero", "duration-negative", "duration-nan", "sample-rate-above-header",
+        "byte-rate-above-header"])
 def test_synth_corpus_rejects_arguments_out_of_range(tmp_path, capsys, flags):
     corpus = tmp_path / "corpus"
     assert main(["synth-corpus", "--out", str(corpus), "--per-class", "1", *flags]) == 2
@@ -640,6 +647,36 @@ def test_predict_rejects_input_its_setting_does_not_read(request, trained_model,
     assert main([*predict, *unread]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and unread[0] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_split", ["train", "test"])
+def test_train_bad_wav_in_either_split_exits_3_before_fitting(tmp_path, capsys, monkeypatch,
+                                                              bad_split):
+    manifest = write_manifest(tmp_path, MANIFEST_ROWS)
+    bad = next(i for i, row in enumerate(MANIFEST_ROWS) if row["split"] == bad_split)
+    (tmp_path / "wavs" / f"clip_{bad:03d}.wav").write_bytes(b"not wav")
+
+    def no_fit(self, X, y):
+        raise AssertionError("a member fit before every WAV was decoded")
+
+    monkeypatch.setattr(RandomForest, "fit", no_fit)
+    out = tmp_path / "run"
+    code = main(["train", "--manifest", str(manifest), "--model", "rf", "--setting",
+                 "audio_only", "--out", str(out), *SMALL_RF])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"clip_{bad:03d}.wav" in err, err
+    assert not out.exists()
+
+
+def test_python_m_emoforge_runs_the_cli():
+    src = Path(emoforge.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-m", "emoforge", "--help"], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "synth-corpus" in result.stdout
 
 
 def test_train_rejects_manifest_mixing_hinted_and_unhinted_entries(trained_model, tmp_path,

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
+from emoforge import ingest
 from emoforge.errors import (
     DataError,
     DegenerateClassError,
@@ -18,6 +19,7 @@ from emoforge.ingest import (
     class_histogram,
     load_manifest,
     map_label,
+    resolve_clip,
     split,
     split_by_hint,
     upsample,
@@ -89,7 +91,19 @@ def test_manifest_roundtrip(tmp_path):
     assert entries[1].split_hint == "test"
     ds = build_dataset(entries)
     assert [ex.label for ex in ds.examples] == [EmotionLabel.HAPPY, EmotionLabel.ANGRY]
-    assert len(ds.examples[0].audio) == 1600
+    assert len(resolve_clip(ds.examples[0].audio)) == 1600
+
+
+def test_build_dataset_reads_no_wav(tmp_path, monkeypatch):
+    # a clip is decoded where it is featurized, so a dataset holds paths only
+    manifest = write_manifest(tmp_path, [{"text": "a", "label": "sad"}])
+
+    def no_decode(path):
+        raise AssertionError(f"{path} decoded by build_dataset")
+
+    monkeypatch.setattr(ingest, "decode_wav", no_decode)
+    ds = build_dataset(load_manifest(manifest))
+    assert ds.examples[0].audio == tmp_path / "wavs" / "clip_000.wav"
 
 
 def test_manifest_missing_audio(tmp_path):
@@ -149,7 +163,8 @@ def test_mutated_manifest_raises_only_data_errors(manifest_dir, data):
     path.write_bytes(data)
     try:
         entries = load_manifest(path)
-        build_dataset(entries)
+        for ex in build_dataset(entries).examples:
+            resolve_clip(ex.audio)
     except DataError:
         return
     for entry in entries:

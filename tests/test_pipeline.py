@@ -1,15 +1,22 @@
 import inspect
 import json
 import os
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from emoforge import pipeline
-from emoforge.audio_features import AUDIO_FEATURE_NAMES
+from emoforge.audio_features import AUDIO_FEATURE_NAMES, FrameConfig
 from emoforge.cli import _parse_hp
-from emoforge.errors import ConfigError, ModelError, ParameterError, UnsupportedModelError
-from emoforge.ingest import build_dataset, load_manifest
+from emoforge.errors import (
+    AudioFormatError, ConfigError, ModelError, ParameterError, UnsupportedModelError,
+)
+from emoforge.ingest import (
+    Dataset, EmotionLabel, Example, build_dataset, load_manifest, resolve_clip,
+)
 from emoforge.models import LogisticRegression, RandomForest
 from emoforge.persistence import FORMAT_VERSION, load_container
 from emoforge.pipeline import (
@@ -28,11 +35,13 @@ from emoforge.pipeline import (
     fused_matrix,
     load_bundle,
     predict_example,
+    read_dataset,
     run_experiment,
     save_bundle,
     train_bundle,
     thread_count,
 )
+from emoforge.synth import generate_corpus
 from emoforge.text_features import fit_vocabulary
 
 from conftest import make_tone
@@ -584,7 +593,8 @@ def test_predict_example_matches_batch_featurize(tmp_path, synth_corpus, setting
     batch = bundle.predict_proba(X)
     blocks = SETTINGS[setting]  # predict_example takes only the inputs its setting reads
     for ex, row in zip(dataset.examples, batch):
-        _, probabilities = predict_example(bundle, clip=ex.audio if "audio" in blocks else None,
+        clip = resolve_clip(ex.audio) if "audio" in blocks else None
+        _, probabilities = predict_example(bundle, clip=clip,
                                            text=ex.transcript if "text" in blocks else None)
         assert np.array_equal(np.array(list(probabilities.values())), row)
 
@@ -616,3 +626,45 @@ def test_thread_count_env_cap(monkeypatch):
     assert thread_count() == 4
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert thread_count() == 3
+
+
+def test_feature_pool_stops_at_the_first_bad_wav(tmp_path, monkeypatch):
+    # a clip already started runs to its end, one not yet started is cancelled
+    monkeypatch.setenv("EMOFORGE_THREADS", "2")
+    manifest = generate_corpus(tmp_path, seed=4, n_per_class=3)
+    paths = [entry.audio_path for entry in load_manifest(manifest)]
+    paths[0].write_bytes(b"not a wav")
+    started, lock = [], threading.Lock()
+    extract = pipeline.extract_audio_features
+
+    def slow_extract(clip, *args):
+        with lock:
+            started.append(clip.source_id)
+        time.sleep(0.1)
+        return extract(clip, *args)
+
+    monkeypatch.setattr(pipeline, "extract_audio_features", slow_extract)
+    dataset = Dataset([Example(label=EmotionLabel.ANGRY, audio=path) for path in paths])
+    with pytest.raises(AudioFormatError):
+        pipeline.audio_feature_matrix(dataset, FrameConfig())
+    assert len(started) <= thread_count() < len(paths) - 1, started
+
+
+def _feature_peak_bytes(entries) -> int:
+    tracemalloc.start()
+    try:
+        dataset = read_dataset(entries, "six")
+        featurize(dataset, "audio_only", "vector", FrameConfig(), 31, None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_feature_memory_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
+    # each WAV is decoded inside its feature job and dropped after it, so 24
+    # more 2-s clips leave the peak below four clips' decoded samples
+    monkeypatch.setenv("EMOFORGE_THREADS", "1")
+    entries = load_manifest(generate_corpus(tmp_path, seed=6, n_per_class=6, duration=2.0))
+    clip_bytes = 32000 * np.dtype(np.float64).itemsize
+    growth = _feature_peak_bytes(entries[:32]) - _feature_peak_bytes(entries[:8])
+    assert growth < 4 * clip_bytes, growth
