@@ -7,6 +7,9 @@ soft-voting ensembles, and a train/evaluate/predict pipeline. The `emoforge`
 console script wraps the pipeline.
 """
 
+# first, so that numpy's OpenBLAS starts with one thread (see _blas)
+from . import _blas  # noqa: F401
+
 from .audio_features import (
     AUDIO_FEATURE_NAMES,
     AudioFeatureVector,

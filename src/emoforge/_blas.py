@@ -1,4 +1,4 @@
-"""One BLAS thread for model code.
+"""One BLAS thread for model code, from the moment numpy loads.
 
 numpy hands a matrix product large enough to OpenBLAS, which splits it over
 its thread pool. How it splits decides how the sums round, so a model
@@ -7,6 +7,18 @@ on a single core, and the pool's workers spin between calls. Model fitting
 and prediction therefore run inside ``single_blas_thread``, which sets the
 pool of the OpenBLAS that numpy has loaded to one thread and restores the
 caller's count when the last of any nested or concurrent entries leaves.
+
+Importing emoforge before numpy also starts numpy's OpenBLAS with a pool of
+one thread. OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when it loads, and
+otherwise starts one worker per core, which costs CPU at start-up and spins
+between calls although no emoforge model uses it. So when numpy is not yet
+imported and none of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+``OMP_NUM_THREADS`` is set, this module sets ``OPENBLAS_NUM_THREADS=1``,
+imports numpy and removes the variable again: code that runs later, and
+child processes, see the environment as it was. ``OMP_NUM_THREADS`` is never
+touched, because other OpenMP libraries read it too. A process that wants a
+larger pool presets one of the three variables, imports numpy first, or
+raises the count afterwards with ``openblas().set_num_threads``.
 
 The library is found among the shared objects mapped into the process
 (``/proc/self/maps``) by its exported thread-count functions. Where none is
@@ -18,10 +30,29 @@ from __future__ import annotations
 
 import ctypes
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from functools import cache
 from typing import Callable, Iterator, NamedTuple, Optional
+
+# the variables that OpenBLAS reads for its pool size when it loads
+_POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _import_numpy_on_one_thread() -> None:
+    """Import numpy with its OpenBLAS pool started on one thread, unless numpy
+    is already imported or the environment sizes the pool."""
+    if "numpy" in sys.modules or any(name in os.environ for name in _POOL_VARIABLES):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_on_one_thread()
 
 # (prefix, suffix) of the thread-count functions: scipy-openblas wheels with
 # 64-bit and 32-bit integers, then a plain OpenBLAS build

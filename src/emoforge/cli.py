@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth-corpus, extract-features, train, evaluate, predict,
-importance. Exit codes: 0 success, 2 configuration error, 3 data or I/O error.
+importance. Exit codes: 0 success, 2 configuration error, 3 data or I/O error
+(running out of memory included).
 """
 
 from __future__ import annotations
@@ -217,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     except (EmoforgeError, OSError) as exc:  # a DataError or OSError exits 3, any other 2
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA if isinstance(exc, (DataError, OSError)) else EXIT_CONFIG
+    except MemoryError as exc:  # a backstop: the design caps reject known oversized requests
+        print(f"error: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

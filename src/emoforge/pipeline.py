@@ -110,9 +110,26 @@ _TREE_KINDS = {"rf", "xgb"}
 _STANDARDIZED_KINDS = {"svm", "lr", "mlp"}
 
 
+#: Size caps on one member's design, checked from the design and its input
+#: width before any WAV is read: the weights and biases of an mlp or lstm
+#: (2**24 float64s are 128 MiB, and training holds several such copies) and
+#: the trees of an rf or xgb (xgb grows one tree per class in each round).
+MAX_MEMBER_WEIGHTS = 2**24
+MAX_MEMBER_TREES = 10_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def thread_count() -> int:
-    """Worker count for data-parallel stages: one per core up to four; EMOFORGE_THREADS caps it."""
-    count = min(4, os.cpu_count() or 1)
+    """Worker count for data-parallel stages: one per usable CPU up to four;
+    EMOFORGE_THREADS caps it."""
+    count = min(4, _usable_cpus())
     cap = os.environ.get("EMOFORGE_THREADS")
     if cap:
         try:
@@ -231,15 +248,17 @@ def _check_design(
     input mode the kind takes in that setting (and that an lstm's ``input_mode``
     hyperparameter, if given, names); an ``l_harm`` the harmonic median filter
     takes; hyperparameters that every member applies (``_configure_members``);
-    and, for a ModelBundle, a vocabulary exactly when the setting reads text and
-    a ``feature_dim`` that is its input's width (ExperimentConfig checks before
-    either exists)."""
+    for a ModelBundle, a vocabulary exactly when the setting reads text and a
+    ``feature_dim`` that is its input's width (ExperimentConfig checks before
+    either exists); and members within ``MAX_MEMBER_WEIGHTS`` and
+    ``MAX_MEMBER_TREES`` on that input, or on its least width while the
+    vocabulary is unknown."""
     blocks = _blocks(setting)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     if type(seed) is not int or seed < 0:  # the header stores an int: no bool, no numpy integer
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    _configure_members(kind, hyperparams, 0, len(classes_for_mode(class_mode)))
+    members = _configure_members(kind, hyperparams, 0, len(classes_for_mode(class_mode)))
     allowed = ("frames", "clip") if kind == "lstm" else ("vector",)
     if input_mode not in allowed:
         raise ConfigError(f"{kind} input_mode must be one of {allowed}, got {input_mode!r}")
@@ -248,16 +267,39 @@ def _check_design(
     if input_mode == "frames" and blocks != ("audio",):
         raise ConfigError("frame-sequence input requires the audio_only setting")
     _check_window(l_harm)
-    if feature_dim is None:
-        return
-    if (vocab is not None) != ("text" in blocks):
+    if feature_dim is not None and (vocab is not None) != ("text" in blocks):
         need = "takes no" if vocab is not None else "needs a"
         raise ConfigError(f"setting {setting!r} {need} vocabulary")
+    # before a vocabulary exists, the text block counts its least width, one term
     width = len(FRAME_FEATURE_NAMES) if input_mode == "frames" else sum(
-        len(AUDIO_FEATURE_NAMES) if block == "audio" else len(vocab) for block in blocks)
-    if feature_dim != width:
+        len(AUDIO_FEATURE_NAMES) if block == "audio" else len(vocab) if vocab is not None else 1
+        for block in blocks)
+    if feature_dim is not None and feature_dim != width:
         raise ConfigError(f"feature_dim {feature_dim} is not the {width} columns of "
                           f"{input_mode} input in setting {setting!r}")
+    for member, clf in members:
+        _check_size(member, clf, width)
+
+
+def _check_size(kind: str, clf, width: int) -> None:
+    """ConfigError when an unfitted member of ``kind`` would hold more weights
+    or trees, on input ``width`` columns wide, than its cap allows."""
+    if kind == "mlp":
+        sizes = (width, *clf.hidden_sizes, clf.n_classes)
+        what, count = "weights", sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    elif kind == "lstm":
+        hidden = clf.hidden_size
+        what, count = "weights", 4 * hidden * (width + hidden + 1) + (hidden + 1) * clf.n_classes
+    elif kind == "rf":
+        what, count = "trees", clf.n_trees
+    elif kind == "xgb":
+        what, count = "trees", clf.n_rounds * clf.n_classes
+    else:
+        return
+    cap = MAX_MEMBER_WEIGHTS if what == "weights" else MAX_MEMBER_TREES
+    if count > cap:
+        raise ConfigError(f"{kind} design holds {count} {what} on {width} input columns, "
+                          f"over the cap of {cap}")
 
 
 def _requested_input_mode(kind: str, hyperparams: dict) -> str:
@@ -762,6 +804,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path
 
     input_mode = _requested_input_mode(config.model_kind, config.hyperparams)
     vocab = setting_vocabulary(config.setting, train_ds)
+    # the size caps again, on the vocabulary's true width, before any WAV is read
+    _check_design(config.model_kind, config.setting, config.class_mode, config.seed, input_mode,
+                  config.hyperparams, config.l_harm, vocab)
     # featurize both splits before any member fits: a bad WAV in either exits before training
     train_X, test_X = (featurize(ds, config.setting, input_mode, config.frame_config,
                                  config.l_harm, vocab) for ds in (train_ds, test_ds))

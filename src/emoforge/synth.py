@@ -71,6 +71,11 @@ def _render_text(rng: np.random.Generator, label: str) -> str:
     return " ".join(words)
 
 
+#: The most samples one clip may hold: 2**24, about 17 minutes at 16 kHz. Each
+#: clip is rendered as several float64 arrays of that length.
+MAX_CLIP_SAMPLES = 2**24
+
+
 def generate_corpus(
     out_dir: str | Path,
     seed: int = 0,
@@ -79,12 +84,15 @@ def generate_corpus(
     duration: float = 0.6,
 ) -> Path:
     """Write wavs plus manifest.jsonl and meta.json; returns the manifest path.
-    ParameterError, before any file is written, for settings out of range."""
-    if not (seed >= 0 and n_per_class >= 1 and sample_rate >= 1 and np.isfinite(duration)
-            and round(sample_rate * duration) >= 1):
-        raise ParameterError(f"corpus needs seed >= 0, per-class >= 1, rate >= 1, a sample per "
-                             f"clip; got {seed}, {n_per_class}, {sample_rate}, {duration}")
-    check_wav_rate(sample_rate, 16)
+    ParameterError, before any file is written, for settings out of range,
+    among them clips of more than ``MAX_CLIP_SAMPLES`` samples."""
+    check_wav_rate(sample_rate, 16)  # first, so that the rate is small enough for a float
+    n_samples = sample_rate * duration if np.isfinite(duration) else 0.0
+    if not (seed >= 0 and n_per_class >= 1 and np.isfinite(n_samples)
+            and 1 <= round(n_samples) <= MAX_CLIP_SAMPLES):
+        raise ParameterError(f"corpus needs seed >= 0, per-class >= 1, 1 to {MAX_CLIP_SAMPLES} "
+                             f"samples per clip; got {seed}, {n_per_class}, {sample_rate}, "
+                             f"{duration}")
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)

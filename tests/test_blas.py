@@ -1,9 +1,13 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emoforge
 from emoforge import _blas
 from emoforge._blas import openblas, single_blas_thread
 from emoforge.errors import DegenerateLabelError
@@ -150,3 +154,80 @@ def test_the_context_runs_its_block_with_or_without_openblas(monkeypatch):
     with single_blas_thread():
         ran.append(True)
     assert ran == [True]
+
+
+# --- the start-up step: numpy's pool starts on one thread under emoforge ---
+
+SRC = Path(emoforge.__file__).resolve().parent.parent
+POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+PROBE = SRC / "emoforge" / "_blas.py"
+
+# Each child prints its pool size, whether OPENBLAS_NUM_THREADS is in its
+# environment, and what the C library's getenv reads for it.
+_REPORT = """
+import ctypes, os
+getenv = ctypes.CDLL(None).getenv
+getenv.restype = ctypes.c_char_p
+print(openblas().get_num_threads(), "OPENBLAS_NUM_THREADS" in os.environ,
+      getenv(b"OPENBLAS_NUM_THREADS"))
+"""
+
+_EMOFORGE_FIRST = "import emoforge\nfrom emoforge._blas import openblas\n"
+_NUMPY_FIRST = "import numpy\nimport emoforge\nfrom emoforge._blas import openblas\n"
+# numpy alone: the probe module is loaded from its file, and no emoforge
+# package is imported
+_NUMPY_ALONE = f"""
+import importlib.util, numpy, sys
+spec = importlib.util.spec_from_file_location("probe", {str(PROBE)!r})
+probe = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(probe)
+assert "emoforge" not in sys.modules
+openblas = probe.openblas
+"""
+
+
+def run_child(code: str, **env: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter that imports from ``src/``, with
+    none of the pool variables set but those in ``env``; its printed words."""
+    clean = {k: v for k, v in os.environ.items() if k not in POOL_VARIABLES}
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**clean, "PYTHONPATH": str(SRC), **env},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@needs_openblas
+def test_importing_emoforge_first_starts_one_thread_and_leaves_the_environment():
+    assert run_child(_EMOFORGE_FIRST + _REPORT) == ["1", "False", "None"]
+
+
+@needs_openblas
+@pytest.mark.parametrize("variable", POOL_VARIABLES)
+def test_a_preset_pool_variable_keeps_numpys_own_count(variable):
+    count, present, _ = run_child(_EMOFORGE_FIRST + _REPORT, **{variable: "2"})
+    assert count == run_child(_NUMPY_ALONE + _REPORT, **{variable: "2"})[0]
+    assert present == str(variable == "OPENBLAS_NUM_THREADS")
+
+
+@needs_openblas
+def test_numpy_imported_first_keeps_its_own_count():
+    assert run_child(_NUMPY_FIRST + _REPORT)[0] == run_child(_NUMPY_ALONE + _REPORT)[0]
+
+
+@needs_openblas
+def test_the_pool_can_be_raised_after_a_one_thread_start():
+    code = _EMOFORGE_FIRST + """
+import os
+import numpy
+def tasks():
+    return len(os.listdir("/proc/self/task"))
+before = openblas().get_num_threads(), tasks()
+openblas().set_num_threads(2)
+a = numpy.ones((512, 512))
+a @ a
+print(*before, openblas().get_num_threads(), tasks())
+"""
+    count_before, tasks_before, count_after, tasks_after = map(int, run_child(code))
+    assert (count_before, count_after) == (1, 2)
+    assert tasks_after > tasks_before

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import signal
 import struct
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import emoforge
-from emoforge import ingest
+from emoforge import cli, ingest, pipeline
 from emoforge.audio_io import encode_wav
 from emoforge.cli import _parse_hp, main
 from emoforge.errors import ConfigError
@@ -209,7 +210,7 @@ def test_train_determinism_across_invocations(tmp_path):
 def test_e2_training_is_identical_at_any_thread_count(tmp_path, monkeypatch):
     corpus = tmp_path / "c"
     main(["synth-corpus", "--out", str(corpus), "--seed", "4", "--per-class", "8"])
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # two workers even on one CPU
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)  # two workers even on one CPU
     outs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("EMOFORGE_THREADS", threads)
@@ -598,9 +599,12 @@ def test_unreadable_input_paths_exit_3(trained_model, tmp_path, capsys, case):
     ["--duration", "0"], ["--duration", "-1"], ["--duration", "nan"],
     ["--sample-rate", "4294967296", "--duration", "1e-9"],
     ["--sample-rate", "2147483648", "--duration", "1e-9"],
+    ["--sample-rate", "1", "--duration", "16777217"], ["--duration", "1e308"],
+    ["--sample-rate", "1" + "0" * 400],
 ], ids=["seed-negative", "per-class-zero", "sample-rate-zero", "sample-rate-negative",
         "duration-zero", "duration-negative", "duration-nan", "sample-rate-above-header",
-        "byte-rate-above-header"])
+        "byte-rate-above-header", "samples-above-cap", "samples-overflow",
+        "sample-rate-beyond-float"])
 def test_synth_corpus_rejects_arguments_out_of_range(tmp_path, capsys, flags):
     corpus = tmp_path / "corpus"
     assert main(["synth-corpus", "--out", str(corpus), "--per-class", "1", *flags]) == 2
@@ -669,14 +673,111 @@ def test_train_bad_wav_in_either_split_exits_3_before_fitting(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_python_m_emoforge_runs_the_cli():
+def run_module(argv: list[str], address_space: int | None = None) -> subprocess.CompletedProcess:
+    """``python -m emoforge argv`` in a child that imports this checkout's
+    package; with ``address_space`` bytes as its RLIMIT_AS, so that an
+    oversized request fails there with MemoryError instead of taking the host."""
     src = Path(emoforge.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    result = subprocess.run([sys.executable, "-m", "emoforge", "--help"], capture_output=True,
-                            text=True, env=env, timeout=120)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "emoforge", *argv], capture_output=True,
+                          text=True, env=env, timeout=300,
+                          preexec_fn=None if address_space is None else limit)
+
+
+# room for the interpreter and numpy, far below any oversized request
+CHILD_ADDRESS_SPACE = 2 * 1024**3
+
+
+def test_python_m_emoforge_runs_the_cli():
+    result = run_module(["--help"])
     assert result.returncode == 0, result.stderr
     assert "synth-corpus" in result.stdout
+
+
+def test_synth_corpus_rejects_a_clip_over_the_sample_cap_before_writing(tmp_path):
+    corpus = tmp_path / "corpus"
+    result = run_module(["synth-corpus", "--out", str(corpus), "--per-class", "1",
+                         "--duration", "1e9"], CHILD_ADDRESS_SPACE)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:") and "samples per clip" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize("model, hp", [
+    ("mlp", "hidden_sizes=2000000000"),
+    ("rf", "n_trees=2000000000"),
+    ("lstm", "hidden_size=100000000"),
+], ids=["mlp-hidden-sizes", "rf-n-trees", "lstm-hidden-size"])
+def test_train_rejects_a_design_over_its_size_cap_before_fitting(trained_model, tmp_path, model,
+                                                                  hp):
+    manifest, _ = trained_model
+    out = tmp_path / "run"
+    result = run_module(["train", "--manifest", str(manifest), "--model", model, "--setting",
+                         "audio_only", "--out", str(out), "--hp", hp], CHILD_ADDRESS_SPACE)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"error: {model} design holds") and "cap" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, hp, named", [
+    ("e2", ["--hp", "xgb.n_rounds=1667"], "xgb design holds 10002 trees"),
+    ("e1", ["--hp", "rf.n_trees=10001"], "rf design holds 10001 trees"),
+    ("mlp", ["--hp", "hidden_sizes=4096,4096"], "mlp design holds"),
+    # a twentieth of the 2**24 weight cap per hidden unit: under the cap on the
+    # least text width, over it on the vocabulary's
+    ("mlp", ["--hp", "hidden_sizes=838860"], "mlp design holds"),
+], ids=["e2-xgb-rounds-times-classes", "e1-rf-trees", "mlp-two-layers", "mlp-vocabulary-width"])
+def test_size_caps_reject_before_any_wav_is_read(trained_model, tmp_path, capsys, monkeypatch,
+                                                 model, hp, named):
+    manifest, _ = trained_model
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
+    code = main(["train", "--manifest", str(manifest), "--model", model, "--setting",
+                 "audio_text", "--out", str(tmp_path / "run"), *hp])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("model, edit", [
+    ("rf", lambda h: h["hyperparameters"].update(n_trees=2000000000)),
+    ("lstm", lambda h: h["hyperparameters"].update(hidden_size=100000000)),
+    ("e2", lambda h: h["hyperparameters"]["mlp"].update(hidden_sizes=[2000000000])),
+], ids=["rf-n-trees", "lstm-hidden-size", "e2-mlp-hidden-sizes"])
+def test_a_model_header_over_a_size_cap_exits_3(request, trained_model, tmp_path, capsys, model,
+                                                edit):
+    manifest, out = trained_model
+    if model != "rf":
+        out = request.getfixturevalue(f"{model}_model")
+    path = tmp_path / "model.emf"
+    path.write_bytes(_edit_header(out / "model.emf", edit))
+    code = main(["evaluate", "--model", str(path), "--manifest", str(manifest),
+                 "--report", str(tmp_path / "eval.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "over the cap" in err and "Traceback" not in err, err
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("raised, message", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 116. TiB"),
+     "error: out of memory (Unable to allocate 116. TiB)\n"),
+], ids=["bare", "with-detail"])
+def test_a_memory_error_exits_3_without_a_traceback(monkeypatch, capsys, raised, message):
+    def exhaust(args):
+        raise raised
+
+    monkeypatch.setitem(cli._COMMANDS, "importance", exhaust)
+    assert main(["importance", "--model", "model.emf"]) == 3
+    assert capsys.readouterr().err == message
 
 
 def test_train_rejects_manifest_mixing_hinted_and_unhinted_entries(trained_model, tmp_path,

@@ -1,6 +1,5 @@
 import inspect
 import json
-import os
 import threading
 import time
 import tracemalloc
@@ -542,6 +541,20 @@ def test_lstm_frames_rejected_outside_audio_setting(synth_corpus):
         )
 
 
+def test_designs_at_their_size_caps_are_accepted():
+    at_cap = {
+        "rf": {"n_trees": pipeline.MAX_MEMBER_TREES},
+        "xgb": {"n_rounds": pipeline.MAX_MEMBER_TREES // 6},  # one tree per class and round
+        # (8 + 1) * h + (h + 1) * 6 weights and biases
+        "mlp": {"hidden_sizes": (pipeline.MAX_MEMBER_WEIGHTS - 6) // 15},
+    }
+    for kind, hp in at_cap.items():
+        ExperimentConfig("m.jsonl", "audio_only", kind, hyperparams=hp)
+        bigger = {key: value + 1 for key, value in hp.items()}
+        with pytest.raises(ConfigError, match="cap"):
+            ExperimentConfig("m.jsonl", "audio_only", kind, hyperparams=bigger)
+
+
 def test_hinted_split_respected(tmp_path, synth_corpus):
     rows = [json.loads(line) for line in synth_corpus.read_text().splitlines()]
     hinted = synth_corpus.parent / "hinted.jsonl"
@@ -616,7 +629,7 @@ def test_predict_example_rejects_an_input_its_setting_does_not_read(setting, kin
 
 
 def test_thread_count_env_cap(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
     monkeypatch.setenv("EMOFORGE_THREADS", "2")
     assert thread_count() == 2
     monkeypatch.setenv("EMOFORGE_THREADS", "bogus")
@@ -624,8 +637,17 @@ def test_thread_count_env_cap(monkeypatch):
         thread_count()
     monkeypatch.delenv("EMOFORGE_THREADS")
     assert thread_count() == 4
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
     assert thread_count() == 3
+
+
+def test_thread_count_follows_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("EMOFORGE_THREADS", raising=False)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert thread_count() == 1
+    monkeypatch.delattr(pipeline.os, "sched_getaffinity")
+    assert thread_count() == 4
 
 
 def test_feature_pool_stops_at_the_first_bad_wav(tmp_path, monkeypatch):
