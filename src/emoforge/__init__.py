@@ -54,7 +54,6 @@ from .pipeline import (
     ExperimentConfig,
     ModelBundle,
     feature_importance,
-    fuse,
     load_bundle,
     run_experiment,
     save_bundle,

@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--train-fraction", type=float, default=ExperimentConfig.train_fraction)
     p.add_argument("--rho", type=float, default=ExperimentConfig.upsample_rho)
-    p.add_argument("--no-upsample", action="store_true")
     p.add_argument("--hp", action="append", metavar="KEY=VALUE",
                    help="hyperparameter override, repeatable")
     _add_frame_args(p)
@@ -156,7 +155,6 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         out_dir=args.out,
         train_fraction=args.train_fraction,
-        upsample_train=not args.no_upsample,
         upsample_rho=args.rho,
         hyperparams=_parse_hp(args.hp, args.model),
         frame_config=FrameConfig(args.frame_length, args.hop_length),

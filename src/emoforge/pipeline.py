@@ -8,7 +8,9 @@ and repeated runs produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -139,15 +141,6 @@ def thread_count() -> int:
     return count
 
 
-def fuse(audio_vec: np.ndarray, text_vec: np.ndarray) -> np.ndarray:
-    """Early fusion: concatenate with the audio block first."""
-    a = np.asarray(audio_vec, dtype=np.float64)
-    t = np.asarray(text_vec, dtype=np.float64)
-    if a.ndim != 1 or t.ndim != 1:
-        raise ParameterError("fuse expects two 1-D vectors")
-    return np.concatenate([a, t])
-
-
 class ColumnScaler:
     """Feature scaling over the leading ``block`` columns.
 
@@ -242,12 +235,13 @@ def _blocks(setting: str) -> tuple[str, ...]:
 def _check_design(
     kind: str, setting: str, class_mode: str, seed: int, input_mode: str, hyperparams: dict,
     l_harm: int, vocab: Optional[Vocabulary] = None, feature_dim: Optional[int] = None,
-) -> None:
-    """Raise ConfigError unless a bundle can have this design: known setting,
-    kind and class mode; an integer seed >= 0, as numpy's generators need; an
-    input mode the kind takes in that setting (and that an lstm's ``input_mode``
-    hyperparameter, if given, names); an ``l_harm`` the harmonic median filter
-    takes; hyperparameters that every member applies (``_configure_members``);
+) -> list[tuple[str, object]]:
+    """The design's unfitted members, as ``_configure_members`` makes them from
+    ``seed``. Raise ConfigError unless a bundle can have this design: known
+    setting, kind and class mode; an integer seed >= 0, as numpy's generators
+    need; an input mode the kind takes in that setting (and that an lstm's
+    ``input_mode`` hyperparameter, if given, names); an ``l_harm`` the harmonic
+    median filter takes; hyperparameters that every member applies;
     for a ModelBundle, a vocabulary exactly when the setting reads text and a
     ``feature_dim`` that is its input's width (ExperimentConfig checks before
     either exists); and members within ``MAX_MEMBER_WEIGHTS`` and
@@ -258,7 +252,7 @@ def _check_design(
         raise ConfigError(f"unknown model kind {kind!r}")
     if type(seed) is not int or seed < 0:  # the header stores an int: no bool, no numpy integer
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    members = _configure_members(kind, hyperparams, 0, len(classes_for_mode(class_mode)))
+    members = _configure_members(kind, hyperparams, seed, len(classes_for_mode(class_mode)))
     allowed = ("frames", "clip") if kind == "lstm" else ("vector",)
     if input_mode not in allowed:
         raise ConfigError(f"{kind} input_mode must be one of {allowed}, got {input_mode!r}")
@@ -279,6 +273,7 @@ def _check_design(
                           f"{input_mode} input in setting {setting!r}")
     for member, clf in members:
         _check_size(member, clf, width)
+    return members
 
 
 def _check_size(kind: str, clf, width: int) -> None:
@@ -313,23 +308,26 @@ def _requested_input_mode(kind: str, hyperparams: dict) -> str:
 class ModelBundle:
     """A trained model plus everything needed to reuse it: preprocessing
     stats, vocabulary, framing, and provenance. A single model is a
-    one-member vote."""
+    one-member vote. Its members are built from its design at construction."""
 
     kind: str
     setting: str
     class_mode: str
     seed: int
     feature_dim: int
-    members: list[_Member]
     hyperparams: dict
     vocab: Optional[Vocabulary] = None
     frame_config: FrameConfig = field(default_factory=FrameConfig)
     l_harm: int = DEFAULT_HARMONIC_WINDOW
     input_mode: str = "vector"  # "vector", or for lstm "frames" or "clip"
+    members: list[_Member] = field(init=False)
 
     def __post_init__(self):
-        _check_design(self.kind, self.setting, self.class_mode, self.seed, self.input_mode,
-                      self.hyperparams, self.l_harm, self.vocab, self.feature_dim)
+        members = _check_design(self.kind, self.setting, self.class_mode, self.seed,
+                                self.input_mode, self.hyperparams, self.l_harm, self.vocab,
+                                self.feature_dim)
+        self.members = [_Member(kind, clf, _scaler_for(kind, self.setting, self.feature_dim))
+                        for kind, clf in members]
 
     def features(self, dataset: Dataset):
         """``featurize`` with the bundle's setting, input mode, framing, l_harm and vocab."""
@@ -447,9 +445,9 @@ def train_bundle(
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
 ) -> ModelBundle:
     """Fit the members of ``kind`` (a single kind is its own one member) into
-    a reusable bundle; ``_members`` builds them from the bundle's design,
-    reading hyperparameters flat for a single kind and keyed by member kind
-    for an ensemble. The input mode is what ``X`` is: "frames" for a list of
+    a reusable bundle, which builds them from its design, reading
+    hyperparameters flat for a single kind and keyed by member kind for an
+    ensemble. The input mode is what ``X`` is: "frames" for a list of
     per-frame sequences, else "clip" for the lstm and "vector" for the rest.
     The bundle's design is checked, and every member configured, before any
     member fits. Members fit with numpy's BLAS on one thread, so the bytes do
@@ -457,23 +455,14 @@ def train_bundle(
     frames = isinstance(X, list)
     bundle = ModelBundle(
         kind=kind, setting=setting, class_mode=class_mode, seed=seed, feature_dim=_width(X),
-        members=[], hyperparams=dict(hyperparams or {}), vocab=vocab,
+        hyperparams=dict(hyperparams or {}), vocab=vocab,
         frame_config=frame_config or FrameConfig(), l_harm=l_harm,
         input_mode="frames" if frames else "clip" if kind == "lstm" else "vector",
     )
-    bundle.members = _members(bundle)
     with single_blas_thread():
         for member in bundle.members:
             member.fit(X, y)
     return bundle
-
-
-def _members(bundle: ModelBundle) -> list[_Member]:
-    """The bundle's unfitted members as its design makes them, each with
-    ``_scaler_for``'s scaler: ``train_bundle`` fits them, ``load_bundle`` fills them."""
-    return [_Member(kind, clf, _scaler_for(kind, bundle.setting, bundle.feature_dim))
-            for kind, clf in _configure_members(bundle.kind, bundle.hyperparams, bundle.seed,
-                                                len(bundle.class_names))]
 
 
 # --- bundle persistence -----------------------------------------------------
@@ -551,11 +540,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
             [vocab] = _typed(path, header, dict, "vocab")
             terms, dfs = _typed(path, vocab, list, "terms", "dfs")
             vocab = Vocabulary(tuple(terms), tuple(dfs), vocab.get("n_documents"))
-        bundle = ModelBundle(kind, setting, class_mode, seed, feature_dim, [], hyperparams, vocab,
+        bundle = ModelBundle(kind, setting, class_mode, seed, feature_dim, hyperparams, vocab,
                              FrameConfig(frame_length, hop_length), l_harm, input_mode)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    bundle.members = _members(bundle)
     # compared as the JSON text the file holds, so neither true nor 1.0 passes for 1
     if json.dumps(header, sort_keys=True) != json.dumps(
             {**_header(bundle), "format_version": FORMAT_VERSION}, sort_keys=True):
@@ -707,10 +695,12 @@ def features_csv(manifest: Path, setting: str, class_mode: str, frame_config: Fr
     dataset = read_dataset(load_manifest(manifest), class_mode)
     vocab = setting_vocabulary(setting, dataset)
     X = featurize(dataset, setting, "vector", frame_config, l_harm, vocab)
-    lines = [",".join([*feature_names(setting, vocab), "source_id", "label"])]
-    lines.extend(",".join([*(f"{v:.9g}" for v in row), ex.source_id, ex.label.value])
-                 for row, ex in zip(X, dataset.examples))
-    return "\n".join(lines) + "\n"
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")  # quotes a source_id holding , " or a newline
+    writer.writerow([*feature_names(setting, vocab), "source_id", "label"])
+    writer.writerows([*(f"{v:.9g}" for v in row), ex.source_id, ex.label.value]
+                     for row, ex in zip(X, dataset.examples))
+    return text.getvalue()
 
 
 def labels_to_indices(dataset: Dataset) -> np.ndarray:
@@ -773,7 +763,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: Optional[Path] = None
     train_fraction: float = 0.8
-    upsample_train: bool = True
     upsample_rho: float = DEFAULT_UPSAMPLE_RHO
     hyperparams: dict = field(default_factory=dict)
     frame_config: FrameConfig = field(default_factory=FrameConfig)
@@ -786,7 +775,7 @@ class ExperimentConfig:
         _check_design(self.model_kind, self.setting, self.class_mode, self.seed,
                       _requested_input_mode(self.model_kind, self.hyperparams), self.hyperparams,
                       self.l_harm)
-        # checked here too, so a run that skips the split or the upsampling records no bad value
+        # checked here too, so a bad value fails before the manifest is read
         _check_train_fraction(self.train_fraction)
         _check_rho(self.upsample_rho)
 
@@ -799,8 +788,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path
     else:
         dataset = read_dataset(entries, config.class_mode)
         train_ds, test_ds = split(dataset, config.train_fraction, config.seed + SEED_OFFSET_SPLIT)
-    if config.upsample_train:
-        train_ds = upsample(train_ds, config.seed + SEED_OFFSET_UPSAMPLE, config.upsample_rho)
+    train_ds = upsample(train_ds, config.seed + SEED_OFFSET_UPSAMPLE, config.upsample_rho)
 
     input_mode = _requested_input_mode(config.model_kind, config.hyperparams)
     vocab = setting_vocabulary(config.setting, train_ds)
@@ -845,7 +833,7 @@ def write_artifacts(
         "class_mode": config.class_mode,
         "seed": config.seed,
         "train_fraction": config.train_fraction,
-        "upsample_train": config.upsample_train,
+        "upsample_train": bool(config.upsample_rho > 0),
         "upsample_rho": config.upsample_rho,
         "train_size": train_size,
         "test_size": test_size,

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -168,6 +170,25 @@ def test_extract_features_rows_equal_featurize(trained_model, tmp_path, setting)
         assert line == ",".join([*(f"{v:.9g}" for v in row), ex.source_id, ex.label.value])
 
 
+def test_extract_features_quotes_a_source_id_that_needs_it(tmp_path):
+    names = ["angry,000", 'say "hi"', "two\nlines", "plain"]
+    (tmp_path / "wavs").mkdir()
+    with (tmp_path / "manifest.jsonl").open("w", encoding="utf-8") as fh:
+        for i, name in enumerate(names):
+            encode_wav(tmp_path / "wavs" / f"{name}.wav",
+                       0.2 * np.sin(np.linspace(0, 40 + i, 1600)), 8000)
+            fh.write(json.dumps({"audio": f"wavs/{name}.wav", "text": f"word{i} here",
+                                 "label": "sad"}) + "\n")
+    for setting in ("audio_only", "audio_text"):
+        out_csv = tmp_path / f"{setting}.csv"
+        assert main(["extract-features", "--manifest", str(tmp_path / "manifest.jsonl"),
+                     "--out", str(out_csv), "--setting", setting]) == 0
+        with out_csv.open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(row) for row in rows] == [len(header)] * len(names)
+        assert [row[header.index("source_id")] for row in rows] == names
+
+
 def test_config_error_exit_code(tmp_path):
     # predict without the audio the model's setting requires
     corpus = tmp_path / "c"
@@ -257,6 +278,42 @@ def test_train_on_mutated_manifest_exits_cleanly(manifest_dir, data):
     assert "Traceback" not in err.getvalue()
 
 
+def test_train_rho_zero_adds_no_rows(trained_model, tmp_path):
+    manifest, _ = trained_model
+    n_examples = len(manifest.read_text().splitlines())
+    sizes = {}
+    for rho in ("0", "1"):
+        out = tmp_path / rho
+        assert main(["train", "--manifest", str(manifest), "--model", "rf", "--setting",
+                     "audio_only", "--out", str(out), "--rho", rho, *SMALL_RF]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["upsample_train"] is (rho != "0")
+        sizes[rho] = report["train_size"]
+    # 80 % of the examples before upsampling; rho 1 adds rows on this split
+    assert sizes["0"] == round(0.8 * n_examples) < sizes["1"]
+
+
+def test_train_has_no_no_upsample_flag(trained_model, tmp_path, capsys):
+    manifest, _ = trained_model
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--manifest", str(manifest), "--model", "rf", "--setting", "audio_only",
+              "--out", str(tmp_path / "run"), "--no-upsample"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-upsample" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_readme_documents_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [commands] = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    missing = [f"{name} {option}" for name, parser in commands.choices.items()
+               for action in parser._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"
+               and not re.search(re.escape(option) + r"(?![\w-])", readme)]
+    assert not missing, missing
+
+
 # --- --hp scoping
 
 
@@ -333,7 +390,7 @@ SMALL_RF = ["--hp", "n_trees=2"]
 
 @pytest.mark.parametrize("setting, flags, message", [
     ("audio_only", [*SMALL_RF, "--train-fraction", "5"], "train_fraction must be in (0, 1)"),
-    ("audio_only", [*SMALL_RF, "--no-upsample", "--rho", "7"], "rho must be in [0, 1]"),
+    ("audio_only", [*SMALL_RF, "--rho", "7"], "rho must be in [0, 1]"),
     ("text_only", [*SMALL_RF, "--l-harm", "0"], "window length must be in [1, 65536]"),
     ("audio_only", [*SMALL_RF, "--l-harm", "0"], "window length must be in [1, 65536]"),
     # each --hp case stands alone, so none passes for repeating n_trees

@@ -252,6 +252,13 @@ def test_upsample_deterministic_order():
     assert a == b
 
 
+def test_upsample_rho_zero_keeps_the_same_examples_in_order():
+    ds = _dataset({EmotionLabel.ANGRY: 8, EmotionLabel.HAPPY: 1, EmotionLabel.SAD: 3})
+    out = upsample(ds, seed=3, rho=0.0)
+    assert len(out.examples) == len(ds.examples)
+    assert all(a is b for a, b in zip(out.examples, ds.examples))
+
+
 def test_upsample_keeps_originals_and_adds_only_copies():
     ds = _dataset({EmotionLabel.ANGRY: 8, EmotionLabel.HAPPY: 1})
     out = upsample(ds, seed=3, rho=1.0)

@@ -29,7 +29,6 @@ from emoforge.pipeline import (
     _Member,
     feature_importance,
     feature_names,
-    fuse,
     featurize,
     fused_matrix,
     load_bundle,
@@ -56,24 +55,13 @@ def toy_matrix(seed=0, n=90, d=8, classes=3):  # audio_only rows: the eight clip
 # --- fusion
 
 
-def test_fuse_concatenates_audio_first():
-    audio = np.arange(8.0)
-    text = np.array([9.0, 10.0, 11.0])
-    fused = fuse(audio, text)
-    assert fused.shape == (11,)
-    assert np.array_equal(fused[:8], audio)
-    assert np.array_equal(fused[8:], text)
-
-
-def test_fuse_zero_text_block():
-    fused = fuse(np.ones(8), np.zeros(3))
-    assert np.all(fused[8:] == 0.0)
-
-
-def test_fuse_projection_identity():
-    audio = np.random.default_rng(0).normal(size=8)
-    fused = fuse(audio, np.ones(4))
-    assert np.array_equal(fused[:8], audio)
+def test_fused_matrix_puts_audio_first_and_passes_text_unchanged():
+    audio = np.random.default_rng(0).normal(size=(3, 8))
+    text = np.array([[9.0, 10.0, 11.0], [0.0, 0.0, 0.0], [0.5, 0.0, 2.0]])  # one all-zero row
+    fused = fused_matrix(audio, text, fit_vocabulary([["a", "b", "c"]]))
+    assert fused.shape == (3, 11)
+    assert np.array_equal(fused[:, :8], audio)
+    assert np.array_equal(fused[:, 8:], text)
 
 
 def test_fused_matrix_vocab_mismatch():
@@ -160,6 +148,26 @@ def test_bundle_roundtrip_ensemble(tmp_path):
     save_bundle(path, bundle)
     loaded = load_bundle(path)
     assert np.array_equal(loaded.predict_proba(X), bundle.predict_proba(X))
+
+
+def test_train_and_load_build_each_member_once(tmp_path, monkeypatch):
+    built, make_classifier = [], pipeline.make_classifier
+
+    def counting(kind, *args):
+        built.append(kind)
+        return make_classifier(kind, *args)
+
+    monkeypatch.setattr(pipeline, "make_classifier", counting)
+    X, y = toy_matrix(seed=6)
+    hp = {"rf": {"n_trees": 3, "max_depth": 3}, "xgb": {"n_rounds": 2},
+          "mlp": {"epochs": 3, "hidden_sizes": (4,)}, "lr": {"epochs": 3}}
+    bundle = train_bundle("e2", X, y, setting="audio_only", class_mode="six", seed=1,
+                          hyperparams=hp)
+    assert built == list(ENSEMBLE_MEMBERS["e2"])
+    save_bundle(tmp_path / "e2.emf", bundle)
+    built.clear()
+    load_bundle(tmp_path / "e2.emf")
+    assert built == list(ENSEMBLE_MEMBERS["e2"])
 
 
 @pytest.mark.parametrize("kind", ["rf", "mlp", "lstm"])
@@ -378,11 +386,12 @@ class FixedProba:
 
 
 def soft_vote(members):
-    return ModelBundle(
+    bundle = ModelBundle(
         kind="e1", setting="audio_only", class_mode="six", seed=0, feature_dim=8,
-        members=[_Member(kind="rf", classifier=m) for m in members],
         hyperparams={},
     )
+    bundle.members = [_Member(kind="rf", classifier=m) for m in members]
+    return bundle
 
 
 def test_soft_vote_two_opposed_members_tie_break_to_lowest_index():
@@ -564,7 +573,7 @@ def test_hinted_split_respected(tmp_path, synth_corpus):
             fh.write(json.dumps(row) + "\n")
     config = ExperimentConfig(
         manifest=hinted, setting="text_only", model_kind="mnb", seed=0,
-        upsample_train=False,
+        upsample_rho=0.0,
     )
     report, _ = run_experiment(config)
     assert report.confusion.sum() == sum(1 for i in range(len(rows)) if i % 4 == 0)
