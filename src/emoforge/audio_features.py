@@ -33,8 +33,9 @@ DEFAULT_HARMONIC_WINDOW = 31  # l_harm: frames per window of the harmonic median
 DEFAULT_PITCH_FMIN, DEFAULT_PITCH_FMAX = 50.0, 500.0  # pitch search band, Hz
 
 _MAX_MEDIAN_WINDOW = 1 << 16
+MAX_FRAME_LENGTH = 1 << 16  # samples per analysis frame
 _BLOCK_ELEMENTS = 1 << 18  # sorted-core float64s per block of the median filter
-_PITCH_BLOCK_POINTS = 1 << 16  # FFT points per block of the pitch kernel
+_FRAME_BLOCK_POINTS = 1 << 16  # samples or FFT points per block of the per-frame kernels
 PAUSE_FACTOR = 0.4  # a pause is quieter than this times the clip energy
 
 
@@ -46,8 +47,9 @@ class FrameConfig:
     hop_length: int = 512
 
     def __post_init__(self):
-        if self.frame_length < 1:
-            raise ParameterError("frame_length must be >= 1")
+        if not 1 <= self.frame_length <= MAX_FRAME_LENGTH:
+            raise ParameterError(f"frame_length must be in [1, {MAX_FRAME_LENGTH}], "
+                                 f"got {self.frame_length}")
         if not 0 < self.hop_length <= self.frame_length:
             raise ParameterError("hop_length must satisfy 0 < hop <= frame_length")
 
@@ -241,8 +243,8 @@ def _pitch_peaks(
     correlation of a zero-padded length-N DFT is the linear one at every lag
     tau <= N - n, so it is exact at every lag read.
 
-    Rows go through the FFT in blocks of max(1, _PITCH_BLOCK_POINTS // N),
-    so the working set is O(_PITCH_BLOCK_POINTS + rows) floats. A batched
+    Rows go through the FFT in blocks of max(1, _FRAME_BLOCK_POINTS // N),
+    so the working set is O(_FRAME_BLOCK_POINTS + rows) floats. A batched
     FFT does not round a row as a one-row call does, so the block boundaries
     depend on nothing but the row count and N: a clip's values never depend
     on the thread count or on the clips featurized beside it.
@@ -254,7 +256,7 @@ def _pitch_peaks(
     if lag_min > lag_max:
         return values, peak_lags
     size = _smooth_size(n + lag_max)
-    block = max(1, _PITCH_BLOCK_POINTS // size)
+    block = max(1, _FRAME_BLOCK_POINTS // size)
     for lo in range(0, rows, block):
         y = frames[lo : lo + block]
         clipped = _center_clip(y, 0.5 * np.abs(y).mean(axis=1, keepdims=True))
@@ -368,8 +370,14 @@ def _check_window(l: int) -> None:
 
 
 def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
+    """Median-filter every row of a (rows, time) matrix along time into a new
+    array of the input's memory order; see _median_filter_in_place."""
+    return _median_filter_in_place(magnitudes.copy(order="K"), l)
+
+
+def _median_filter_in_place(magnitudes: np.ndarray, l: int) -> np.ndarray:
     """Median-filter every row of a (rows, time) matrix along time, with
-    window length l and edge-clamped windows.
+    window length l and edge-clamped windows, overwriting the matrix.
 
     Odd l takes the window [n-k, n+k] with k = (l-1)/2; even l uses one extra
     element on the right and the mean-of-middle-two rule. Windows shrink at
@@ -384,12 +392,15 @@ def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
     elements once and take each window's two middle ranks from it with one
     min and one max (Adams 2021, separable sorting networks). Rows go in
     blocks whose sorted cores hold at most _BLOCK_ELEMENTS float64s, through
-    one core buffer per call, so the working set is O(_BLOCK_ELEMENTS +
-    rows * n) whatever l is.
+    one core buffer per call, so the working set is O(_BLOCK_ELEMENTS + n)
+    whatever l and the row count are. A row's medians depend on that row
+    alone, so a block reads its rows (into the padded buffer, the NaN mask
+    and the whole-row median) before it writes them.
 
-    The output has the input's memory order. Spectrogram magnitudes are
-    Fortran-ordered (a transposed rfft), and harmonic_feature's means sum in
-    memory order, so a C-ordered output would change harmonic_mean's bits.
+    Returns the filtered matrix: the argument itself, or for l = 1 or n <= 1
+    a C-ordered copy. harmonic_feature's means sum in memory order, and the
+    spectrogram is Fortran-ordered (a transposed rfft), so returning a copy
+    of another order here would change harmonic_mean's bits.
     """
     _check_window(l)
     rows, n = magnitudes.shape
@@ -397,46 +408,67 @@ def _median_filter_time(magnitudes: np.ndarray, l: int) -> np.ndarray:
         return magnitudes.copy()
     left = min((l - 1) // 2, n - 1)
     right = min(l // 2, n - 1)  # inclusive extent to the right
-    out = np.empty_like(magnitudes)
+    width = left + right + 1
     # the windows of columns first..last are the whole row
     first, last = max(0, n - 1 - right), min(n - 1, left)
-    spans = [(0, n)]
-    if first <= last:
-        ordered = np.sort(magnitudes, axis=1)
-        whole = ordered[:, (n - 1) // 2]
-        if n % 2 == 0:
-            with np.errstate(invalid="ignore"):
-                whole = (whole + ordered[:, n // 2]) / 2
-        out[:, first : last + 1] = whole[:, np.newaxis]
-        spans = [(0, first), (last + 1, n)]
+    spans = [(0, n)] if first > last else [(0, first), (last + 1, n)]
     spans = [(start, stop) for start, stop in spans if start < stop]
+    pairs = max([(stop - start + 1) // 2 for start, stop in spans], default=1)
+    block = max(1, min(rows, _BLOCK_ELEMENTS // (pairs * (width + 1))))
     if spans:
-        width = left + right + 1
-        pairs = max((stop - start + 1) // 2 for start, stop in spans)
-        block = max(1, min(rows, _BLOCK_ELEMENTS // (pairs * (width + 1))))
         core = np.empty((block, pairs, width + 1))
         core[..., 0] = -np.inf
         core[..., width] = np.inf
         padded = np.full((block, left + n + right + 1), np.inf)
-        for lo in range(0, rows, block):
-            hi = min(rows, lo + block)
-            padded[: hi - lo, left : left + n] = magnitudes[lo:hi]
+    cols = np.arange(n)
+    for lo in range(0, rows, block):
+        hi = min(rows, lo + block)
+        out = magnitudes[lo:hi]
+        nan = np.isnan(out)
+        in_window = None
+        if nan.any():
+            seen = np.concatenate([np.zeros((hi - lo, 1)), np.cumsum(nan, axis=1)], axis=1)
+            in_window = (seen[:, np.minimum(n, cols + right + 1)]
+                         - seen[:, np.maximum(0, cols - left)])
+        if first <= last:
+            ordered = np.sort(out, axis=1)
+            whole = ordered[:, (n - 1) // 2]
+            if n % 2 == 0:
+                with np.errstate(invalid="ignore"):
+                    whole = (whole + ordered[:, n // 2]) / 2
+        if spans:
+            padded[: hi - lo, left : left + n] = out
             for start, stop in spans:
-                _pair_medians(padded[: hi - lo], core[: hi - lo], start, stop, left, right,
-                              out[lo:hi])
-    nan = np.isnan(magnitudes)
-    if nan.any():
-        seen = np.concatenate([np.zeros((rows, 1)), np.cumsum(nan, axis=1)], axis=1)
-        cols = np.arange(n)
-        in_window = seen[:, np.minimum(n, cols + right + 1)] - seen[:, np.maximum(0, cols - left)]
-        out[in_window > 0] = np.nan
-    return out
+                _pair_medians(padded[: hi - lo], core[: hi - lo], start, stop, left, right, out)
+        if first <= last:
+            out[:, first : last + 1] = whole[:, np.newaxis]
+        if in_window is not None:
+            out[in_window > 0] = np.nan
+    return magnitudes
+
+
+def _frame_blocks(frames: np.ndarray):
+    """Row slices of a (frames, frame_length) matrix in blocks of
+    max(1, _FRAME_BLOCK_POINTS // frame_length) frames.
+
+    Every per-frame kernel below walks these blocks, so its working set is
+    O(_FRAME_BLOCK_POINTS) floats whatever the clip length. A row's values
+    are computed from that row alone, the same in any block, and the block
+    boundaries depend on the frame length alone, never on the thread count.
+    """
+    block = max(1, _FRAME_BLOCK_POINTS // frames.shape[1])
+    return [slice(lo, lo + block) for lo in range(0, frames.shape[0], block)]
 
 
 def spectrogram(clip: AudioClip, config: FrameConfig) -> Spectrogram:
-    """Rectangular-window magnitude spectrogram with FFT size = frame_length."""
+    """Rectangular-window magnitude spectrogram with FFT size = frame_length.
+
+    The magnitudes are Fortran-ordered, each block of frames' rfft written
+    straight into its columns."""
     frames = frame_signal(clip.samples, config)
-    mags = np.abs(np.fft.rfft(frames, n=config.frame_length, axis=1)).T
+    mags = np.empty((config.frame_length // 2 + 1, frames.shape[0]), order="F")
+    for rows in _frame_blocks(frames):
+        np.abs(np.fft.rfft(frames[rows], axis=1), out=mags.T[rows])
     return Spectrogram(magnitudes=mags, fft_size=config.frame_length, hop_length=config.hop_length)
 
 
@@ -450,10 +482,10 @@ def harmonic_feature(
     Each frequency slice is median-filtered along time with window l_harm,
     which suppresses transients and keeps sustained partials. Returns the
     global mean of the filtered spectrogram and the per-frame mean across
-    frequency.
+    frequency. The clip's spectrogram is filtered in place, so the feature
+    holds one magnitude array.
     """
-    spec = spectrogram(clip, config)
-    enhanced = _median_filter_time(spec.magnitudes, l_harm)
+    enhanced = _median_filter_in_place(spectrogram(clip, config).magnitudes, l_harm)
     per_frame = enhanced.mean(axis=0)
     return float(enhanced.mean()), per_frame
 
@@ -461,7 +493,9 @@ def harmonic_feature(
 def rmse(clip: AudioClip, config: FrameConfig) -> tuple[float, float, np.ndarray]:
     """Frame-wise root mean square energy: (mean, std, per-frame values)."""
     frames = frame_signal(clip.samples, config)
-    per_frame = np.sqrt(np.mean(frames**2, axis=1))
+    per_frame = np.empty(frames.shape[0])
+    for rows in _frame_blocks(frames):
+        per_frame[rows] = np.sqrt(np.mean(frames[rows] ** 2, axis=1))
     return float(per_frame.mean()), float(per_frame.std()), per_frame
 
 
@@ -483,6 +517,15 @@ def pause_ratio(clip: AudioClip) -> float:
 def central_moments(clip: AudioClip) -> tuple[float, float]:
     """Amplitude mean and population standard deviation of the raw samples."""
     return float(clip.samples.mean()), float(clip.samples.std())
+
+
+def _frame_moments(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame amplitude mean and population standard deviation."""
+    mean, std = np.empty(frames.shape[0]), np.empty(frames.shape[0])
+    for rows in _frame_blocks(frames):
+        mean[rows] = frames[rows].mean(axis=1)
+        std[rows] = frames[rows].std(axis=1)
+    return mean, std
 
 
 def _analyze_clip(clip: AudioClip, config: FrameConfig | None, l_harm: int):
@@ -531,8 +574,7 @@ def extract_frame_sequence(
             rmse_per_frame,
             harmonic_per_frame,
             pause_flags,
-            frames.mean(axis=1),
-            frames.std(axis=1),
+            *_frame_moments(frames),
         ]
     )
     return FrameFeatureSequence(vectors=vectors)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import inspect
-import io
 import json
 import math
 import os
@@ -19,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -695,12 +695,15 @@ def features_csv(manifest: Path, setting: str, class_mode: str, frame_config: Fr
     dataset = read_dataset(load_manifest(manifest), class_mode)
     vocab = setting_vocabulary(setting, dataset)
     X = featurize(dataset, setting, "vector", frame_config, l_harm, vocab)
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")  # quotes a source_id holding , " or a newline
+    # csv quotes a field holding the delimiter, the quote or a character of
+    # its line terminator, so rows are written with "\r\n", which quotes a
+    # source_id holding \r or \n, and each row's terminator becomes "\n"
+    rows = []
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     writer.writerow([*feature_names(setting, vocab), "source_id", "label"])
     writer.writerows([*(f"{v:.9g}" for v in row), ex.source_id, ex.label.value]
                      for row, ex in zip(X, dataset.examples))
-    return text.getvalue()
+    return "".join(row[:-2] + "\n" for row in rows)
 
 
 def labels_to_indices(dataset: Dataset) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -7,7 +8,10 @@ import pytest
 from emoforge import audio_features
 from emoforge.audio_features import (
     AUDIO_FEATURE_NAMES,
+    MAX_FRAME_LENGTH,
     FrameConfig,
+    _frame_moments,
+    _median_filter_in_place,
     _median_filter_time,
     _pitch_peaks,
     _smooth_size,
@@ -185,7 +189,8 @@ def test_harmonic_feature_matches_np_median_body(monkeypatch):
         assert spectrogram(clip, config).magnitudes.flags.f_contiguous
         got_mean, got_frames = harmonic_feature(clip, config)
         with monkeypatch.context() as patch:
-            patch.setattr(audio_features, "_median_filter_time", _reference_median_filter_time)
+            patch.setattr(audio_features, "_median_filter_in_place",
+                          _reference_median_filter_time)
             want_mean, want_frames = harmonic_feature(clip, config)
         assert got_mean == want_mean
         assert np.array_equal(got_frames, want_frames)
@@ -275,6 +280,45 @@ def test_median_filter_blocks_that_do_not_divide_the_rows(monkeypatch, block_ele
             data = np.asarray(x, order=order)
             want = _reference_median_filter_time(data, l)
             _assert_same_filter_output(_median_filter_time(data, l), want)
+
+
+@pytest.mark.parametrize("block_elements", [1, 97, 2000])
+def test_median_filter_in_place_matches_out_of_place(monkeypatch, block_elements):
+    # a block reads its rows (into the padded buffer, the NaN mask and the
+    # whole-row median) before it writes them: n = 20, l = 31 has whole-row
+    # columns 4..15 between partial ones, n = 60, l = 7 has partial columns
+    # only, n = 5, l = 31 whole-row columns only, and 1 and 97 elements give
+    # many blocks with a short last one
+    monkeypatch.setattr(audio_features, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(26)
+    for rows, n, l in ((9, 20, 31), (40, 20, 30), (17, 60, 7), (33, 5, 31), (5, 17, 31),
+                       (70, 3, 4), (0, 20, 31), (3, 40, 6)):
+        x = np.asfortranarray(rng.uniform(0.0, 5.0, (rows, n)))
+        if rows:
+            x[rng.integers(rows), rng.integers(n)] = np.nan
+            x[rng.integers(rows), 0] = np.nan
+        want = _reference_median_filter_time(x, l)
+        scratch = x.copy(order="F")
+        got = _median_filter_in_place(scratch, l)
+        assert got is scratch
+        _assert_same_filter_output(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_median_filter_leaves_the_callers_array_unchanged():
+    rng = np.random.default_rng(27)
+    for l in (1, 4, 31):
+        for order in ("C", "F"):
+            x = np.asarray(rng.uniform(0.0, 1.0, (6, 25)), order=order)
+            x[2, 7] = np.nan
+            before = x.copy(order="K")
+            _median_filter_time(x, l)
+            assert x.tobytes(order="A") == before.tobytes(order="A")
+            assert x.flags.f_contiguous == before.flags.f_contiguous
+        row = rng.uniform(0.0, 1.0, 25)
+        before = row.copy()
+        median_filter_1d(row, l)
+        assert np.array_equal(row, before)
 
 
 def test_median_filter_bad_window():
@@ -510,7 +554,7 @@ def test_pitch_kernel_matches_oracle_on_frames_shorter_than_lag_min(frame_length
 def test_pitch_kernel_blocks_that_do_not_divide_the_frames(monkeypatch, points):
     # 1 point: one row per block; 3 and 7 rows leave a short last block of 2
     # and 6 of 59 frames; 40 rows hold them all
-    monkeypatch.setattr(audio_features, "_PITCH_BLOCK_POINTS", points)
+    monkeypatch.setattr(audio_features, "_FRAME_BLOCK_POINTS", points)
     rng = np.random.default_rng(7)
     samples = 0.6 * make_tone(180, 16000, 2.0).samples * rng.uniform(0.2, 1.0, 32000)
     samples[10000:16000] = 0.0
@@ -536,7 +580,7 @@ def test_pitch_fft_size_is_the_smallest_5_smooth_length():
 
 @pytest.mark.parametrize("sample_rate, size", [(16000, 2400), (22050, 2500), (48000, 3072)])
 def test_pitch_kernel_blocks_depend_only_on_rows_and_fft_size(monkeypatch, sample_rate, size):
-    """One rfft per block of max(1, _PITCH_BLOCK_POINTS // N) rows at the
+    """One rfft per block of max(1, _FRAME_BLOCK_POINTS // N) rows at the
     5-smooth length N >= n + lag_max; the last block takes the rest."""
     calls = []
     rfft = np.fft.rfft
@@ -548,7 +592,7 @@ def test_pitch_kernel_blocks_depend_only_on_rows_and_fft_size(monkeypatch, sampl
     monkeypatch.setattr(np.fft, "rfft", spy)
     frames = _tone_frames(200.0, sample_rate, seconds=3.0)
     _pitch_peaks(frames, sample_rate)
-    block = audio_features._PITCH_BLOCK_POINTS // size
+    block = audio_features._FRAME_BLOCK_POINTS // size
     rows = frames.shape[0]
     assert size >= 2048 + min(2047, round(sample_rate / 50.0))
     assert calls == [(min(block, rows - lo), size) for lo in range(0, rows, block)]
@@ -641,6 +685,76 @@ def test_harmonic_per_frame_matches_median_rows():
     filtered = np.vstack([median_filter_1d(row, 5) for row in spec.magnitudes])
     _, per_frame = harmonic_feature(clip, config, l_harm=5)
     assert np.allclose(per_frame, filtered.mean(axis=0))
+
+
+# seconds, framing, l_harm and noise seed of two clips where filtering the
+# spectrogram in place went wrong once, and the frozen bits of their 8-vector
+# (float.hex) and of their frame sequence (sha256 of its bytes)
+_EDGE_CLIPS = [
+    ((0.05, 512, 128, 4, 31),
+     ["0x1.2995ec045e28bp-3", "0x1.62f8bedb7aaafp-6", "0x1.7471172ce08ffp+2",
+      "0x1.28555a618e57fp-2", "0x1.45e5cecea6a01p-9", "0x1.d47ae147ae148p-3",
+      "0x1.c1c57875dbfd7p-8", "0x1.28ca635e0d97dp-2"],
+     "226b22f9e8e9a969d3be29d28b326b49344f306e7df78f5dc2caf8f6871309ac"),
+    ((17 * 4096 / 16000, 4096, 4096, 31, 32),
+     ["0x1.76bc36ad3ed02p-5", "0x1.e58eecad57666p-8", "0x1.ed9a82b145d9cp+3",
+      "0x1.26fff1c9a3422p-2", "0x1.2bdf6658df118p-9", "0x1.d8e1e1e1e1e1ep-3",
+      "0x1.0ff2b553de5fap-13", "0x1.27025178b81bdp-2"],
+     "df611b58489e417cb090d0d3908b106272f0cb1c61939766d033e7f8eefa3081"),
+]
+
+
+@pytest.mark.parametrize("clip_args, vector, sequence_sha", _EDGE_CLIPS,
+                         ids=["3-frames-l4", "17-frames-l31"])
+def test_edge_clips_match_frozen_features(clip_args, vector, sequence_sha):
+    # 3 frames of 512/128 with l_harm 4, and 17 frames of 4096/4096 with
+    # l_harm 31: each has whole-row columns beside partial ones
+    seconds, frame_length, hop_length, l_harm, seed = clip_args
+    n = int(round(seconds * 16000))
+    clip = clip_of(np.random.default_rng(seed).uniform(-0.5, 0.5, n), sr=16000)
+    config = FrameConfig(frame_length, hop_length)
+    got = extract_audio_features(clip, config, l_harm).to_array()
+    assert [float(v).hex() for v in got] == vector
+    frames = extract_frame_sequence(clip, config, l_harm).vectors
+    assert hashlib.sha256(frames.tobytes()).hexdigest() == sequence_sha
+
+
+@pytest.mark.parametrize("frame_length, hop_length", [(2048, 512), (512, 128), (256, 64)])
+def test_per_frame_kernels_do_not_depend_on_the_block(monkeypatch, frame_length, hop_length):
+    # blocks of 1 frame, of 7 (a short last block) and of every frame give
+    # the bits of the unblocked formulas
+    clip = _noisy_tone(1.5, seed=12)
+    config = FrameConfig(frame_length, hop_length)
+    frames = frame_signal(clip.samples, config)
+    want_mags = np.abs(np.fft.rfft(frames, axis=1)).T
+    want_rmse = np.sqrt(np.mean(frames**2, axis=1))
+    want_moments = frames.mean(axis=1), frames.std(axis=1)
+    for block in (1, 7, frames.shape[0]):
+        monkeypatch.setattr(audio_features, "_FRAME_BLOCK_POINTS", block * frame_length)
+        mags = spectrogram(clip, config).magnitudes
+        assert mags.flags.f_contiguous
+        assert mags.tobytes(order="F") == want_mags.tobytes(order="F")
+        assert rmse(clip, config)[2].tobytes() == want_rmse.tobytes()
+        for got, want in zip(_frame_moments(frames), want_moments):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seconds", [4.5, 30.0])
+def test_clip_working_set_is_one_spectrogram_and_fixed_blocks(seconds):
+    # one float64 magnitude spectrogram (1.1 MB at 4.5 s, 7.7 MB at 30 s) and
+    # at most 3 MB of block buffers, whatever the clip length
+    clip = _noisy_tone(seconds, seed=13)
+    config = FrameConfig()
+    spectrogram_bytes = 8 * (config.frame_length // 2 + 1) * config.frame_count(
+        clip.samples.size)
+    for extract in (extract_audio_features, extract_frame_sequence):
+        tracemalloc.start()
+        try:
+            extract(clip)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= spectrogram_bytes + 3 * 2**20, (extract.__name__, peak)
 
 
 # --- RMSE
@@ -821,3 +935,11 @@ def test_frame_config_validation():
         FrameConfig(frame_length=0)
     with pytest.raises(ParameterError):
         FrameConfig(frame_length=128, hop_length=256)
+
+
+def test_frame_length_is_capped():
+    # a frame the block budget of the per-frame kernels can hold
+    assert FrameConfig(frame_length=MAX_FRAME_LENGTH, hop_length=1).frame_length == 1 << 16
+    for frame_length in (MAX_FRAME_LENGTH + 1, 2_000_000_000):
+        with pytest.raises(ParameterError, match=r"frame_length must be in \[1, 65536\]"):
+            FrameConfig(frame_length=frame_length)

@@ -170,8 +170,9 @@ def test_extract_features_rows_equal_featurize(trained_model, tmp_path, setting)
         assert line == ",".join([*(f"{v:.9g}" for v in row), ex.source_id, ex.label.value])
 
 
-def test_extract_features_quotes_a_source_id_that_needs_it(tmp_path):
-    names = ["angry,000", 'say "hi"', "two\nlines", "plain"]
+def _assert_extract_features_reads_back(tmp_path: Path, names: list[str]) -> None:
+    """extract-features on one short sad clip per name, each WAV named after
+    it: csv.reader gives every row the header's field count and each name back."""
     (tmp_path / "wavs").mkdir()
     with (tmp_path / "manifest.jsonl").open("w", encoding="utf-8") as fh:
         for i, name in enumerate(names):
@@ -187,6 +188,16 @@ def test_extract_features_quotes_a_source_id_that_needs_it(tmp_path):
             header, *rows = csv.reader(fh)
         assert [len(row) for row in rows] == [len(header)] * len(names)
         assert [row[header.index("source_id")] for row in rows] == names
+
+
+def test_extract_features_quotes_a_source_id_that_needs_it(tmp_path):
+    _assert_extract_features_reads_back(tmp_path, ["angry,000", 'say "hi"', "two\nlines",
+                                                   "plain"])
+
+
+def test_extract_features_quotes_a_carriage_return_in_a_source_id(tmp_path):
+    _assert_extract_features_reads_back(tmp_path, ["car\rriage", "crlf\r\nend", "\rlead",
+                                                   "plain"])
 
 
 def test_config_error_exit_code(tmp_path):
@@ -400,9 +411,10 @@ SMALL_RF = ["--hp", "n_trees=2"]
     ("audio_only", ["--hp", "n_trees=3", "--hp", "n_trees=4"], "sets 'n_trees' twice"),
     ("audio_only", ["--hp", "n_trees=3", "--hp", "rf.n_trees=4"], "sets 'n_trees' twice"),
     ("audio_only", [*SMALL_RF, "--seed", "-1"], "seed must be an integer >= 0"),
+    ("audio_only", [*SMALL_RF, "--frame-length", "65537"], "frame_length must be in [1, 65536]"),
 ], ids=["train-fraction-unused", "rho-unused", "text-only-l-harm-zero", "l_harm-zero",
         "n-trees-zero", "n-trees-str", "hp-unknown", "hp-repeated", "hp-repeated-scoped",
-        "seed-negative"])
+        "seed-negative", "frame-length-above-cap"])
 def test_train_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch, setting, flags,
                                                  message):
     # every entry carries a split hint, so no run here would call split()
@@ -423,8 +435,9 @@ def test_train_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch, 
     ("audio_text", ["--l-harm", "0"]),
     ("text_only", ["--hop-length", "99999"]),
     ("audio_only", ["--frame-length", "0"]),
+    ("audio_only", ["--frame-length", "65537"]),
 ], ids=["audio-only-l-harm-zero", "text-only-l-harm-zero", "audio-text-l-harm-zero",
-        "hop-length-above-frame", "frame-length-zero"])
+        "hop-length-above-frame", "frame-length-zero", "frame-length-above-cap"])
 def test_extract_features_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch,
                                                             setting, flags):
     manifest = write_manifest(tmp_path, MANIFEST_ROWS)
@@ -766,6 +779,22 @@ def test_synth_corpus_rejects_a_clip_over_the_sample_cap_before_writing(tmp_path
     assert not corpus.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "extract-features"])
+def test_a_frame_over_the_length_cap_exits_2_before_featurizing(trained_model, tmp_path,
+                                                                 command):
+    # a 2e9-sample frame is 16 GB of float64s: without the cap the child
+    # runs out of its address space on the first clip
+    manifest, _ = trained_model
+    out = tmp_path / ("run" if command == "train" else "features.csv")
+    flags = ["--model", "rf", "--out", str(out)] if command == "train" else ["--out", str(out)]
+    result = run_module([command, "--manifest", str(manifest), "--setting", "audio_only",
+                         "--frame-length", "2000000000", *flags], CHILD_ADDRESS_SPACE)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: frame_length must be in [1, 65536]"), result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, hp", [
     ("mlp", "hidden_sizes=2000000000"),
     ("rf", "n_trees=2000000000"),
@@ -949,6 +978,7 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h.update(frame_length=0), 3, "rf"),
     (lambda h: h.update(hop_length=99999), 3, "rf"),
     (lambda h: h.update(l_harm=0), 3, "rf"),
+    (lambda h: h.update(frame_length=65537), 3, "rf"),
     (lambda h: h["hyperparameters"].update(svm={}), 3, "e2"),
     (lambda h: h["hyperparameters"].update(rf=3), 3, "e2"),
     (lambda h: h["hyperparameters"]["xgb"].update(learning_rate=float("nan")), 3, "e2"),
@@ -986,7 +1016,8 @@ def _edit_header(model: Path, edit) -> bytes:
         "lstm-batch-size-zero", "lstm-hidden-size-zero", "lstm-hidden-size-edited",
         "e2-mlp-hidden-sizes-edited", "lstm-learning-rate-negative",
         "e2-mlp-momentum-above-one", "lstm-validation-fraction-above-one",
-        "frame-length-zero", "hop-length-above-frame", "l_harm-zero", "e2-hp-stray-scope",
+        "frame-length-zero", "hop-length-above-frame", "l_harm-zero", "frame-length-above-cap",
+        "e2-hp-stray-scope",
         "e2-hp-scope-not-object", "e2-hp-nan", "rf-hp-max-depth-zero", "rf-hp-edited",
         "e2-mlp-scaler-null", "e2-mlp-scaler-minmax", "rf-member-seed-edited",
         "rf-bootstrap-false", "rf-bundle-seed-edited", "e2-xgb-hp-edited", "rf-feature-dim-4",
@@ -1011,7 +1042,8 @@ def test_predict_rejects_malformed_header(request, trained_model, tmp_path, caps
     lambda h: h.update(frame_length=0),
     lambda h: h.update(hop_length=99999),
     lambda h: h.update(l_harm=0),
-], ids=["frame-length-zero", "hop-length-above-frame", "l_harm-zero"])
+    lambda h: h.update(frame_length=65537),
+], ids=["frame-length-zero", "hop-length-above-frame", "l_harm-zero", "frame-length-above-cap"])
 def test_evaluate_rejects_header_framing_out_of_range(trained_model, tmp_path, capsys, edit):
     manifest, out = trained_model
     path = tmp_path / "model.emf"
