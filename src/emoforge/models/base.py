@@ -51,9 +51,10 @@ class ProbabilisticClassifier(ABC):
 def check_training_data(X, y, n_classes: int | None, sequences: bool = False):
     """Validate a training set and resolve the class count: X is a 2-D matrix
     or, with ``sequences``, also a non-empty list of 2-D sequences of one
-    width; y holds one non-negative integer label per row or sequence, of at
-    least two classes. X need not be finite. Returns X as float64 (a list
-    stays a list of sequences), y as int64 and the class count."""
+    width, with at least one column; y holds one non-negative integer label
+    per row or sequence, of at least two classes. X need not be finite.
+    Returns X as float64 (a list stays a list of sequences), y as int64 and
+    the class count."""
     try:
         if sequences and isinstance(X, list):
             X = [np.asarray(s, dtype=np.float64) for s in X]
@@ -67,6 +68,8 @@ def check_training_data(X, y, n_classes: int | None, sequences: bool = False):
         y = np.asarray(y, dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"training input is not numeric ({exc})") from exc
+    if (X[0] if isinstance(X, list) else X).shape[1] == 0:
+        raise ParameterError("training input has no column")
     if y.ndim != 1 or y.size != len(X):
         raise ParameterError(f"{y.size} labels do not match {len(X)} training rows")
     if y.size == 0:

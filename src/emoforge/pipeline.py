@@ -233,47 +233,40 @@ def _blocks(setting: str) -> tuple[str, ...]:
 
 
 def _check_design(
-    kind: str, setting: str, class_mode: str, seed: int, input_mode: str, hyperparams: dict,
-    l_harm: int, vocab: Optional[Vocabulary] = None, feature_dim: Optional[int] = None,
-) -> list[tuple[str, object]]:
+    kind: str, setting: str, class_mode: str, seed: int, hyperparams: dict, l_harm: int,
+    vocab: Optional[Vocabulary] = None,
+) -> tuple[list[tuple[str, object]], str, int]:
     """The design's unfitted members, as ``_configure_members`` makes them from
-    ``seed``. Raise ConfigError unless a bundle can have this design: known
-    setting, kind and class mode; an integer seed >= 0, as numpy's generators
-    need; an input mode the kind takes in that setting (and that an lstm's
-    ``input_mode`` hyperparameter, if given, names); an ``l_harm`` the harmonic
-    median filter takes; hyperparameters that every member applies;
-    for a ModelBundle, a vocabulary exactly when the setting reads text and a
-    ``feature_dim`` that is its input's width (ExperimentConfig checks before
-    either exists); and members within ``MAX_MEMBER_WEIGHTS`` and
-    ``MAX_MEMBER_TREES`` on that input, or on its least width while the
-    vocabulary is unknown."""
+    ``seed``, its input mode and its input width. Raise ConfigError unless a
+    bundle can have this design: known setting, kind and class mode; an
+    integer seed >= 0, as numpy's generators need; hyperparameters that every
+    member applies; an lstm ``input_mode`` hyperparameter (default "frames")
+    that is "frames" only on audio_only, or "clip"; an ``l_harm`` the harmonic
+    median filter takes; and members within ``MAX_MEMBER_WEIGHTS`` and
+    ``MAX_MEMBER_TREES`` on that input. The input is "vector" for every other
+    kind; it is 6 columns wide per frame, else 8 per audio block plus one per
+    vocabulary term, one term while the vocabulary is unknown."""
     blocks = _blocks(setting)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
     if type(seed) is not int or seed < 0:  # the header stores an int: no bool, no numpy integer
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     members = _configure_members(kind, hyperparams, seed, len(classes_for_mode(class_mode)))
-    allowed = ("frames", "clip") if kind == "lstm" else ("vector",)
-    if input_mode not in allowed:
-        raise ConfigError(f"{kind} input_mode must be one of {allowed}, got {input_mode!r}")
-    if kind == "lstm" and hyperparams.get("input_mode", input_mode) != input_mode:
-        raise ConfigError(f"lstm hyperparameter input_mode does not fit {input_mode} input")
+    input_mode = "vector"
+    if kind == "lstm":
+        input_mode = hyperparams.get("input_mode", MODEL_DEFAULTS["lstm"]["input_mode"])
+        if input_mode not in ("frames", "clip"):
+            raise ConfigError(f"lstm input_mode must be 'frames' or 'clip', got {input_mode!r}")
     if input_mode == "frames" and blocks != ("audio",):
-        raise ConfigError("frame-sequence input requires the audio_only setting")
+        raise ConfigError(f"lstm input_mode 'frames' (the default) reads per-frame sequences, "
+                          f"which only audio_only has; input_mode 'clip' reads a row per clip")
     _check_window(l_harm)
-    if feature_dim is not None and (vocab is not None) != ("text" in blocks):
-        need = "takes no" if vocab is not None else "needs a"
-        raise ConfigError(f"setting {setting!r} {need} vocabulary")
-    # before a vocabulary exists, the text block counts its least width, one term
     width = len(FRAME_FEATURE_NAMES) if input_mode == "frames" else sum(
         len(AUDIO_FEATURE_NAMES) if block == "audio" else len(vocab) if vocab is not None else 1
         for block in blocks)
-    if feature_dim is not None and feature_dim != width:
-        raise ConfigError(f"feature_dim {feature_dim} is not the {width} columns of "
-                          f"{input_mode} input in setting {setting!r}")
     for member, clf in members:
         _check_size(member, clf, width)
-    return members
+    return members, input_mode, width
 
 
 def _check_size(kind: str, clf, width: int) -> None:
@@ -297,35 +290,32 @@ def _check_size(kind: str, clf, width: int) -> None:
                           f"over the cap of {cap}")
 
 
-def _requested_input_mode(kind: str, hyperparams: dict) -> str:
-    """The input a run of ``kind`` trains on: the lstm's ``input_mode``
-    hyperparameter, else "vector"."""
-    default = MODEL_DEFAULTS["lstm"]["input_mode"]
-    return hyperparams.get("input_mode", default) if kind == "lstm" else "vector"
-
-
 @dataclass
 class ModelBundle:
     """A trained model plus everything needed to reuse it: preprocessing
     stats, vocabulary, framing, and provenance. A single model is a
-    one-member vote. Its members are built from its design at construction."""
+    one-member vote. Its members, input mode and input width follow from its
+    design at construction."""
 
     kind: str
     setting: str
     class_mode: str
     seed: int
-    feature_dim: int
     hyperparams: dict
     vocab: Optional[Vocabulary] = None
     frame_config: FrameConfig = field(default_factory=FrameConfig)
     l_harm: int = DEFAULT_HARMONIC_WINDOW
-    input_mode: str = "vector"  # "vector", or for lstm "frames" or "clip"
+    input_mode: str = field(init=False)  # "vector", or for lstm "frames" or "clip"
+    feature_dim: int = field(init=False)
     members: list[_Member] = field(init=False)
 
     def __post_init__(self):
-        members = _check_design(self.kind, self.setting, self.class_mode, self.seed,
-                                self.input_mode, self.hyperparams, self.l_harm, self.vocab,
-                                self.feature_dim)
+        if (self.vocab is not None) != ("text" in _blocks(self.setting)):
+            need = "takes no" if self.vocab is not None else "needs a"
+            raise ConfigError(f"setting {self.setting!r} {need} vocabulary")
+        members, self.input_mode, self.feature_dim = _check_design(
+            self.kind, self.setting, self.class_mode, self.seed, self.hyperparams, self.l_harm,
+            self.vocab)
         self.members = [_Member(kind, clf, _scaler_for(kind, self.setting, self.feature_dim))
                         for kind, clf in members]
 
@@ -342,15 +332,22 @@ class ModelBundle:
     def class_names(self) -> list[str]:
         return [label.value for label in classes_for_mode(self.class_mode)]
 
-    def _check_dim(self, X) -> None:
+    def _check_input(self, X, error: type[Exception]) -> None:
+        """``error`` unless ``X`` is the bundle's input: a list of per-frame
+        sequences in "frames" mode, else a matrix, ``feature_dim`` columns wide
+        (ParameterError when it has no width)."""
+        frames = self.input_mode == "frames"
+        if isinstance(X, list) != frames:
+            form = "a list of per-frame sequences" if frames else "a matrix"
+            raise error(f"{self.input_mode} input is {form}, got a {type(X).__name__}")
         width = _width(X)
         if width != self.feature_dim:
-            raise ModelError(f"feature dim mismatch: model expects {self.feature_dim}, got {width}")
+            raise error(f"input is {width} columns wide, not feature_dim {self.feature_dim}")
 
     def predict_proba(self, X) -> np.ndarray:
         """Mean of the members' probabilities (exact for one member), taken
         with numpy's BLAS on one thread."""
-        self._check_dim(X)
+        self._check_input(X, ModelError)
         with single_blas_thread():
             return sum(member.predict_proba(X) for member in self.members) / len(self.members)
 
@@ -447,18 +444,13 @@ def train_bundle(
     """Fit the members of ``kind`` (a single kind is its own one member) into
     a reusable bundle, which builds them from its design, reading
     hyperparameters flat for a single kind and keyed by member kind for an
-    ensemble. The input mode is what ``X`` is: "frames" for a list of
-    per-frame sequences, else "clip" for the lstm and "vector" for the rest.
-    The bundle's design is checked, and every member configured, before any
-    member fits. Members fit with numpy's BLAS on one thread, so the bytes do
-    not depend on the host's core count (``emoforge._blas``)."""
-    frames = isinstance(X, list)
-    bundle = ModelBundle(
-        kind=kind, setting=setting, class_mode=class_mode, seed=seed, feature_dim=_width(X),
-        hyperparams=dict(hyperparams or {}), vocab=vocab,
-        frame_config=frame_config or FrameConfig(), l_harm=l_harm,
-        input_mode="frames" if frames else "clip" if kind == "lstm" else "vector",
-    )
+    ensemble. The bundle's design is checked, every member configured, and
+    ``X`` checked to be the design's input, before any member fits. Members
+    fit with numpy's BLAS on one thread, so the bytes do not depend on the
+    host's core count (``emoforge._blas``)."""
+    bundle = ModelBundle(kind, setting, class_mode, seed, dict(hyperparams or {}), vocab,
+                         frame_config or FrameConfig(), l_harm)
+    bundle._check_input(X, ConfigError)
     with single_blas_thread():
         for member in bundle.members:
             member.fit(X, y)
@@ -523,16 +515,15 @@ def load_bundle(path: str | Path) -> ModelBundle:
     (one for the lstm, which takes no empty batch); a tree model's arrays are
     checked as they are unpacked, with ``feature_dim`` importance columns."""
     header, arrays = load_container(path)
-    kind, setting, class_mode, input_mode = _typed(path, header, str, "model_kind", "setting",
-                                                   "class_mode", "input_mode")
+    kind, setting, class_mode = _typed(path, header, str, "model_kind", "setting", "class_mode")
     stored = header.get("members")
     kinds = [kind] + [e.get("kind") for e in (stored if isinstance(stored, list) else [])
                       if isinstance(e, dict)]
     unknown = [k for k in kinds if isinstance(k, str) and k not in MODEL_KINDS]
     if unknown:
         raise ModelError(f"{path}: header names unknown model kind {unknown[0]!r}")
-    seed, feature_dim, frame_length, hop_length, l_harm = _typed(
-        path, header, int, "seed", "feature_dim", "frame_length", "hop_length", "l_harm")
+    seed, frame_length, hop_length, l_harm = _typed(
+        path, header, int, "seed", "frame_length", "hop_length", "l_harm")
     [hyperparams] = _typed(path, header, dict, "hyperparameters")
     vocab = header.get("vocab")
     try:
@@ -540,8 +531,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
             [vocab] = _typed(path, header, dict, "vocab")
             terms, dfs = _typed(path, vocab, list, "terms", "dfs")
             vocab = Vocabulary(tuple(terms), tuple(dfs), vocab.get("n_documents"))
-        bundle = ModelBundle(kind, setting, class_mode, seed, feature_dim, hyperparams, vocab,
-                             FrameConfig(frame_length, hop_length), l_harm, input_mode)
+        bundle = ModelBundle(kind, setting, class_mode, seed, hyperparams, vocab,
+                             FrameConfig(frame_length, hop_length), l_harm)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc
     # compared as the JSON text the file holds, so neither true nor 1.0 passes for 1
@@ -554,12 +545,12 @@ def load_bundle(path: str | Path) -> ModelBundle:
             if member.scaler is not None:
                 member.scaler._set_arrays(_under(arrays, f"m{i}/scaler/"))
             if member.kind in _TREE_KINDS:  # importances bound every split feature
-                if member.classifier.packed_["importances"].shape[1] != feature_dim:
-                    raise ValueError(f"tree importances do not have {feature_dim} columns")
+                if member.classifier.packed_["importances"].shape[1] != bundle.feature_dim:
+                    raise ValueError(f"tree importances do not have {bundle.feature_dim} columns")
             else:
                 rows = int(member.kind == "lstm")
                 with single_blas_thread():
-                    proba = member.predict_proba(np.zeros((rows, feature_dim)))
+                    proba = member.predict_proba(np.zeros((rows, bundle.feature_dim)))
                 if proba.shape != (rows, len(bundle.class_names)):
                     raise ValueError("arrays do not map feature_dim columns to the classes")
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
@@ -776,8 +767,7 @@ class ExperimentConfig:
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
         _check_design(self.model_kind, self.setting, self.class_mode, self.seed,
-                      _requested_input_mode(self.model_kind, self.hyperparams), self.hyperparams,
-                      self.l_harm)
+                      self.hyperparams, self.l_harm)
         # checked here too, so a bad value fails before the manifest is read
         _check_train_fraction(self.train_fraction)
         _check_rho(self.upsample_rho)
@@ -793,19 +783,18 @@ def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path
         train_ds, test_ds = split(dataset, config.train_fraction, config.seed + SEED_OFFSET_SPLIT)
     train_ds = upsample(train_ds, config.seed + SEED_OFFSET_UPSAMPLE, config.upsample_rho)
 
-    input_mode = _requested_input_mode(config.model_kind, config.hyperparams)
     vocab = setting_vocabulary(config.setting, train_ds)
-    # the size caps again, on the vocabulary's true width, before any WAV is read
-    _check_design(config.model_kind, config.setting, config.class_mode, config.seed, input_mode,
-                  config.hyperparams, config.l_harm, vocab)
-    # featurize both splits before any member fits: a bad WAV in either exits before training
-    train_X, test_X = (featurize(ds, config.setting, input_mode, config.frame_config,
-                                 config.l_harm, vocab) for ds in (train_ds, test_ds))
-    bundle = train_bundle(
-        config.model_kind, train_X, labels_to_indices(train_ds), setting=config.setting,
-        class_mode=config.class_mode, seed=config.seed, hyperparams=config.hyperparams,
-        vocab=vocab, frame_config=config.frame_config, l_harm=config.l_harm,
-    )
+    if _blocks(config.setting) == ("text",) and not len(vocab):
+        raise DataError(f"setting {config.setting!r} reads text alone, but no transcript of "
+                        f"the train split holds a token")
+    design = dict(setting=config.setting, class_mode=config.class_mode, seed=config.seed,
+                  hyperparams=config.hyperparams, vocab=vocab,
+                  frame_config=config.frame_config, l_harm=config.l_harm)
+    # the unfitted bundle checks the size caps on the vocabulary's true width before any WAV
+    # is read, and featurizes both splits before any member fits: a bad WAV exits untrained
+    unfitted = ModelBundle(config.model_kind, **design)
+    train_X, test_X = (unfitted.features(ds) for ds in (train_ds, test_ds))
+    bundle = train_bundle(config.model_kind, train_X, labels_to_indices(train_ds), **design)
     report = score(bundle, test_X, test_ds)
 
     artifacts: dict[str, Path] = {}

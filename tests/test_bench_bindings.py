@@ -65,3 +65,26 @@ def test_fitted_trees_give_their_node_counts(kind, model):
     spans._nodes_hook(kind)(tracer, (model, X, y), model)
     # rf grows one tree per n_trees, xgb one per round and class
     assert tracer.counters[f"models.{kind}.nodes"] > {"rf": 2, "xgb": 6}[kind]
+
+
+# the ModelBundle attributes that bench.py reads, so a scan that finds none fails
+BUNDLE_READS = {"input_mode", "frame_config", "l_harm", "vocab", "setting", "class_mode",
+                "class_names"}
+
+
+def test_bundle_attributes_the_benchmark_reads_exist():
+    read = set(re.findall(r"bundle\.(\w+)", (PERFBENCH / "bench.py").read_text(encoding="utf-8")))
+    assert BUNDLE_READS <= read
+    rng = np.random.default_rng(0)
+    y = np.arange(12) % 3
+    design = {"setting": "audio_only", "class_mode": "six", "seed": 0}
+    vector = pipeline.train_bundle("rf", rng.normal(size=(12, 8)), y, **design,
+                                   hyperparams={"n_trees": 2, "max_depth": 2})
+    frames = pipeline.train_bundle("lstm", [rng.normal(size=(4, 6)) for _ in y], y, **design,
+                                   hyperparams={"epochs": 1, "hidden_size": 2})
+    for bundle in (vector, frames):
+        assert [name for name in sorted(read) if not hasattr(bundle, name)] == []
+        # the traced run's models.feature_dim counter is the trained bundle's width
+        tracer = spans.Tracer()
+        spans._on_train_bundle(tracer, (), bundle)
+        assert tracer.counters["models.feature_dim"] == bundle.feature_dim

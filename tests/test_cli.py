@@ -392,6 +392,19 @@ def test_train_rejects_unknown_lstm_input_mode(trained_model, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_lstm_frames_outside_audio_only_names_the_input_mode(trained_model, tmp_path,
+                                                                   capsys, monkeypatch):
+    manifest, _ = trained_model
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
+    code = main(["train", "--manifest", str(manifest), "--model", "lstm", "--setting",
+                 "text_only", "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lstm input_mode 'frames' (the default)"), err
+    assert "audio_only" in err and "input_mode 'clip'" in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def _no_decode(path):
     raise AssertionError(f"{path} was decoded before the configuration was checked")
 
@@ -498,6 +511,38 @@ def test_dataset_empty_after_label_mapping_exits_3(trained_model, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+# transcripts that normalize to no token leave the train vocabulary empty
+TOKENLESS_ROWS = [{**row, "text": "!!!"} for row in MANIFEST_ROWS]
+
+
+@pytest.mark.parametrize("model, hp", [
+    ("rf", SMALL_RF), ("xgb", ["--hp", "n_rounds=2"]), ("svm", []), ("mnb", []), ("lr", []),
+    ("mlp", ["--hp", "epochs=2"]), ("lstm", ["--hp", "input_mode=clip", "--hp", "epochs=2"]),
+    ("e1", ["--hp", "rf.n_trees=2", "--hp", "xgb.n_rounds=2", "--hp", "mlp.epochs=2"]),
+    ("e2", ["--hp", "rf.n_trees=2", "--hp", "xgb.n_rounds=2", "--hp", "mlp.epochs=2"]),
+], ids=["rf", "xgb", "svm", "mnb", "lr", "mlp", "lstm-clip", "e1", "e2"])
+def test_text_only_train_without_a_token_exits_3_before_fitting(tmp_path, capsys, monkeypatch,
+                                                                 model, hp):
+    manifest = write_manifest(tmp_path, TOKENLESS_ROWS)
+    monkeypatch.setattr(ingest, "decode_wav", _no_decode)
+    out = tmp_path / "run"
+    code = main(["train", "--manifest", str(manifest), "--model", model, "--setting",
+                 "text_only", "--out", str(out), *hp])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no transcript" in err and "Traceback" not in err, err
+    assert not (out / "model.emf").exists()
+
+
+def test_audio_text_train_without_a_token_reads_the_clip_features(tmp_path):
+    manifest = write_manifest(tmp_path, TOKENLESS_ROWS)
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", str(manifest), "--model", "lr", "--setting",
+                 "audio_text", "--out", str(out), "--hp", "epochs=2"]) == 0
+    assert json.loads((out / "report.json").read_text())["feature_dim"] == 8
+    assert load_bundle(out / "model.emf").vocab.terms == ()
 
 
 @pytest.mark.parametrize("model, setting, hp", [

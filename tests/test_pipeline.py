@@ -174,7 +174,7 @@ def test_train_and_load_build_each_member_once(tmp_path, monkeypatch):
 def test_single_model_bundle_is_a_one_member_vote(kind):
     X, y = toy_matrix(seed=3)
     hp = {"rf": {"n_trees": 3, "max_depth": 3}, "mlp": {"epochs": 5, "hidden_sizes": (4,)},
-          "lstm": {"epochs": 2, "hidden_size": 3}}[kind]
+          "lstm": {"epochs": 2, "hidden_size": 3, "input_mode": "clip"}}[kind]
     bundle = train_bundle(kind, X, y, setting="audio_only", class_mode="six", seed=4,
                           hyperparams=hp)
     assert [m.kind for m in bundle.members] == [kind] and bundle.combination == "single"
@@ -242,7 +242,10 @@ def test_model_defaults_are_the_constructor_defaults(kind):
     (np.ones((0, 2)), []),
     ([], []),
     ([np.ones((2, 2)), np.ones((3, 3))], [0, 1]),
-], ids=["length-mismatch", "1d", "3d", "empty", "empty-list", "mixed-widths"])
+    (np.ones((4, 0)), [0, 1, 0, 1]),
+    ([np.ones((2, 0)), np.ones((3, 0))], [0, 1]),
+], ids=["length-mismatch", "1d", "3d", "empty", "empty-list", "mixed-widths", "no-columns",
+        "no-column-sequences"])
 @pytest.mark.parametrize("kind", MODEL_DEFAULTS)
 def test_fit_rejects_malformed_training_data(kind, X, y):
     with pytest.raises(ParameterError):
@@ -290,6 +293,8 @@ def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_pa
     X, y, vocab = design_inputs(setting, frames)
     members = ENSEMBLE_MEMBERS.get(kind)
     hp = LIGHT_HP[kind] if members is None else {m: LIGHT_HP[m] for m in members}
+    if kind == "lstm" and not frames:
+        hp = {**hp, "input_mode": "clip"}
     design = {"setting": setting, "class_mode": "six", "seed": 0, "hyperparams": hp,
               "vocab": vocab}
     # per-frame sequences are input for the lstm alone, and only without text
@@ -309,6 +314,7 @@ def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_pa
     ("rf", False, {"setting": "audio_text"}),
     ("rf", False, {"setting": "text_only"}),
     ("rf", False, {"vocab": VOCAB}),
+    ("lstm", False, {}),
     ("lstm", False, {"hyperparams": {"input_mode": "frames"}}),
     ("lstm", True, {"hyperparams": {"input_mode": "clip"}}),
     ("lstm", True, {"hyperparams": {"input_mode": "sideways"}}),
@@ -338,14 +344,14 @@ def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_pa
     ("lstm", True, {"seed": True}),
     ("lr", False, {"seed": np.int64(3)}),
 ], ids=["audio-text-no-vocab", "text-only-no-vocab", "audio-only-with-vocab",
-        "lstm-matrix-hp-frames", "lstm-frames-hp-clip", "lstm-hp-sideways", "l_harm-zero",
-        "l_harm-above-max", "setting-unknown", "class-mode-unknown", "kind-unknown",
-        "e1-unapplied-scope", "e1-scope-not-object", "mnb-alpha-nan", "svm-reg-nan",
-        "lr-reg-inf", "mlp-learning-rate-inf", "e2-mnb-alpha-inf", "rf-max-depth-zero",
-        "rf-max-depth-negative", "xgb-max-depth-zero", "xgb-max-depth-negative",
-        "lstm-patience-negative", "rf-n-trees-true", "mlp-learning-rate-true",
-        "mlp-hidden-sizes-true", "mlp-hidden-sizes-list-true", "e1-rf-n-trees-true",
-        "rf-seed-negative", "lstm-seed-true", "lr-seed-numpy"])
+        "lstm-matrix-no-input-mode", "lstm-matrix-hp-frames", "lstm-frames-hp-clip",
+        "lstm-hp-sideways", "l_harm-zero", "l_harm-above-max", "setting-unknown",
+        "class-mode-unknown", "kind-unknown", "e1-unapplied-scope", "e1-scope-not-object",
+        "mnb-alpha-nan", "svm-reg-nan", "lr-reg-inf", "mlp-learning-rate-inf", "e2-mnb-alpha-inf",
+        "rf-max-depth-zero", "rf-max-depth-negative", "xgb-max-depth-zero",
+        "xgb-max-depth-negative", "lstm-patience-negative", "rf-n-trees-true",
+        "mlp-learning-rate-true", "mlp-hidden-sizes-true", "mlp-hidden-sizes-list-true",
+        "e1-rf-n-trees-true", "rf-seed-negative", "lstm-seed-true", "lr-seed-numpy"])
 def test_train_bundle_rejects_design_before_fitting(no_fit, kind, frames, change):
     X, y, _ = design_inputs("audio_only", frames)
     with pytest.raises(ConfigError):
@@ -374,6 +380,34 @@ def test_train_bundle_rejects_input_width_before_fitting(no_fit, kind, setting, 
                      vocab=None if setting == "audio_only" else VOCAB)
 
 
+@pytest.mark.parametrize("input_mode", ["frames", "clip"])
+def test_lstm_bundle_rejects_input_of_the_other_form(input_mode):
+    # a frames bundle would score a 6-column matrix as one-step sequences, and a
+    # clip bundle would score multi-step sequences of its clip features
+    X, y, _ = design_inputs("audio_only", frames=input_mode == "frames")
+    bundle = train_bundle("lstm", X, y, setting="audio_only", class_mode="six", seed=0,
+                          hyperparams={"input_mode": input_mode, **LIGHT_HP["lstm"]})
+    width = bundle.feature_dim
+    other = (np.ones((4, width)) if input_mode == "frames"
+             else [np.ones((5, width)), np.ones((3, width))])
+    with pytest.raises(ModelError, match="frames input is a list" if input_mode == "frames"
+                       else "clip input is a matrix"):
+        bundle.predict_proba(other)
+
+
+def test_model_bundle_takes_only_its_design():
+    assert list(inspect.signature(ModelBundle).parameters) == [
+        "kind", "setting", "class_mode", "seed", "hyperparams", "vocab", "frame_config", "l_harm"]
+    bundle = ModelBundle("lstm", "audio_only", "six", 0, {"input_mode": "clip"})
+    assert (bundle.input_mode, bundle.feature_dim) == ("clip", 8)
+    bundle = ModelBundle("lstm", "audio_only", "six", 0, {})
+    assert (bundle.input_mode, bundle.feature_dim) == ("frames", 6)
+    bundle = ModelBundle("e2", "audio_text", "six", 0, {}, VOCAB)
+    assert (bundle.input_mode, bundle.feature_dim) == ("vector", 8 + len(VOCAB))
+    bundle = ModelBundle("mnb", "text_only", "six", 0, {}, VOCAB)
+    assert (bundle.input_mode, bundle.feature_dim) == ("vector", len(VOCAB))
+
+
 # --- soft vote
 
 
@@ -387,8 +421,7 @@ class FixedProba:
 
 def soft_vote(members):
     bundle = ModelBundle(
-        kind="e1", setting="audio_only", class_mode="six", seed=0, feature_dim=8,
-        hyperparams={},
+        kind="e1", setting="audio_only", class_mode="six", seed=0, hyperparams={},
     )
     bundle.members = [_Member(kind="rf", classifier=m) for m in members]
     return bundle
