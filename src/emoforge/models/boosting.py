@@ -70,13 +70,11 @@ class GradientBoosting(ProbabilisticClassifier):
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        if self.packed_ is None:  # no rounds yet: the uniform prior
-            return np.zeros((np.shape(X)[0], self.n_classes), dtype=np.float64)
+        if self.packed_ is None:
+            raise ParameterError("model is not fitted")
         return sum_leaf_values(self.packed_, X, self.n_classes, self.learning_rate)
 
     def predict_proba(self, X):
-        if self.n_classes is None:
-            raise ParameterError("model is not fitted")
         return softmax(self.decision_function(X))
 
     @property

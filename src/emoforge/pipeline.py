@@ -429,27 +429,11 @@ def _scaler_for(kind: str, setting: str, feature_dim: int) -> Optional[ColumnSca
     return None
 
 
-def train_bundle(
-    kind: str,
-    X,
-    y: np.ndarray,
-    setting: str,
-    class_mode: str,
-    seed: int,
-    hyperparams: dict | None = None,
-    vocab: Optional[Vocabulary] = None,
-    frame_config: FrameConfig | None = None,
-    l_harm: int = DEFAULT_HARMONIC_WINDOW,
-) -> ModelBundle:
-    """Fit the members of ``kind`` (a single kind is its own one member) into
-    a reusable bundle, which builds them from its design, reading
-    hyperparameters flat for a single kind and keyed by member kind for an
-    ensemble. The bundle's design is checked, every member configured, and
-    ``X`` checked to be the design's input, before any member fits. Members
-    fit with numpy's BLAS on one thread, so the bytes do not depend on the
-    host's core count (``emoforge._blas``)."""
-    bundle = ModelBundle(kind, setting, class_mode, seed, dict(hyperparams or {}), vocab,
-                         frame_config or FrameConfig(), l_harm)
+def train_bundle(bundle: ModelBundle, X, y: np.ndarray) -> ModelBundle:
+    """Fit ``bundle``'s members on ``X`` and return that bundle. ``X`` is
+    checked to be the bundle's input before any member fits. Members fit with
+    numpy's BLAS on one thread, so the bytes do not depend on the host's core
+    count (``emoforge._blas``)."""
     bundle._check_input(X, ConfigError)
     with single_blas_thread():
         for member in bundle.members:
@@ -480,9 +464,22 @@ def _header(bundle: ModelBundle) -> dict:
     }
 
 
+def _probe(member: _Member, feature_dim: int) -> np.ndarray:
+    """The member's probabilities for all-zero input ``feature_dim`` columns
+    wide, taken with numpy's BLAS on one thread: no row, or one for the lstm,
+    which takes no empty batch. ParameterError when the member is not fitted."""
+    rows = int(member.kind == "lstm")
+    with single_blas_thread():
+        return member.predict_proba(np.zeros((rows, feature_dim)))
+
+
 def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
+    """Write the bundle as a model file; each member is probed before its
+    arrays are read, so an unfitted bundle raises ParameterError and writes
+    nothing."""
     arrays: dict[str, np.ndarray] = {}
     for i, member in enumerate(bundle.members):
+        _probe(member, bundle.feature_dim)
         scaled = {} if member.scaler is None else member.scaler._arrays()
         arrays.update({f"m{i}/{name}": arr for name, arr in member.classifier._arrays().items()})
         arrays.update({f"m{i}/scaler/{name}": arr for name, arr in scaled.items()})
@@ -507,13 +504,13 @@ def _under(arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
 def load_bundle(path: str | Path) -> ModelBundle:
     """Rebuild a bundle from a container. A file loads only when its header
     is exactly the one ``save_bundle`` writes for the design it names: the
-    bundle and its members are built from the header's design fields, as in
-    ``train_bundle``, and the header must equal ``_header`` of that bundle.
-    Any other header raises DataError, and only an unknown model or member
-    kind ModelError. A member that is not a tree model must then map
-    ``feature_dim`` columns to one probability per class, probed on zero rows
-    (one for the lstm, which takes no empty batch); a tree model's arrays are
-    checked as they are unpacked, with ``feature_dim`` importance columns."""
+    bundle and its members are built from the header's design fields, as a
+    caller builds the ``ModelBundle`` it passes to ``train_bundle``, and the
+    header must equal ``_header`` of that bundle. Any other header raises
+    DataError, and only an unknown model or member kind ModelError. A member
+    that is not a tree model must then map ``feature_dim`` columns to one
+    probability per class (``_probe``); a tree model's arrays are checked as
+    they are unpacked, with ``feature_dim`` importance columns."""
     header, arrays = load_container(path)
     kind, setting, class_mode = _typed(path, header, str, "model_kind", "setting", "class_mode")
     stored = header.get("members")
@@ -547,12 +544,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
             if member.kind in _TREE_KINDS:  # importances bound every split feature
                 if member.classifier.packed_["importances"].shape[1] != bundle.feature_dim:
                     raise ValueError(f"tree importances do not have {bundle.feature_dim} columns")
-            else:
-                rows = int(member.kind == "lstm")
-                with single_blas_thread():
-                    proba = member.predict_proba(np.zeros((rows, bundle.feature_dim)))
-                if proba.shape != (rows, len(bundle.class_names)):
-                    raise ValueError("arrays do not map feature_dim columns to the classes")
+            elif _probe(member, bundle.feature_dim).shape[1:] != (len(bundle.class_names),):
+                raise ValueError("arrays do not map feature_dim columns to the classes")
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise DataError(f"{path}: member {i} state is unusable ({exc!r})") from exc
     return bundle
@@ -787,14 +780,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[EvalReport, dict[str, Path
     if _blocks(config.setting) == ("text",) and not len(vocab):
         raise DataError(f"setting {config.setting!r} reads text alone, but no transcript of "
                         f"the train split holds a token")
-    design = dict(setting=config.setting, class_mode=config.class_mode, seed=config.seed,
-                  hyperparams=config.hyperparams, vocab=vocab,
-                  frame_config=config.frame_config, l_harm=config.l_harm)
-    # the unfitted bundle checks the size caps on the vocabulary's true width before any WAV
-    # is read, and featurizes both splits before any member fits: a bad WAV exits untrained
-    unfitted = ModelBundle(config.model_kind, **design)
-    train_X, test_X = (unfitted.features(ds) for ds in (train_ds, test_ds))
-    bundle = train_bundle(config.model_kind, train_X, labels_to_indices(train_ds), **design)
+    # the bundle checks the size caps on the vocabulary's true width before any WAV is
+    # read, and featurizes both splits before any member fits: a bad WAV exits untrained
+    bundle = ModelBundle(config.model_kind, config.setting, config.class_mode, config.seed,
+                         config.hyperparams, vocab, config.frame_config, config.l_harm)
+    train_X, test_X = (bundle.features(ds) for ds in (train_ds, test_ds))
+    train_bundle(bundle, train_X, labels_to_indices(train_ds))
     report = score(bundle, test_X, test_ds)
 
     artifacts: dict[str, Path] = {}

@@ -106,3 +106,17 @@ def synth_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     manifest = generate_corpus(root, seed=11, n_per_class=12)
     return manifest
+
+
+@pytest.fixture(scope="session")
+def tiny_corpus(tmp_path_factory):
+    """A 24-clip synthetic corpus, four clips per class, for tests that count
+    what one run does rather than how well it scores."""
+    from emoforge.synth import generate_corpus
+
+    return generate_corpus(tmp_path_factory.mktemp("tiny-corpus"), seed=11, n_per_class=4)
+
+
+#: Light e2 hyperparameters for runs that only count what they do.
+E2_LIGHT_HP = {"rf": {"n_trees": 3, "max_depth": 3}, "xgb": {"n_rounds": 2},
+               "mlp": {"epochs": 3, "hidden_sizes": (4,)}, "lr": {"epochs": 3}}

@@ -17,6 +17,8 @@ import pytest
 from emoforge import pipeline
 from emoforge.models import GradientBoosting, RandomForest
 
+from conftest import E2_LIGHT_HP
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 _spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
@@ -77,14 +79,27 @@ def test_bundle_attributes_the_benchmark_reads_exist():
     assert BUNDLE_READS <= read
     rng = np.random.default_rng(0)
     y = np.arange(12) % 3
-    design = {"setting": "audio_only", "class_mode": "six", "seed": 0}
-    vector = pipeline.train_bundle("rf", rng.normal(size=(12, 8)), y, **design,
-                                   hyperparams={"n_trees": 2, "max_depth": 2})
-    frames = pipeline.train_bundle("lstm", [rng.normal(size=(4, 6)) for _ in y], y, **design,
-                                   hyperparams={"epochs": 1, "hidden_size": 2})
+    vector = pipeline.train_bundle(
+        pipeline.ModelBundle("rf", "audio_only", "six", 0, {"n_trees": 2, "max_depth": 2}),
+        rng.normal(size=(12, 8)), y)
+    frames = pipeline.train_bundle(
+        pipeline.ModelBundle("lstm", "audio_only", "six", 0, {"epochs": 1, "hidden_size": 2}),
+        [rng.normal(size=(4, 6)) for _ in y], y)
     for bundle in (vector, frames):
         assert [name for name in sorted(read) if not hasattr(bundle, name)] == []
         # the traced run's models.feature_dim counter is the trained bundle's width
         tracer = spans.Tracer()
         spans._on_train_bundle(tracer, (), bundle)
         assert tracer.counters["models.feature_dim"] == bundle.feature_dim
+
+
+def test_traced_run_times_and_measures_the_bundle_it_trains(tmp_path, tiny_corpus):
+    # pipeline.train_bundle_s and models.feature_dim read the span and result of the
+    # module global pipeline.train_bundle: a run that stopped calling it would zero them
+    config = pipeline.ExperimentConfig(tiny_corpus, "audio_text", "e2", seed=1,
+                                       out_dir=tmp_path / "run", hyperparams=E2_LIGHT_HP)
+    with spans.Tracer().installed() as tracer:
+        _, artifacts = pipeline.run_experiment(config)
+    assert [span[spans.NAME] for span in tracer.spans].count("pipeline.train_bundle") == 1
+    bundle = pipeline.load_bundle(artifacts["model"])
+    assert tracer.counters["models.feature_dim"] == bundle.feature_dim > 8

@@ -42,7 +42,7 @@ from emoforge.pipeline import (
 from emoforge.synth import generate_corpus
 from emoforge.text_features import fit_vocabulary
 
-from conftest import make_tone
+from conftest import E2_LIGHT_HP, make_tone
 
 
 def toy_matrix(seed=0, n=90, d=8, classes=3):  # audio_only rows: the eight clip features
@@ -121,8 +121,7 @@ def test_bundle_roundtrip_preserves_predictions(tmp_path, kind, flags):
     frames = hp.get("input_mode") == "frames"
     setting = "audio_only" if frames else "audio_text"
     X, y, vocab = design_inputs(setting, frames)
-    bundle = train_bundle(kind, X, y, setting=setting, class_mode="six", seed=3,
-                          hyperparams=hp, vocab=vocab)
+    bundle = train_bundle(ModelBundle(kind, setting, "six", 3, hp, vocab), X, y)
     save_bundle(tmp_path / "model.emf", bundle)
     loaded = load_bundle(tmp_path / "model.emf")
     assert np.array_equal(loaded.predict_proba(X), bundle.predict_proba(X))
@@ -139,9 +138,7 @@ def test_bundle_roundtrip_ensemble(tmp_path):
     X, y = toy_matrix(seed=5)
     hp = {"rf": {"n_trees": 4, "max_depth": 3}, "xgb": {"n_rounds": 3},
           "mlp": {"epochs": 5, "hidden_sizes": (6,)}}
-    bundle = train_bundle(
-        "e1", X, y, setting="audio_only", class_mode="six", seed=2, hyperparams=hp,
-    )
+    bundle = train_bundle(ModelBundle("e1", "audio_only", "six", 2, hp), X, y)
     assert bundle.combination == "soft_vote"
     assert [m.kind for m in bundle.members] == ["rf", "xgb", "mlp"]
     path = tmp_path / "e1.emf"
@@ -150,7 +147,7 @@ def test_bundle_roundtrip_ensemble(tmp_path):
     assert np.array_equal(loaded.predict_proba(X), bundle.predict_proba(X))
 
 
-def test_train_and_load_build_each_member_once(tmp_path, monkeypatch):
+def test_train_and_load_build_each_member_once(tmp_path, monkeypatch, tiny_corpus):
     built, make_classifier = [], pipeline.make_classifier
 
     def counting(kind, *args):
@@ -159,15 +156,19 @@ def test_train_and_load_build_each_member_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "make_classifier", counting)
     X, y = toy_matrix(seed=6)
-    hp = {"rf": {"n_trees": 3, "max_depth": 3}, "xgb": {"n_rounds": 2},
-          "mlp": {"epochs": 3, "hidden_sizes": (4,)}, "lr": {"epochs": 3}}
-    bundle = train_bundle("e2", X, y, setting="audio_only", class_mode="six", seed=1,
-                          hyperparams=hp)
+    bundle = train_bundle(ModelBundle("e2", "audio_only", "six", 1, E2_LIGHT_HP), X, y)
     assert built == list(ENSEMBLE_MEMBERS["e2"])
     save_bundle(tmp_path / "e2.emf", bundle)
     built.clear()
     load_bundle(tmp_path / "e2.emf")
     assert built == list(ENSEMBLE_MEMBERS["e2"])
+    # a run configures each member twice: once when its config is checked, once
+    # for the one bundle that featurizes both splits and is then fitted
+    built.clear()
+    config = ExperimentConfig(tiny_corpus, "audio_text", "e2", seed=1, hyperparams=E2_LIGHT_HP)
+    assert built == list(ENSEMBLE_MEMBERS["e2"])
+    run_experiment(config)
+    assert built == 2 * list(ENSEMBLE_MEMBERS["e2"])
 
 
 @pytest.mark.parametrize("kind", ["rf", "mlp", "lstm"])
@@ -175,8 +176,7 @@ def test_single_model_bundle_is_a_one_member_vote(kind):
     X, y = toy_matrix(seed=3)
     hp = {"rf": {"n_trees": 3, "max_depth": 3}, "mlp": {"epochs": 5, "hidden_sizes": (4,)},
           "lstm": {"epochs": 2, "hidden_size": 3, "input_mode": "clip"}}[kind]
-    bundle = train_bundle(kind, X, y, setting="audio_only", class_mode="six", seed=4,
-                          hyperparams=hp)
+    bundle = train_bundle(ModelBundle(kind, "audio_only", "six", 4, hp), X, y)
     assert [m.kind for m in bundle.members] == [kind] and bundle.combination == "single"
     assert np.array_equal(bundle.predict_proba(X), bundle.members[0].predict_proba(X))
     # an lstm bundle records the input it was trained on
@@ -185,7 +185,7 @@ def test_single_model_bundle_is_a_one_member_vote(kind):
 
 def test_bundle_dimension_mismatch(tmp_path):
     X, y = toy_matrix()
-    bundle = train_bundle("mnb", X, y, setting="audio_only", class_mode="six", seed=0)
+    bundle = train_bundle(ModelBundle("mnb", "audio_only", "six", 0, {}), X, y)
     with pytest.raises(ModelError):
         bundle.predict_proba(np.ones((2, X.shape[1] + 1)))
 
@@ -194,13 +194,13 @@ def test_bundle_dimension_mismatch(tmp_path):
                          ids=["lstm-no-sequences", "rf-1d"])
 def test_train_bundle_rejects_input_without_a_width(kind, X):
     with pytest.raises(ParameterError, match="2-D"):
-        train_bundle(kind, X, np.arange(12) % 3, setting="audio_only", class_mode="six", seed=0)
+        train_bundle(ModelBundle(kind, "audio_only", "six", 0, {}), X, np.arange(12) % 3)
 
 
 def test_frames_bundle_rejects_an_empty_sequence_list():
     X, y, _ = design_inputs("audio_only", frames=True)
-    bundle = train_bundle("lstm", X, y, setting="audio_only", class_mode="six", seed=0,
-                          hyperparams={"input_mode": "frames", **LIGHT_HP["lstm"]})
+    bundle = train_bundle(ModelBundle("lstm", "audio_only", "six", 0,
+                                      {"input_mode": "frames", **LIGHT_HP["lstm"]}), X, y)
     with pytest.raises(ParameterError, match="2-D"):
         bundle.predict_proba([])
 
@@ -208,15 +208,14 @@ def test_frames_bundle_rejects_an_empty_sequence_list():
 def test_unknown_hyperparameter_rejected():
     X, y = toy_matrix()
     with pytest.raises(ConfigError):
-        train_bundle("rf", X, y, setting="audio_only", class_mode="six", seed=0,
-                     hyperparams={"trees": 10})
+        train_bundle(ModelBundle("rf", "audio_only", "six", 0, {"trees": 10}), X, y)
 
 
 def test_ensemble_rejects_flat_hyperparameters():
     X, y = toy_matrix()
     with pytest.raises(ConfigError, match="keyed by member kind"):
-        train_bundle("e1", X, y, setting="audio_only", class_mode="six", seed=0,
-                     hyperparams={"n_trees": 3, "rf": {"max_depth": 2}})
+        train_bundle(ModelBundle("e1", "audio_only", "six", 0,
+                                 {"n_trees": 3, "rf": {"max_depth": 2}}), X, y)
 
 
 @pytest.mark.parametrize("kind", MODEL_DEFAULTS)
@@ -301,9 +300,9 @@ def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_pa
     if frames and (kind != "lstm" or setting != "audio_only"):
         request.getfixturevalue("no_fit")
         with pytest.raises(ConfigError):
-            train_bundle(kind, X, y, **design)
+            train_bundle(ModelBundle(kind, **design), X, y)
         return
-    bundle = train_bundle(kind, X, y, **design)
+    bundle = train_bundle(ModelBundle(kind, **design), X, y)
     save_bundle(tmp_path / "model.emf", bundle)
     loaded = load_bundle(tmp_path / "model.emf")
     assert (loaded.kind, loaded.setting, loaded.input_mode) == (kind, setting, bundle.input_mode)
@@ -355,8 +354,8 @@ def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_pa
 def test_train_bundle_rejects_design_before_fitting(no_fit, kind, frames, change):
     X, y, _ = design_inputs("audio_only", frames)
     with pytest.raises(ConfigError):
-        train_bundle(kind, X, y, **{"setting": "audio_only", "class_mode": "six", "seed": 0,
-                                    **change})
+        train_bundle(ModelBundle(kind, **{"setting": "audio_only", "class_mode": "six",
+                                          "seed": 0, "hyperparams": {}, **change}), X, y)
 
 
 @pytest.mark.parametrize("kind, setting, width, frames", [
@@ -376,8 +375,8 @@ def test_train_bundle_rejects_input_width_before_fitting(no_fit, kind, setting, 
     members = ENSEMBLE_MEMBERS.get(kind)
     hp = LIGHT_HP[kind] if members is None else {m: LIGHT_HP[m] for m in members}
     with pytest.raises(ConfigError, match="feature_dim"):
-        train_bundle(kind, X, y, setting=setting, class_mode="six", seed=0, hyperparams=hp,
-                     vocab=None if setting == "audio_only" else VOCAB)
+        train_bundle(ModelBundle(kind, setting, "six", 0, hp,
+                                 None if setting == "audio_only" else VOCAB), X, y)
 
 
 @pytest.mark.parametrize("input_mode", ["frames", "clip"])
@@ -385,8 +384,8 @@ def test_lstm_bundle_rejects_input_of_the_other_form(input_mode):
     # a frames bundle would score a 6-column matrix as one-step sequences, and a
     # clip bundle would score multi-step sequences of its clip features
     X, y, _ = design_inputs("audio_only", frames=input_mode == "frames")
-    bundle = train_bundle("lstm", X, y, setting="audio_only", class_mode="six", seed=0,
-                          hyperparams={"input_mode": input_mode, **LIGHT_HP["lstm"]})
+    bundle = train_bundle(ModelBundle("lstm", "audio_only", "six", 0,
+                                      {"input_mode": input_mode, **LIGHT_HP["lstm"]}), X, y)
     width = bundle.feature_dim
     other = (np.ones((4, width)) if input_mode == "frames"
              else [np.ones((5, width)), np.ones((3, width))])
@@ -398,6 +397,8 @@ def test_lstm_bundle_rejects_input_of_the_other_form(input_mode):
 def test_model_bundle_takes_only_its_design():
     assert list(inspect.signature(ModelBundle).parameters) == [
         "kind", "setting", "class_mode", "seed", "hyperparams", "vocab", "frame_config", "l_harm"]
+    # the design is the bundle's alone: train_bundle fits the bundle it is given
+    assert list(inspect.signature(train_bundle).parameters) == ["bundle", "X", "y"]
     bundle = ModelBundle("lstm", "audio_only", "six", 0, {"input_mode": "clip"})
     assert (bundle.input_mode, bundle.feature_dim) == ("clip", 8)
     bundle = ModelBundle("lstm", "audio_only", "six", 0, {})
@@ -406,6 +407,18 @@ def test_model_bundle_takes_only_its_design():
     assert (bundle.input_mode, bundle.feature_dim) == ("vector", 8 + len(VOCAB))
     bundle = ModelBundle("mnb", "text_only", "six", 0, {}, VOCAB)
     assert (bundle.input_mode, bundle.feature_dim) == ("vector", len(VOCAB))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_unfitted_bundle_neither_predicts_nor_saves(tmp_path, kind):
+    frames = kind == "lstm"
+    X, _, _ = design_inputs("audio_only", frames)
+    bundle = ModelBundle(kind, "audio_only", "six", 0, {})
+    with pytest.raises(ParameterError):
+        bundle.predict_proba(X)
+    with pytest.raises(ParameterError):
+        save_bundle(tmp_path / "model.emf", bundle)
+    assert not (tmp_path / "model.emf").exists()
 
 
 # --- soft vote
@@ -661,8 +674,7 @@ def test_predict_example_rejects_an_input_its_setting_does_not_read(setting, kin
     X, y, vocab = design_inputs(setting, frames=False)
     hp = ({m: LIGHT_HP[m] for m in ENSEMBLE_MEMBERS[kind]} if kind in ENSEMBLE_MEMBERS
           else LIGHT_HP[kind])
-    bundle = train_bundle(kind, X, y, setting=setting, class_mode="six", seed=0,
-                          hyperparams=hp, vocab=vocab)
+    bundle = train_bundle(ModelBundle(kind, setting, "six", 0, hp, vocab), X, y)
     inputs = {"clip": make_tone(200, 16000, 0.5), "text": "so calm"}
     label, _ = predict_example(bundle, **{reads: inputs[reads]})
     assert label in bundle.class_names

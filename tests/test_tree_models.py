@@ -10,7 +10,7 @@ from emoforge.models import tree as tree_module
 from emoforge.models.base import log_loss, one_hot, softmax
 from emoforge.models.tree import grow_tree, leaf_values, pack_trees, presort
 from emoforge.persistence import save_container
-from emoforge.pipeline import load_bundle, save_bundle, train_bundle
+from emoforge.pipeline import ModelBundle, load_bundle, save_bundle, train_bundle
 
 # an overflow or a 0/0 fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -139,10 +139,10 @@ def test_forest_max_features_takes_ints_and_caps_at_the_width():
 # --- gradient boosting
 
 
-def test_boosting_uniform_prior_before_training():
+def test_boosting_rejects_prediction_before_training():
     model = GradientBoosting(n_classes=4)
-    proba = model.predict_proba(np.random.default_rng(0).normal(size=(6, 3)))
-    assert np.allclose(proba, 0.25)
+    with pytest.raises(ParameterError, match="not fitted"):
+        model.predict_proba(np.random.default_rng(0).normal(size=(6, 3)))
 
 
 def test_boosting_rounds_validation():
@@ -770,8 +770,7 @@ def test_leaf_sums_add_in_tree_order():
 def test_traversal_after_bundle_roundtrip_matches_oracle(tmp_path, kind):
     X, y = oracle_problem(7, "classification", d=8)  # audio_only rows
     hp = {"rf": {"n_trees": 12}, "xgb": {"n_rounds": 8}}[kind]
-    bundle = train_bundle(kind, X, y, setting="audio_only", class_mode="six", seed=3,
-                          hyperparams=hp)
+    bundle = train_bundle(ModelBundle(kind, "audio_only", "six", 3, hp), X, y)
     save_bundle(tmp_path / "model.emf", bundle)
     fitted = bundle.members[0].classifier
     loaded = load_bundle(tmp_path / "model.emf").members[0].classifier
