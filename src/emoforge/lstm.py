@@ -46,7 +46,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .models.base import ProbabilisticClassifier, check_training_data, sigmoid, softmax
+from .models.base import (ProbabilisticClassifier, assign, check_training_data, flatten,
+                          sigmoid, softmax)
 
 _GATES = ("f", "i", "o", "c")
 
@@ -121,15 +122,10 @@ class LstmParams:
         return LstmParams(*(a.copy() for a in self.arrays()))
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
+        return flatten(self.arrays())
 
     def set_vector(self, vec: np.ndarray) -> None:
-        pos = 0
-        for arr in self.arrays():
-            arr[...] = vec[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-        if pos != vec.size:
-            raise ParameterError("parameter vector size mismatch")
+        assign(self.arrays(), vec)
 
 
 def _cell(acts: np.ndarray, c: np.ndarray, c_t: np.ndarray, tanh_c: np.ndarray,
@@ -201,11 +197,11 @@ def _pack(sequences: list[np.ndarray]) -> tuple[np.ndarray, list[int], np.ndarra
 
 
 def _forward_cached(
-    params: LstmParams, sequences: list[np.ndarray], cache: bool = False
-) -> tuple[np.ndarray, _Tape | None]:
-    """Final hidden states (batch, hidden) in input order and, with
-    ``cache``, the tape for ``_bptt``. Step t advances only the sequences
-    still running, which are a prefix of the length-sorted batch."""
+    params: LstmParams, sequences: list[np.ndarray]
+) -> tuple[np.ndarray, _Tape]:
+    """Final hidden states (batch, hidden) in input order and the tape for
+    ``_bptt``. Step t advances only the sequences still running, which are a
+    prefix of the length-sorted batch."""
     order, bounds, xs = _pack(sequences)
     hidden = params.hidden_size
     rows, batch = xs.shape[0], len(sequences)
@@ -226,12 +222,9 @@ def _forward_cached(
         step += h_prev[lo:hi] @ params.U.T
         _cell(step, c_prev[lo:hi], c_prev[hi : hi + n], tanh_c[lo:hi], h_prev[hi : hi + n])
         last[running:n] = h_prev[hi + running : hi + n]
-    tape = None
-    if cache:
-        tape = _Tape(order, bounds, xs, h_prev[:rows], c_prev[:rows], acts, tanh_c)
     final = np.empty_like(last)
     final[order] = last
-    return final, tape
+    return final, _Tape(order, bounds, xs, h_prev[:rows], c_prev[:rows], acts, tanh_c)
 
 
 def lstm_forward(params: LstmParams, sequence: np.ndarray) -> np.ndarray:
@@ -252,7 +245,7 @@ def _bptt(
 ) -> tuple[float, LstmParams]:
     """Summed cross-entropy loss of a batch and its BPTT gradients, with an
     optional (batch, hidden) dropout mask on the final hidden states."""
-    h_last, tape = _forward_cached(params, sequences, cache=True)
+    h_last, tape = _forward_cached(params, sequences)
     h = h_last if dropout_masks is None else h_last * dropout_masks
     probs = _class_probs(params, h)
     picked = np.arange(len(sequences)), np.asarray(labels, dtype=np.int64)

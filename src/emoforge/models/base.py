@@ -18,6 +18,9 @@ class ProbabilisticClassifier(ABC):
     """
 
     n_classes: int | None = None
+    #: The fitted arrays of the default ``_arrays``: each kept as the attribute
+    #: of its name plus "_", and stored in a model file under its name.
+    _ARRAYS: tuple[str, ...]
 
     @abstractmethod
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ProbabilisticClassifier":
@@ -46,6 +49,13 @@ class ProbabilisticClassifier(ABC):
         model = cls(**meta)
         model._set_arrays(arrays)
         return model
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, f"{name}_") for name in self._ARRAYS}
+
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        for name in self._ARRAYS:
+            setattr(self, f"{name}_", arrays[name])
 
 
 def check_training_data(X, y, n_classes: int | None, sequences: bool = False):
@@ -82,6 +92,22 @@ def check_training_data(X, y, n_classes: int | None, sequences: bool = False):
     if y.max() >= resolved:
         raise ParameterError(f"label {int(y.max())} outside {resolved} classes")
     return X, y, resolved
+
+
+def flatten(arrays) -> np.ndarray:
+    """The arrays raveled into one parameter vector, in order."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def assign(arrays, vec: np.ndarray) -> None:
+    """Write ``vec``, laid out as ``flatten`` lays out ``arrays``, back into
+    those arrays in place; ParameterError unless the sizes match."""
+    if vec.size != sum(a.size for a in arrays):
+        raise ParameterError("parameter vector size mismatch")
+    pos = 0
+    for a in arrays:
+        a[...] = vec[pos : pos + a.size].reshape(a.shape)
+        pos += a.size
 
 
 def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .base import ProbabilisticClassifier, check_training_data, log_loss, one_hot, softmax
-from .tree import TreeNodes, grow_tree, pack_trees, presort, sum_leaf_values, unpack_trees
+from .base import check_training_data, log_loss, one_hot, softmax
+from .tree import (TreeModel, TreeNodes, grow_tree, pack_trees, presort, sum_leaf_values,
+                   unpack_trees)
 
 
-class GradientBoosting(ProbabilisticClassifier):
+class GradientBoosting(TreeModel):
     def __init__(
         self,
         n_rounds: int = 100,
@@ -29,16 +30,10 @@ class GradientBoosting(ProbabilisticClassifier):
             raise ParameterError("n_rounds must be >= 1")
         if not 0.0 < learning_rate <= 1.0:
             raise ParameterError("learning_rate must be in (0, 1]")
-        if max_depth is not None and max_depth < 1:
-            raise ParameterError("max_depth must be >= 1 or None")
-        if min_samples_leaf < 1:
-            raise ParameterError("min_samples_leaf must be >= 1")
+        self._set_tree_params(max_depth, min_samples_leaf)
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.n_classes = n_classes
-        self.packed_: dict[str, np.ndarray] | None = None  # the trees, as pack_trees writes them
         self.trees_: list[list[TreeNodes]] = []  # [round][class] views into packed_
         self.train_loss_history_: list[float] = []
 
@@ -70,21 +65,10 @@ class GradientBoosting(ProbabilisticClassifier):
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        if self.packed_ is None:
-            raise ParameterError("model is not fitted")
-        return sum_leaf_values(self.packed_, X, self.n_classes, self.learning_rate)
+        return sum_leaf_values(self._packed(), X, self.n_classes, self.learning_rate)
 
     def predict_proba(self, X):
         return softmax(self.decision_function(X))
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        if self.packed_ is None:
-            raise ParameterError("model is not fitted")
-        return np.sum(self.packed_["importances"], axis=0)
-
-    def _arrays(self) -> dict[str, np.ndarray]:
-        return self.packed_
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         flat = unpack_trees(arrays, 1)

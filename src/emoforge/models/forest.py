@@ -8,11 +8,11 @@ from numbers import Integral
 import numpy as np
 
 from ..errors import ParameterError
-from .base import ProbabilisticClassifier, check_training_data
-from .tree import TreeNodes, grow_forest, pack_trees, sum_leaf_values, unpack_trees
+from .base import check_training_data
+from .tree import TreeModel, TreeNodes, grow_forest, pack_trees, sum_leaf_values, unpack_trees
 
 
-class RandomForest(ProbabilisticClassifier):
+class RandomForest(TreeModel):
     """Ensemble of trees fit on bootstrap resamples.
 
     Each split considers ceil(sqrt(d)) randomly drawn features. Prediction
@@ -37,23 +37,17 @@ class RandomForest(ProbabilisticClassifier):
     ):
         if n_trees < 1:
             raise ParameterError("n_trees must be >= 1")
-        if max_depth is not None and max_depth < 1:
-            raise ParameterError("max_depth must be >= 1 or None")
-        if min_samples_leaf < 1:
-            raise ParameterError("min_samples_leaf must be >= 1")
+        self._set_tree_params(max_depth, min_samples_leaf)
         if not (max_features is None or isinstance(max_features, str) and max_features == "sqrt"
                 or isinstance(max_features, Integral) and not isinstance(max_features, bool)
                 and max_features >= 1):
             raise ParameterError(f"max_features must be 'sqrt', None or an integer >= 1, "
                                  f"got {max_features!r}")
         self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.seed = seed
         self.bootstrap = bootstrap
         self.max_features = max_features
         self.n_classes = n_classes
-        self.packed_: dict[str, np.ndarray] | None = None  # the trees, as pack_trees writes them
         self.trees_: list[TreeNodes] = []  # per-tree views into packed_
 
     def fit(self, X, y):
@@ -72,18 +66,8 @@ class RandomForest(ProbabilisticClassifier):
         return self
 
     def predict_proba(self, X):
-        if self.packed_ is None:
-            raise ParameterError("forest is not fitted")
-        return sum_leaf_values(self.packed_, X, 1, 1.0) / (self.packed_["offsets"].size - 1)
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        if self.packed_ is None:
-            raise ParameterError("forest is not fitted")
-        return np.sum(self.packed_["importances"], axis=0)
-
-    def _arrays(self) -> dict[str, np.ndarray]:
-        return self.packed_
+        packed = self._packed()
+        return sum_leaf_values(packed, X, 1, 1.0) / (packed["offsets"].size - 1)
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         trees = unpack_trees(arrays, self.n_classes)

@@ -57,9 +57,31 @@ def normalize_sigmoids(s: np.ndarray) -> np.ndarray:
     return out
 
 
-class LinearSVM(ProbabilisticClassifier):
+class _OneVsRest(ProbabilisticClassifier):
+    """One linear scorer per class: decisions X coef^T + intercept."""
+
+    _ARRAYS = ("coef", "intercept")
+    coef_: np.ndarray | None = None  # (C, d)
+    intercept_: np.ndarray | None = None  # (C,)
+
+    def init_params(self, n_features: int, n_classes: int) -> None:
+        """Zero weights: every class scores equally until training moves them."""
+        self.n_classes = n_classes
+        self.coef_ = np.zeros((n_classes, n_features), dtype=np.float64)
+        self.intercept_ = np.zeros(n_classes, dtype=np.float64)
+
+    def decision_function(self, X) -> np.ndarray:
+        if self.coef_ is None:
+            raise ParameterError("model parameters are not initialized")
+        X = np.asarray(X, dtype=np.float64)
+        return X @ self.coef_.T + self.intercept_
+
+
+class LinearSVM(_OneVsRest):
     """L2-regularized hinge loss, one binary machine per class, trained by
     seeded stochastic subgradient descent with a 1/(reg*(t0+t)) step size."""
+
+    _ARRAYS = ("coef", "intercept", "link")
 
     def __init__(
         self,
@@ -76,23 +98,12 @@ class LinearSVM(ProbabilisticClassifier):
         self.epochs = epochs
         self.seed = seed
         self.n_classes = n_classes
-        self.coef_: np.ndarray | None = None
-        self.intercept_: np.ndarray | None = None
         self.link_: np.ndarray | None = None  # (C, 2) logistic link (a, b)
         self.objective_history_: list[float] = []
 
     def init_params(self, n_features: int, n_classes: int) -> None:
-        """Zero weights: every class scores equally until training moves them."""
-        self.n_classes = n_classes
-        self.coef_ = np.zeros((n_classes, n_features), dtype=np.float64)
-        self.intercept_ = np.zeros(n_classes, dtype=np.float64)
+        super().init_params(n_features, n_classes)
         self.link_ = np.tile([1.0, 0.0], (n_classes, 1))
-
-    def decision_function(self, X) -> np.ndarray:
-        if self.coef_ is None:
-            raise ParameterError("model parameters are not initialized")
-        X = np.asarray(X, dtype=np.float64)
-        return X @ self.coef_.T + self.intercept_
 
     def _objective(self, X, signs) -> float:
         margins = 1.0 - signs * self.decision_function(X)
@@ -132,21 +143,11 @@ class LinearSVM(ProbabilisticClassifier):
         return self
 
     def predict_proba(self, X):
-        scores = self.decision_function(X)
-        if self.link_ is None:
-            raise ParameterError("probability link is not fitted")
+        scores = self.decision_function(X)  # link_ is set wherever coef_ is
         return normalize_sigmoids(sigmoid(self.link_[:, 0] * scores + self.link_[:, 1]))
 
-    def _arrays(self) -> dict[str, np.ndarray]:
-        return {"coef": self.coef_, "intercept": self.intercept_, "link": self.link_}
 
-    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.coef_ = arrays["coef"]
-        self.intercept_ = arrays["intercept"]
-        self.link_ = arrays["link"]
-
-
-class LogisticRegression(ProbabilisticClassifier):
+class LogisticRegression(_OneVsRest):
     """One-vs-rest logistic regression by full-batch gradient descent.
 
     The intercept is left unregularized; per-class sigmoid scores are
@@ -170,21 +171,12 @@ class LogisticRegression(ProbabilisticClassifier):
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.n_classes = n_classes
-        self.coef_: np.ndarray | None = None
-        self.intercept_: np.ndarray | None = None
         self.loss_history_: list[float] = []
-
-    def decision_function(self, X) -> np.ndarray:
-        if self.coef_ is None:
-            raise ParameterError("model parameters are not initialized")
-        X = np.asarray(X, dtype=np.float64)
-        return X @ self.coef_.T + self.intercept_
 
     def fit(self, X, y):
         X, y, self.n_classes = check_training_data(X, y, self.n_classes)
         n, d = X.shape
-        self.coef_ = np.zeros((self.n_classes, d), dtype=np.float64)
-        self.intercept_ = np.zeros(self.n_classes, dtype=np.float64)
+        self.init_params(d, self.n_classes)
         targets = (y[:, None] == np.arange(self.n_classes)[None, :]).astype(np.float64)
 
         self.loss_history_ = []
@@ -202,10 +194,3 @@ class LogisticRegression(ProbabilisticClassifier):
 
     def predict_proba(self, X):
         return normalize_sigmoids(sigmoid(self.decision_function(X)))
-
-    def _arrays(self) -> dict[str, np.ndarray]:
-        return {"coef": self.coef_, "intercept": self.intercept_}
-
-    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.coef_ = arrays["coef"]
-        self.intercept_ = arrays["intercept"]

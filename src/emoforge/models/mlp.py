@@ -11,13 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from .base import ProbabilisticClassifier, check_training_data, log_loss, one_hot, softmax
+from .base import (ProbabilisticClassifier, assign, check_training_data, flatten, log_loss,
+                   one_hot, softmax)
 
 
 class MlpClassifier(ProbabilisticClassifier):
+    """``hidden_sizes`` is one size (64), comma-separated sizes ("64,32") or a sequence."""
+
     def __init__(
         self,
-        hidden_sizes: tuple[int, ...] = (64,),
+        hidden_sizes: int | str | tuple[int, ...] = (64,),
         epochs: int = 200,
         learning_rate: float = 0.05,
         batch_size: int = 32,
@@ -25,8 +28,6 @@ class MlpClassifier(ProbabilisticClassifier):
         seed: int = 0,
         n_classes: int | None = None,
     ):
-        if not hidden_sizes:
-            raise ParameterError("hidden_sizes must be non-empty")
         if epochs < 1:
             raise ParameterError("epochs must be >= 1")
         if batch_size < 1:
@@ -35,7 +36,11 @@ class MlpClassifier(ProbabilisticClassifier):
             raise ParameterError("learning_rate must be > 0")
         if not 0.0 <= momentum < 1.0:
             raise ParameterError("momentum must lie in [0, 1)")
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
+        if isinstance(hidden_sizes, str):
+            hidden_sizes = [size for size in hidden_sizes.split(",") if size]
+        self.hidden_sizes = tuple(int(h) for h in np.atleast_1d(hidden_sizes))
+        if not self.hidden_sizes:
+            raise ParameterError("hidden_sizes must be non-empty")
         if min(self.hidden_sizes) < 1:
             raise ParameterError("every hidden size must be >= 1")
         self.epochs = epochs
@@ -95,14 +100,13 @@ class MlpClassifier(ProbabilisticClassifier):
         n = X.shape[0]
         zs, activations = self._forward(X)
         delta = (softmax(activations[-1]) - one_hot(y, self.n_classes)) / n
-        grads_w = [np.zeros_like(w) for w in self.weights_]
-        grads_b = [np.zeros_like(b) for b in self.biases_]
+        grads_w, grads_b = [], []  # output layer first
         for i in range(len(self.weights_) - 1, -1, -1):
-            grads_w[i] = delta.T @ activations[i]
-            grads_b[i] = delta.sum(axis=0)
+            grads_w.append(delta.T @ activations[i])
+            grads_b.append(delta.sum(axis=0))
             if i > 0:
                 delta = (delta @ self.weights_[i]) * (zs[i - 1] > 0.0)
-        return grads_w, grads_b
+        return grads_w[::-1], grads_b[::-1]
 
     def fit(self, X, y):
         X, y, self.n_classes = check_training_data(X, y, self.n_classes)
@@ -129,24 +133,14 @@ class MlpClassifier(ProbabilisticClassifier):
     # --- flat parameter vector helpers (used by the finite-difference check)
 
     def get_param_vector(self) -> np.ndarray:
-        parts = [w.ravel() for w in self.weights_] + [b.ravel() for b in self.biases_]
-        return np.concatenate(parts)
+        return flatten([*self.weights_, *self.biases_])
 
     def set_param_vector(self, vec: np.ndarray) -> None:
-        pos = 0
-        for w in self.weights_:
-            w[...] = vec[pos : pos + w.size].reshape(w.shape)
-            pos += w.size
-        for b in self.biases_:
-            b[...] = vec[pos : pos + b.size].reshape(b.shape)
-            pos += b.size
-        if pos != vec.size:
-            raise ParameterError("parameter vector size mismatch")
+        assign([*self.weights_, *self.biases_], vec)
 
     def get_grad_vector(self, X, y) -> np.ndarray:
         grads_w, grads_b = self.gradients(X, y)
-        parts = [g.ravel() for g in grads_w] + [g.ravel() for g in grads_b]
-        return np.concatenate(parts)
+        return flatten([*grads_w, *grads_b])
 
     def _arrays(self) -> dict[str, np.ndarray]:
         arrays = {}

@@ -18,6 +18,8 @@ class MultinomialNaiveBayes(ProbabilisticClassifier):
     space; with alpha = 0, events unseen for a class send that class's
     posterior to zero rather than raising."""
 
+    _ARRAYS = ("log_prior", "log_prob")
+
     def __init__(self, alpha: float = 1.0, n_classes: int | None = None):
         if alpha < 0:
             raise ParameterError("alpha must be >= 0")
@@ -54,10 +56,3 @@ class MultinomialNaiveBayes(ProbabilisticClassifier):
         if (X < 0).any():
             raise DataError("multinomial NB requires non-negative features")
         return softmax(X @ self.log_prob_.T + self.log_prior_)
-
-    def _arrays(self) -> dict[str, np.ndarray]:
-        return {"log_prior": self.log_prior_, "log_prob": self.log_prob_}
-
-    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.log_prior_ = arrays["log_prior"]
-        self.log_prob_ = arrays["log_prob"]

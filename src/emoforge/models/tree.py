@@ -66,6 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
+from .base import ProbabilisticClassifier
 
 _NO_FEATURE = -1
 # Upper bound on the elements of one (nodes x rows x columns x classes) block
@@ -465,3 +466,30 @@ def sum_leaf_values(
         # adding to the zeros makes a -0.0 sum +0.0, as a loop starting at zero would
         total[lo : lo + step] += np.cumsum(rounds, axis=1)[:, -1]
     return total
+
+
+class TreeModel(ProbabilisticClassifier):
+    """A classifier whose fitted state is its trees, packed as ``pack_trees``
+    writes them (None until a fit): rf and xgb."""
+
+    packed_: dict[str, np.ndarray] | None = None
+
+    def _set_tree_params(self, max_depth: int | None, min_samples_leaf: int) -> None:
+        if max_depth is not None and max_depth < 1:
+            raise ParameterError("max_depth must be >= 1 or None")
+        if min_samples_leaf < 1:
+            raise ParameterError("min_samples_leaf must be >= 1")
+        self.max_depth, self.min_samples_leaf = max_depth, min_samples_leaf
+
+    def _packed(self) -> dict[str, np.ndarray]:
+        if self.packed_ is None:
+            raise ParameterError(f"{type(self).__name__} is not fitted")
+        return self.packed_
+
+    @property
+    def feature_importances_(self) -> np.ndarray:
+        """Each feature's impurity decrease, summed over the trees."""
+        return np.sum(self._packed()["importances"], axis=0)
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return self.packed_

@@ -207,6 +207,28 @@ class _Member:
             X = self.scaler.transform(X)
         return self.classifier.predict_proba(X)
 
+    def state_fault(self) -> Optional[str]:
+        """What makes the fitted state unusable, or None: a NaN or infinity in
+        a float array (a tree threshold may be infinite, never NaN), a scaler
+        scale that is not positive, or an rf node value that is not a class
+        distribution."""
+        scaled = {} if self.scaler is None else self.scaler._arrays()
+        arrays = {**self.classifier._arrays(), **{f"scaler/{k}": a for k, a in scaled.items()}}
+        for name, arr in arrays.items():
+            if arr.dtype.kind != "f":
+                continue
+            # an infinite threshold is a legal split: every row goes to one side
+            tree_threshold = name == "threshold" and self.kind in _TREE_KINDS
+            if (np.isnan(arr) if tree_threshold else ~np.isfinite(arr)).any():
+                return f"{name} array holds NaN or infinity"
+        if "scaler/scale" in arrays and not (arrays["scaler/scale"] > 0).all():
+            return "scaler scale is not positive"
+        if self.kind == "rf":
+            value = arrays["value"]
+            if (value < 0).any() or (np.abs(value.sum(axis=1) - 1.0) > 1e-9).any():
+                return "node values are not class distributions"
+        return None
+
     def header_entry(self) -> dict:
         """The member as a model file's header records it (arrays aside)."""
         clf, scaler = self.classifier, self.scaler
@@ -384,13 +406,6 @@ def make_classifier(kind: str, hyperparams: dict, seed: int, n_classes: int):
     params.pop("input_mode", None)  # consumed by the pipeline, not the model
     if "seed" in _MODEL_CLASSES[kind].state_keys():  # only the models that draw take one
         params["seed"] = seed
-    if kind == "mlp":
-        sizes = params["hidden_sizes"]
-        if isinstance(sizes, int):
-            sizes = (sizes,)
-        elif isinstance(sizes, str):
-            sizes = tuple(int(s) for s in sizes.split(",") if s)
-        params["hidden_sizes"] = tuple(sizes)
     return _MODEL_CLASSES[kind](n_classes=n_classes, **params)
 
 
@@ -435,9 +450,14 @@ def train_bundle(bundle: ModelBundle, X, y: np.ndarray) -> ModelBundle:
     numpy's BLAS on one thread, so the bytes do not depend on the host's core
     count (``emoforge._blas``)."""
     bundle._check_input(X, ConfigError)
-    with single_blas_thread():
+    # a diverging fit overflows; its state is rejected below, with no numpy warning
+    with single_blas_thread(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for member in bundle.members:
             member.fit(X, y)
+            fault = member.state_fault()
+            if fault is not None:
+                raise ParameterError(f"{member.kind} fit diverged: its fitted {fault}; "
+                                     f"try a smaller learning_rate")
     return bundle
 
 
@@ -541,8 +561,11 @@ def load_bundle(path: str | Path) -> ModelBundle:
             member.classifier._set_arrays(_under(arrays, f"m{i}/"))
             if member.scaler is not None:
                 member.scaler._set_arrays(_under(arrays, f"m{i}/scaler/"))
+            fault = member.state_fault()
+            if fault is not None:
+                raise ValueError(fault)
             if member.kind in _TREE_KINDS:  # importances bound every split feature
-                if member.classifier.packed_["importances"].shape[1] != bundle.feature_dim:
+                if member.classifier.feature_importances_.size != bundle.feature_dim:
                     raise ValueError(f"tree importances do not have {bundle.feature_dim} columns")
             elif _probe(member, bundle.feature_dim).shape[1:] != (len(bundle.class_names),):
                 raise ValueError("arrays do not map feature_dim columns to the classes")

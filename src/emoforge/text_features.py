@@ -83,25 +83,23 @@ def fit_vocabulary(corpus: list[list[str]]) -> Vocabulary:
 
 
 def tfidf_transform(doc: list[str], vocab: Vocabulary) -> np.ndarray:
-    """Dense TFIDF vector for one tokenized document.
-
-    entry[i] = count(term_i in doc) * ln(N / df(term_i)); out-of-vocabulary
-    tokens contribute nothing.
-    """
-    counts = np.zeros(len(vocab), dtype=np.float64)
-    index = vocab._index_map()
-    for tok in doc:
-        i = index.get(tok)
-        if i is not None:
-            counts[i] += 1.0
-    return counts * vocab.idf()
+    """Dense TFIDF vector for one tokenized document: ``tfidf_matrix``'s row."""
+    return tfidf_matrix([doc], vocab)[0]
 
 
 def tfidf_matrix(docs: list[list[str]], vocab: Vocabulary) -> np.ndarray:
-    """Stack tfidf_transform over documents into an (N, V) matrix."""
-    if len(vocab) == 0:
-        return np.zeros((len(docs), 0), dtype=np.float64)
-    return np.vstack([tfidf_transform(doc, vocab) for doc in docs])
+    """Dense TFIDF matrix, a row per tokenized document and a column per
+    term, filled in place: entry [n, i] = count(term_i in docs[n]) *
+    ln(N / df(term_i)); out-of-vocabulary tokens contribute nothing."""
+    out = np.zeros((len(docs), len(vocab)), dtype=np.float64)
+    index = vocab._index_map()
+    for row, doc in enumerate(docs):
+        for tok in doc:
+            i = index.get(tok)
+            if i is not None:
+                out[row, i] += 1.0
+    out *= vocab.idf()
+    return out
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:

@@ -11,6 +11,7 @@ import signal
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1260,3 +1261,73 @@ def test_edited_model_file_exits_cleanly(trained_model, e2_model, lstm_model, tm
     code, err = _predict_code(path, manifest, text=source == e2_model)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["mlp", "lr"])
+def test_a_diverging_fit_exits_2_without_writing_a_model(trained_model, tmp_path, capsys, model):
+    # at learning_rate=1e12 both fits overflow to NaN; a numpy warning fails the test
+    manifest, _ = trained_model
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--manifest", str(manifest), "--model", model,
+                     "--setting", "audio_only", "--seed", "1", "--out", str(out),
+                     "--hp", "learning_rate=1e12"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model} fit diverged") and err.count("\n") == 1
+    assert "smaller learning_rate" in err
+    assert not (out / "model.emf").exists()
+
+
+@pytest.fixture(scope="module")
+def mlp_model(trained_model):
+    manifest, out = trained_model
+    out = out.parent / "mlp"
+    code = main(["train", "--manifest", str(manifest), "--model", "mlp", "--setting",
+                 "audio_only", "--seed", "1", "--out", str(out), "--hp", "hidden_sizes=4",
+                 "--hp", "epochs=3"])
+    assert code == 0
+    return out
+
+
+# (model, array, index, value): each edit exits 0 at a loader that checks shapes
+# alone, and predict then prints NaN or "probabilities" outside [0, 1]
+_STATE_EDITS = {
+    "rf-value-inf": ("rf", "value", ..., np.inf),
+    "rf-value-negative": ("rf", "value", 0, [2.0, -1.0, 0.0, 0.0, 0.0, 0.0]),
+    "rf-value-sum": ("rf", "value", -1, 0.25),
+    "rf-threshold-nan": ("rf", "threshold", 0, np.nan),  # node 0, the first tree's root
+    "mlp-weight-nan": ("mlp", "w0", (0, 0), np.nan),
+    "mlp-scale-zero": ("mlp", "scaler/scale", 0, 0.0),
+    "mlp-center-inf": ("mlp", "scaler/center", 0, -np.inf),
+}
+
+
+def _edited_model(tmp_path, source: Path, array: str, index, value) -> Path:
+    """A copy of ``source``'s model file with one array entry set, header kept exact."""
+    header, arrays = load_container(source / "model.emf")
+    arrays[f"m0/{array}"][index] = value
+    path = tmp_path / "model.emf"
+    save_container(path, header, arrays)
+    return path
+
+
+@pytest.mark.parametrize("name", list(_STATE_EDITS))
+def test_predict_rejects_non_finite_model_state(trained_model, mlp_model, tmp_path, name):
+    manifest, rf_out = trained_model
+    model, *edit = _STATE_EDITS[name]
+    path = _edited_model(tmp_path, rf_out if model == "rf" else mlp_model, *edit)
+    code, err = _predict_code(path, manifest, text=False)
+    assert code == 3
+    assert err.startswith("error:") and "state is unusable" in err and "Traceback" not in err
+
+
+def test_predict_takes_an_infinite_tree_threshold(trained_model, tmp_path, capsys):
+    # a legal split that sends every row to one side
+    manifest, rf_out = trained_model
+    path = _edited_model(tmp_path, rf_out, "threshold", 0, np.inf)
+    wav = manifest.parent / json.loads(manifest.read_text().splitlines()[0])["audio"]
+    assert main(["predict", "--model", str(path), "--wav", str(wav)]) == 0
+    probabilities = json.loads(capsys.readouterr().out)["probabilities"]
+    assert abs(sum(probabilities.values()) - 1.0) < 1e-9

@@ -45,6 +45,14 @@ def test_svm_objective_decreases():
     assert all(np.isfinite(v) for v in history)
 
 
+@pytest.mark.parametrize("cls", [LinearSVM, LogisticRegression])
+def test_unfitted_linear_models_do_not_score(cls):
+    model = cls(n_classes=3)
+    for method in (model.decision_function, model.predict_proba):
+        with pytest.raises(ParameterError, match="not initialized"):
+            method(np.zeros((2, 2)))
+
+
 def test_svm_zero_weights_score_equally():
     model = LinearSVM(n_classes=4)
     model.init_params(n_features=3, n_classes=4)

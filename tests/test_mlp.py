@@ -135,6 +135,18 @@ def test_constructor_validation():
     MlpClassifier(momentum=0.0)
 
 
+@pytest.mark.parametrize("sizes", [8, "8,4", (8, 4), [8, 4]])
+def test_hidden_sizes_take_an_int_a_comma_list_or_a_sequence(sizes):
+    expected = (8,) if sizes == 8 else (8, 4)
+    assert MlpClassifier(hidden_sizes=sizes).hidden_sizes == expected
+
+
+@pytest.mark.parametrize("sizes", [",", "", ",,"])
+def test_hidden_sizes_that_parse_to_none_raise_parameter_error(sizes):
+    with pytest.raises(ParameterError, match="non-empty"):
+        MlpClassifier(hidden_sizes=sizes)
+
+
 def test_load_rejects_layers_that_are_not_the_hidden_sizes():
     rng = np.random.default_rng(10)
     model = MlpClassifier(hidden_sizes=(5, 4), epochs=2, seed=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,45 @@ def test_tfidf_nonnegative_and_zero_iff():
                 assert matrix[i, j] > 0
             else:
                 assert matrix[i, j] == 0
+
+
+def _tfidf_rows(docs, vocab):
+    """The per-document definition: each document's term counts times ln(N / df)."""
+    idf = np.log(vocab.n_documents / np.asarray(vocab.document_frequencies, dtype=np.float64))
+    index = {term: i for i, term in enumerate(vocab.terms)}
+    rows = []
+    for doc in docs:
+        counts = np.zeros(len(vocab))
+        for tok in doc:
+            if tok in index:
+                counts[index[tok]] += 1.0
+        rows.append(counts * idf)
+    return np.vstack(rows)
+
+
+def test_tfidf_matrix_is_the_per_document_rows_in_one_buffer():
+    # Zipfian documents: a few terms occur in most of them, most terms in few
+    rng = np.random.default_rng(3)
+    corpus = [[f"w{k % 2000}" for k in rng.zipf(1.3, size=10)] for _ in range(600)]
+    vocab = fit_vocabulary(corpus)
+    docs = [*corpus, ["unseen", "w1"], []]
+    matrix = tfidf_matrix(docs, vocab)
+    assert matrix.tobytes() == _tfidf_rows(docs, vocab).tobytes()
+    assert tfidf_transform(docs[0], vocab).tobytes() == matrix[0].tobytes()
+    tracemalloc.start()
+    try:
+        tfidf_matrix(docs, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result itself, with no copy of its rows beside it
+    assert peak <= 1.2 * matrix.nbytes
+
+
+def test_tfidf_over_an_empty_vocabulary_has_no_column():
+    vocab = Vocabulary(terms=(), document_frequencies=(), n_documents=2)
+    assert tfidf_matrix([["a"], []], vocab).shape == (2, 0)
+    assert tfidf_transform(["a"], vocab).shape == (0,)
 
 
 def test_vocabulary_serialization_roundtrip(tmp_path):

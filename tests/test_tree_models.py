@@ -145,6 +145,12 @@ def test_boosting_rejects_prediction_before_training():
         model.predict_proba(np.random.default_rng(0).normal(size=(6, 3)))
 
 
+@pytest.mark.parametrize("model", [RandomForest(), GradientBoosting()], ids=["rf", "xgb"])
+def test_unfitted_trees_have_no_importances(model):
+    with pytest.raises(ParameterError, match="not fitted"):
+        model.feature_importances_
+
+
 def test_boosting_rounds_validation():
     with pytest.raises(ParameterError):
         GradientBoosting(n_rounds=0)
