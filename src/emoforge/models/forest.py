@@ -66,8 +66,8 @@ class RandomForest(TreeModel):
         return self
 
     def predict_proba(self, X):
-        packed = self._packed()
-        return sum_leaf_values(packed, X, 1, 1.0) / (packed["offsets"].size - 1)
+        # _set_arrays holds the packed tree count to n_trees
+        return sum_leaf_values(self._packed(), X, 1, 1.0) / self.n_trees
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         trees = unpack_trees(arrays, self.n_classes)
