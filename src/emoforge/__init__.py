@@ -12,10 +12,7 @@ from . import _blas  # noqa: F401
 
 from .audio_features import (
     AUDIO_FEATURE_NAMES,
-    AudioFeatureVector,
     FrameConfig,
-    FrameFeatureSequence,
-    Spectrogram,
     autocorr_pitch,
     center_clip,
     central_moments,

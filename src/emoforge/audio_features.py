@@ -13,7 +13,7 @@ one frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,66 +59,17 @@ class FrameConfig:
         return (n_samples - self.frame_length) // self.hop_length + 1
 
 
-@dataclass(frozen=True)
-class AudioFeatureVector:
-    autocorr_peak_mean: float
-    autocorr_peak_std: float
-    harmonic_mean: float
-    rmse_mean: float
-    rmse_std: float
-    pause_ratio: float
-    amp_mean: float
-    amp_std: float
-
-    def __post_init__(self):
-        arr = self.to_array()
-        if not np.isfinite(arr).all():
-            raise ParameterError("audio features must be finite")
-        if not 0.0 <= self.pause_ratio <= 1.0:
-            raise ParameterError("pause_ratio must lie in [0, 1]")
-        if min(self.rmse_mean, self.rmse_std, self.amp_std) < 0.0:
-            raise ParameterError("rmse and amplitude spreads must be non-negative")
-
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in AUDIO_FEATURE_NAMES], dtype=np.float64)
-
-
-#: Canonical field order; also the CSV column order for feature dumps.
-AUDIO_FEATURE_NAMES = tuple(f.name for f in fields(AudioFeatureVector))
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Magnitude spectrogram; rows are frequency bins, columns time steps."""
-
-    magnitudes: np.ndarray
-    fft_size: int
-    hop_length: int
-
-    def __post_init__(self):
-        if self.magnitudes.ndim != 2:
-            raise ParameterError("magnitudes must be 2-D")
-        if not np.isfinite(self.magnitudes).all() or (self.magnitudes < 0).any():
-            raise ParameterError("magnitudes must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class FrameFeatureSequence:
-    """Per-frame 6-vectors in FRAME_FEATURE_NAMES order, shape (frames, 6)."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != len(FRAME_FEATURE_NAMES):
-            raise ParameterError("frame feature sequence must have shape (frames, 6)")
-        if self.vectors.shape[0] < 1:
-            raise ParameterError("frame feature sequence must hold at least one frame")
-        if not np.isfinite(self.vectors).all():
-            raise ParameterError("frame features must be finite")
-
-    @property
-    def frame_count(self) -> int:
-        return int(self.vectors.shape[0])
+#: The clip summary's order; also the CSV column order for feature dumps.
+AUDIO_FEATURE_NAMES = (
+    "autocorr_peak_mean",
+    "autocorr_peak_std",
+    "harmonic_mean",
+    "rmse_mean",
+    "rmse_std",
+    "pause_ratio",
+    "amp_mean",
+    "amp_std",
+)
 
 
 def frame_signal(samples: np.ndarray, config: FrameConfig) -> np.ndarray:
@@ -460,16 +411,17 @@ def _frame_blocks(frames: np.ndarray):
     return [slice(lo, lo + block) for lo in range(0, frames.shape[0], block)]
 
 
-def spectrogram(clip: AudioClip, config: FrameConfig) -> Spectrogram:
-    """Rectangular-window magnitude spectrogram with FFT size = frame_length.
+def spectrogram(clip: AudioClip, config: FrameConfig) -> np.ndarray:
+    """Rectangular-window magnitude spectrogram with FFT size = frame_length:
+    rows are frequency bins, columns frames.
 
-    The magnitudes are Fortran-ordered, each block of frames' rfft written
+    The matrix is Fortran-ordered, each block of frames' rfft written
     straight into its columns."""
     frames = frame_signal(clip.samples, config)
     mags = np.empty((config.frame_length // 2 + 1, frames.shape[0]), order="F")
     for rows in _frame_blocks(frames):
         np.abs(np.fft.rfft(frames[rows], axis=1), out=mags.T[rows])
-    return Spectrogram(magnitudes=mags, fft_size=config.frame_length, hop_length=config.hop_length)
+    return mags
 
 
 def harmonic_feature(
@@ -485,7 +437,7 @@ def harmonic_feature(
     frequency. The clip's spectrogram is filtered in place, so the feature
     holds one magnitude array.
     """
-    enhanced = _median_filter_in_place(spectrogram(clip, config).magnitudes, l_harm)
+    enhanced = _median_filter_in_place(spectrogram(clip, config), l_harm)
     per_frame = enhanced.mean(axis=0)
     return float(enhanced.mean()), per_frame
 
@@ -537,33 +489,33 @@ def _analyze_clip(clip: AudioClip, config: FrameConfig | None, l_harm: int):
     return frames, peaks, harmonic_feature(clip, config, l_harm), rmse(clip, config)
 
 
+def _finite(features: np.ndarray, what: str) -> np.ndarray:
+    """features, or ParameterError when a clip's samples overflowed them."""
+    if not np.isfinite(features).all():
+        raise ParameterError(f"{what} features must be finite")
+    return features
+
+
 def extract_audio_features(
     clip: AudioClip,
     config: FrameConfig | None = None,
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
-) -> AudioFeatureVector:
-    """Assemble the eight-feature summary for one clip."""
+) -> np.ndarray:
+    """The eight-feature summary of one clip, float64 in AUDIO_FEATURE_NAMES order."""
     _, peaks, (harmonic_mean, _), (rmse_mean, rmse_std, _) = _analyze_clip(clip, config, l_harm)
-    amp_mean, amp_std = central_moments(clip)
-    return AudioFeatureVector(
-        autocorr_peak_mean=float(peaks.mean()),
-        autocorr_peak_std=float(peaks.std()),
-        harmonic_mean=harmonic_mean,
-        rmse_mean=rmse_mean,
-        rmse_std=rmse_std,
-        pause_ratio=pause_ratio(clip),
-        amp_mean=amp_mean,
-        amp_std=amp_std,
-    )
+    features = np.array([peaks.mean(), peaks.std(), harmonic_mean, rmse_mean, rmse_std,
+                         pause_ratio(clip), *central_moments(clip)], dtype=np.float64)
+    return _finite(features, "audio")
 
 
 def extract_frame_sequence(
     clip: AudioClip,
     config: FrameConfig | None = None,
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
-) -> FrameFeatureSequence:
-    """Per-frame 6-vectors: pitch peak, RMSE, harmonic mean of the frame,
-    pause indicator (frame RMSE below PAUSE_FACTOR x clip energy), amplitude mean/std."""
+) -> np.ndarray:
+    """Per-frame 6-vectors in FRAME_FEATURE_NAMES order, shape (frames, 6):
+    pitch peak, RMSE, harmonic mean of the frame, pause indicator (frame
+    RMSE below PAUSE_FACTOR x clip energy), amplitude mean/std."""
     frames, peaks, (_, harmonic_per_frame), (_, _, rmse_per_frame) = _analyze_clip(
         clip, config, l_harm
     )
@@ -577,4 +529,4 @@ def extract_frame_sequence(
             *_frame_moments(frames),
         ]
     )
-    return FrameFeatureSequence(vectors=vectors)
+    return _finite(vectors, "frame")

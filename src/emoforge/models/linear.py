@@ -105,6 +105,11 @@ class LinearSVM(_OneVsRest):
         super().init_params(n_features, n_classes)
         self.link_ = np.tile([1.0, 0.0], (n_classes, 1))
 
+    def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        super()._set_arrays(arrays)
+        if self.link_.shape != (self.n_classes, 2):
+            raise ValueError(f"link has shape {self.link_.shape}, not ({self.n_classes}, 2)")
+
     def _objective(self, X, signs) -> float:
         margins = 1.0 - signs * self.decision_function(X)
         hinge = np.maximum(margins, 0.0).mean(axis=0).sum()

@@ -8,6 +8,8 @@ classes permutes the training trajectory column-for-column.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from ..errors import ParameterError
@@ -36,13 +38,16 @@ class MlpClassifier(ProbabilisticClassifier):
             raise ParameterError("learning_rate must be > 0")
         if not 0.0 <= momentum < 1.0:
             raise ParameterError("momentum must lie in [0, 1)")
-        if isinstance(hidden_sizes, str):
-            hidden_sizes = [size for size in hidden_sizes.split(",") if size]
-        self.hidden_sizes = tuple(int(h) for h in np.atleast_1d(hidden_sizes))
-        if not self.hidden_sizes:
-            raise ParameterError("hidden_sizes must be non-empty")
-        if min(self.hidden_sizes) < 1:
-            raise ParameterError("every hidden size must be >= 1")
+        sizes = hidden_sizes
+        if isinstance(sizes, str):
+            sizes = [int(s) if s.isascii() and s.isdigit() else s for s in sizes.split(",") if s]
+        elif not isinstance(sizes, (tuple, list)):
+            sizes = [sizes]
+        if not sizes or not all(isinstance(s, Integral) and not isinstance(s, bool) and s >= 1
+                                for s in sizes):
+            raise ParameterError("hidden_sizes must be a non-empty int, comma list or sequence "
+                                 f"of sizes >= 1, got {hidden_sizes!r}")
+        self.hidden_sizes = tuple(int(s) for s in sizes)
         self.epochs = epochs
         self.learning_rate = learning_rate
         self.batch_size = batch_size

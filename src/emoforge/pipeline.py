@@ -368,10 +368,14 @@ class ModelBundle:
 
     def predict_proba(self, X) -> np.ndarray:
         """Mean of the members' probabilities (exact for one member), taken
-        with numpy's BLAS on one thread."""
+        with numpy's BLAS on one thread. DataError when it is not finite: a
+        model of finite arrays can still overflow on an input."""
         self._check_input(X, ModelError)
-        with single_blas_thread():
-            return sum(member.predict_proba(X) for member in self.members) / len(self.members)
+        with single_blas_thread(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            proba = sum(member.predict_proba(X) for member in self.members) / len(self.members)
+        if not np.isfinite(proba).all():
+            raise DataError(f"{self.kind} probabilities are not finite: the model overflows")
+        return proba
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
@@ -489,7 +493,7 @@ def _probe(member: _Member, feature_dim: int) -> np.ndarray:
     wide, taken with numpy's BLAS on one thread: no row, or one for the lstm,
     which takes no empty batch. ParameterError when the member is not fitted."""
     rows = int(member.kind == "lstm")
-    with single_blas_thread():
+    with single_blas_thread(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return member.predict_proba(np.zeros((rows, feature_dim)))
 
 
@@ -609,7 +613,7 @@ def audio_feature_matrix(
     """Eight-feature rows for every example, computed once per distinct clip."""
 
     def job(clip: AudioClip) -> np.ndarray:
-        return extract_audio_features(clip, frame_config, l_harm).to_array()
+        return extract_audio_features(clip, frame_config, l_harm)
 
     return np.vstack(_per_clip(dataset, job))
 
@@ -620,7 +624,7 @@ def frame_sequences(
     l_harm: int = DEFAULT_HARMONIC_WINDOW,
 ) -> list[np.ndarray]:
     def job(clip: AudioClip) -> np.ndarray:
-        return extract_frame_sequence(clip, frame_config, l_harm).vectors
+        return extract_frame_sequence(clip, frame_config, l_harm)
 
     return _per_clip(dataset, job)
 

@@ -186,7 +186,7 @@ def test_harmonic_feature_matches_np_median_body(monkeypatch):
     config = FrameConfig()
     for seconds in (0.6, 2.0, 4.5):
         clip = _noisy_tone(seconds)
-        assert spectrogram(clip, config).magnitudes.flags.f_contiguous
+        assert spectrogram(clip, config).flags.f_contiguous
         got_mean, got_frames = harmonic_feature(clip, config)
         with monkeypatch.context() as patch:
             patch.setattr(audio_features, "_median_filter_in_place",
@@ -661,7 +661,7 @@ def test_harmonic_steady_aligned_tone_matches_raw_mean():
     f = 32 * SR / config.frame_length
     tone = make_tone(f, SR, 1.0)
     hm, _ = harmonic_feature(tone, config, l_harm=31)
-    raw = spectrogram(tone, config).magnitudes.mean()
+    raw = spectrogram(tone, config).mean()
     assert abs(hm - raw) / raw < 1e-6
 
 
@@ -682,7 +682,7 @@ def test_harmonic_per_frame_matches_median_rows():
     clip = clip_of(rng.uniform(-0.5, 0.5, 6000), sr=8000)
     config = FrameConfig(frame_length=512, hop_length=256)
     spec = spectrogram(clip, config)
-    filtered = np.vstack([median_filter_1d(row, 5) for row in spec.magnitudes])
+    filtered = np.vstack([median_filter_1d(row, 5) for row in spec])
     _, per_frame = harmonic_feature(clip, config, l_harm=5)
     assert np.allclose(per_frame, filtered.mean(axis=0))
 
@@ -713,9 +713,9 @@ def test_edge_clips_match_frozen_features(clip_args, vector, sequence_sha):
     n = int(round(seconds * 16000))
     clip = clip_of(np.random.default_rng(seed).uniform(-0.5, 0.5, n), sr=16000)
     config = FrameConfig(frame_length, hop_length)
-    got = extract_audio_features(clip, config, l_harm).to_array()
+    got = extract_audio_features(clip, config, l_harm)
     assert [float(v).hex() for v in got] == vector
-    frames = extract_frame_sequence(clip, config, l_harm).vectors
+    frames = extract_frame_sequence(clip, config, l_harm)
     assert hashlib.sha256(frames.tobytes()).hexdigest() == sequence_sha
 
 
@@ -731,7 +731,7 @@ def test_per_frame_kernels_do_not_depend_on_the_block(monkeypatch, frame_length,
     want_moments = frames.mean(axis=1), frames.std(axis=1)
     for block in (1, 7, frames.shape[0]):
         monkeypatch.setattr(audio_features, "_FRAME_BLOCK_POINTS", block * frame_length)
-        mags = spectrogram(clip, config).magnitudes
+        mags = spectrogram(clip, config)
         assert mags.flags.f_contiguous
         assert mags.tobytes(order="F") == want_mags.tobytes(order="F")
         assert rmse(clip, config)[2].tobytes() == want_rmse.tobytes()
@@ -835,13 +835,13 @@ def test_central_moments_uniform_noise_bound():
 
 
 def test_extract_silence_all_zero():
-    vec = extract_audio_features(clip_of(np.zeros(6000))).to_array()
+    vec = extract_audio_features(clip_of(np.zeros(6000)))
     assert np.array_equal(vec, np.zeros(8))
 
 
 def test_extract_shape_and_finiteness():
     rng = np.random.default_rng(4)
-    vec = extract_audio_features(clip_of(rng.uniform(-1, 1, 7000))).to_array()
+    vec = extract_audio_features(clip_of(rng.uniform(-1, 1, 7000)))
     assert vec.shape == (len(AUDIO_FEATURE_NAMES),)
     assert np.isfinite(vec).all()
 
@@ -850,14 +850,24 @@ def test_extract_pause_unchanged_under_scaling():
     tone = make_tone(150, SR, 0.4, amplitude=0.8)
     half = clip_of(0.5 * tone.samples)
     idx = AUDIO_FEATURE_NAMES.index("pause_ratio")
-    assert extract_audio_features(tone).to_array()[idx] == extract_audio_features(half).to_array()[idx]
+    assert extract_audio_features(tone)[idx] == extract_audio_features(half)[idx]
 
 
 def test_extract_is_pure():
     tone = make_tone(97, SR, 0.3, amplitude=0.6)
-    a = extract_audio_features(tone).to_array()
-    b = extract_audio_features(tone).to_array()
+    a = extract_audio_features(tone)
+    b = extract_audio_features(tone)
     assert np.array_equal(a, b)
+
+
+def test_extractors_reject_samples_that_overflow_the_features():
+    # 1e200 squared overflows to inf; a decoded WAV's samples stay within float32's
+    # 3.4e38, whose square is finite, so only a library clip gets here
+    clip = AudioClip(1e200 * np.sin(np.arange(5000)), 16000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for extract in (extract_audio_features, extract_frame_sequence):
+            with pytest.raises(ParameterError, match="features must be finite"):
+                extract(clip)
 
 
 # --- framing and sequences
@@ -884,14 +894,14 @@ def test_frame_signal_is_a_read_only_view():
 @pytest.mark.parametrize("seconds", [0.6, 2.0, 4.5])
 def test_features_on_frame_views_match_copied_frames(monkeypatch, seconds):
     clip = _noisy_tone(seconds, seed=10)
-    want = extract_audio_features(clip).to_array(), extract_frame_sequence(clip).vectors
+    want = extract_audio_features(clip), extract_frame_sequence(clip)
     viewing = audio_features.frame_signal
 
     def copying(samples, config):
         return np.ascontiguousarray(viewing(samples, config))
 
     monkeypatch.setattr(audio_features, "frame_signal", copying)
-    got = extract_audio_features(clip).to_array(), extract_frame_sequence(clip).vectors
+    got = extract_audio_features(clip), extract_frame_sequence(clip)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
 
@@ -900,17 +910,17 @@ def test_frame_count_closed_form():
     config = FrameConfig(frame_length=2048, hop_length=512)
     n = 2048 + 3 * 512
     seq = extract_frame_sequence(clip_of(np.random.default_rng(0).uniform(-1, 1, n)))
-    assert seq.frame_count == 4
+    assert seq.shape[0] == 4
 
 
 def test_frame_sequence_exact_length_single_frame():
     seq = extract_frame_sequence(clip_of(np.ones(2048)))
-    assert seq.frame_count == 1
+    assert seq.shape[0] == 1
 
 
 def test_frame_sequence_silence_zero():
     seq = extract_frame_sequence(clip_of(np.zeros(4096)))
-    assert np.all(seq.vectors == 0.0)
+    assert np.all(seq == 0.0)
 
 
 @pytest.mark.parametrize("seconds, l_harm", [(0.05, 31), (0.6, 31), (2.0, 4)])
@@ -921,8 +931,8 @@ def test_frame_sequence_reduces_to_clip_summary(seconds, l_harm):
     n = int(SR * seconds)
     samples = 0.5 * np.sin(2 * np.pi * 180 * np.arange(n) / SR) * rng.uniform(0, 1, n)
     clip = clip_of(samples)
-    vec = dict(zip(AUDIO_FEATURE_NAMES, extract_audio_features(clip, l_harm=l_harm).to_array()))
-    seq = extract_frame_sequence(clip, l_harm=l_harm).vectors
+    vec = dict(zip(AUDIO_FEATURE_NAMES, extract_audio_features(clip, l_harm=l_harm)))
+    seq = extract_frame_sequence(clip, l_harm=l_harm)
     assert seq[:, 0].mean() == vec["autocorr_peak_mean"]
     assert seq[:, 0].std() == vec["autocorr_peak_std"]
     assert seq[:, 1].mean() == vec["rmse_mean"]

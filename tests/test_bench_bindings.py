@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from emoforge import pipeline
+from emoforge.audio_features import FrameConfig
+from emoforge.ingest import Dataset, load_manifest
 from emoforge.models import GradientBoosting, RandomForest
 
 from conftest import E2_LIGHT_HP
@@ -103,3 +105,17 @@ def test_traced_run_times_and_measures_the_bundle_it_trains(tmp_path, tiny_corpu
     assert [span[spans.NAME] for span in tracer.spans].count("pipeline.train_bundle") == 1
     bundle = pipeline.load_bundle(artifacts["model"])
     assert tracer.counters["models.feature_dim"] == bundle.feature_dim > 8
+
+
+def test_traced_feature_spans_count_each_distinct_clip_once(tiny_corpus):
+    # audio_features.clip_ms and audio_features.frame_sequence_s read the spans of
+    # the extractors as module globals of pipeline: a pipeline that called them
+    # some other way would zero both
+    examples = pipeline.read_dataset(load_manifest(tiny_corpus), "six").examples
+    repeated = Dataset(examples + examples[::3])  # duplicates share their clip
+    with spans.Tracer().installed() as tracer:
+        pipeline.audio_feature_matrix(repeated, FrameConfig())
+        pipeline.frame_sequences(repeated, FrameConfig())
+    names = [span[spans.NAME] for span in tracer.spans]
+    assert names.count("audio_features.clip") == len(examples)
+    assert names.count("audio_features.frame_sequence") == len(examples)

@@ -1126,16 +1126,15 @@ def _time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _predict_code(model: Path, manifest: Path, text: bool = True) -> tuple[int, str]:
-    """(exit code, stderr) of ``emoforge predict`` on the manifest's first
-    row: its WAV, and its transcript if ``text``."""
+def _predict_code(model: Path, manifest: Path, text: bool = True) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``emoforge predict`` on the manifest's
+    first row: its WAV, and its transcript if ``text``."""
     row = json.loads(manifest.read_text().splitlines()[0])
-    err = io.StringIO()
-    with _time_limit(10), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with _time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["predict", "--model", str(model), "--wav", str(manifest.parent / row["audio"]),
                      *(["--text", row["text"]] if text else [])])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _f8_left(entries, blob):
@@ -1173,7 +1172,7 @@ def test_predict_rejects_unwalkable_trees(trained_model, e2_model, tmp_path, edi
     edit(entries, blob)
     path = tmp_path / "model.emf"
     path.write_bytes(_join_model(header, entries, blob))
-    code, err = _predict_code(path, manifest)
+    code, _, err = _predict_code(path, manifest)
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -1198,7 +1197,7 @@ def test_predict_rejects_lstm_gates_that_do_not_chain(trained_model, lstm_model,
     entry["shape"] = [1, math.prod(entry["shape"])]
     path = tmp_path / "model.emf"
     path.write_bytes(_join_model(header, entries, blob))
-    code, err = _predict_code(path, manifest, text=False)
+    code, _, err = _predict_code(path, manifest, text=False)
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
 
@@ -1214,12 +1213,19 @@ def _shapes(size: int) -> list[list[int]]:
     return [[size], [1, size], [size, 1], *pairs] + ([[]] if size == 1 else [])
 
 
+# non-finite values, which loading rejects, and finite ones that can
+# overflow a prediction
+_ARRAY_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, -1.0])
+
+
 def _edit_model(data, header: dict, entries: list, blob: bytearray) -> None:
     """Draw one to three edits and apply them in place: a header value
     replaced or deleted, an array's dtype flipped between f8 and i8, an array
-    reshaped, or a tree child index rewritten."""
+    reshaped, a tree child index rewritten, or one element of an f8 array
+    overwritten."""
     children = [e["name"] for e in entries if e["name"].endswith(("/left", "/right"))]
-    edits = ["header", "dtype", "reshape"] + (["child"] if children else [])
+    floats = [e["name"] for e in entries if e["dtype"] == "f8" and math.prod(e["shape"])]
+    edits = ["header", "dtype", "reshape", "value"] + (["child"] if children else [])
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         edit = data.draw(st.sampled_from(edits), label="edit")
         if edit == "header":
@@ -1240,6 +1246,11 @@ def _edit_model(data, header: dict, entries: list, blob: bytearray) -> None:
             entry = data.draw(st.sampled_from(entries), label="array")
             entry["shape"] = data.draw(st.sampled_from(_shapes(math.prod(entry["shape"]))),
                                        label="shape")
+        elif edit == "value":
+            entry, offset = _array_at(entries, data.draw(st.sampled_from(floats), label="array"))
+            at = offset + 8 * data.draw(st.integers(0, math.prod(entry["shape"]) - 1),
+                                        label="element")
+            blob[at : at + 8] = struct.pack("<d", data.draw(_ARRAY_VALUES, label="float"))
         else:
             entry, offset = _array_at(entries, data.draw(st.sampled_from(children), label="array"))
             size = math.prod(entry["shape"])
@@ -1248,19 +1259,47 @@ def _edit_model(data, header: dict, entries: list, blob: bytearray) -> None:
                 blob[at : at + 8] = struct.pack("<q", data.draw(st.integers(-2, 40), label="child"))
 
 
+@pytest.fixture(scope="module")
+def svm_model(trained_model):
+    manifest, out = trained_model
+    out = out.parent / "svm"
+    code = main(["train", "--manifest", str(manifest), "--model", "svm", "--setting",
+                 "audio_text", "--seed", "1", "--out", str(out), "--hp", "epochs=5"])
+    assert code == 0
+    return out
+
+
+def _strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_edited_model_file_exits_cleanly(trained_model, e2_model, lstm_model, tmp_path, data):
+def test_edited_model_file_exits_cleanly(trained_model, e2_model, lstm_model, svm_model,
+                                         tmp_path, data):
+    # e2 (rf, xgb, mlp, mnb, lr), lstm and svm: every member kind
     manifest, _ = trained_model
-    source = data.draw(st.sampled_from([e2_model, lstm_model]), label="model")
+    source = data.draw(st.sampled_from([e2_model, lstm_model, svm_model]), label="model")
     header, entries, blob = _split_model(source / "model.emf")
     _edit_model(data, header, entries, blob)
     path = tmp_path / "edited.emf"
     path.write_bytes(_join_model(header, entries, blob))
-    code, err = _predict_code(path, manifest, text=source == e2_model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _predict_code(path, manifest, text=source != lstm_model)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+    if code == 0:
+        probabilities = list(_strict_json(out)["probabilities"].values())
+        assert all(0.0 <= p <= 1.0 for p in probabilities)
+        assert abs(sum(probabilities) - 1.0) <= 1e-9
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("model", ["mlp", "lr"])
@@ -1318,9 +1357,25 @@ def test_predict_rejects_non_finite_model_state(trained_model, mlp_model, tmp_pa
     manifest, rf_out = trained_model
     model, *edit = _STATE_EDITS[name]
     path = _edited_model(tmp_path, rf_out if model == "rf" else mlp_model, *edit)
-    code, err = _predict_code(path, manifest, text=False)
+    code, _, err = _predict_code(path, manifest, text=False)
     assert code == 3
     assert err.startswith("error:") and "state is unusable" in err and "Traceback" not in err
+
+
+def test_predict_rejects_probabilities_that_overflow(trained_model, mlp_model, tmp_path):
+    # every array is finite, so the file loads; but the hidden units sit near
+    # 10 and two output rows at 1e308, so the logits overflow to inf - inf
+    manifest, _ = trained_model
+    header, arrays = load_container(mlp_model / "model.emf")
+    arrays["m0/b0"][...] = 10.0
+    arrays["m0/w1"][:2] = 1e308
+    path = tmp_path / "model.emf"
+    save_container(path, header, arrays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _predict_code(path, manifest, text=False)
+    assert code == 3 and out == ""
+    assert err.startswith("error: mlp probabilities are not finite") and err.count("\n") == 1
 
 
 def test_predict_takes_an_infinite_tree_threshold(trained_model, tmp_path, capsys):
