@@ -13,8 +13,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .base import check_training_data, log_loss, one_hot, softmax
-from .tree import (TreeModel, TreeNodes, grow_tree, pack_trees, presort, sum_leaf_values,
-                   unpack_trees)
+from .tree import TreeModel, check_trees, concat_trees, grow_tree, presort, sum_leaf_values
 
 
 class GradientBoosting(TreeModel):
@@ -34,7 +33,6 @@ class GradientBoosting(TreeModel):
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
         self.n_classes = n_classes
-        self.trees_: list[list[TreeNodes]] = []  # [round][class] views into packed_
         self.train_loss_history_: list[float] = []
 
     def fit(self, X, y):
@@ -61,7 +59,7 @@ class GradientBoosting(TreeModel):
                 logits[:, c] += self.learning_rate * step[:, 0]
             proba = softmax(logits)
             self.train_loss_history_.append(log_loss(proba, y))
-        self._set_arrays(pack_trees(trees))
+        self._set_arrays(concat_trees(trees))
         return self
 
     def decision_function(self, X) -> np.ndarray:
@@ -70,10 +68,14 @@ class GradientBoosting(TreeModel):
     def predict_proba(self, X):
         return softmax(self.decision_function(X))
 
+    @property
+    def trees_(self) -> list:
+        """``TreeModel.trees_`` in rounds of one tree per class."""
+        flat, c = super().trees_, self.n_classes
+        return [flat[i : i + c] for i in range(0, len(flat), c)]
+
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        flat = unpack_trees(arrays, 1)
-        c = self.n_classes
-        if len(flat) != self.n_rounds * c:
-            raise ValueError(f"{len(flat)} trees, not {self.n_rounds} rounds of {c} classes")
+        n_trees, c = check_trees(arrays, 1), self.n_classes
+        if n_trees != self.n_rounds * c:
+            raise ValueError(f"{n_trees} trees, not {self.n_rounds} rounds of {c} classes")
         self.packed_ = arrays
-        self.trees_ = [flat[i : i + c] for i in range(0, len(flat), c)]

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from .base import check_training_data
-from .tree import TreeModel, TreeNodes, grow_forest, pack_trees, sum_leaf_values, unpack_trees
+from .tree import TreeModel, check_trees, grow_forest, sum_leaf_values
 
 
 class RandomForest(TreeModel):
@@ -48,7 +48,6 @@ class RandomForest(TreeModel):
         self.bootstrap = bootstrap
         self.max_features = max_features
         self.n_classes = n_classes
-        self.trees_: list[TreeNodes] = []  # per-tree views into packed_
 
     def fit(self, X, y):
         X, y, self.n_classes = check_training_data(X, y, self.n_classes)
@@ -60,9 +59,8 @@ class RandomForest(TreeModel):
             samples = np.broadcast_to(np.arange(n), (self.n_trees, n))
         max_features = (math.ceil(math.sqrt(X.shape[1])) if self.max_features == "sqrt"
                         else self.max_features)
-        trees = grow_forest(X, y, samples, rngs, self.n_classes, self.max_depth,
-                            self.min_samples_leaf, max_features)
-        self._set_arrays(pack_trees(trees))
+        self._set_arrays(grow_forest(X, y, samples, rngs, self.n_classes, self.max_depth,
+                                     self.min_samples_leaf, max_features))
         return self
 
     def predict_proba(self, X):
@@ -70,7 +68,7 @@ class RandomForest(TreeModel):
         return sum_leaf_values(self._packed(), X, 1, 1.0) / self.n_trees
 
     def _set_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        trees = unpack_trees(arrays, self.n_classes)
-        if len(trees) != self.n_trees:
-            raise ValueError(f"{len(trees)} trees, not the forest's {self.n_trees}")
-        self.packed_, self.trees_ = arrays, trees
+        n_trees = check_trees(arrays, self.n_classes)
+        if n_trees != self.n_trees:
+            raise ValueError(f"{n_trees} trees, not the forest's {self.n_trees}")
+        self.packed_ = arrays

@@ -40,7 +40,7 @@ class MlpClassifier(ProbabilisticClassifier):
             raise ParameterError("momentum must lie in [0, 1)")
         sizes = hidden_sizes
         if isinstance(sizes, str):
-            sizes = [int(s) if s.isascii() and s.isdigit() else s for s in sizes.split(",") if s]
+            sizes = [int(s) if s.isascii() and s.isdigit() else s for s in sizes.split(",")]
         elif not isinstance(sizes, (tuple, list)):
             sizes = [sizes]
         if not sizes or not all(isinstance(s, Integral) and not isinstance(s, bool) and s >= 1

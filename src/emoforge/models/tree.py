@@ -45,23 +45,24 @@ about twenty arrays. On a 300 x 2000 TFIDF-like matrix with 2**14-entry
 blocks, a presort peaks at 1.56 x X.nbytes, a depth-3 boosting fit at 4.5 x
 and a depth-3 100-tree forest at 1.6 x.
 
-A model keeps its trees once, in the packed arrays that ``pack_trees``
-writes to a model file, and ``leaf_values`` is the one traversal of them:
-it holds a (rows x trees) matrix of node indices and moves every entry one
-level per pass, to the left child where the row's value is <= the
-threshold and to the right child otherwise (NaN included), so the loop runs
-once per level instead of once per tree and level. It relies on the
-invariant that ``unpack_trees`` checks on every set of arrays a model
-takes: each split node's children lie inside its own tree after itself, so
-every walk moves forward and ends at a leaf. ``sum_leaf_values`` adds the
-leaf values up over the trees with ``np.cumsum``, which adds strictly in
-tree order (``np.sum`` may add pairwise), and adds that sum to zeros: it
-therefore rounds exactly like a loop of ``total += value`` from zero.
+A model keeps its trees once, in the packed arrays that the growers return
+(``concat_trees`` joins boosting's one-tree sets) and a model file stores,
+and ``leaf_values`` is the one traversal of them: it holds a (rows x trees)
+matrix of node indices and moves every entry one level per pass, to the
+left child where the row's value is <= the threshold and to the right child
+otherwise (NaN included), so the loop runs once per level instead of once
+per tree and level. It relies on the invariant that ``check_trees`` checks
+on every set of arrays a model takes: each split node's children lie inside
+its own tree after itself, so every walk moves forward and ends at a leaf.
+``sum_leaf_values`` adds the leaf values up over the trees with
+``np.cumsum``, which adds strictly in tree order (``np.sum`` may add
+pairwise), and adds that sum to zeros: it therefore rounds exactly like a
+loop of ``total += value`` from zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,23 +77,6 @@ _NO_FEATURE = -1
 # matrices as fast as 2**18 or faster, and keeps a forest fit's traced peak
 # (1.5 MB on 96 x 44) under a boosting fit's (2.0 MB).
 _BLOCK_ELEMENTS = 1 << 16
-
-
-@dataclass
-class TreeNodes:
-    """One tree's flat node arrays (in a fitted model, views into its packed
-    arrays); feature == -1 marks a leaf."""
-
-    feature: np.ndarray  # (n_nodes,) int64
-    threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray  # (n_nodes,) int64
-    right: np.ndarray  # (n_nodes,) int64
-    value: np.ndarray  # (n_nodes, value_dim) float64
-    importances: np.ndarray  # (n_features,) unnormalized impurity decrease
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.feature.size)
 
 
 def presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,10 +156,11 @@ def _threshold(a: float, b: float) -> float:
 
 def grow_tree(X: np.ndarray, y: np.ndarray, presorted: tuple[np.ndarray, np.ndarray],
               max_depth: int | None = None, min_samples_leaf: int = 1,
-              leaves: np.ndarray | None = None) -> TreeNodes:
+              leaves: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Grow one variance-splitting regression tree on targets ``y``, given
-    ``presort(X)``, which a caller growing many trees on one X computes once.
-    ``leaves``, an (n_samples, 1) array, receives each row's leaf value."""
+    ``presort(X)``, which a caller growing many trees on one X computes once;
+    return it packed. ``leaves``, an (n_samples, 1) array, receives each
+    row's leaf value."""
     X = np.asarray(X, dtype=np.float64)
     n_samples, n_features = X.shape
     depth_cap = np.inf if max_depth is None else max_depth
@@ -222,21 +207,21 @@ def grow_tree(X: np.ndarray, y: np.ndarray, presorted: tuple[np.ndarray, np.ndar
         stack.append((idx[~mask], shares.pop(), depth + 1, node_id, False))
         stack.append((idx[mask], shares.pop(), depth + 1, node_id, True))
 
-    return TreeNodes(
-        np.asarray(feature, dtype=np.int64), np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
-        np.vstack(value), importances,
-    )
+    return {"offsets": np.array([0, len(feature)], dtype=np.int64),
+            "feature": np.asarray(feature, dtype=np.int64),
+            "threshold": np.asarray(threshold, dtype=np.float64),
+            "left": np.asarray(left, dtype=np.int64), "right": np.asarray(right, dtype=np.int64),
+            "value": np.vstack(value), "importances": importances[None, :]}
 
 
 def grow_forest(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, n_classes: int,
                 max_depth: int | None = None, min_samples_leaf: int = 1,
-                max_features: int | None = None) -> list[TreeNodes]:
+                max_features: int | None = None) -> dict[str, np.ndarray]:
     """Grow in lockstep a Gini tree for class indices ``y`` on the rows of X
-    that each row of ``samples`` lists; a searched node draws ``max_features``
-    candidate columns (None: all) from its tree's generator in ``rngs``. Each
-    step pops the next node of every unfinished tree and scores the searched
-    ones together (``_gini_splits``)."""
+    that each row of ``samples`` lists, and return them packed; a searched
+    node draws ``max_features`` candidate columns (None: all) from its tree's
+    generator in ``rngs``. Each step pops the next node of every unfinished
+    tree and scores the searched ones together (``_gini_splits``)."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
     n_rows, n_features = X.shape
     depth_cap = np.inf if max_depth is None else max_depth
@@ -289,9 +274,10 @@ def grow_forest(X: np.ndarray, y: np.ndarray, samples: np.ndarray, rngs: list, n
     left[parents[sides]] = ids[sides]  # a root is no left child
     right[parents[child & ~sides]] = ids[child & ~sides]
     # each tree's nodes were popped in the order of their ids
-    by_tree = np.split(np.argsort(tree, kind="stable"), np.cumsum(n_nodes)[:-1])
-    return [TreeNodes(feature[i], threshold[i], left[i], right[i], value[i], imp)
-            for i, imp in zip(by_tree, importances)]
+    order = np.argsort(tree, kind="stable")
+    return {"offsets": np.cumsum(np.append(0, n_nodes)), "feature": feature[order],
+            "threshold": threshold[order], "left": left[order], "right": right[order],
+            "value": value[order], "importances": importances}
 
 
 def _gini_splits(columns: np.ndarray, labels: np.ndarray, rows: list, counts: np.ndarray,
@@ -382,22 +368,15 @@ def _partition(carried, goes_left, idx, mask):
     return shares
 
 
-def pack_trees(trees: list[TreeNodes]) -> dict[str, np.ndarray]:
-    """Concatenate trees into offset-indexed flat arrays for serialization."""
-    offsets = np.cumsum([0] + [t.n_nodes for t in trees])
-    return {
-        "offsets": offsets.astype(np.int64),
-        "feature": np.concatenate([t.feature for t in trees]),
-        "threshold": np.concatenate([t.threshold for t in trees]),
-        "left": np.concatenate([t.left for t in trees]),
-        "right": np.concatenate([t.right for t in trees]),
-        "value": np.vstack([t.value for t in trees]),
-        "importances": np.vstack([t.importances for t in trees]),
-    }
+def concat_trees(trees: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Join packed one-tree dicts, as ``grow_tree`` returns them, in order."""
+    return {"offsets": np.cumsum([0] + [int(t["offsets"][-1]) for t in trees]),
+            **{name: np.concatenate([t[name] for t in trees])
+               for name in ("feature", "threshold", "left", "right", "value", "importances")}}
 
 
-def unpack_trees(arrays: dict[str, np.ndarray], width: int) -> list[TreeNodes]:
-    """Split packed arrays into per-tree views; raise ValueError unless each
+def check_trees(arrays: dict[str, np.ndarray], width: int) -> int:
+    """The number of packed trees in ``arrays``; raise ValueError unless each
     is a tree that ``leaf_values`` walks to an end.
 
     Tree t holds nodes ``offsets[t]:offsets[t + 1]`` (at least one), each
@@ -422,17 +401,13 @@ def unpack_trees(arrays: dict[str, np.ndarray], width: int) -> list[TreeNodes]:
     leaf = (feature == _NO_FEATURE) & (left == -1) & (right == -1)
     if not (inner | leaf).all():
         raise ValueError("a tree node has a feature or child out of range")
-    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
-    return [
-        TreeNodes(feature[lo:hi], threshold[lo:hi], left[lo:hi], right[lo:hi], value[lo:hi], imp)
-        for (lo, hi), imp in zip(bounds, importances)
-    ]
+    return sizes.size
 
 
 def leaf_values(arrays: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     """The value of the leaf that each packed tree routes each row of X to,
     shape (rows, trees, value_dim). ``arrays`` must have passed
-    ``unpack_trees``."""
+    ``check_trees``."""
     offsets, feature, threshold = arrays["offsets"], arrays["feature"], arrays["threshold"]
     left, right = arrays["left"], arrays["right"]
     roots = offsets[:-1]
@@ -469,8 +444,8 @@ def sum_leaf_values(
 
 
 class TreeModel(ProbabilisticClassifier):
-    """A classifier whose fitted state is its trees, packed as ``pack_trees``
-    writes them (None until a fit): rf and xgb."""
+    """A classifier whose fitted state is its packed trees (None until a
+    fit): rf and xgb."""
 
     packed_: dict[str, np.ndarray] | None = None
 
@@ -490,6 +465,12 @@ class TreeModel(ProbabilisticClassifier):
     def feature_importances_(self) -> np.ndarray:
         """Each feature's impurity decrease, summed over the trees."""
         return np.sum(self._packed()["importances"], axis=0)
+
+    @property
+    def trees_(self) -> list:
+        """Each tree's node count as ``n_nodes``, an int: only the benchmark's
+        node counters read it, and it goes once they read ``offsets``."""
+        return [SimpleNamespace(n_nodes=n) for n in np.diff(self._packed()["offsets"]).tolist()]
 
     def _arrays(self) -> dict[str, np.ndarray]:
         return self.packed_

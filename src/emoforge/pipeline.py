@@ -13,7 +13,6 @@ import inspect
 import json
 import math
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -383,13 +382,9 @@ class ModelBundle:
 
 def _hp_type_ok(value, default) -> bool:
     """Whether an override fits its default's type: int for int, int or
-    float for float, str for str; hidden sizes also take comma-separated
-    ints or a sequence of ints. A bool is never a number here."""
-    if isinstance(default, tuple):
-        return _hp_type_ok(value, 0) or (
-            isinstance(value, str) and re.fullmatch(r"\d+(,\d+)*", value) is not None
-        ) or (isinstance(value, (tuple, list)) and all(_hp_type_ok(v, 0) for v in value))
-    return not isinstance(value, bool) and isinstance(
+    float for float, str for str. A bool is never a number here. Hidden
+    sizes (a tuple default) are left to the constructor, their one parser."""
+    return isinstance(default, tuple) or not isinstance(value, bool) and isinstance(
         value, {int: Integral, float: Real, str: str}[type(default)])
 
 
@@ -533,8 +528,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
     header must equal ``_header`` of that bundle. Any other header raises
     DataError, and only an unknown model or member kind ModelError. A member
     that is not a tree model must then map ``feature_dim`` columns to one
-    probability per class (``_probe``); a tree model's arrays are checked as
-    they are unpacked, with ``feature_dim`` importance columns."""
+    probability per class (``_probe``); a tree model's arrays pass
+    ``check_trees`` as it takes them, with ``feature_dim`` importance columns."""
     header, arrays = load_container(path)
     kind, setting, class_mode = _typed(path, header, str, "model_kind", "setting", "class_mode")
     stored = header.get("members")

@@ -65,10 +65,32 @@ def test_fitted_trees_give_their_node_counts(kind, model):
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(30, 3)), np.arange(30) % 3
     model.fit(X, y)
-    tracer = spans.Tracer()
-    spans._nodes_hook(kind)(tracer, (model, X, y), model)
     # rf grows one tree per n_trees, xgb one per round and class
-    assert tracer.counters[f"models.{kind}.nodes"] > {"rf": 2, "xgb": 6}[kind]
+    assert node_count(kind, model) > {"rf": 2, "xgb": 6}[kind]
+
+
+def node_count(kind, model):
+    """The traced run's node counter for one fitted model: every node of its
+    packed trees, as a Python int so that the trace stays JSON."""
+    tracer = spans.Tracer()
+    spans._nodes_hook(kind)(tracer, (model, None, None), model)
+    count = tracer.counters[f"models.{kind}.nodes"]
+    assert type(count) is int and count == int(model.packed_["offsets"][-1])
+    return count
+
+
+def test_loaded_ensemble_trees_give_their_node_counts(tmp_path):
+    rng = np.random.default_rng(0)
+    y = np.arange(24) % 3
+    design = pipeline.ModelBundle("e2", "audio_only", "six", 0, E2_LIGHT_HP)
+    bundle = pipeline.train_bundle(design, rng.normal(size=(24, 8)), y)
+    pipeline.save_bundle(tmp_path / "model.emf", bundle)
+    loaded = pipeline.load_bundle(tmp_path / "model.emf")
+    counts = {m.kind: node_count(m.kind, m.classifier)
+              for m in loaded.members if m.kind in ("rf", "xgb")}
+    assert counts == {m.kind: node_count(m.kind, m.classifier)
+                      for m in bundle.members if m.kind in ("rf", "xgb")}
+    assert counts["rf"] > 3 and counts["xgb"] > 2 * 6
 
 
 # the ModelBundle attributes that bench.py reads, so a scan that finds none fails

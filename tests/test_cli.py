@@ -652,8 +652,9 @@ def test_train_applies_member_scoped_hp(trained_model, tmp_path):
     ])
     assert code == 0
     rf, xgb, mlp = (m.classifier for m in load_bundle(out / "model.emf").members)
-    assert (rf.n_trees, len(rf.trees_), rf.max_depth) == (3, 3, 4)
-    assert (xgb.n_rounds, len(xgb.trees_), xgb.max_depth) == (2, 2, 3)
+    n_trees = [m.packed_["offsets"].size - 1 for m in (rf, xgb)]  # xgb: one per round and class
+    assert (rf.n_trees, n_trees[0], rf.max_depth) == (3, 3, 4)
+    assert (xgb.n_rounds, n_trees[1] / xgb.n_classes, xgb.max_depth) == (2, 2, 3)
     assert (mlp.epochs, mlp.hidden_sizes) == (4, (5,))
 
 
@@ -665,7 +666,7 @@ def test_train_single_model_accepts_own_scope(trained_model, tmp_path):
         "--setting", "audio_only", "--out", str(out), "--hp", "rf.n_trees=2",
     ])
     assert code == 0
-    assert len(load_bundle(out / "model.emf").members[0].classifier.trees_) == 2
+    assert load_bundle(out / "model.emf").members[0].classifier.packed_["offsets"].size == 3
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])

@@ -141,7 +141,8 @@ def test_hidden_sizes_take_an_int_a_comma_list_or_a_sequence(sizes):
     assert MlpClassifier(hidden_sizes=sizes).hidden_sizes == expected
 
 
-@pytest.mark.parametrize("sizes", [",", "", ",,", 8.7, True, (8, 4.9), "a", None])
+@pytest.mark.parametrize("sizes", [",", "", ",,", "8,,4", ",8", "8,", 8.7, True, (8, 4.9), "a",
+                                   None])
 def test_hidden_sizes_that_parse_to_none_raise_parameter_error(sizes):
     with pytest.raises(ParameterError, match="non-empty"):
         MlpClassifier(hidden_sizes=sizes)

@@ -8,7 +8,7 @@ from emoforge.errors import DegenerateLabelError, ParameterError
 from emoforge.models import GradientBoosting, RandomForest
 from emoforge.models import tree as tree_module
 from emoforge.models.base import log_loss, one_hot, softmax
-from emoforge.models.tree import grow_tree, leaf_values, pack_trees, presort
+from emoforge.models.tree import concat_trees, grow_tree, leaf_values, presort
 from emoforge.persistence import save_container
 from emoforge.pipeline import ModelBundle, load_bundle, save_bundle, train_bundle
 
@@ -149,6 +149,8 @@ def test_boosting_rejects_prediction_before_training():
 def test_unfitted_trees_have_no_importances(model):
     with pytest.raises(ParameterError, match="not fitted"):
         model.feature_importances_
+    with pytest.raises(ParameterError, match="not fitted"):
+        model.trees_
 
 
 def test_boosting_rounds_validation():
@@ -345,14 +347,15 @@ def reference_grow_tree(X, y, task, n_classes=0, max_depth=None, min_samples_lea
         mask = X[idx, best_feat] <= best_thr
         stack.append((idx[~mask], depth + 1, node_id, False))
         stack.append((idx[mask], depth + 1, node_id, True))
-    return tree_module.TreeNodes(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.vstack(value),
-        importances=importances,
-    )
+    return {
+        "offsets": np.array([0, len(feature)], dtype=np.int64),
+        "feature": np.asarray(feature, dtype=np.int64),
+        "threshold": np.asarray(threshold),
+        "left": np.asarray(left, dtype=np.int64),
+        "right": np.asarray(right, dtype=np.int64),
+        "value": np.vstack(value),
+        "importances": importances[None, :],
+    }
 
 
 def oracle_problem(seed, task, n=90, d=7):
@@ -407,9 +410,9 @@ PROBLEMS = {"mixed": oracle_problem, "tfidf": tfidf_problem, "upsampled": upsamp
 
 
 def assert_same_tree(a, b):
-    for name in ("feature", "threshold", "left", "right", "value", "importances"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+    for name in ("offsets", "feature", "threshold", "left", "right", "value", "importances"):
+        assert np.array_equal(a[name], b[name]), name
+        assert a[name].dtype == b[name].dtype, name
 
 
 def grow(X, y, seed=0, task="classification", n_classes=3, max_depth=None, min_samples_leaf=1,
@@ -423,12 +426,12 @@ def grow(X, y, seed=0, task="classification", n_classes=3, max_depth=None, min_s
         forest = RandomForest(n_trees=1, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                               seed=seed, bootstrap=False, max_features=max_features,
                               n_classes=n_classes)
-        return forest.fit(X, y).trees_[0]
+        return forest.fit(X, y).packed_
     assert max_features is None
     leaves = np.full((X.shape[0], 1), np.nan)
     tree = grow_tree(X, y, presort(X), max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                      leaves=leaves)
-    assert np.array_equal(leaves, leaf_values(pack_trees([tree]), X)[:, 0])
+    assert np.array_equal(leaves, leaf_values(tree, X)[:, 0])
     return tree
 
 
@@ -438,7 +441,7 @@ def assert_matches_oracle(problem, task, min_samples_leaf, max_features, seed):
                   min_samples_leaf=min_samples_leaf, max_features=max_features)
     old = reference_grow_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
     new = grow(X, y, seed, **kwargs)
-    assert new.n_nodes > 1
+    assert new["offsets"][-1] > 1
     assert_same_tree(new, old)
 
 
@@ -497,10 +500,10 @@ def reference_boosting_fit(X, y, n_classes, n_rounds, learning_rate, max_depth,
             tree = reference_grow_tree(X, targets[:, c] - proba[:, c], task="regression",
                                        max_depth=max_depth, min_samples_leaf=min_samples_leaf)
             trees.append(tree)
-            logits[:, c] += learning_rate * leaf_values(pack_trees([tree]), X)[:, 0, 0]
+            logits[:, c] += learning_rate * leaf_values(tree, X)[:, 0, 0]
         proba = softmax(logits)
         history.append(log_loss(proba, y))
-    return pack_trees(trees), history
+    return concat_trees(trees), history
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
@@ -531,7 +534,7 @@ def reference_forest_fit(X, y, n_classes, n_trees, seed, min_samples_leaf=1, max
             X[sample], y[sample], task="classification", n_classes=n_classes,
             max_depth=max_depth, min_samples_leaf=min_samples_leaf, max_features=max_features,
             rng=rng))
-    return pack_trees(trees)
+    return concat_trees(trees)
 
 
 def assert_same_packed(model, packed):
@@ -657,35 +660,44 @@ def test_forest_working_set_does_not_grow_with_trees(monkeypatch, block):
 # --- oracle: the per-tree walk that the one traversal of the packed arrays replaced
 
 
+def split_trees(packed):
+    """Each tree of packed arrays as a one-tree dict (slices of them)."""
+    bounds = zip(packed["offsets"][:-1].tolist(), packed["offsets"][1:].tolist())
+    return [{"offsets": np.array([0, hi - lo]), "importances": packed["importances"][t : t + 1],
+             **{name: packed[name][lo:hi]
+                for name in ("feature", "threshold", "left", "right", "value")}}
+            for t, (lo, hi) in enumerate(bounds)]
+
+
 def reference_apply(tree, X):
     """Route every row of X to its leaf value in one tree, shape (N, value_dim)."""
     X = np.asarray(X, dtype=np.float64)
     idx = np.zeros(X.shape[0], dtype=np.int64)
     while True:
-        feats = tree.feature[idx]
+        feats = tree["feature"][idx]
         active = feats != -1
         if not active.any():
             break
         rows = np.nonzero(active)[0]
-        go_left = X[rows, feats[rows]] <= tree.threshold[idx[rows]]
-        idx[rows] = np.where(go_left, tree.left[idx[rows]], tree.right[idx[rows]])
-    return tree.value[idx]
+        go_left = X[rows, feats[rows]] <= tree["threshold"][idx[rows]]
+        idx[rows] = np.where(go_left, tree["left"][idx[rows]], tree["right"][idx[rows]])
+    return tree["value"][idx]
 
 
 def reference_forest_proba(forest, X):
     X = np.asarray(X, dtype=np.float64)
     total = np.zeros((X.shape[0], forest.n_classes), dtype=np.float64)
-    for tree in forest.trees_:
+    trees = split_trees(forest.packed_)
+    for tree in trees:
         total += reference_apply(tree, X)
-    return total / len(forest.trees_)
+    return total / len(trees)
 
 
 def reference_decision_function(model, X):
     X = np.asarray(X, dtype=np.float64)
     logits = np.zeros((X.shape[0], model.n_classes), dtype=np.float64)
-    for round_trees in model.trees_:
-        for c, tree in enumerate(round_trees):
-            logits[:, c] += model.learning_rate * reference_apply(tree, X)[:, 0]
+    for t, tree in enumerate(split_trees(model.packed_)):  # rounds of one tree per class
+        logits[:, t % model.n_classes] += model.learning_rate * reference_apply(tree, X)[:, 0]
     return logits
 
 
@@ -696,16 +708,12 @@ def fitted_tree_models(**kwargs):
     return X, rf, xgb
 
 
-def all_trees(model):
-    return model.trees_ if isinstance(model, RandomForest) else sum(model.trees_, [])
-
-
 def walk_rows(X, *models):
     """X, then X's first row once per split node with that node's feature set
     exactly to its threshold, then copies of X with NaN in some columns."""
     rows = [X]
-    for tree in (t for model in models for t in all_trees(model)):
-        for feature, threshold in zip(tree.feature, tree.threshold):
+    for model in models:
+        for feature, threshold in zip(model.packed_["feature"], model.packed_["threshold"]):
             if feature >= 0:
                 row = X[:1].copy()
                 row[0, feature] = threshold
@@ -730,7 +738,7 @@ def assert_walks_match_oracle(X, *models):
                          ids=["default-depth", "deep", "single-leaf"])
 def test_traversal_matches_per_tree_oracle(kwargs):
     X, rf, xgb = fitted_tree_models(**kwargs)
-    sizes = [t.n_nodes for t in all_trees(rf) + all_trees(xgb)]
+    sizes = [n for model in (rf, xgb) for n in np.diff(model.packed_["offsets"]).tolist()]
     if "min_samples_leaf" in kwargs:  # more than half the 90 rows: no split is allowed
         assert max(sizes) == 1
     else:
@@ -742,12 +750,12 @@ def test_traversal_matches_per_tree_oracle(kwargs):
 
 def test_traversal_on_threshold_goes_left_and_nan_goes_right():
     X, y = make_xor()
-    tree = plain_tree(max_depth=1).fit(X, y).trees_[0]
+    tree = plain_tree(max_depth=1).fit(X, y).packed_
     rows = np.zeros((3, 2))
-    rows[:, tree.feature[0]] = [tree.threshold[0], np.nextafter(tree.threshold[0], np.inf), np.nan]
-    expected = tree.value[[tree.left[0], tree.right[0], tree.right[0]]]
-    assert np.array_equal(tree_module.leaf_values(tree_module.pack_trees([tree]), rows)[:, 0],
-                          expected)
+    threshold = tree["threshold"][0]
+    rows[:, tree["feature"][0]] = [threshold, np.nextafter(threshold, np.inf), np.nan]
+    expected = tree["value"][[tree["left"][0], tree["right"][0], tree["right"][0]]]
+    assert np.array_equal(tree_module.leaf_values(tree, rows)[:, 0], expected)
 
 
 def test_traversal_row_blocks_match_oracle(monkeypatch):
@@ -768,7 +776,7 @@ def test_leaf_sums_add_in_tree_order():
     want = np.zeros((40, 1))
     for tree in trees:
         want += 0.3 * reference_apply(tree, X)
-    got = tree_module.sum_leaf_values(tree_module.pack_trees(trees), X, 1, 0.3)
+    got = tree_module.sum_leaf_values(concat_trees(trees), X, 1, 0.3)
     assert np.array_equal(got, want)
 
 
@@ -799,12 +807,12 @@ def test_tree_models_reject_arrays_without_their_own_tree_count():
     for k in (0, 11):
         with pytest.raises(ValueError):
             RandomForest.from_state(meta, first_trees(arrays, k))
-    assert len(RandomForest.from_state(meta, first_trees(arrays, 12)).trees_) == 12
+    assert RandomForest.from_state(meta, first_trees(arrays, 12)).packed_["offsets"].size == 13
     meta, arrays = xgb.state()
     for k in (0, 5, 6):  # 6 trees are whole rounds, but 2 of the model's 8
         with pytest.raises(ValueError):
             GradientBoosting.from_state(meta, first_trees(arrays, k))
-    assert len(GradientBoosting.from_state(meta, first_trees(arrays, 24)).trees_) == 8
+    assert GradientBoosting.from_state(meta, first_trees(arrays, 24)).packed_["offsets"].size == 25
 
 
 # --- thresholds that cannot empty a child: where the midpoint of two adjacent
@@ -831,22 +839,22 @@ def edge_problem(a, b, seed=0):
 def assert_sound_tree(tree, X):
     """Every node value is finite, and routing X sends rows to both children
     of every split (each child of a split holds training rows, all of X)."""
-    assert np.isfinite(tree.value).all()
+    assert np.isfinite(tree["value"]).all()
     stack = [(0, np.arange(X.shape[0]))]
     while stack:
         node, rows = stack.pop()
         assert rows.size > 0
-        if tree.feature[node] >= 0:
-            go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
-            stack += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
+        if tree["feature"][node] >= 0:
+            go_left = X[rows, tree["feature"][node]] <= tree["threshold"][node]
+            stack += [(tree["left"][node], rows[go_left]), (tree["right"][node], rows[~go_left])]
 
 
 def edge_models(X, y, max_depth):
     return [
-        plain_tree(max_depth=max_depth).fit(X, y).trees_[0],
+        plain_tree(max_depth=max_depth).fit(X, y).packed_,
         grow_tree(X, y - 0.5, presort(X), max_depth=max_depth),
-        *RandomForest(n_trees=6, max_depth=max_depth, seed=1).fit(X, y).trees_,
-        *sum(GradientBoosting(n_rounds=3, max_depth=max_depth).fit(X, y).trees_, []),
+        *split_trees(RandomForest(n_trees=6, max_depth=max_depth, seed=1).fit(X, y).packed_),
+        *split_trees(GradientBoosting(n_rounds=3, max_depth=max_depth).fit(X, y).packed_),
     ]
 
 
@@ -857,7 +865,8 @@ def test_thresholds_between_edge_values_keep_both_children(pair):
     trees = edge_models(X, y, max_depth=5)
     for tree in trees:
         assert_sound_tree(tree, X)
-    on_column_0 = [t for tree in trees for f, t in zip(tree.feature, tree.threshold) if f == 0]
+    on_column_0 = [t for tree in trees
+                   for f, t in zip(tree["feature"], tree["threshold"]) if f == 0]
     assert on_column_0 and all(t == a for t in on_column_0)
 
 
@@ -877,13 +886,13 @@ def test_unbounded_trees_end_between_infinities(monkeypatch, search):
         assert_sound_tree(tree, X)
     assert calls
     tree = plain_tree(max_depth=None).fit(np.array([[-np.inf], [np.inf]] * 2),
-                                          np.array([0, 1, 0, 1])).trees_[0]
-    assert tree.threshold.tolist() == [-np.inf, 0.0, 0.0]
-    assert tree.value.tolist() == [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
+                                          np.array([0, 1, 0, 1])).packed_
+    assert tree["threshold"].tolist() == [-np.inf, 0.0, 0.0]
+    assert tree["value"].tolist() == [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_midpoint_thresholds_are_unchanged_inside_the_interval():
     X = np.array([[0.0], [1.0], [3.0], [3.0 + 2**-50]])
-    tree = plain_tree(max_depth=None).fit(X, np.array([0, 1, 1, 0])).trees_[0]
+    tree = plain_tree(max_depth=None).fit(X, np.array([0, 1, 1, 0])).packed_
     # 3 + 2**-51 lies one ulp above 3 and one below 3 + 2**-50
-    assert tree.threshold[tree.feature == 0].tolist() == [0.5, 3.0 + 2**-51]
+    assert tree["threshold"][tree["feature"] == 0].tolist() == [0.5, 3.0 + 2**-51]
