@@ -126,23 +126,16 @@ def decode_wav(path: str | Path) -> AudioClip:
     if sample_rate <= 0:
         raise AudioFormatError(f"{path}: invalid sample rate {sample_rate}")
 
-    if audio_format == _FORMAT_PCM and bits == 8:
-        raw = np.frombuffer(pcm, dtype=np.uint8).astype(np.float64)
-        samples = (raw - 128.0) / 128.0
-    elif audio_format == _FORMAT_PCM and bits == 16:
-        usable = len(pcm) - (len(pcm) % 2)
-        raw = np.frombuffer(pcm[:usable], dtype="<i2").astype(np.float64)
-        samples = raw / 32768.0
-    elif audio_format == _FORMAT_PCM and bits == 24:
-        usable = len(pcm) - (len(pcm) % 3)
-        b = np.frombuffer(pcm[:usable], dtype=np.uint8).reshape(-1, 3)
-        raw = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        raw = np.where(raw >= 1 << 23, raw - (1 << 24), raw)
-        samples = raw.astype(np.float64) / float(1 << 23)
+    if audio_format == _FORMAT_PCM and bits in (8, 16, 24):
+        # little-endian, top byte signed; 8-bit PCM is offset binary, so its
+        # top bit is flipped first
+        width = bits // 8
+        b = np.frombuffer(pcm, np.uint8, len(pcm) - len(pcm) % width).reshape(-1, width)
+        raw = (b[:, -1] ^ (0x80 if bits == 8 else 0)).view(np.int8).astype(np.int32)
+        for k in range(width - 2, -1, -1):
+            raw <<= 8
+            raw |= b[:, k]
+        samples = raw / float(1 << (bits - 1))
     elif audio_format == _FORMAT_IEEE_FLOAT and bits == 32:
         usable = len(pcm) - (len(pcm) % 4)
         samples = np.frombuffer(pcm[:usable], dtype="<f4").astype(np.float64)
@@ -180,33 +173,24 @@ def encode_wav(
 ) -> None:
     """Write a mono WAV file; values outside [-1, 1] are clipped.
 
-    Integer depths quantize with round-half-away-from-zero so that decoding
-    reproduces the input to within one quantization step. ParameterError for
-    an unsupported depth or a rate the header cannot hold (``check_wav_rate``).
+    Integer depths quantize to floor(x * 2**(bits-1) + 0.5) (round half up),
+    so decoding reproduces the input to within one quantization step; 8-bit
+    codes are stored offset by 128. ParameterError for an unsupported depth
+    or a rate the header cannot hold (``check_wav_rate``).
     """
-    samples = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
+    samples = np.clip(np.asarray(samples, dtype=np.float64).ravel(), -1.0, 1.0)
     if float_format:
         if bits != 32:
             raise ParameterError("float WAV output is 32-bit only")
         payload = samples.astype("<f4").tobytes()
         fmt_code, block = _FORMAT_IEEE_FLOAT, 4
-    elif bits == 8:
-        q = np.clip(np.floor(samples * 128.0 + 0.5), -128, 127)
-        payload = (q + 128).astype(np.uint8).tobytes()
-        fmt_code, block = _FORMAT_PCM, 1
-    elif bits == 16:
-        q = np.clip(np.floor(samples * 32768.0 + 0.5), -32768, 32767)
-        payload = q.astype("<i2").tobytes()
-        fmt_code, block = _FORMAT_PCM, 2
-    elif bits == 24:
-        q = np.clip(np.floor(samples * float(1 << 23) + 0.5), -(1 << 23), (1 << 23) - 1)
-        q = q.astype(np.int32)
-        b = np.empty((q.size, 3), dtype=np.uint8)
-        b[:, 0] = q & 0xFF
-        b[:, 1] = (q >> 8) & 0xFF
-        b[:, 2] = (q >> 16) & 0xFF
-        payload = b.tobytes()
-        fmt_code, block = _FORMAT_PCM, 3
+    elif bits in (8, 16, 24):
+        scale = float(1 << (bits - 1))
+        q = np.clip(np.floor(samples * scale + 0.5), -scale, scale - 1).astype("<i4")
+        if bits == 8:
+            q += 128  # offset binary
+        payload = q.view(np.uint8).reshape(-1, 4)[:, : bits // 8].tobytes()
+        fmt_code, block = _FORMAT_PCM, bits // 8
     else:
         raise ParameterError(f"unsupported bit depth for encoding: {bits}")
     check_wav_rate(sample_rate, bits)

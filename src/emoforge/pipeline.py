@@ -253,43 +253,6 @@ def _blocks(setting: str) -> tuple[str, ...]:
         raise ConfigError(f"setting must be one of {tuple(SETTINGS)}, got {setting!r}") from None
 
 
-def _check_design(
-    kind: str, setting: str, class_mode: str, seed: int, hyperparams: dict, l_harm: int,
-    vocab: Optional[Vocabulary] = None,
-) -> tuple[list[tuple[str, object]], str, int]:
-    """The design's unfitted members, as ``_configure_members`` makes them from
-    ``seed``, its input mode and its input width. Raise ConfigError unless a
-    bundle can have this design: known setting, kind and class mode; an
-    integer seed >= 0, as numpy's generators need; hyperparameters that every
-    member applies; an lstm ``input_mode`` hyperparameter (default "frames")
-    that is "frames" only on audio_only, or "clip"; an ``l_harm`` the harmonic
-    median filter takes; and members within ``MAX_MEMBER_WEIGHTS`` and
-    ``MAX_MEMBER_TREES`` on that input. The input is "vector" for every other
-    kind; it is 6 columns wide per frame, else 8 per audio block plus one per
-    vocabulary term, one term while the vocabulary is unknown."""
-    blocks = _blocks(setting)
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    if type(seed) is not int or seed < 0:  # the header stores an int: no bool, no numpy integer
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    members = _configure_members(kind, hyperparams, seed, len(classes_for_mode(class_mode)))
-    input_mode = "vector"
-    if kind == "lstm":
-        input_mode = hyperparams.get("input_mode", MODEL_DEFAULTS["lstm"]["input_mode"])
-        if input_mode not in ("frames", "clip"):
-            raise ConfigError(f"lstm input_mode must be 'frames' or 'clip', got {input_mode!r}")
-    if input_mode == "frames" and blocks != ("audio",):
-        raise ConfigError(f"lstm input_mode 'frames' (the default) reads per-frame sequences, "
-                          f"which only audio_only has; input_mode 'clip' reads a row per clip")
-    _check_window(l_harm)
-    width = len(FRAME_FEATURE_NAMES) if input_mode == "frames" else sum(
-        len(AUDIO_FEATURE_NAMES) if block == "audio" else len(vocab) if vocab is not None else 1
-        for block in blocks)
-    for member, clf in members:
-        _check_size(member, clf, width)
-    return members, input_mode, width
-
-
 def _check_size(kind: str, clf, width: int) -> None:
     """ConfigError when an unfitted member of ``kind`` would hold more weights
     or trees, on input ``width`` columns wide, than its cap allows."""
@@ -316,7 +279,17 @@ class ModelBundle:
     """A trained model plus everything needed to reuse it: preprocessing
     stats, vocabulary, framing, and provenance. A single model is a
     one-member vote. Its members, input mode and input width follow from its
-    design at construction."""
+    design at construction.
+
+    Construction raises ConfigError unless a bundle can have this design:
+    known setting, kind and class mode; a vocabulary exactly when the
+    setting reads text; an integer seed >= 0, as numpy's generators need;
+    hyperparameters that every member applies; an lstm ``input_mode``
+    hyperparameter (default "frames") that is "frames" only on audio_only,
+    or "clip"; an ``l_harm`` the harmonic median filter takes; and members
+    within ``MAX_MEMBER_WEIGHTS`` and ``MAX_MEMBER_TREES`` on their input.
+    The input is "vector" for every other kind; it is 6 columns wide per
+    frame, else 8 per audio block plus one per vocabulary term."""
 
     kind: str
     setting: str
@@ -331,13 +304,32 @@ class ModelBundle:
     members: list[_Member] = field(init=False)
 
     def __post_init__(self):
-        if (self.vocab is not None) != ("text" in _blocks(self.setting)):
+        blocks = _blocks(self.setting)
+        if (self.vocab is not None) != ("text" in blocks):
             need = "takes no" if self.vocab is not None else "needs a"
             raise ConfigError(f"setting {self.setting!r} {need} vocabulary")
-        members, self.input_mode, self.feature_dim = _check_design(
-            self.kind, self.setting, self.class_mode, self.seed, self.hyperparams, self.l_harm,
-            self.vocab)
-        self.members = [_Member(kind, clf, _scaler_for(kind, self.setting, self.feature_dim))
+        if self.kind not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind {self.kind!r}")
+        # the header stores an int: no bool, no numpy integer
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        members = _configure_members(self.kind, self.hyperparams, self.seed,
+                                     len(classes_for_mode(self.class_mode)))
+        mode = "vector"
+        if self.kind == "lstm":
+            mode = self.hyperparams.get("input_mode", MODEL_DEFAULTS["lstm"]["input_mode"])
+            if mode not in ("frames", "clip"):
+                raise ConfigError(f"lstm input_mode must be 'frames' or 'clip', got {mode!r}")
+        if mode == "frames" and blocks != ("audio",):
+            raise ConfigError(f"lstm input_mode 'frames' (the default) reads per-frame sequences, "
+                              f"which only audio_only has; input_mode 'clip' reads a row per clip")
+        _check_window(self.l_harm)
+        width = len(FRAME_FEATURE_NAMES) if mode == "frames" else sum(
+            len(AUDIO_FEATURE_NAMES) if block == "audio" else len(self.vocab) for block in blocks)
+        for kind, clf in members:
+            _check_size(kind, clf, width)
+        self.input_mode, self.feature_dim = mode, width
+        self.members = [_Member(kind, clf, _scaler_for(kind, self.setting, width))
                         for kind, clf in members]
 
     def features(self, dataset: Dataset):
@@ -781,9 +773,11 @@ class ExperimentConfig:
         self.manifest = Path(self.manifest)
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
-        _check_design(self.model_kind, self.setting, self.class_mode, self.seed,
-                      self.hyperparams, self.l_harm)
-        # checked here too, so a bad value fails before the manifest is read
+        # checked before the manifest is read, the design on a one-term placeholder
+        # vocabulary; the run builds its bundle again on the true vocabulary
+        placeholder = Vocabulary(("",), (1,), 1) if "text" in _blocks(self.setting) else None
+        ModelBundle(self.model_kind, self.setting, self.class_mode, self.seed, self.hyperparams,
+                    placeholder, self.frame_config, self.l_harm)
         _check_train_fraction(self.train_fraction)
         _check_rho(self.upsample_rho)
 

@@ -12,7 +12,6 @@ from emoforge.audio_features import (
     FrameConfig,
     _frame_moments,
     _median_filter_in_place,
-    _median_filter_time,
     _pitch_peaks,
     _smooth_size,
     _walk_submultiples,
@@ -148,6 +147,11 @@ def _reference_median_filter_time(magnitudes, l):
     return out
 
 
+def _filtered_copy(magnitudes, l):
+    """A copy of ``magnitudes`` in its own memory order, median-filtered in place."""
+    return _median_filter_in_place(magnitudes.copy(order="K"), l)
+
+
 def _assert_same_filter_output(got, want):
     assert np.array_equal(got, want, equal_nan=True)
     assert got.flags.f_contiguous == want.flags.f_contiguous
@@ -169,7 +173,7 @@ def test_median_filter_2d_matches_np_median_body():
         for order in ("C", "F"):
             data = np.asarray(x, order=order)
             want = _reference_median_filter_time(data, l)
-            _assert_same_filter_output(_median_filter_time(data, l), want)
+            _assert_same_filter_output(_filtered_copy(data, l), want)
 
 
 def _noisy_tone(seconds, sr=16_000, seed=9):
@@ -210,7 +214,7 @@ def test_median_filter_whole_row_windows_match_np_median_body():
                 for order in ("C", "F"):
                     data = np.asarray(x, order=order)
                     want = _reference_median_filter_time(data, l)
-                    _assert_same_filter_output(_median_filter_time(data, l), want)
+                    _assert_same_filter_output(_filtered_copy(data, l), want)
 
 
 def test_median_filter_longest_window_on_short_rows_stays_small():
@@ -223,7 +227,7 @@ def test_median_filter_longest_window_on_short_rows_stays_small():
             want = _reference_median_filter_time(x, l)
             tracemalloc.start()
             try:
-                got = _median_filter_time(x, l)
+                got = _filtered_copy(x, l)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -248,7 +252,7 @@ def test_median_filter_infinities_match_np_median_body():
             data = np.asarray(x, order=order)
             with np.errstate(invalid="ignore"):
                 want = _reference_median_filter_time(data, l)
-            _assert_same_filter_output(_median_filter_time(data, l), want)
+            _assert_same_filter_output(_filtered_copy(data, l), want)
 
 
 def test_median_filter_working_set_is_bounded_by_the_block(monkeypatch):
@@ -260,7 +264,7 @@ def test_median_filter_working_set_is_bounded_by_the_block(monkeypatch):
         x = np.asfortranarray(rng.uniform(0.0, 1.0, (1025, n)))
         tracemalloc.start()
         try:
-            _median_filter_time(x, l)
+            _filtered_copy(x, l)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -279,7 +283,7 @@ def test_median_filter_blocks_that_do_not_divide_the_rows(monkeypatch, block_ele
         for order in ("C", "F"):
             data = np.asarray(x, order=order)
             want = _reference_median_filter_time(data, l)
-            _assert_same_filter_output(_median_filter_time(data, l), want)
+            _assert_same_filter_output(_filtered_copy(data, l), want)
 
 
 @pytest.mark.parametrize("block_elements", [1, 97, 2000])
@@ -306,19 +310,18 @@ def test_median_filter_in_place_matches_out_of_place(monkeypatch, block_elements
 
 
 def test_median_filter_leaves_the_callers_array_unchanged():
+    # median_filter_1d filters a float64 copy: a contiguous row, a strided
+    # row of a Fortran-ordered matrix and a float32 row stay as they were
     rng = np.random.default_rng(27)
     for l in (1, 4, 31):
-        for order in ("C", "F"):
-            x = np.asarray(rng.uniform(0.0, 1.0, (6, 25)), order=order)
-            x[2, 7] = np.nan
-            before = x.copy(order="K")
-            _median_filter_time(x, l)
-            assert x.tobytes(order="A") == before.tobytes(order="A")
-            assert x.flags.f_contiguous == before.flags.f_contiguous
-        row = rng.uniform(0.0, 1.0, 25)
-        before = row.copy()
-        median_filter_1d(row, l)
-        assert np.array_equal(row, before)
+        matrix = np.asfortranarray(rng.uniform(0.0, 1.0, (6, 25)))
+        matrix[2, 7] = np.nan
+        for row in (rng.uniform(0.0, 1.0, 25), matrix[2], matrix[3].astype(np.float32)):
+            before = row.copy()
+            got = median_filter_1d(row, l)
+            assert np.array_equal(row, before, equal_nan=True)
+            want = _reference_median_filter_time(row.astype(np.float64)[np.newaxis], l)[0]
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_median_filter_bad_window():
@@ -370,37 +373,13 @@ def test_pitch_rejects_empty_frame():
         autocorr_pitch(np.array([]), SR)
 
 
-@pytest.mark.parametrize(
-    "sample_rate, f_min, f_max",
-    [
-        (0, 50.0, 500.0),
-        (-16000, 50.0, 500.0),
-        (np.inf, 50.0, 500.0),
-        (np.nan, 50.0, 500.0),
-        (16000, 0.0, 500.0),
-        (16000, -50.0, 500.0),
-        (16000, np.nan, 500.0),
-        (16000, np.inf, 500.0),
-        (16000, 50.0, 0.0),
-        (16000, 50.0, np.nan),
-        (16000, 50.0, np.inf),
-        (16000, 600.0, 500.0),
-        (16000, 500.0, 500.0),
-    ],
-)
-def test_pitch_rejects_bad_settings(sample_rate, f_min, f_max):
+@pytest.mark.parametrize("sample_rate", [0, -16000, np.inf, np.nan])
+def test_pitch_rejects_bad_settings(sample_rate):
     y = make_tone(220, 16000, 2048 / 16000).samples
     with pytest.raises(ParameterError):
-        autocorr_pitch(y, sample_rate, f_min=f_min, f_max=f_max)
+        autocorr_pitch(y, sample_rate)
     with pytest.raises(ParameterError):
-        _pitch_peaks(y[np.newaxis], sample_rate, f_min, f_max)
-
-
-def test_pitch_subnormal_f_min_searches_every_lag():
-    y = make_tone(220, 16000, 2048 / 16000).samples
-    value, lag = autocorr_pitch(y, 16000, f_min=5e-324)  # sample_rate / f_min is inf
-    assert lag == autocorr_pitch(y, 16000, f_min=1.0)[1]
-    assert 0.9 < value <= 1.0 + 1e-12
+        _pitch_peaks(y[np.newaxis], sample_rate)
 
 
 # --- the batched pitch kernel against the per-frame oracle
@@ -466,15 +445,15 @@ def _reference_pitch(frame, sample_rate, f_min=50.0, f_max=500.0):
     return float(window[best]), best + lag_min
 
 
-def _assert_pitch_matches_oracle(frames, sample_rate, f_min=50.0, f_max=500.0, ties=False):
+def _assert_pitch_matches_oracle(frames, sample_rate, ties=False):
     """The kernel's rows against the oracle: values within 1e-12, the same
     silent rows, and equal lags. With ties=True a lag may differ where the
     oracle's own window scores the kernel's lag within 1e-12 of its pick:
     there the choice rests on the last bits of the FFT's rounding (a DC
     frame's window is 1 at every lag, spikes score equal or zero). Returns
     the kernel's values and lags and the oracle's silent rows."""
-    values, lags = _pitch_peaks(frames, sample_rate, f_min, f_max)
-    want = [_reference_pitch(frame, sample_rate, f_min, f_max) for frame in frames]
+    values, lags = _pitch_peaks(frames, sample_rate)
+    want = [_reference_pitch(frame, sample_rate) for frame in frames]
     want_values = np.array([v for v, _ in want])
     want_lags = np.array([lag for _, lag in want], dtype=np.int64)
     want_silent = (want_values == 0) & (want_lags == 0)
@@ -483,7 +462,7 @@ def _assert_pitch_matches_oracle(frames, sample_rate, f_min=50.0, f_max=500.0, t
     assert np.array_equal((values == 0) & (lags == 0), want_silent)
     for i in np.flatnonzero(lags != want_lags):
         assert ties, (i, lags[i], want_lags[i])
-        lag_min, window = _reference_window(frames[i], sample_rate, f_min, f_max)
+        lag_min, window = _reference_window(frames[i], sample_rate)
         assert abs(window[lags[i] - lag_min] - want_values[i]) <= 1e-12
     return values, lags, want_silent
 

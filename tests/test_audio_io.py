@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -84,6 +85,64 @@ def test_roundtrip_within_one_step(tmp_path, bits, float_format, step):
     clip = decode_wav(path)
     assert len(clip) == source.size
     assert np.max(np.abs(clip.samples - source)) <= step
+
+
+def _pcm_codes(bits):
+    """Every signed 8- and 16-bit code; for 24 bits every 256th code plus the edges."""
+    top = 1 << (bits - 1)
+    if bits < 24:
+        return list(range(-top, top))
+    return [*range(-top, top, 256), -top + 1, -1, 0, 1, top - 2, top - 1]
+
+
+def _pcm_bytes(bits, code):
+    if bits == 8:
+        return bytes([code + 128])  # offset binary
+    return code.to_bytes(bits // 8, "little", signed=True)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24])
+@pytest.mark.parametrize("channels, trailing", [(1, False), (2, False), (1, True), (2, True)],
+                         ids=["mono", "stereo", "mono-odd-byte", "stereo-odd-byte"])
+def test_pcm_decode_is_code_over_half_range(tmp_path, bits, channels, trailing):
+    # every code (or the 24-bit sweep) decodes to code / 2**(bits-1), computed
+    # with Python ints; stereo interleaves the codes with their reverse
+    scale = 1 << (bits - 1)
+    codes = _pcm_codes(bits)
+    if channels == 2:
+        codes = [c for pair in zip(codes, reversed(codes)) for c in pair]
+    payload = b"".join(_pcm_bytes(bits, c) for c in codes)
+    if trailing:
+        payload += b"\x7f"  # at 8 bits a whole sample, at 16 and 24 a partial one
+        if bits == 8:
+            codes.append(0x7F - 128)
+    path = tmp_path / "codes.wav"
+    path.write_bytes(_raw_wav(1, channels, 8000, bits, payload))
+    samples = decode_wav(path).samples
+    if channels == 1:
+        want = [c / scale for c in codes]
+    else:
+        want = [(a / scale + b / scale) / 2 for a, b in zip(codes[0::2], codes[1::2])]
+    assert samples.tolist() == want
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24])
+def test_pcm_encode_matches_struct_pack_of_round_half_up(tmp_path, bits):
+    # ±1, every half step (every 256th at 24 bits), values out of range and
+    # a uniform grid, against floor(clip(x) * 2**(bits-1) + 0.5) packed by struct
+    scale = 1 << (bits - 1)
+    halves = [(c + 0.5) / scale for c in _pcm_codes(bits)]
+    edges = [1.0, -1.0, 0.0, -0.0, 1.5, -1.5, 1e300, -1e300, np.inf, -np.inf,
+             1 - 0.5 / scale, -1 + 0.5 / scale, 5e-324, -5e-324]
+    grid = [*halves, *edges, *np.linspace(-1.25, 1.25, 4001).tolist()]
+    path = tmp_path / "grid.wav"
+    encode_wav(path, np.array(grid), 16000, bits=bits)
+    payload = b""
+    for x in grid:
+        code = min(scale - 1, max(-scale, math.floor(min(1.0, max(-1.0, x)) * scale + 0.5)))
+        payload += struct.pack("<B", code + 128) if bits == 8 else struct.pack("<i", code)[
+            : bits // 8]
+    assert path.read_bytes() == _raw_wav(1, 1, 16000, bits, payload)
 
 
 def test_not_riff_is_format_error(tmp_path):

@@ -353,9 +353,24 @@ def test_train_bundle_design_round_trips_or_fails_before_fitting(request, tmp_pa
         "e1-rf-n-trees-true", "rf-seed-negative", "lstm-seed-true", "lr-seed-numpy"])
 def test_train_bundle_rejects_design_before_fitting(no_fit, kind, frames, change):
     X, y, _ = design_inputs("audio_only", frames)
+    design = {"setting": "audio_only", "class_mode": "six", "seed": 0, "hyperparams": {},
+              **change}
     with pytest.raises(ConfigError):
-        train_bundle(ModelBundle(kind, **{"setting": "audio_only", "class_mode": "six",
-                                          "seed": 0, "hyperparams": {}, **change}), X, y)
+        train_bundle(ModelBundle(kind, **design), X, y)
+    # ExperimentConfig rejects a design that construction rejects, with the same
+    # message, and accepts one whose only fault is the input's form; a run brings
+    # its own vocabulary, so a vocabulary mismatch is the bundle's alone
+    vocab = design.pop("vocab", None)
+    if (vocab is not None) != ("text" in SETTINGS.get(design["setting"], ())):
+        return
+    try:
+        ModelBundle(kind, vocab=vocab, **design)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as at_config:
+            ExperimentConfig("m.jsonl", model_kind=kind, **design)
+        assert str(at_config.value) == str(exc)
+    else:
+        ExperimentConfig("m.jsonl", model_kind=kind, **design)
 
 
 @pytest.mark.parametrize("kind, setting, width, frames", [
@@ -589,11 +604,14 @@ def test_run_experiment_lstm_frames(tmp_path, synth_corpus):
 
 
 def test_lstm_frames_rejected_outside_audio_setting(synth_corpus):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as at_config:
         ExperimentConfig(
             manifest=synth_corpus, setting="text_only", model_kind="lstm",
             hyperparams={"input_mode": "frames"},
         )
+    with pytest.raises(ConfigError) as at_bundle:
+        ModelBundle("lstm", "text_only", "six", 0, {"input_mode": "frames"}, VOCAB)
+    assert str(at_bundle.value) == str(at_config.value)
 
 
 def test_designs_at_their_size_caps_are_accepted():
@@ -605,9 +623,13 @@ def test_designs_at_their_size_caps_are_accepted():
     }
     for kind, hp in at_cap.items():
         ExperimentConfig("m.jsonl", "audio_only", kind, hyperparams=hp)
+        ModelBundle(kind, "audio_only", "six", 0, hp)
         bigger = {key: value + 1 for key, value in hp.items()}
-        with pytest.raises(ConfigError, match="cap"):
+        with pytest.raises(ConfigError, match="cap") as at_config:
             ExperimentConfig("m.jsonl", "audio_only", kind, hyperparams=bigger)
+        with pytest.raises(ConfigError) as at_bundle:
+            ModelBundle(kind, "audio_only", "six", 0, bigger)
+        assert str(at_bundle.value) == str(at_config.value)
 
 
 def test_hinted_split_respected(tmp_path, synth_corpus):
