@@ -175,10 +175,12 @@ def encode_wav(
 
     Integer depths quantize to floor(x * 2**(bits-1) + 0.5) (round half up),
     so decoding reproduces the input to within one quantization step; 8-bit
-    codes are stored offset by 128. ParameterError for an unsupported depth
-    or a rate the header cannot hold (``check_wav_rate``).
+    codes are stored offset by 128. ParameterError for a NaN sample, an
+    unsupported depth or a rate the header cannot hold (``check_wav_rate``).
     """
     samples = np.clip(np.asarray(samples, dtype=np.float64).ravel(), -1.0, 1.0)
+    if np.isnan(samples).any():
+        raise ParameterError("WAV samples must not be NaN")
     if float_format:
         if bits != 32:
             raise ParameterError("float WAV output is 32-bit only")

@@ -145,6 +145,16 @@ def test_pcm_encode_matches_struct_pack_of_round_half_up(tmp_path, bits):
     assert path.read_bytes() == _raw_wav(1, 1, 16000, bits, payload)
 
 
+@pytest.mark.parametrize("bits, float_format", [(8, False), (16, False), (24, False), (32, True)])
+def test_encode_rejects_nan_samples(tmp_path, bits, float_format):
+    # a NaN has no integer code, and a float file holding one would not decode
+    path = tmp_path / "nan.wav"
+    with pytest.raises(ParameterError, match="NaN"):
+        encode_wav(path, np.array([0.5, np.nan, -0.5]), 16000, bits=bits,
+                   float_format=float_format)
+    assert not path.exists()
+
+
 def test_not_riff_is_format_error(tmp_path):
     path = tmp_path / "bogus.wav"
     path.write_bytes(b"OggS" + b"\x00" * 64)
