@@ -127,15 +127,15 @@ def decode_wav(path: str | Path) -> AudioClip:
         raise AudioFormatError(f"{path}: invalid sample rate {sample_rate}")
 
     if audio_format == _FORMAT_PCM and bits in (8, 16, 24):
-        # little-endian, top byte signed; 8-bit PCM is offset binary, so its
-        # top bit is flipped first
+        # little-endian, top byte signed (8-bit PCM is offset binary: its top bit
+        # is flipped first); codes are built in place in float64, which is exact
         width = bits // 8
         b = np.frombuffer(pcm, np.uint8, len(pcm) - len(pcm) % width).reshape(-1, width)
-        raw = (b[:, -1] ^ (0x80 if bits == 8 else 0)).view(np.int8).astype(np.int32)
+        samples = (b[:, -1] ^ 0x80 if bits == 8 else b[:, -1]).view(np.int8).astype(np.float64)
         for k in range(width - 2, -1, -1):
-            raw <<= 8
-            raw |= b[:, k]
-        samples = raw / float(1 << (bits - 1))
+            samples *= 256.0
+            samples += b[:, k]
+        samples /= float(1 << (bits - 1))
     elif audio_format == _FORMAT_IEEE_FLOAT and bits == 32:
         usable = len(pcm) - (len(pcm) % 4)
         samples = np.frombuffer(pcm[:usable], dtype="<f4").astype(np.float64)
