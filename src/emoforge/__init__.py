@@ -37,7 +37,7 @@ from .ingest import (
     split,
     upsample,
 )
-from .lstm import LstmClassifier, LstmParams, LstmState, lstm_forward, lstm_step
+from .lstm import LstmClassifier, LstmParams, lstm_forward
 from .metrics import EvalReport, confusion_matrix, evaluate
 from .models import (
     GradientBoosting,

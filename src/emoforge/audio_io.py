@@ -54,10 +54,6 @@ class AudioClip:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def _read_chunks(data: bytes):
     """Yield (chunk_id, payload) for every top-level RIFF sub-chunk."""

@@ -53,16 +53,6 @@ _GATES = ("f", "i", "o", "c")
 
 
 @dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_size: int) -> "LstmState":
-        return cls(h=np.zeros(hidden_size), c=np.zeros(hidden_size))
-
-
-@dataclass
 class LstmParams:
     """The five parameter arrays of the cell and its class projection, all
     float64: gate weights W (4*hidden, input), recurrences U (4*hidden,
@@ -101,10 +91,6 @@ class LstmParams:
     def input_size(self) -> int:
         return self.W.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return self.w_out.shape[0]
-
     @classmethod
     def init(
         cls, input_size: int, hidden_size: int, n_classes: int, rng: np.random.Generator
@@ -130,37 +116,20 @@ class LstmParams:
 
 def _cell(acts: np.ndarray, c: np.ndarray, c_t: np.ndarray, tanh_c: np.ndarray,
           h_t: np.ndarray) -> None:
-    """One gate update for one state or a (rows, hidden) block of states.
-    Turns the pre-activations ``acts`` (x W^T + b + h U^T) into the forget,
-    input and output gates and the candidate in place, and writes
-    c_t = f*c + i*cand, tanh(c_t) and h_t = o*tanh(c_t) into the arrays
+    """One gate update for a (rows, hidden) block of states. Turns the
+    pre-activations ``acts`` (rows, 4*hidden), x W^T + b + h U^T, into the
+    forget, input and output gates and the candidate in place, and writes
+    c_t = f*c + i*cand, tanh(c_t) and h_t = o*tanh(c_t) into the blocks
     given."""
-    hidden = c.shape[-1]
-    gates = acts[..., : 3 * hidden]
+    hidden = c.shape[1]
+    gates = acts[:, : 3 * hidden]
     sigmoid(gates, out=gates)
-    np.tanh(acts[..., 3 * hidden :], out=acts[..., 3 * hidden :])
-    f, i, o, cand = (acts[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    np.tanh(acts[:, 3 * hidden :], out=acts[:, 3 * hidden :])
+    f, i, o, cand = (acts[:, k * hidden : (k + 1) * hidden] for k in range(4))
     np.multiply(f, c, out=c_t)
     c_t += i * cand
     np.tanh(c_t, out=tanh_c)
     np.multiply(o, tanh_c, out=h_t)
-
-
-def lstm_step(params: LstmParams, state: LstmState, x_t: np.ndarray) -> LstmState:
-    """One gate update: sigmoid forget/input/output gates, tanh candidate,
-    c_t = f*c + i*cand, h_t = o*tanh(c_t)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.shape != (params.input_size,):
-        raise ParameterError(
-            f"input has shape {x_t.shape}, expected ({params.input_size},)"
-        )
-    if state.h.shape != (params.hidden_size,):
-        raise ParameterError("state size does not match parameters")
-    acts = x_t @ params.W.T + params.b
-    acts += state.h @ params.U.T
-    out = LstmState.zeros(params.hidden_size)
-    _cell(acts, state.c, out.c, np.empty_like(out.c), out.h)
-    return out
 
 
 @dataclass

@@ -39,17 +39,6 @@ class ProbabilisticClassifier(ABC):
         name, so they double as the keys of the state meta."""
         return tuple(inspect.signature(cls).parameters)
 
-    def state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """(meta, arrays): the constructor arguments and the fitted arrays
-        that the subclass's ``_arrays`` names."""
-        return {key: getattr(self, key) for key in self.state_keys()}, self._arrays()
-
-    @classmethod
-    def from_state(cls, meta: dict, arrays: dict[str, np.ndarray]):
-        model = cls(**meta)
-        model._set_arrays(arrays)
-        return model
-
     def _arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, f"{name}_") for name in self._ARRAYS}
 

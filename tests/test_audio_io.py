@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emoforge.audio_features import extract_audio_features
-from emoforge.audio_io import decode_wav, encode_wav
+from emoforge.audio_io import AudioClip, decode_wav, encode_wav
 from emoforge.errors import (
     AudioFormatError, DataError, EmptyAudioError, ParameterError, UnsupportedAudioError,
 )
@@ -162,6 +162,17 @@ def test_not_riff_is_format_error(tmp_path):
         decode_wav(path)
 
 
+@pytest.mark.parametrize("data", [
+    _raw_wav(1, 1, 8000, 16, b"")[:36],  # a fmt chunk and no data chunk
+    _raw_wav(1, 1, 0, 16, struct.pack("<4h", 1, 2, 3, 4)),
+], ids=["no-data-chunk", "rate-zero"])
+def test_header_without_data_or_rate_is_format_error(tmp_path, data):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(data)
+    with pytest.raises(AudioFormatError):
+        decode_wav(path)
+
+
 def test_truncated_chunk_is_format_error(tmp_path):
     path = tmp_path / "trunc.wav"
     good = _raw_wav(1, 1, 8000, 16, struct.pack("<10h", *range(10)))
@@ -192,6 +203,22 @@ def test_encode_rejects_a_rate_the_header_cannot_hold(tmp_path, rate, bits):
     top = (2**32 - 1) // (bits // 8)
     encode_wav(path, np.zeros(4), top, bits=bits, float_format=bits == 32)
     assert decode_wav(path).sample_rate == top
+
+
+@pytest.mark.parametrize("bits, float_format", [(16, True), (12, False)],
+                         ids=["float-16bit", "pcm-12bit"])
+def test_encode_rejects_a_format_it_cannot_write(tmp_path, bits, float_format):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ParameterError):
+        encode_wav(path, np.zeros(4), 16000, bits=bits, float_format=float_format)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("samples, rate", [(np.zeros(0), 8000), (np.array([0.5, np.nan]), 8000),
+                                           (np.zeros(4), 0)], ids=["empty", "nan", "rate-zero"])
+def test_audio_clip_rejects_empty_or_nan_samples_and_rate_zero(samples, rate):
+    with pytest.raises(ParameterError):
+        AudioClip(samples, rate)
 
 
 def test_empty_data_chunk(tmp_path):

@@ -612,6 +612,8 @@ def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, monkeypatch,
     ("mnb", "alpha=nan"), ("svm", "reg=nan"), ("lr", "reg=inf"), ("mlp", "learning_rate=inf"),
     ("e2", "mnb.alpha=inf"), ("rf", "max_depth=0"), ("rf", "max_depth=-2"),
     ("xgb", "max_depth=0"), ("xgb", "max_depth=-1"), ("lstm", "patience=-1"),
+    ("svm", "epochs=0"), ("lr", "epochs=0"), ("lstm", "epochs=0"), ("lr", "reg=-1"),
+    ("mnb", "alpha=-1"), ("lstm", "dropout_rate=1.0"),
 ])
 def test_train_rejects_out_of_range_hp(trained_model, tmp_path, capsys, monkeypatch, model,
                                        pair):

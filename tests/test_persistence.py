@@ -64,7 +64,8 @@ def test_trailing_garbage_rejected(tmp_path):
         load_container(path)
 
 
-@pytest.mark.parametrize("lines", [b"[1]\n[]\n", b'{"format_version": 1}\n{"x": 1}\n'])
+@pytest.mark.parametrize("lines", [b"[1]\n[]\n", b'{"format_version": 1}\n{"x": 1}\n',
+                                   b"not json\n[]\n"])
 def test_container_rejects_non_object_header_or_non_list_manifest(tmp_path, lines):
     path = tmp_path / "model.emf"
     path.write_bytes(MAGIC + lines)

