@@ -139,7 +139,7 @@ def oracle_fit_losses(model, sequences, y):
     return history
 
 
-# --- the cell, one step at a time
+# --- the cell and the states it steps through
 
 
 def test_zero_params_step():
@@ -320,10 +320,13 @@ def test_batched_predict_proba_matches_per_sequence_oracle():
 def test_dropout_fit_replays_the_per_sequence_trainer(monkeypatch, clip_threshold, clipped):
     norms = []  # each batch's gradient norm before and after clipping
 
+    def norm(grads):
+        return np.sqrt(sum(float(np.sum(a**2)) for a in grads.arrays()))
+
     def recorded_clip(grads, threshold):
-        before = np.sqrt(sum(float(np.sum(a**2)) for a in grads.arrays()))
+        before = norm(grads)
         clip(grads, threshold)
-        norms.append((before, np.sqrt(sum(float(np.sum(a**2)) for a in grads.arrays()))))
+        norms.append((before, norm(grads)))
 
     clip = lstm_module._clip_gradients
     monkeypatch.setattr(lstm_module, "_clip_gradients", recorded_clip)

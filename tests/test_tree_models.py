@@ -12,6 +12,7 @@ from emoforge.models.tree import concat_trees, grow_tree, leaf_values, presort
 from emoforge.persistence import save_container
 from emoforge.pipeline import ModelBundle, load_bundle, save_bundle, train_bundle
 
+
 def make_xor(n_rep=50, seed=0, jitter=0.05):
     rng = np.random.default_rng(seed)
     base = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
