@@ -28,6 +28,7 @@ from .pipeline import (
     read_dataset,
     run_experiment,
     score,
+    write_report,
 )
 from .synth import generate_corpus
 
@@ -171,15 +172,7 @@ def _cmd_evaluate(args) -> int:
     bundle = load_bundle(args.model)
     dataset = read_dataset(load_manifest(args.manifest), bundle.class_mode)
     report = score(bundle, bundle.features(dataset), dataset)
-    payload = {
-        "model_kind": bundle.kind,
-        "setting": bundle.setting,
-        "class_mode": bundle.class_mode,
-        "examples": len(dataset),
-        **report.to_dict(),
-    }
-    args.report.parent.mkdir(parents=True, exist_ok=True)
-    args.report.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_report(args.report, bundle, report, examples=len(dataset))
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     return EXIT_OK
 

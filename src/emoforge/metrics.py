@@ -8,7 +8,7 @@ averages are unweighted means over classes with non-zero support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,16 +54,7 @@ class EvalReport:
             "macro_precision": self.macro_precision,
             "macro_recall": self.macro_recall,
             "macro_f1": self.macro_f1,
-            "per_class": [
-                {
-                    "label": m.label,
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for m in self.per_class
-            ],
+            "per_class": [asdict(m) for m in self.per_class],
             "class_names": list(self.class_names),
             "confusion_matrix": self.confusion.tolist(),
         }

@@ -693,15 +693,19 @@ def features_csv(manifest: Path, setting: str, class_mode: str, frame_config: Fr
     dataset = read_dataset(load_manifest(manifest), class_mode)
     vocab = setting_vocabulary(setting, dataset)
     X = featurize(dataset, setting, "vector", frame_config, l_harm, vocab)
+    return csv_text([[*feature_names(setting, vocab), "source_id", "label"],
+                     *([*(f"{v:.9g}" for v in row), ex.source_id, ex.label.value]
+                       for row, ex in zip(X, dataset.examples))])
+
+
+def csv_text(rows) -> str:
+    """``rows`` as CSV text, each row ending in "\n"."""
     # csv quotes a field holding the delimiter, the quote or a character of
     # its line terminator, so rows are written with "\r\n", which quotes a
-    # source_id holding \r or \n, and each row's terminator becomes "\n"
-    rows = []
-    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
-    writer.writerow([*feature_names(setting, vocab), "source_id", "label"])
-    writer.writerows([*(f"{v:.9g}" for v in row), ex.source_id, ex.label.value]
-                     for row, ex in zip(X, dataset.examples))
-    return "".join(row[:-2] + "\n" for row in rows)
+    # field holding \r or \n, and each row's terminator becomes "\n"
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def labels_to_indices(dataset: Dataset) -> np.ndarray:
@@ -747,9 +751,9 @@ def importance_csv(bundle: ModelBundle) -> str:
     """``feature_importance`` of a single-model bundle as rank,feature,importance
     CSV text."""
     ranked = feature_importance(bundle, feature_names(bundle.setting, bundle.vocab))
-    lines = ["rank,feature,importance"]
-    lines.extend(f"{rank},{name},{value:.9g}" for rank, (name, value) in enumerate(ranked, 1))
-    return "\n".join(lines) + "\n"
+    return csv_text([("rank", "feature", "importance"),
+                     *((rank, name, f"{value:.9g}")
+                       for rank, (name, value) in enumerate(ranked, 1))])
 
 
 # --- experiment runner --------------------------------------------------------
@@ -826,27 +830,17 @@ def write_artifacts(
     artifacts["model"] = model_path
 
     report_path = out / "report.json"
-    payload = {
-        "model_kind": config.model_kind,
-        "setting": config.setting,
-        "class_mode": config.class_mode,
-        "seed": config.seed,
-        "train_fraction": config.train_fraction,
-        "upsample_train": bool(config.upsample_rho > 0),
-        "upsample_rho": config.upsample_rho,
-        "train_size": train_size,
-        "test_size": test_size,
-        "feature_dim": bundle.feature_dim,
-        **report.to_dict(),
-    }
-    report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_report(report_path, bundle, report, seed=config.seed,
+                 train_fraction=config.train_fraction,
+                 upsample_train=bool(config.upsample_rho > 0), upsample_rho=config.upsample_rho,
+                 train_size=train_size, test_size=test_size, feature_dim=bundle.feature_dim)
     artifacts["report"] = report_path
 
     cm_path = out / "confusion_matrix.csv"
-    lines = ["true\\pred," + ",".join(report.class_names)]
-    for name, row in zip(report.class_names, report.confusion):
-        lines.append(name + "," + ",".join(str(int(v)) for v in row))
-    cm_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cm_path.write_text(csv_text([["true\\pred", *report.class_names],
+                                 *([name, *row] for name, row in
+                                   zip(report.class_names, report.confusion.tolist()))]),
+                       encoding="utf-8")
     artifacts["confusion_matrix"] = cm_path
 
     if bundle.kind in _TREE_KINDS:
@@ -860,6 +854,15 @@ def write_artifacts(
         artifacts["vocabulary"] = vocab_path
 
     return artifacts
+
+
+def write_report(path: Path, bundle: ModelBundle, report: EvalReport, **fields) -> None:
+    """Write ``report`` as JSON: the bundle's kind, setting and class mode, then
+    ``fields`` in the order given, then the metrics."""
+    payload = {"model_kind": bundle.kind, "setting": bundle.setting,
+               "class_mode": bundle.class_mode, **fields, **report.to_dict()}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 # --- single-example prediction -------------------------------------------------

@@ -162,14 +162,16 @@ def test_not_riff_is_format_error(tmp_path):
         decode_wav(path)
 
 
-@pytest.mark.parametrize("data", [
-    _raw_wav(1, 1, 8000, 16, b"")[:36],  # a fmt chunk and no data chunk
-    _raw_wav(1, 1, 0, 16, struct.pack("<4h", 1, 2, 3, 4)),
-], ids=["no-data-chunk", "rate-zero"])
-def test_header_without_data_or_rate_is_format_error(tmp_path, data):
+@pytest.mark.parametrize("data, message", [
+    (_raw_wav(1, 1, 8000, 16, b"")[:36], "missing data chunk"),  # a fmt chunk and no data chunk
+    (_raw_wav(1, 1, 0, 16, struct.pack("<4h", 1, 2, 3, 4)), "invalid sample rate 0"),
+    # the 12-byte header alone is RIFF/WAVE; what it lacks is every chunk
+    (b"RIFF" + struct.pack("<I", 4) + b"WAVE", "missing fmt chunk"),
+], ids=["no-data-chunk", "rate-zero", "bare-header"])
+def test_header_without_data_or_rate_is_format_error(tmp_path, data, message):
     path = tmp_path / "bad.wav"
     path.write_bytes(data)
-    with pytest.raises(AudioFormatError):
+    with pytest.raises(AudioFormatError, match=message):
         decode_wav(path)
 
 

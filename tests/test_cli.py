@@ -81,13 +81,38 @@ def test_synth_corpus_layout(tmp_path):
     assert meta["audio_cue_classes"] == ["angry", "happy", "sad"]
 
 
+REPORT_DESIGN_KEYS = ["model_kind", "setting", "class_mode"]
+REPORT_METRIC_KEYS = ["accuracy", "macro_precision", "macro_recall", "macro_f1", "per_class",
+                      "class_names", "confusion_matrix"]
+
+
 def test_train_writes_artifacts(trained_model):
     _, out = trained_model
     for name in ("model.emf", "report.json", "confusion_matrix.csv", "importances.csv"):
         assert (out / name).is_file()
-    importances = (out / "importances.csv").read_text().splitlines()
-    assert importances[0] == "rank,feature,importance"
-    named = {line.split(",")[1] for line in importances[1:]}
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == [*REPORT_DESIGN_KEYS, "seed", "train_fraction", "upsample_train",
+                            "upsample_rho", "train_size", "test_size", "feature_dim",
+                            *REPORT_METRIC_KEYS]
+    assert [list(row) for row in report["per_class"]] == [
+        ["label", "precision", "recall", "f1", "support"]] * len(report["class_names"])
+    # both CSVs read back with csv.reader as the rows the run computed
+    with (out / "confusion_matrix.csv").open(encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["true\\pred", *report["class_names"]],
+            *([name, *map(str, row)]
+              for name, row in zip(report["class_names"], report["confusion_matrix"])),
+        ]
+    ranked = pipeline.feature_importance(load_bundle(out / "model.emf"),
+                                         pipeline.feature_names("audio_only", None))
+    with (out / "importances.csv").open(encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["rank", "feature", "importance"]
+    assert [(int(rank), name) for rank, name, _ in rows] == [
+        (rank, name) for rank, (name, _) in enumerate(ranked, 1)]
+    assert [float(value) for *_, value in rows] == pytest.approx([v for _, v in ranked],
+                                                                 rel=1e-8)
+    named = {name for _, name, _ in rows}
     assert "pause_ratio" in named and "rmse_mean" in named
 
 
@@ -100,6 +125,7 @@ def test_evaluate_subcommand(trained_model, tmp_path):
     ])
     assert code == 0
     payload = json.loads(report_path.read_text())
+    assert list(payload) == [*REPORT_DESIGN_KEYS, "examples", *REPORT_METRIC_KEYS]
     assert payload["examples"] == 60
     assert 0.0 <= payload["accuracy"] <= 1.0
 
@@ -415,6 +441,8 @@ SMALL_RF = ["--hp", "n_trees=2"]
 
 @pytest.mark.parametrize("setting, flags, message", [
     ("audio_only", [*SMALL_RF, "--train-fraction", "5"], "train_fraction must be in (0, 1)"),
+    ("audio_only", [*SMALL_RF, "--train-fraction", "0"], "train_fraction must be in (0, 1)"),
+    ("audio_only", [*SMALL_RF, "--train-fraction", "1"], "train_fraction must be in (0, 1)"),
     ("audio_only", [*SMALL_RF, "--rho", "7"], "rho must be in [0, 1]"),
     ("text_only", [*SMALL_RF, "--l-harm", "0"], "window length must be in [1, 65536]"),
     ("audio_only", [*SMALL_RF, "--l-harm", "0"], "window length must be in [1, 65536]"),
@@ -426,9 +454,9 @@ SMALL_RF = ["--hp", "n_trees=2"]
     ("audio_only", ["--hp", "n_trees=3", "--hp", "rf.n_trees=4"], "sets 'n_trees' twice"),
     ("audio_only", [*SMALL_RF, "--seed", "-1"], "seed must be an integer >= 0"),
     ("audio_only", [*SMALL_RF, "--frame-length", "65537"], "frame_length must be in [1, 65536]"),
-], ids=["train-fraction-unused", "rho-unused", "text-only-l-harm-zero", "l_harm-zero",
-        "n-trees-zero", "n-trees-str", "hp-unknown", "hp-repeated", "hp-repeated-scoped",
-        "seed-negative", "frame-length-above-cap"])
+], ids=["train-fraction-unused", "train-fraction-zero", "train-fraction-one", "rho-unused",
+        "text-only-l-harm-zero", "l_harm-zero", "n-trees-zero", "n-trees-str", "hp-unknown",
+        "hp-repeated", "hp-repeated-scoped", "seed-negative", "frame-length-above-cap"])
 def test_train_rejects_run_settings_out_of_range(tmp_path, capsys, monkeypatch, setting, flags,
                                                  message):
     # every entry carries a split hint, so no run here would call split()
@@ -607,8 +635,7 @@ def test_train_rejects_mistyped_hp(trained_model, tmp_path, capsys, monkeypatch,
     ("lstm", "learning_rate=-0.5"), ("mlp", "learning_rate=0"), ("lr", "learning_rate=-0.5"),
     ("lstm", "clip_threshold=0"), ("e2", "lr.learning_rate=-1"),
     ("mlp", "momentum=1.5"), ("mlp", "momentum=-1.0"), ("e1", "mlp.momentum=1"),
-    ("lstm", "validation_fraction=2.0"), ("lstm", "validation_fraction=-0.5"),
-    ("lstm", "validation_fraction=0"),
+    ("lstm", "dropout_rate=-0.1"), ("lstm", "learning_rate=0"), ("lstm", "clip_threshold=-1"),
     ("mnb", "alpha=nan"), ("svm", "reg=nan"), ("lr", "reg=inf"), ("mlp", "learning_rate=inf"),
     ("e2", "mnb.alpha=inf"), ("rf", "max_depth=0"), ("rf", "max_depth=-2"),
     ("xgb", "max_depth=0"), ("xgb", "max_depth=-1"), ("lstm", "patience=-1"),
@@ -1023,7 +1050,9 @@ def _edit_header(model: Path, edit) -> bytes:
     (lambda h: h["members"][2]["meta"].update(hidden_sizes=[9]), 3, "e2"),
     (lambda h: h["members"][0]["meta"].update(learning_rate=-0.5), 3, "lstm"),
     (lambda h: h["members"][2]["meta"].update(momentum=1.5), 3, "e2"),
-    (lambda h: h["members"][0]["meta"].update(validation_fraction=2.0), 3, "lstm"),
+    # in the design too, or the header comparison rejects it before the range check
+    (lambda h: (h["hyperparameters"].update(dropout_rate=1.0),
+                h["members"][0]["meta"].update(dropout_rate=1.0)), 3, "lstm"),
     (lambda h: h.update(frame_length=0), 3, "rf"),
     (lambda h: h.update(hop_length=99999), 3, "rf"),
     (lambda h: h.update(l_harm=0), 3, "rf"),
@@ -1064,7 +1093,7 @@ def _edit_header(model: Path, edit) -> bytes:
         "e2-scaler-kind-unknown", "e2-mlp-batch-size-negative", "e2-mlp-hidden-size-zero",
         "lstm-batch-size-zero", "lstm-hidden-size-zero", "lstm-hidden-size-edited",
         "e2-mlp-hidden-sizes-edited", "lstm-learning-rate-negative",
-        "e2-mlp-momentum-above-one", "lstm-validation-fraction-above-one",
+        "e2-mlp-momentum-above-one", "lstm-dropout-rate-one",
         "frame-length-zero", "hop-length-above-frame", "l_harm-zero", "frame-length-above-cap",
         "e2-hp-stray-scope",
         "e2-hp-scope-not-object", "e2-hp-nan", "rf-hp-max-depth-zero", "rf-hp-edited",
